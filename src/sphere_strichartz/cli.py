@@ -9,8 +9,9 @@ stream is a counter-based Philox generator keyed by --seed, and floats
 are emitted at 17 significant digits, so identical configurations produce
 byte-identical output files.
 
-Exit codes: 0 success, 1 validation/configuration error, 2 numerical
-error (identity/selftest tolerance exceeded or Picard divergence).
+Exit codes: 0 success, 1 validation/configuration error (including
+non-finite numeric flags), 2 numerical error (identity/selftest tolerance
+exceeded, Picard divergence, or a non-finite computed result).
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+class NonFiniteResultError(ArithmeticError):
+    """A computed result (ratio, error, fit, diagnostic) is NaN or infinite."""
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -60,6 +65,12 @@ def _parse_p(text: str) -> float:
     if text.lower() in ("inf", "infinity", "oo"):
         return math.inf
     return float(text)
+
+
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"--{name} must be finite, got {value}")
+    return value
 
 
 def _parse_degrees(spec: str, count: int) -> tuple:
@@ -73,6 +84,10 @@ def _parse_degrees(spec: str, count: int) -> tuple:
 
 
 def _write_rows(args, columns, rows, summary=None) -> None:
+    """Write result rows to --output; any non-finite float result raises first."""
+    for value in [v for row in rows for v in row] + list((summary or {}).values()):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise NonFiniteResultError(f"non-finite result {value!r}")
     if not args.output:
         return
     if args.format == "json":
@@ -117,6 +132,9 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_identity_check(args) -> int:
+    if not (isinstance(args.trials, int) and args.trials >= 1):
+        raise ValueError(f"--trials must be an integer >= 1, got {args.trials!r}")
+    _finite("tol", args.tol)
     rng = _rng(args.seed)
     grid = grid_for(args.N, args.d, 2.0)
     tg = nyquist_time_grid(args.N, args.d)
@@ -174,7 +192,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_strichartz(args) -> int:
     p = _parse_p(_require(args, "p"))
-    s = xp.kappa_pq(p, args.q, args.d) if args.s == "auto" else float(args.s)
+    _finite("q", args.q)
+    s = xp.kappa_pq(p, args.q, args.d) if args.s == "auto" else _finite("s", float(args.s))
     rng = _rng(args.seed)
     if args.family == "random":
         f = random_field(args.N, args.d, rng, zonal=(args.d != 2))
@@ -191,7 +210,7 @@ def _cmd_strichartz(args) -> int:
 def _cmd_sharpness(args) -> int:
     degrees = _parse_degrees(args.n, args.count)
     p = _parse_p(_require(args, "p"))
-    s = args.s if args.s is not None else xp.kappa_pq(p, 2.0, args.d)
+    s = _finite("s", args.s) if args.s is not None else xp.kappa_pq(p, 2.0, args.d)
     fams = ("zonal-kernel", "highest-weight") if args.d == 2 else ("zonal-kernel",)
     rows = []
     for fam in fams:
@@ -209,10 +228,10 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_solve_potential(args) -> int:
+    p = _parse_p(args.p)
+    s = xp.kappa_pq(p, 2.0, args.d) if args.s == "auto" else _finite("s", float(args.s))
     with open(_require(args, "potential"), "r", encoding="utf-8") as fh:
         V = pot.PotentialSpec.from_json_dict(json.load(fh), d=args.d)
-    p = _parse_p(args.p)
-    s = xp.kappa_pq(p, 2.0, args.d) if args.s == "auto" else float(args.s)
     rng = _rng(args.seed)
     f = random_field(args.N, args.d, rng)
     tg = None if args.M is None else pot.TimeGrid(args.M)
@@ -284,7 +303,8 @@ def _add_common(sp, seed=0):
     sp.add_argument("--seed", type=int, default=seed)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; `config` maps a subcommand name to flag defaults."""
     ap = argparse.ArgumentParser(
         prog="sphere-strichartz",
         description="Spectral experiments for the Schrodinger flow on the d-sphere",
@@ -355,39 +375,44 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_selftest)
 
+    for name, defaults in (config or {}).items():
+        sub.choices[name].set_defaults(**defaults)
     return ap
 
 
-def _apply_config(ap: argparse.ArgumentParser, argv: list) -> list:
-    """Load --config defaults (flags still override); returns argv unchanged."""
-    if "--config" not in argv:
-        return argv
-    path = argv[argv.index("--config") + 1]
+def _load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
     version = cfg.pop("version", None)
     if version != CONFIG_VERSION:
         raise ValueError(f"config version {version!r} != {CONFIG_VERSION}")
-    for action in ap._subparsers._group_actions:
-        for name, sub in action.choices.items():
-            if argv and argv[0] == name:
-                known = {a.dest for a in sub._actions}
-                unknown = set(cfg) - known
-                if unknown:
-                    raise ValueError(f"unknown config keys: {sorted(unknown)}")
-                sub.set_defaults(**cfg)
-    return argv
+    return cfg
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """Parse argv; a --config file supplies defaults for its subcommand, flags still win."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    args = build_parser().parse_args(argv)
+    if path is None:
+        return args
+    cfg = _load_config(path)
+    unknown = set(cfg) - (set(vars(args)) - {"command", "func"})
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return build_parser({args.command: cfg}).parse_args(argv)
 
 
 def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
     try:
-        argv = _apply_config(ap, argv)
-        args = ap.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
@@ -395,13 +420,13 @@ def run(argv=None) -> int:
     except pot.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
-    except TimeResolutionError as exc:
+    except (TimeResolutionError, NonFiniteResultError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

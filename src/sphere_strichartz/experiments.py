@@ -126,7 +126,7 @@ def kappa_pq(p: float, q: float, d: int) -> float:
     return (0.5 - 1.0 / q) + kappa_p(p, d)
 
 
-def make_family(kind: str, n: int, d: int, grid=None,
+def make_family(kind: str, n: int, d: int,
                 rng: np.random.Generator | None = None) -> CoefficientTable:
     """Unit-L^2 degree-n witness field.
 

@@ -18,6 +18,7 @@ Grids are immutable and cached by their (band, d) key.
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -238,22 +239,104 @@ class CoefficientTable:
             raise ValueError("incompatible coefficient tables")
 
 
-def _m_order_sign(m: int) -> float:
-    # basis convention: Y_{n,m} = (-1)^m * Pbar_n^{|m|} * e^{i m phi} for m < 0
-    return -1.0 if (m < 0 and m % 2) else 1.0
-
-
 @lru_cache(maxsize=8)
-def _legendre_tables(grid_band: int, N: int) -> tuple:
-    """Pbar_n^m at the grid nodes for m = 0..N; entry m has shape (N+1, K)."""
+def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
+    """Pbar_n^m at the grid nodes, m-major: entry [m, n, k], shape (N+1, N+1, K)."""
     grid = build_sphere_grid(grid_band)
-    return tuple(legendre_column(m, N, grid.t) for m in range(N + 1))
+    # Rows n < m are zero and never written: in a private anonymous mapping without huge
+    # pages (numpy asks for them above 4 MB) they stay unmapped, half the table at large N.
+    shape = (N + 1, N + 1, grid.t.size)
+    try:
+        buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    except AttributeError:  # no MAP_PRIVATE outside Unix
+        buf = bytearray(8 * math.prod(shape))
+    P = np.frombuffer(buf, dtype=float).reshape(shape)
+    for m in range(N + 1):
+        P[m, m:] = legendre_column(m, N, grid.t)[m:]
+    P.setflags(write=False)
+    return P
 
 
 @lru_cache(maxsize=8)
 def _zonal_tables(grid_band: int, N: int, d: int) -> np.ndarray:
     grid = build_zonal_grid(grid_band, d)
     return zonal_basis_column(N, d, grid.t)
+
+
+def _sht_synthesis(a: np.ndarray, grid: SphereGrid) -> np.ndarray:
+    """Batched inverse transform: a[..., N+1, 2N+1] -> values[..., K, L].
+
+    One Legendre pass for every leading batch index: per order m the real
+    table Pbar^m(t)^T multiplies a real, contiguous, m-major block that holds
+    the +m and -m columns of all batch entries as float pairs.
+    """
+    N = a.shape[-1] // 2
+    K, L = grid.shape
+    flat = a.reshape(-1, N + 1, 2 * N + 1)
+    X = np.empty((N + 1, N + 1, len(flat), 2), dtype=complex)  # [m, n, b, +/-]
+    X[..., 0] = flat[:, :, N:].T
+    X[..., 1] = flat[:, :, N::-1].T
+    X[1::2, :, :, 1] *= -1.0  # basis convention Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
+    P = _legendre_tables(grid.band, N)
+    Y = np.matmul(P.transpose(0, 2, 1), X.view(float).reshape(N + 1, N + 1, -1))
+    Y = Y.reshape(N + 1, K, -1, 4).view(complex)  # [m, k, b, +/-]
+    spec = np.zeros((len(flat), K, L), dtype=complex)
+    spec[:, :, : N + 1] = Y[..., 0].T
+    spec[:, :, L - N :] = Y[:0:-1, :, :, 1].T
+    return np.fft.ifft(spec, axis=-1, norm="forward").reshape(*a.shape[:-2], K, L)
+
+
+def _degree_synthesis(a: np.ndarray, grid) -> np.ndarray:
+    """Per-degree components of one table on a sphere or zonal grid: entry n = (H_n f)(z).
+
+    No Legendre sum: row n of the longitude spectrum is a_{n,m} Pbar_n^m(t), by broadcasting.
+    """
+    N = a.shape[0] - 1
+    if isinstance(grid, ZonalGrid):
+        return a[:, None] * _zonal_tables(grid.band, N, grid.d)
+    K, L = grid.shape
+    P = _legendre_tables(grid.band, N).transpose(1, 2, 0)  # [n, k, m]
+    sign = np.where(np.arange(1, N + 1) % 2, -1.0, 1.0)  # (-1)^m for m = 1..N
+    spec = np.zeros((N + 1, K, L), dtype=complex)
+    np.multiply(a[:, None, N:], P, out=spec[:, :, : N + 1])
+    np.multiply((a[:, :N][:, ::-1] * sign)[:, None], P[:, :, 1:], out=spec[:, :, : L - N - 1 : -1])
+    return np.fft.ifft(spec, axis=-1, norm="forward")
+
+
+def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int) -> np.ndarray:
+    """Batched forward transform: values[..., K, L] -> a[..., N+1, 2N+1]."""
+    K, L = grid.shape
+    P = _legendre_tables(grid.band, N)
+    flat = values.reshape(-1, K, L)
+    a = np.empty((len(flat), N + 1, 2 * N + 1), dtype=complex)
+    for b0 in range(0, len(flat), 64):  # chunks keep each FFT output in cache for the reordering
+        # longitude analysis: F[k, m mod L] = (1 / L) sum_j values e^{-i m phi_j}
+        F = np.fft.fft(flat[b0 : b0 + 64], axis=-1, norm="forward")
+        X = np.zeros((N + 1, K, len(F), 2), dtype=complex)  # [m, k, b, +/-]
+        X[..., 0] = F[:, :, : N + 1].T
+        X[1:, :, :, 1] = F[:, :, : L - N - 1 : -1].T
+        X *= (2.0 * np.pi * grid.t_weights)[:, None, None]  # colatitude quadrature weights
+        Y = np.matmul(P, X.view(float).reshape(N + 1, K, -1))
+        Y = Y.reshape(N + 1, N + 1, -1, 4).view(complex)  # [m, n, b, +/-]
+        Y[1::2, :, :, 1] *= -1.0  # Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
+        out = a[b0 : b0 + 64]
+        out[:, :, N::-1] = Y[..., 1].T
+        out[:, :, N:] = Y[..., 0].T  # overwrites the m = 0 column written above
+    return a.reshape(*values.shape[:-2], N + 1, 2 * N + 1)
+
+
+def _synthesize(a: np.ndarray, grid) -> np.ndarray:
+    """Batched synthesis on a sphere or zonal grid: a[..., *table] -> values[..., *grid]."""
+    if isinstance(grid, ZonalGrid):
+        return a @ _zonal_tables(grid.band, a.shape[-1] - 1, grid.d)
+    return _sht_synthesis(a, grid)
+
+
+def _analyze(values: np.ndarray, grid, N: int) -> np.ndarray:
+    """Batched band-N analysis on a sphere or zonal grid: values[..., *grid] -> a[..., *table]."""
+    if isinstance(grid, ZonalGrid):
+        return (grid.weights() * values) @ _zonal_tables(grid.band, N, grid.d).T
+    return _sht_analysis(values, grid, N)
 
 
 def forward_sht(values: np.ndarray, grid: SphereGrid, N: int) -> CoefficientTable:
@@ -266,36 +349,16 @@ def forward_sht(values: np.ndarray, grid: SphereGrid, N: int) -> CoefficientTabl
         raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
     if N > grid.band:
         raise ValueError(f"band limit {N} exceeds grid band {grid.band}")
-    K, L = grid.shape
-    # longitude analysis: F[k, m mod L] = (2 pi / L) sum_j values e^{-i m phi_j}
-    F = np.fft.fft(values, axis=1) * (2.0 * np.pi / L)
-    tables = _legendre_tables(grid.band, N)
-    wF = grid.t_weights[:, None] * F
-    out = CoefficientTable.zeros(N, 2)
-    for m in range(N + 1):
-        P = tables[m]  # (N+1, K); rows n < m are identically zero
-        out.a[:, m + N] = P @ wF[:, m % L]
-        if m > 0:
-            out.a[:, N - m] = _m_order_sign(-m) * (P @ wF[:, (-m) % L])
-    return out
+    return CoefficientTable(N, 2, _sht_analysis(values, grid, N))
 
 
 def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid) -> np.ndarray:
     """Synthesis on S^2: pointwise sum of coefficients times basis functions."""
     if coeffs.zonal:
         raise ValueError("inverse_sht expects a full S^2 table; use inverse_zonal")
-    N = coeffs.N
-    if N > grid.band:
-        raise ValueError(f"table band {N} exceeds grid band {grid.band}")
-    K, L = grid.shape
-    tables = _legendre_tables(grid.band, N)
-    spec = np.zeros((K, L), dtype=complex)
-    for m in range(N + 1):
-        P = tables[m]
-        spec[:, m % L] += coeffs.a[:, m + N] @ P
-        if m > 0:
-            spec[:, (-m) % L] += _m_order_sign(-m) * (coeffs.a[:, N - m] @ P)
-    return np.fft.ifft(spec, axis=1) * L
+    if coeffs.N > grid.band:
+        raise ValueError(f"table band {coeffs.N} exceeds grid band {grid.band}")
+    return _sht_synthesis(coeffs.a, grid)
 
 
 def forward_zonal(values: np.ndarray, grid: ZonalGrid, N: int) -> CoefficientTable:

@@ -50,9 +50,14 @@ def lp_norm(values: np.ndarray, grid, p: float) -> float:
 
 def sobolev_norm(f: CoefficientTable, s: float) -> float:
     """Spectral Sobolev norm (sum_n (1+n)^{2s} ||H_n f||^2)^{1/2}; L^2 at s=0."""
-    per_degree = f.degrees_l2()
-    w = (1.0 + np.arange(f.N + 1)) ** float(s)
-    return float(np.linalg.norm(w * per_degree))
+    return float(_sobolev_norms(f.a, s, f.zonal))
+
+
+def _sobolev_norms(a: np.ndarray, s: float, zonal: bool) -> np.ndarray:
+    """Sobolev norms over leading batch axes of a[..., N+1] (zonal) or a[..., N+1, 2N+1]."""
+    per_degree = np.abs(a) if zonal else np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
+    w = (1.0 + np.arange(per_degree.shape[-1])) ** float(s)
+    return np.linalg.norm(w * per_degree, axis=-1)
 
 
 def triebel_lizorkin_norm(f: CoefficientTable, grid, p: float, q: float,

@@ -21,26 +21,14 @@ requirement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .experiments import estimate_strichartz_constant, kappa_pq
-from .grids import (
-    CoefficientTable,
-    forward_sht,
-    forward_zonal,
-    grid_for,
-    inverse_sht,
-    inverse_zonal,
-)
-from .norms import lp_norm, mixed_norm, sobolev_norm
-from .spectral import (
-    SpaceTimeField,
-    TimeGrid,
-    nyquist_time_grid,
-    synthesize_history,
-)
+from .grids import CoefficientTable, _analyze, grid_for, inverse_sht, inverse_zonal
+from .norms import _sobolev_norms, lp_norm, mixed_norm, sobolev_norm
+from .spectral import SpaceTimeField, TimeGrid, synthesize_history
 
 __all__ = [
     "DivergenceError",
@@ -95,13 +83,14 @@ class PotentialSpec:
             out.append(inverse_zonal(tab, grid) if tab.zonal else inverse_sht(tab, grid))
         return np.array(out) if out else np.zeros((0, *grid.shape))
 
+    def amplitudes(self, times: np.ndarray) -> np.ndarray:
+        """a_k(t_j) for every term and requested time, shape (len(terms), len(times))."""
+        amps = [term.amplitude(times) for term in self.terms]
+        return np.array(amps, dtype=complex).reshape(len(self.terms), len(times))
+
     def values(self, times: np.ndarray, grid) -> np.ndarray:
         """V(t_j, z) for every requested time, shape (len(times), *grid.shape)."""
-        B = self.spatial_samples(grid)
-        amps = np.array([term.amplitude(times) for term in self.terms])  # (T, M)
-        if len(self.terms) == 0:
-            return np.zeros((len(times), *grid.shape), dtype=complex)
-        return np.tensordot(amps.T, B, axes=1)
+        return np.tensordot(self.amplitudes(times).T, self.spatial_samples(grid), axes=1)
 
     def sup_t_profile(self, grid, time_samples: int = 512) -> np.ndarray:
         """Pointwise sup over t of |V(t, z)| by dense trigonometric sampling."""
@@ -180,9 +169,10 @@ class PicardReport:
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
     """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t)."""
-    if u.tg.M < 1:
-        raise ValueError("empty history")
-    sup_part = max(sobolev_norm(u.table_at(j), s) for j in range(u.tg.M))
+    if u.free:  # free evolution: |e^{i lambda t}| = 1, so every node has the W^s norm of f
+        sup_part = sobolev_norm(u.base, s)
+    else:
+        sup_part = float(np.max(_sobolev_norms(u.tables, s, u.base.zonal)))
     return sup_part + mixed_norm(u, p, 2.0)
 
 
@@ -190,50 +180,49 @@ def duhamel_apply(G: SpaceTimeField, tg: TimeGrid) -> SpaceTimeField:
     """Time-ordered integral int_0^{t_j} e^{i (t_j - tau) Delta} G(tau) dtau.
 
     Composite trapezoid in tau through the propagated spectral coefficients,
-    via the exact recursion I_{j+1} = e^{i lambda dt} (I_j + dt/2 G_j) +
-    dt/2 G_{j+1}; spectral in space, O(dt^2) in time.
+    in the exact cumulative-sum form I_j = e^{i lambda t_j} dt (sum_{k<=j} H_k
+    - (H_0 + H_j)/2) with H_k = e^{-i lambda t_k} G_k; spectral in space,
+    O(dt^2) in time.
     """
     if G.tg.M != tg.M:
         raise ValueError(f"history on M={G.tg.M} nodes but integration grid M={tg.M}")
-    Ge = G.materialize()
-    M = tg.M
-    dt = tg.dt
     lam = np.arange(G.N + 1) * (np.arange(G.N + 1) + G.d - 1)
-    step = np.exp(1j * lam * dt)
-    if not G.base.zonal:
-        step = step[:, None]
-    out = np.zeros_like(Ge.tables)
-    for j in range(M - 1):
-        out[j + 1] = step * (out[j] + 0.5 * dt * Ge.tables[j]) + 0.5 * dt * Ge.tables[j + 1]
+    # e^{i lambda t_k}, lambda t_k = 2 pi (lambda k mod M) / M reduced exactly in integers
+    phases = np.exp(2j * np.pi / tg.M * (np.outer(np.arange(tg.M), lam) % tg.M))
+    phases = phases if G.base.zonal else phases[:, :, None]
+    H = phases.conj() * G.history()
+    out = np.cumsum(H, axis=0)
+    out -= 0.5 * H
+    out -= 0.5 * H[0]
+    out *= tg.dt * phases
     return SpaceTimeField(tg, G.grid, G.base * 0.0, tables=out)
 
 
-def _analyze(values: np.ndarray, grid, N: int, zonal: bool) -> np.ndarray:
-    if zonal:
-        return forward_zonal(values, grid, N).a
-    return forward_sht(values, grid, N).a
-
-
 def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> SpaceTimeField:
-    """One fixed-point map application: free evolution of f minus i * Duhamel(V w)."""
+    """One fixed-point map application: free evolution of f minus i * Duhamel(V w).
+
+    V w is formed and re-analyzed one block of time nodes at a time (the
+    blocks of `w.iter_time_blocks`), with V = sum_k a_k(t_j) B_k(z) built per
+    block; the potential is never sampled at all M nodes at once.
+    """
     grid = w.grid
     if V.band + w.N > grid.band:
         raise ValueError(
             f"product band {V.band + w.N} overflows grid band {grid.band}"
         )
-    we = w.materialize()
-    times = w.tg.times
-    Vvals = V.values(times, grid)
-    G = np.empty_like(we.tables)
-    for j in range(w.tg.M):
-        prod = Vvals[j] * we.samples_at(j)
-        G[j] = _analyze(prod, grid, w.N, w.base.zonal)
+    B = V.spatial_samples(grid)
+    amps = V.amplitudes(w.tg.times)
+    G = np.empty((w.tg.M, *w.base.a.shape), dtype=complex)
+    for j0, samples in w.iter_time_blocks():
+        j1 = j0 + len(samples)
+        Vblock = np.tensordot(amps[:, j0:j1].T, B, axes=1)
+        G[j0:j1] = _analyze(Vblock * samples, grid, w.N)
+        if not np.all(np.isfinite(G[j0:j1].view(float))):
+            raise ValueError("coefficients must be finite")
     Gfield = SpaceTimeField(w.tg, grid, w.base * 0.0, tables=G)
     integral = duhamel_apply(Gfield, w.tg)
-    free = synthesize_history(f, w.tg, grid).materialize()
-    return SpaceTimeField(
-        w.tg, grid, f.copy(), tables=free.tables - 1j * integral.tables
-    )
+    free = synthesize_history(f, w.tg, grid).history()
+    return SpaceTimeField(w.tg, grid, f.copy(), tables=free - 1j * integral.tables)
 
 
 def holder_conjugate(p: float) -> float:
@@ -343,6 +332,5 @@ def contraction_check(V: PotentialSpec, w: SpaceTimeField, v: SpaceTimeField,
 
 def l2_drift(u: SpaceTimeField) -> float:
     """Max deviation of ||u(t_j)||_2 from its initial value across the history."""
-    ue = u.materialize()
-    norms = np.linalg.norm(ue.tables.reshape(u.tg.M, -1), axis=1)
+    norms = np.linalg.norm(u.history().reshape(u.tg.M, -1), axis=1)
     return float(np.max(np.abs(norms - norms[0])))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CoefficientTable, SphereGrid, ZonalGrid, inverse_sht, inverse_zonal
+from .grids import CoefficientTable, SphereGrid, ZonalGrid, _degree_synthesis, _synthesize
 from .harmonics import eigenvalue
 
 __all__ = [
@@ -117,29 +117,13 @@ def fractional_weight(f: CoefficientTable, s: float) -> CoefficientTable:
 
 def synthesize_by_degree(f: CoefficientTable, grid) -> np.ndarray:
     """Sampled per-degree components (H_n f)(z): shape (N+1, *grid.shape)."""
-    if f.zonal:
-        if not isinstance(grid, ZonalGrid):
-            raise ValueError("zonal table needs a zonal grid")
-        from .grids import _zonal_tables
-
-        B = _zonal_tables(grid.band, f.N, grid.d)
-        return f.a[:, None] * B
-    if not isinstance(grid, SphereGrid):
+    if f.zonal and not isinstance(grid, ZonalGrid):
+        raise ValueError("zonal table needs a zonal grid")
+    if not f.zonal and not isinstance(grid, SphereGrid):
         raise ValueError("full S^2 table needs a sphere grid")
     if f.N > grid.band:
         raise ValueError(f"table band {f.N} exceeds grid band {grid.band}")
-    from .grids import _legendre_tables, _m_order_sign
-
-    N = f.N
-    K, L = grid.shape
-    tables = _legendre_tables(grid.band, N)
-    spec = np.zeros((N + 1, K, L), dtype=complex)
-    for m in range(N + 1):
-        P = tables[m]  # (N+1, K)
-        spec[:, :, m % L] += f.a[:, m + N, None] * P
-        if m > 0:
-            spec[:, :, (-m) % L] += _m_order_sign(-m) * f.a[:, N - m, None] * P
-    return np.fft.ifft(spec, axis=2) * L
+    return _degree_synthesis(f.a, grid)
 
 
 @dataclass
@@ -176,35 +160,29 @@ class SpaceTimeField:
         return self.base.d
 
     def table_at(self, j: int) -> CoefficientTable:
-        if self.free:
-            return propagate(self.base, self.tg.times[j])
-        return CoefficientTable(self.N, self.d, self.tables[j], zonal=self.base.zonal)
+        return CoefficientTable(self.N, self.d, self.history(j, j + 1)[0], zonal=self.base.zonal)
+
+    def history(self, j0: int = 0, j1: int | None = None) -> np.ndarray:
+        """Spectral history of time nodes j0..j1-1, shape (j1-j0, *coefficient shape)."""
+        if not self.free:
+            return self.tables[j0:j1]
+        lam = eigenvalues_upto(self.N, self.d)
+        phases = np.exp(1j * np.outer(self.tg.times[j0:j1], lam))
+        return self.base.a * (phases if self.base.zonal else phases[:, :, None])
 
     def materialize(self) -> "SpaceTimeField":
         """Explicit-history copy of this field (intended for modest M * table size)."""
         if not self.free:
             return self
-        hist = np.empty((self.tg.M, *self.base.a.shape), dtype=complex)
-        lam = eigenvalues_upto(self.N, self.d)
-        shape = (-1, 1) if not self.base.zonal else (-1,)
-        for j, t in enumerate(self.tg.times):
-            hist[j] = self.base.a * np.exp(1j * lam * t).reshape(shape)
-        return SpaceTimeField(self.tg, self.grid, self.base.copy(), tables=hist)
+        return SpaceTimeField(self.tg, self.grid, self.base.copy(), tables=self.history())
 
     def samples_at(self, j: int) -> np.ndarray:
-        tab = self.table_at(j)
-        if tab.zonal:
-            return inverse_zonal(tab, self.grid)
-        return inverse_sht(tab, self.grid)
+        return _synthesize(self.history(j, j + 1)[0], self.grid)
 
     def iter_time_blocks(self, block: int = 64):
-        """Yield (j0, samples) with samples of shape (b, *grid.shape) from explicit history."""
+        """Yield (j0, samples of shape (b, *grid.shape)), one batched transform per block."""
         for j0 in range(0, self.tg.M, block):
-            j1 = min(j0 + block, self.tg.M)
-            out = np.empty((j1 - j0, *self.grid.shape), dtype=complex)
-            for j in range(j0, j1):
-                out[j - j0] = self.samples_at(j)
-            yield j0, out
+            yield j0, _synthesize(self.history(j0, j0 + block), self.grid)
 
     def iter_space_chunks(self, chunk: int = 1024):
         """Yield (flat z slice, time-series array (M, chunk)) for free-mode fields.
@@ -237,10 +215,8 @@ class SpaceTimeField:
     def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
         if self.tg.M != other.tg.M:
             raise ValueError("mismatched time grids")
-        a = self.materialize()
-        b = other.materialize()
-        return SpaceTimeField(self.tg, self.grid, a.base - b.base,
-                              tables=a.tables - b.tables)
+        return SpaceTimeField(self.tg, self.grid, self.base - other.base,
+                              tables=self.history() - other.history())
 
 
 def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeField:

@@ -108,7 +108,75 @@ def test_config_file_version_and_keys_checked(tmp_path, capsys):
     unknown.write_text(json.dumps({"version": 1, "wat": 3}))
     assert run(["kappa", "--p", "4", "--config", str(unknown)]) == 1
     assert run(["kappa", "--p", "4", "--config", str(tmp_path / "missing.json")]) == 1
+    not_object = tmp_path / "list.json"
+    not_object.write_text(json.dumps([1, 2]))
+    assert run(["kappa", "--p", "4", "--config", str(not_object)]) == 1
     capsys.readouterr()
+
+
+def test_config_flag_last_without_value_exit_1(capsys):
+    assert run(["kappa", "--p", "4", "--config"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--config" in err
+
+
+def test_config_equals_form_is_honoured(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "d": 2, "p": "8"}))
+    assert run(["kappa", f"--config={cfg}"]) == 0
+    assert "kappa_p = 0.25" in capsys.readouterr().out
+    assert run(["kappa", f"--config={cfg}", "--p", "inf"]) == 0
+    assert "kappa_p = 0.5" in capsys.readouterr().out
+
+
+def test_identity_check_zero_trials_exit_1(capsys):
+    assert run(["identity-check", "--N", "8", "--trials", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "max relative error" not in captured.out
+
+
+def test_config_negative_trials_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "trials": -3}))
+    assert run(["identity-check", "--N", "8", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["strichartz", "--N", "6", "--p", "4", "--s", "nan"],
+    ["strichartz", "--N", "6", "--p", "4", "--s", "inf"],
+    ["strichartz", "--N", "6", "--p", "4", "--q", "nan"],
+    ["strichartz", "--N", "6", "--p", "4", "--q", "inf"],
+    ["sharpness", "--p", "inf", "--s", "nan", "--n", "4,8,16"],
+    ["solve-potential", "--potential", "unused.json", "--s", "nan"],
+    ["identity-check", "--N", "8", "--trials", "1", "--tol", "nan"],
+])
+def test_non_finite_flag_exit_1(argv, capsys):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "must be finite" in captured.err
+    assert "ratio =" not in captured.out
+
+
+def test_non_finite_computed_ratio_exit_2(tmp_path, capsys):
+    # |u|^q overflows for q = 1e308 wherever |u| > 1, so the ratio is inf
+    out = tmp_path / "r.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(["strichartz", "--N", "16", "--p", "4", "--q", "1e308", "--s", "0.5",
+                    "--output", str(out)])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_grid_size_exit_1(capsys):
+    # the grid band p/2 * N overflows to an infinite size
+    assert run(["sweep", "--d", "2", "--p", "1e308", "--family", "zonal",
+                "--n", "8,16,32"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_strichartz_command(capsys):
