@@ -11,7 +11,7 @@ byte-identical output files.
 
 Exit codes: 0 success, 1 validation/configuration error (including
 non-finite numeric flags), 2 numerical error (identity/selftest tolerance
-exceeded, Picard divergence, or a non-finite computed result).
+exceeded, Picard divergence, or a non-finite or vacuous computed result).
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
     )
     rows, fit = xp.projection_ratio_sweep(cfg)
-    out = [[n, r, args.p, cfg.q, cfg.s, cfg.d, cfg.family] for n, r in rows]
+    out = [[n, r, args.p, 2.0, 0.0, cfg.d, cfg.family] for n, r in rows]
     _write_rows(args, ["n", "ratio", "p", "q", "s", "d", "family"], out,
                 {"slope": fit.slope, "intercept": fit.intercept, "stderr": fit.stderr})
     print(f"fitted slope over n in [{fit.n_min}, {fit.n_max}]: {fit.slope:.6f} "
@@ -211,14 +211,10 @@ def _cmd_sharpness(args) -> int:
     degrees = _parse_degrees(args.n, args.count)
     p = _parse_p(_require(args, "p"))
     s = _finite("s", args.s) if args.s is not None else xp.kappa_pq(p, 2.0, args.d)
-    fams = ("zonal-kernel", "highest-weight") if args.d == 2 else ("zonal-kernel",)
-    rows = []
-    for fam in fams:
-        for n in degrees:
-            f = xp.make_family(fam, n, args.d)
-            rows.append([n, xp.strichartz_ratio(f, p, 2.0, s), args.p, 2.0, s,
-                         args.d, fam])
-    fit = xp.sharpness_sweep(p, s, args.d, degrees)
+    per_family = xp.sharpness_rows(p, s, args.d, degrees)
+    rows = [[n, r, args.p, 2.0, s, args.d, fam]
+            for fam, fam_rows in per_family.items() for n, r in fam_rows]
+    fit = xp.steepest_fit(per_family)
     _write_rows(args, ["n", "ratio", "p", "q", "s", "d", "family"], rows,
                 {"slope": fit.slope, "stderr": fit.stderr,
                  "expected_slope": xp.kappa_pq(p, 2.0, args.d) - s})
@@ -420,7 +416,7 @@ def run(argv=None) -> int:
     except pot.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
-    except (TimeResolutionError, NonFiniteResultError) as exc:
+    except (TimeResolutionError, NonFiniteResultError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -44,6 +44,8 @@ __all__ = [
     "projection_ratio_sweep",
     "strichartz_ratio",
     "sharpness_sweep",
+    "sharpness_rows",
+    "steepest_fit",
     "fit_loglog",
     "geometric_degrees",
     "estimate_strichartz_constant",
@@ -80,8 +82,6 @@ DEFAULT_DEGREES = geometric_degrees(16, 256, 12)
 class SweepConfig:
     d: int
     p: float
-    q: float = 2.0
-    s: float = 0.0
     family: str = "zonal-kernel"
     degrees: tuple = DEFAULT_DEGREES
     oversample: float = 2.0
@@ -96,8 +96,6 @@ class SweepConfig:
         self.degrees = degs
         if not (self.p >= 2):
             raise ValueError(f"p must be >= 2, got {self.p}")
-        if not (2 <= self.q < math.inf):
-            raise ValueError(f"q must be in [2, inf), got {self.q}")
 
 
 def p_critical(d: int) -> float:
@@ -248,8 +246,7 @@ def strichartz_ratio(f: CoefficientTable, p: float, q: float, s: float,
     return num / denom
 
 
-def sharpness_sweep(p: float, s: float, d: int, degrees,
-                    oversample: float = 2.0) -> ExponentFit:
+def sharpness_sweep(p: float, s: float, d: int, degrees) -> ExponentFit:
     """Growth fit of the q=2 ratio over the witness families; max slope wins.
 
     Below the threshold regularity the ratio grows like n^(kappa_{p,2} - s);
@@ -257,17 +254,19 @@ def sharpness_sweep(p: float, s: float, d: int, degrees,
     swept and the steeper fit is returned; for d >= 3 only the zonal family
     is available.
     """
+    return steepest_fit(sharpness_rows(p, s, d, degrees))
+
+
+def sharpness_rows(p: float, s: float, d: int, degrees) -> dict:
+    """{family: [(n, q=2 ratio at regularity s), ...]} over the witness families of S^d."""
     fams = ("zonal-kernel", "highest-weight") if d == 2 else ("zonal-kernel",)
-    best = None
-    for fam in fams:
-        rows = []
-        for n in degrees:
-            f = make_family(fam, n, d)
-            rows.append((n, strichartz_ratio(f, p, 2.0, s)))
-        fit = fit_loglog(rows)
-        if best is None or fit.slope > best.slope:
-            best = fit
-    return best
+    return {fam: [(n, strichartz_ratio(make_family(fam, n, d), p, 2.0, s)) for n in degrees]
+            for fam in fams}
+
+
+def steepest_fit(per_family: dict) -> ExponentFit:
+    """The log-log fit with the largest slope over the families' rows (first on ties)."""
+    return max((fit_loglog(rows) for rows in per_family.values()), key=lambda fit: fit.slope)
 
 
 def fit_loglog(points) -> ExponentFit:

@@ -5,9 +5,9 @@ Degree weights are (1+n)^s throughout (the n=0 mode would otherwise be
 annihilated), and the Sobolev norm is the square-summed convention
 (sum over n of (1+n)^{2s} ||H_n f||_2^2)^{1/2}.
 
-`mixed_norm` is an honest rectangle-rule time quadrature of samples; its
-agreement with `l2t_profile_exact` at q=2 is a verification target, not a
-shortcut taken here.  p = infinity is realized as a grid maximum.
+`mixed_norm` is an honest rectangle-rule time quadrature of samples on all M
+nodes (a free field's one period, counted M/P times); its agreement with
+`l2t_profile_exact` at q=2 is a verification target, not a shortcut.
 """
 
 from __future__ import annotations
@@ -92,20 +92,26 @@ def l2t_profile_exact(f: CoefficientTable, grid) -> np.ndarray:
     return np.sqrt(_TWO_PI * np.sum(np.abs(E) ** 2, axis=0))
 
 
-def _profile_from_power_sums(S: np.ndarray, M: int, q: float) -> np.ndarray:
-    return (S * (_TWO_PI / M)) ** (1.0 / q)
+def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
+    prof = (_time_power_sums(u, q) * (_TWO_PI / u.tg.M)) ** (1.0 / q)
+    return lp_norm(prof, u.grid, p)
 
 
 def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
-    """sum_j |u(t_j, z)|^q accumulated over the time grid, shaped like the grid."""
+    """sum_j |u(t_j, z)|^q over all M nodes; FloatingPointError if |u|^q leaves float range."""
     S = np.zeros(u.grid.shape)
+    vacuous = False
     if u.free:
         flat = S.reshape(-1)
         for sl, series in u.iter_space_chunks():
-            flat[sl] = np.sum(np.abs(series) ** q, axis=0)
+            flat[sl] = (u.tg.M // series.shape[-1]) * np.sum(np.abs(series) ** q, axis=-1)
+            vacuous = vacuous or np.any(series[flat[sl] == 0])
     else:
         for _, block in u.iter_time_blocks():
             S += np.sum(np.abs(block) ** q, axis=0)
+            vacuous = vacuous or np.any(block[:, S == 0])
+    if vacuous or not np.all(np.isfinite(S)):
+        raise FloatingPointError(f"non-finite or vacuous time power sums of |u|^{q:g}")
     return S
 
 
@@ -120,15 +126,12 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float, *,
     """
     if not q >= 1 or q == math.inf:
         raise ValueError(f"inner exponent must satisfy 1 <= q < inf, got {q}")
-    S = _time_power_sums(u, q)
-    prof = _profile_from_power_sums(S, u.tg.M, q)
-    result = lp_norm(prof, u.grid, p)
+    result = _sampled_mixed_norm(u, p, q)
     if check_resolution:
         if not u.free:
             raise ValueError("resolution check requires a free-evolution field")
         finer = SpaceTimeField(u.tg.doubled(), u.grid, u.base, free=True)
-        S2 = _time_power_sums(finer, q)
-        refined = lp_norm(_profile_from_power_sums(S2, finer.tg.M, q), u.grid, p)
+        refined = _sampled_mixed_norm(finer, p, q)
         if abs(refined - result) > rtol * max(abs(result), 1e-300):
             raise TimeResolutionError(
                 f"mixed norm moved from {result!r} to {refined!r} under time-grid doubling"

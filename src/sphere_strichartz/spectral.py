@@ -10,9 +10,9 @@ instead of up to lambda_max * ulp(2*pi).
 `SpaceTimeField` holds a solution on a uniform time grid.  It either stores
 the explicit spectral history (one coefficient table per time node, the form
 the Picard solver manipulates) or is marked as the free evolution of its
-initial table, in which case samples at all times are synthesized on demand
-by an FFT over the time axis; both representations produce identical sample
-values.
+initial table, in which case samples are synthesized on demand by an exact
+phase-table product over one time period (not an FFT); both representations
+produce identical sample values.
 """
 
 from __future__ import annotations
@@ -185,27 +185,24 @@ class SpaceTimeField:
             yield j0, _synthesize(self.history(j0, j0 + block), self.grid)
 
     def iter_space_chunks(self, chunk: int = 1024):
-        """Yield (flat z slice, time-series array (M, chunk)) for free-mode fields.
+        """Yield (flat z slice, series of shape (chunk, P)) for free fields: one time period.
 
-        Synthesis runs one FFT over the time axis per spatial point: the
-        per-degree samples E_n(z) are placed in frequency bin lambda_n of a
-        length-M spectrum, so the inverse FFT returns the rectangle-rule
-        sample values u(t_j, z) exactly (lambda_N < M is required).
+        With g = gcd(M, lambda_1..lambda_N) and P = M/g, u(t_{j+P}, z) = u(t_j, z) exactly, and
+        series[:, j] = u(t_j, z) = sum_n E_n(z) W[n, j] is an exact phase-table product with
+        W[n, j] = e^{2 pi i ((lambda_n/g) j mod P)/P}, reduced in integers (needs lambda_N < M).
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")
-        M = self.tg.M
         lam = eigenvalues_upto(self.N, self.d).astype(int)
-        if lam[-1] >= M:
-            raise ValueError(f"time grid too coarse: lambda_N={lam[-1]} >= M={M}")
-        E = synthesize_by_degree(self.base, self.grid)
-        E = E.reshape(self.N + 1, -1)  # (N+1, n_points)
-        npts = E.shape[1]
-        for z0 in range(0, npts, chunk):
-            z1 = min(z0 + chunk, npts)
-            spec = np.zeros((M, z1 - z0), dtype=complex)
-            spec[lam] = E[:, z0:z1]
-            yield slice(z0, z1), np.fft.ifft(spec, axis=0) * M
+        if lam[-1] >= self.tg.M:
+            raise ValueError(f"time grid too coarse: lambda_N={lam[-1]} >= M={self.tg.M}")
+        g = math.gcd(self.tg.M, *lam.tolist())
+        P = self.tg.M // g
+        W = np.exp(2j * np.pi / P * (np.outer(lam // g, np.arange(P)) % P))
+        E = synthesize_by_degree(self.base, self.grid).reshape(self.N + 1, -1)
+        for z0 in range(0, E.shape[1], chunk):
+            z1 = min(z0 + chunk, E.shape[1])
+            yield slice(z0, z1), E[:, z0:z1].T @ W
 
     def scaled(self, c: complex) -> "SpaceTimeField":
         if self.free:

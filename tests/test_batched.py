@@ -1,5 +1,6 @@
-"""Differential tests: batched transform kernel and block-wise Picard path
-against the simple per-slice code they replaced (kept here as references)."""
+"""Differential tests: batched transform kernel, block-wise Picard path and
+one-period time synthesis against the simple code they replaced (kept here as
+references)."""
 
 import math
 import mmap
@@ -24,6 +25,7 @@ from sphere_strichartz.grids import (
     inverse_zonal,
 )
 from sphere_strichartz.harmonics import legendre_column
+from sphere_strichartz.norms import _time_power_sums
 from sphere_strichartz.potential import (
     PotentialSpec,
     PotentialTerm,
@@ -237,3 +239,42 @@ def test_apply_phi_rejects_non_finite_products():
                                      CoefficientTable.unit_mode(1, 1, 0))])
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
         apply_phi(w, random_field(N, 2, np.random.default_rng(1)), V)
+
+
+def ref_time_samples(u):
+    """All M samples u(t_j, z), shape (M, n_points): E_n(z) in bin lambda_n of a
+    zero-filled length-M spectrum, inverse FFT along time."""
+    M = u.tg.M
+    n = np.arange(u.N + 1)
+    E = synthesize_by_degree(u.base, u.grid).reshape(u.N + 1, -1)
+    spec = np.zeros((M, E.shape[1]), dtype=complex)
+    spec[n * (n + u.d - 1)] = E
+    return np.fft.ifft(spec, axis=0) * M
+
+
+@SETTINGS
+@given(N=st.integers(0, 10), d=st.sampled_from([2, 3, 4]), extra=st.integers(1, 60),
+       q=st.sampled_from([2.0, 3.0, 4.0]), chunk=st.integers(1, 97),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_period_synthesis_equals_full_m_reference(N, d, extra, q, chunk, seed):
+    # M = lambda_N + extra runs over odd and even M; g = 2 for even d and even M
+    rng = np.random.default_rng(seed)
+    grid = grid_for(N, d, 2.0)
+    M = N * (N + d - 1) + extra
+    u = synthesize_history(random_field(N, d, rng, zonal=(d != 2)), TimeGrid(M), grid)
+    ref = ref_time_samples(u)
+    lam = [n * (n + d - 1) for n in range(1, N + 1)]
+    P = M // math.gcd(M, *lam)
+    if d % 2 == 0 and M % 2 == 0 and N >= 1:
+        assert M // P % 2 == 0
+    scale = np.max(np.abs(ref))
+    covered = 0
+    for sl, series in u.iter_space_chunks(chunk=chunk):
+        assert series.shape == (sl.stop - sl.start, P)
+        assert np.max(np.abs(series - ref[:P, sl].T)) <= 1e-13 * scale
+        covered += series.shape[0]
+    assert covered == ref.shape[1]
+    # the period: all M samples repeat with P
+    assert np.max(np.abs(ref - ref[np.arange(M) % P])) <= 1e-13 * scale
+    want = np.sum(np.abs(ref) ** q, axis=0).reshape(grid.shape)
+    np.testing.assert_allclose(_time_power_sums(u, q), want, rtol=1e-13)

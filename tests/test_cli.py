@@ -172,6 +172,19 @@ def test_non_finite_computed_ratio_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_vacuous_power_sum_exit_2(tmp_path, capsys):
+    # at N = 8 every |u| < 1, so |u|^q underflows to 0 for q = 1e308: not a ratio of 0
+    out = tmp_path / "r.csv"
+    with np.errstate(under="ignore"):
+        code = run(["strichartz", "--p", "4", "--q", "1e308", "--N", "8",
+                    "--output", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "vacuous" in captured.err
+    assert "ratio =" not in captured.out
+    assert not out.exists()
+
+
 def test_overflowing_grid_size_exit_1(capsys):
     # the grid band p/2 * N overflows to an infinite size
     assert run(["sweep", "--d", "2", "--p", "1e308", "--family", "zonal",

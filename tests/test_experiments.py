@@ -14,7 +14,9 @@ from sphere_strichartz.experiments import (
     make_family,
     p_critical,
     projection_ratio_sweep,
+    sharpness_rows,
     sharpness_sweep,
+    steepest_fit,
     strichartz_ratio,
 )
 from sphere_strichartz.grids import grid_for, inverse_sht
@@ -272,3 +274,16 @@ def test_sharpness_sweep_d3():
     degs = geometric_degrees(8, 64, 6)
     fit = sharpness_sweep(INF, 0.5, 3, degs)
     assert fit.slope == pytest.approx(kappa_pq(INF, 2.0, 3) - 0.5, abs=0.05)
+
+
+def test_sharpness_rows_feed_the_sweep_fit():
+    degs = geometric_degrees(16, 64, 5)
+    per_family = sharpness_rows(INF, 0.4, 2, degs)
+    assert list(per_family) == ["zonal-kernel", "highest-weight"]
+    for fam, rows in per_family.items():
+        assert [n for n, _ in rows] == list(degs)
+        n, r = rows[-1]
+        assert r == strichartz_ratio(make_family(fam, n, 2), INF, 2.0, 0.4)
+    fit = steepest_fit(per_family)
+    assert fit == sharpness_sweep(INF, 0.4, 2, degs)
+    assert fit.slope == max(fit_loglog(rows).slope for rows in per_family.values())

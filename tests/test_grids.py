@@ -138,6 +138,28 @@ def test_round_trip_zonal(d, N):
     assert np.max(np.abs(back.a - f.a)) < 1e-12
 
 
+@pytest.mark.parametrize("N,rtol", [(64, 1e-12), (128, 1e-12), (256, 1e-12), (512, 1e-11)])
+def test_zonal_d3_weights_match_gauss_chebyshev(N, rtol):
+    # d = 3 is Gauss-Jacobi(1/2, 1/2), i.e. Gauss-Chebyshev of the second kind:
+    # t_k = cos(k pi / (K+1)), w_k = pi / (K+1) sin^2(k pi / (K+1))
+    K = N + 1
+    theta = np.pi * np.arange(K, 0, -1) / (K + 1)
+    zg = build_zonal_grid(N, 3)
+    np.testing.assert_allclose(zg.t, np.cos(theta), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(zg.t_weights, np.pi / (K + 1) * np.sin(theta) ** 2, rtol=rtol)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("N", [256, 512])
+def test_zonal_round_trip_and_parseval_large_band(d, N):
+    rng = np.random.default_rng(10 * N + d)
+    f = random_field(N, d, rng, zonal=True)
+    zg = build_zonal_grid(N, d)
+    vals = inverse_zonal(f, zg)
+    assert np.max(np.abs(forward_zonal(vals, zg, N).a - f.a)) <= 1e-12
+    assert abs(integrate(np.abs(vals) ** 2, zg) - np.sum(np.abs(f.a) ** 2)) <= 1e-12
+
+
 def test_zonal_constant_has_single_coefficient():
     zg = build_zonal_grid(6, 3)
     tab = forward_zonal(np.ones(zg.shape), zg, 6)

@@ -249,3 +249,33 @@ def test_mixed_norm_rejects_bad_q():
     u = synthesize_history(f, TimeGrid(8), g)
     with pytest.raises(ValueError):
         mixed_norm(u, 2.0, math.inf)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_mixed_norm_rejects_vacuous_underflow(explicit):
+    # |u| < 1 everywhere, so |u|^q underflows to 0 although u is not 0
+    f = random_field(6, 2, np.random.default_rng(21))
+    u = synthesize_history(f, nyquist_time_grid(6, 2), grid_for(6, 2, 2.0))
+    u = u.materialize() if explicit else u
+    with np.errstate(under="ignore"), pytest.raises(FloatingPointError, match="vacuous"):
+        mixed_norm(u, 4.0, 1e308)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_mixed_norm_rejects_overflow(explicit):
+    f = random_field(6, 2, np.random.default_rng(22), unit_norm=False)
+    f.a *= 1e3
+    u = synthesize_history(f, nyquist_time_grid(6, 2), grid_for(6, 2, 2.0))
+    u = u.materialize() if explicit else u
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        mixed_norm(u, 4.0, 200.0)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_mixed_norm_allows_exact_zeros(explicit):
+    # Y_1^0 vanishes on the equator node of the 3-point Gauss grid at every time
+    g = build_sphere_grid(2)
+    u = synthesize_history(CoefficientTable.unit_mode(2, 1, 0), TimeGrid(8), g)
+    u = u.materialize() if explicit else u
+    assert np.any(u.samples_at(0) == 0)
+    assert mixed_norm(u, 2.0, 3.0) > 0

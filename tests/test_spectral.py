@@ -196,29 +196,35 @@ def test_materialized_history_matches_free():
 
 
 def test_space_chunks_match_per_time_samples():
+    # d = 2: every lambda_n is even, so one period is P = M/2 nodes
     rng = np.random.default_rng(13)
     f = random_field(5, 2, rng)
     g = grid_for(5, 2, 2.0)
     tg = nyquist_time_grid(5, 2)
     u = synthesize_history(f, tg, g)
-    series = np.empty((tg.M, *g.shape), dtype=complex)
+    P = tg.M // 2
+    series = np.empty((*g.shape, P), dtype=complex)
     for sl, block in u.iter_space_chunks(chunk=37):
-        series.reshape(tg.M, -1)[:, sl] = block
-    for j in (0, tg.M // 3, tg.M - 1):
-        np.testing.assert_allclose(series[j], u.samples_at(j), atol=1e-12)
+        assert block.shape == (sl.stop - sl.start, P)
+        series.reshape(-1, P)[sl] = block
+    for j in (0, tg.M // 3, P + 1, tg.M - 1):
+        np.testing.assert_allclose(series[..., j % P], u.samples_at(j), atol=1e-12)
 
 
 def test_space_chunks_zonal():
+    # d = 3: gcd(lambda_1, lambda_2) = gcd(3, 8) = 1, so the period is all M nodes
     rng = np.random.default_rng(14)
     f = random_field(6, 3, rng, zonal=True)
     g = grid_for(6, 3, 2.0)
     tg = nyquist_time_grid(6, 3)
     u = synthesize_history(f, tg, g)
-    series = np.empty((tg.M, *g.shape), dtype=complex)
+    P = tg.M
+    series = np.empty((*g.shape, P), dtype=complex)
     for sl, block in u.iter_space_chunks(chunk=5):
-        series.reshape(tg.M, -1)[:, sl] = block
+        assert block.shape == (sl.stop - sl.start, P)
+        series.reshape(-1, P)[sl] = block
     for j in (0, tg.M - 1):
-        np.testing.assert_allclose(series[j], u.samples_at(j), atol=1e-12)
+        np.testing.assert_allclose(series[..., j % P], u.samples_at(j), atol=1e-12)
 
 
 def test_band_overflow_guard():
