@@ -25,9 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
-from .harmonics import legendre_column, surface_area, zonal_basis_column
+from .harmonics import gegenbauer_column, legendre_column, surface_area, zonal_basis_column
 
 __all__ = [
     "ResourceLimitError",
@@ -140,14 +139,18 @@ def build_zonal_grid(N: int, d: int) -> ZonalGrid:
 @lru_cache(maxsize=None)
 def _build_zonal_grid(N: int, d: int) -> ZonalGrid:
     K = N + 1
-    a = (d - 2) / 2.0
     if d == 2:
         t, w = leggauss(K)
     else:
-        # roots_jacobi's nodes are accurate, but its weights drift (1.4e-10 relative at
-        # K = 257): use the Christoffel numbers 1 / sum_n phi_n(t_k)^2 of the orthonormal
+        # Golub-Welsch: nodes are the eigenvalues of the Jacobi matrix of C_n^lam, lam = (d-1)/2,
+        # refined by one Newton step on C_K^lam with (1-t^2) C_K' = -K t C_K + (K+2lam-1) C_{K-1}
+        lam, n = (d - 1) / 2.0, np.arange(1.0, K)
+        off = np.sqrt(n * (n + 2 * lam - 1) / (4 * (n + lam) * (n + lam - 1)))
+        t = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        C = gegenbauer_column(K, lam, t)
+        t = t - C[K] * (1 - t * t) / (-K * t * C[K] + (K + 2 * lam - 1) * C[K - 1])
+        # Gauss-Jacobi weights: the Christoffel numbers 1 / sum_n phi_n(t_k)^2 of the orthonormal
         # zonal basis, divided by the S^(d-1) area that `weights()` multiplies back in
-        t = roots_jacobi(K, a, a)[0]
         phi = zonal_basis_column(N, d, t)
         w = 1.0 / (surface_area(d - 1) * np.sum(phi * phi, axis=0))
     t = np.asarray(t, dtype=float)
@@ -256,8 +259,17 @@ def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
     except AttributeError:  # no MAP_PRIVATE outside Unix
         buf = bytearray(8 * math.prod(shape))
     P = np.frombuffer(buf, dtype=float).reshape(shape)
-    for m in range(N + 1):
-        P[m, m:] = legendre_column(m, N, grid.t)[m:]
+    # legendre_column's recurrence run for every order m at once, one degree n per step,
+    # with the same operations in the same order, so the table matches it bit for bit
+    t, m = grid.t, np.arange(N + 1)
+    c = -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:]))[:, None] * np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    P[m, m] = np.cumprod(np.vstack([np.full(t.size, 1.0 / math.sqrt(4.0 * math.pi)), c]), axis=0)
+    P[m[:-1], m[:-1] + 1] = np.sqrt(2 * m[:-1] + 3.0)[:, None] * t * P[m[:-1], m[:-1]]
+    for n in range(2, N + 1):
+        k = m[: n - 1]
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - k * k))
+        b = np.sqrt(((n - 1.0) ** 2 - k * k) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        P[: n - 1, n] = a[:, None] * (t * P[: n - 1, n - 1] - b[:, None] * P[: n - 1, n - 2])
     P.setflags(write=False)
     return P
 

@@ -136,19 +136,22 @@ class PotentialSpec:
     @classmethod
     def from_json_dict(cls, data: dict, d: int = 2) -> "PotentialSpec":
         terms = []
-        for raw in data.get("terms", []):
-            freqs = [int(e["freq"]) for e in raw["time_coeffs"]]
-            coeffs = [complex(e["re"], e.get("im", 0.0)) for e in raw["time_coeffs"]]
-            entries = raw["spatial_coeffs"]
-            if not entries:
-                raise ValueError("potential term with empty spatial_coeffs")
-            N = max(int(e["n"]) for e in entries)
-            tab = CoefficientTable.zeros(N, d)
-            for e in entries:
-                n, m = int(e["n"]), int(e["m"])
-                if abs(m) > n:
-                    raise ValueError(f"|m| <= n violated in potential file: n={n}, m={m}")
-                tab.a[n, m + N] = complex(e["re"], e.get("im", 0.0))
+        for i, raw in enumerate(data.get("terms", [])):
+            try:
+                freqs = [int(e["freq"]) for e in raw["time_coeffs"]]
+                coeffs = [complex(e["re"], e.get("im", 0.0)) for e in raw["time_coeffs"]]
+                entries = raw["spatial_coeffs"]
+                if not entries:
+                    raise ValueError("potential term with empty spatial_coeffs")
+                N = max(int(e["n"]) for e in entries)
+                tab = CoefficientTable.zeros(N, d)
+                for e in entries:
+                    n, m = int(e["n"]), int(e["m"])
+                    if abs(m) > n:
+                        raise ValueError(f"|m| <= n violated in potential file: n={n}, m={m}")
+                    tab.a[n, m + N] = complex(e["re"], e.get("im", 0.0))
+            except KeyError as exc:
+                raise ValueError(f"potential term {i} is missing key {exc.args[0]!r}") from None
             terms.append(PotentialTerm(np.array(freqs), np.array(coeffs), tab))
         return cls(terms)
 

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sphere_strichartz
 from sphere_strichartz.cli import run
 
 
@@ -243,6 +246,26 @@ def test_solve_potential_divergence_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+_TERM = {"time_coeffs": [{"freq": 0, "re": 0.01}],
+         "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0}]}
+
+
+@pytest.mark.parametrize("term,key", [
+    ({"freqs": [1, -1], "spatial_coeffs": _TERM["spatial_coeffs"]}, "time_coeffs"),
+    ({"time_coeffs": _TERM["time_coeffs"]}, "spatial_coeffs"),
+    ({**_TERM, "spatial_coeffs": [{"m": 0, "re": 1.0}]}, "n"),
+    ({**_TERM, "spatial_coeffs": [{"n": 1, "re": 1.0}]}, "m"),
+    ({**_TERM, "time_coeffs": [{"freq": 0}]}, "re"),
+])
+def test_solve_potential_missing_key_exit_1(term, key, tmp_path, capsys):
+    pot_file = tmp_path / "pot.json"
+    pot_file.write_text(json.dumps({"terms": [term]}))
+    assert run(["solve-potential", "--potential", str(pot_file), "--N", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert "Traceback" not in err
+
+
 def test_selftest_small(capsys):
     assert run(["selftest", "--N", "24"]) == 0
     out = capsys.readouterr().out
@@ -258,3 +281,15 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "0.25" in proc.stdout
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test-only dependency: a fresh process that imports the package and its
+    # CLI must load no scipy module
+    src = str(Path(sphere_strichartz.__file__).resolve().parents[1])
+    code = ("import sys, sphere_strichartz, sphere_strichartz.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from sphere_strichartz.grids import (
     CoefficientTable,
     ResourceLimitError,
+    _build_zonal_grid,
+    _legendre_tables,
     build_sphere_grid,
     build_zonal_grid,
     forward_sht,
@@ -19,6 +22,7 @@ from sphere_strichartz.grids import (
 from sphere_strichartz.harmonics import (
     associated_legendre,
     gegenbauer_column,
+    legendre_column,
     surface_area,
     zonal_kernel,
 )
@@ -147,6 +151,25 @@ def test_zonal_d3_weights_match_gauss_chebyshev(N, rtol):
     zg = build_zonal_grid(N, 3)
     np.testing.assert_allclose(zg.t, np.cos(theta), rtol=0, atol=1e-15)
     np.testing.assert_allclose(zg.t_weights, np.pi / (K + 1) * np.sin(theta) ** 2, rtol=rtol)
+
+
+@pytest.mark.parametrize("band,N", [(0, 0), (1, 1), (2, 2), (16, 8), (40, 20), (128, 128)])
+def test_legendre_table_equals_per_order_columns(band, N):
+    # the all-orders recurrence repeats legendre_column's arithmetic, so equality is exact
+    t = build_sphere_grid(band).t
+    P = _legendre_tables.__wrapped__(band, N)
+    np.testing.assert_array_equal(P, np.stack([legendre_column(m, N, t) for m in range(N + 1)]))
+    m, n = np.indices((N + 1, N + 1))
+    assert np.all(P[n < m] == 0.0)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 7, 10])
+@pytest.mark.parametrize("K", [1, 2, 3, 17, 257, 1025])
+def test_zonal_nodes_match_scipy_gauss_jacobi(d, K):
+    zg = _build_zonal_grid(K - 1, d)
+    a = (d - 2) / 2.0
+    np.testing.assert_allclose(zg.t, roots_jacobi(K, a, a)[0], rtol=0, atol=2e-15)
+    assert np.all(np.isfinite(zg.t_weights)) and np.all(zg.t_weights > 0)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])

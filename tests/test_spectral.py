@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_strichartz.grids import CoefficientTable, build_sphere_grid, grid_for
 from sphere_strichartz.harmonics import associated_legendre, eigenvalue
 from sphere_strichartz.spectral import (
     SpaceTimeField,
     TimeGrid,
+    eigenvalues_upto,
     fractional_weight,
     nyquist_time_grid,
     project,
@@ -101,6 +104,29 @@ def test_propagate_group_law():
         lhs = propagate(propagate(f, s), t)
         rhs = propagate(f, s + t)
         assert np.max(np.abs(lhs.a - rhs.a)) < 1e-13
+
+
+def lattice(lo, hi, h=2.0**-39):
+    """Times k h in [lo, hi]: below 2 pi they have at most 42 significant bits, so
+    lambda_n t is exact for every lambda_n < 2^11 (N <= 32, d <= 4)."""
+    return st.integers(math.ceil(lo / h), math.floor(hi / h)).map(lambda k: k * h)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(N=st.integers(0, 32), d=st.sampled_from([2, 3, 4]), zonal=st.booleans(),
+       s=lattice(0, 3.14), t=lattice(0, 3.14), r=lattice(-6.28, 6.28),
+       seed=st.integers(0, 2**32 - 1))
+def test_propagate_group_law_property(N, d, zonal, s, t, r, seed):
+    f = random_field(N, d, np.random.default_rng(seed), zonal=zonal)
+    # s + t < 2 pi: no time wraps and every phase argument is exact, so only exp rounds
+    lhs = propagate(propagate(f, s), t)
+    assert np.max(np.abs(lhs.a - propagate(f, s + t).a)) <= 1e-13
+    # r and -r reduce to times summing to fl(2 pi), and each reduced time is rounded once
+    # in lambda_n r_reduced: degree n turns by up to lambda_n (|2 pi - fl(2 pi)| + 2 pi eps)
+    back = propagate(propagate(f, r), -r)
+    lam = eigenvalues_upto(N, d) if f.zonal else eigenvalues_upto(N, d)[:, None]
+    bound = 1e-15 + np.abs(f.a) * lam * 2 * TWO_PI * np.finfo(float).eps
+    assert np.all(np.abs(back.a - f.a) <= bound)
 
 
 def test_propagate_commutes_with_projection():
