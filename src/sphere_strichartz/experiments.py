@@ -22,6 +22,7 @@ import numpy as np
 
 from .grids import (
     CoefficientTable,
+    _single_degree_synthesis,
     build_sphere_grid,
     build_zonal_grid,
     grid_for,
@@ -193,9 +194,13 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0,
             res = float(np.max(absg))
         else:
             res = float(np.sum(w * absg ** p) ** (1.0 / p))
-    else:
-        grid = grid_for(f.N, f.d, nu)
-        vals = inverse_sht(f, grid) if not f.zonal else inverse_zonal(f, grid)
+    else:  # a d = 2 table with more than one active order
+        grid = grid_for(f.N, 2, nu)
+        degrees = np.nonzero(np.any(f.a != 0, axis=1))[0]
+        if degrees.size == 1:  # one Legendre row, O(nK) memory, instead of the O(N^2 K) table
+            vals = _single_degree_synthesis(f.a, int(degrees[0]), grid)
+        else:
+            vals = inverse_sht(f, grid)
         res = lp_norm(vals, grid, p)
     if p == math.inf and include_poles:
         res = max(res, float(np.max(np.abs(pole_values(f)))))

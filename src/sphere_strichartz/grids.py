@@ -49,7 +49,7 @@ _DEFAULT_MAX_N = 1024
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested band limit exceeds the configured maximum."""
+    """Requested band limit exceeds the configured maximum, or its table cannot be mapped."""
 
 
 def max_band_limit() -> int:
@@ -247,6 +247,41 @@ class CoefficientTable:
             raise ValueError("incompatible coefficient tables")
 
 
+def _legendre_rows(t: np.ndarray, N: int):
+    """Yield the degree-n rows Pbar_n^m(t) for m = 0..n, shape (n+1, K), for n = 0..N.
+
+    legendre_column's recurrence run for every order m at once, one degree n per step, with
+    the same operations in the same order, so each row matches it bit for bit.  Rows live in
+    two rolling (N+1, K) buffers: a yielded row is valid until the generator advances twice.
+    """
+    rows = np.empty((2, N + 1, t.size))
+    scratch = np.empty((max(N - 1, 0), t.size))
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    kk = np.arange(N + 1) ** 2  # k * k for the orders k < n - 1
+    rows[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    yield rows[0, :1]
+    for n in range(1, N + 1):
+        prev, new = rows[(n - 1) % 2], rows[n % 2]  # new still holds row n - 2
+        if n >= 2:
+            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - kk[: n - 1]))[:, None]
+            b = np.sqrt(((n - 1.0) ** 2 - kk[: n - 1]) / (4.0 * (n - 1.0) ** 2 - 1.0))[:, None]
+            # a * (t * P[n-1] - b * P[n-2]), written over row n - 2
+            tp = np.multiply(t, prev[: n - 1], out=scratch[: n - 1])
+            np.multiply(b, new[: n - 1], out=new[: n - 1])
+            np.subtract(tp, new[: n - 1], out=new[: n - 1])
+            np.multiply(a, new[: n - 1], out=new[: n - 1])
+        np.multiply(np.sqrt(2 * n + 1.0) * t, prev[n - 1], out=new[n - 1])
+        np.multiply(prev[n - 1], -np.sqrt((2 * n + 1) / (2.0 * n)) * s, out=new[n])
+        yield new[: n + 1]
+
+
+def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
+    """Pbar_n^m(t) for m = 0..n, shape (n+1, K), in O(nK) memory."""
+    for row in _legendre_rows(t, n):
+        pass
+    return row
+
+
 @lru_cache(maxsize=8)
 def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
     """Pbar_n^m at the grid nodes, m-major: entry [m, n, k], shape (N+1, N+1, K)."""
@@ -254,22 +289,16 @@ def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
     # Rows n < m are zero and never written: in a private anonymous mapping without huge
     # pages (numpy asks for them above 4 MB) they stay unmapped, half the table at large N.
     shape = (N + 1, N + 1, grid.t.size)
+    nbytes = 8 * math.prod(shape)
     try:
-        buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    except AttributeError:  # no MAP_PRIVATE outside Unix
-        buf = bytearray(8 * math.prod(shape))
+        buf = (mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+               if hasattr(mmap, "MAP_PRIVATE") else bytearray(nbytes))  # MAP_PRIVATE: Unix only
+    except (OSError, MemoryError) as exc:
+        raise ResourceLimitError(f"Legendre table for grid band {grid_band}, N = {N} needs "
+                                 f"{nbytes / 1e9:.3g} GB and could not be mapped: {exc}") from None
     P = np.frombuffer(buf, dtype=float).reshape(shape)
-    # legendre_column's recurrence run for every order m at once, one degree n per step,
-    # with the same operations in the same order, so the table matches it bit for bit
-    t, m = grid.t, np.arange(N + 1)
-    c = -np.sqrt((2 * m[1:] + 1) / (2.0 * m[1:]))[:, None] * np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    P[m, m] = np.cumprod(np.vstack([np.full(t.size, 1.0 / math.sqrt(4.0 * math.pi)), c]), axis=0)
-    P[m[:-1], m[:-1] + 1] = np.sqrt(2 * m[:-1] + 3.0)[:, None] * t * P[m[:-1], m[:-1]]
-    for n in range(2, N + 1):
-        k = m[: n - 1]
-        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - k * k))
-        b = np.sqrt(((n - 1.0) ** 2 - k * k) / (4.0 * (n - 1.0) ** 2 - 1.0))
-        P[: n - 1, n] = a[:, None] * (t * P[: n - 1, n - 1] - b[:, None] * P[: n - 1, n - 2])
+    for n, row in enumerate(_legendre_rows(grid.t, N)):
+        P[: n + 1, n] = row
     P.setflags(write=False)
     return P
 
@@ -317,6 +346,22 @@ def _degree_synthesis(a: np.ndarray, grid) -> np.ndarray:
     spec = np.zeros((N + 1, K, L), dtype=complex)
     np.multiply(a[:, None, N:], P, out=spec[:, :, : N + 1])
     np.multiply((a[:, :N][:, ::-1] * sign)[:, None], P[:, :, 1:], out=spec[:, :, : L - N - 1 : -1])
+    return np.fft.ifft(spec, axis=-1, norm="forward")
+
+
+def _single_degree_synthesis(a: np.ndarray, n: int, grid: SphereGrid) -> np.ndarray:
+    """Values of a table whose only nonzero row is degree n, from that degree's Legendre row.
+
+    Equal to _sht_synthesis(a, grid), whose Legendre sum adds exact zeros for the other
+    degrees, without the O(N^2 K) table or the O(N^3 K) sum.
+    """
+    N = a.shape[-1] // 2
+    K, L = grid.shape
+    P = _legendre_row(grid.t, n).T  # [k, m]
+    sign = np.where(np.arange(1, n + 1) % 2, -1.0, 1.0)  # (-1)^m for m = 1..n
+    spec = np.zeros((K, L), dtype=complex)
+    np.multiply(a[n, N : N + n + 1], P, out=spec[:, : n + 1])
+    np.multiply(a[n, N - n : N][::-1] * sign, P[:, 1:], out=spec[:, : L - n - 1 : -1])
     return np.fft.ifft(spec, axis=-1, norm="forward")
 
 

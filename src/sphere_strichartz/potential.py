@@ -144,12 +144,15 @@ class PotentialSpec:
                 if not entries:
                     raise ValueError("potential term with empty spatial_coeffs")
                 N = max(int(e["n"]) for e in entries)
-                tab = CoefficientTable.zeros(N, d)
-                for e in entries:
+                tab = CoefficientTable.zeros(N, d, zonal=(d != 2))  # S^d, d >= 3: zonal terms
+                for j, e in enumerate(entries):
                     n, m = int(e["n"]), int(e["m"])
                     if abs(m) > n:
                         raise ValueError(f"|m| <= n violated in potential file: n={n}, m={m}")
-                    tab.a[n, m + N] = complex(e["re"], e.get("im", 0.0))
+                    if tab.zonal and m != 0:
+                        raise ValueError(f"potential term {i}, entry {j}: m = {m}, but d = {d} "
+                                         f"potentials are zonal and need m = 0")
+                    tab.a[(n,) if tab.zonal else (n, m + N)] = complex(e["re"], e.get("im", 0.0))
             except KeyError as exc:
                 raise ValueError(f"potential term {i} is missing key {exc.args[0]!r}") from None
             terms.append(PotentialTerm(np.array(freqs), np.array(coeffs), tab))

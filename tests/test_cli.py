@@ -266,6 +266,25 @@ def test_solve_potential_missing_key_exit_1(term, key, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_potential_d3_zonal_file(tmp_path, capsys):
+    # d >= 3 potential files hold zonal terms, written as m = 0 entries
+    pot_file = tmp_path / "pot.json"
+    term = {"time_coeffs": [{"freq": 1, "re": 0.015}, {"freq": -1, "re": 0.015}],
+            "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0, "im": 0.0}]}
+    pot_file.write_text(json.dumps({"terms": [term]}))
+    out = tmp_path / "report.json"
+    assert run(["solve-potential", "--potential", str(pot_file), "--d", "3", "--N", "4",
+                "--seed", "2", "--format", "json", "--output", str(out)]) == 0
+    assert "converged" in capsys.readouterr().out
+    assert float(json.loads(out.read_text())["summary"]["residual"]) <= 1e-6
+    term["spatial_coeffs"].append({"n": 1, "m": 1, "re": 0.5})
+    pot_file.write_text(json.dumps({"terms": [term]}))
+    assert run(["solve-potential", "--potential", str(pot_file), "--d", "3", "--N", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: potential term 0, entry 1: m = 1")
+    assert "Traceback" not in err
+
+
 def test_selftest_small(capsys):
     assert run(["selftest", "--N", "24"]) == 0
     out = capsys.readouterr().out
@@ -293,3 +312,24 @@ def test_package_imports_no_scipy():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_degree_512_sweep_runs_under_address_space_limit(tmp_path):
+    # single-degree synthesis needs one Legendre row, not the O(N^3) table (2.2 GB at
+    # grid band 1024), so a degree-512 projection sweep fits in a 1.5 GB address space
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000 * 1024  # `ulimit -v 1500000`
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(sphere_strichartz.__file__).resolve().parents[1])
+    # two BLAS threads: each thread's reserved stack and buffers count against the limit
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphere_strichartz.cli", "sweep", "--d", "2", "--p", "4",
+         "--family", "random", "--n", "256:512:3", "--output", str(tmp_path / "sweep.csv")],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len((tmp_path / "sweep.csv").read_text().strip().split("\n")) == 4

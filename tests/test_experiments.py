@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sphere_strichartz import experiments
 from sphere_strichartz.experiments import (
     ExponentFit,
     SweepConfig,
@@ -19,9 +20,9 @@ from sphere_strichartz.experiments import (
     steepest_fit,
     strichartz_ratio,
 )
-from sphere_strichartz.grids import grid_for, inverse_sht
+from sphere_strichartz.grids import CoefficientTable, grid_for, inverse_sht
 from sphere_strichartz.norms import lp_norm
-from sphere_strichartz.spectral import random_field
+from sphere_strichartz.spectral import project, random_field
 
 INF = math.inf
 
@@ -158,6 +159,18 @@ def test_field_lp_norm_profile_matches_full_grid():
     assert field_lp_norm(f, 4.0, include_poles=False) == pytest.approx(
         lp_norm(inverse_sht(f, g), g, 4.0), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("p", [4.0, 6.0, INF])
+def test_field_lp_norm_single_degree_path_equals_table_path(p, monkeypatch):
+    # the one-Legendre-row synthesis gives the same floats as the full-table inverse_sht
+    rng = np.random.default_rng(7)
+    fields = [make_family("random-eigenspace", n, 2, rng=rng) for n in (1, 17, 64)]
+    fields += [project(random_field(40, 2, rng), n) for n in (2, 33)]
+    fast = [field_lp_norm(f, p) for f in fields]
+    monkeypatch.setattr(experiments, "_single_degree_synthesis",
+                        lambda a, n, grid: inverse_sht(CoefficientTable(len(a) - 1, 2, a), grid))
+    assert fast == [field_lp_norm(f, p) for f in fields]
 
 
 def test_sweep_p2_is_flat():

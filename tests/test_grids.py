@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from sphere_strichartz import grids
+from sphere_strichartz.experiments import make_family
 from sphere_strichartz.grids import (
     CoefficientTable,
     ResourceLimitError,
     _build_zonal_grid,
+    _legendre_row,
+    _legendre_rows,
     _legendre_tables,
+    _single_degree_synthesis,
     build_sphere_grid,
     build_zonal_grid,
     forward_sht,
@@ -26,7 +31,8 @@ from sphere_strichartz.harmonics import (
     surface_area,
     zonal_kernel,
 )
-from sphere_strichartz.spectral import random_field
+from sphere_strichartz.cli import run
+from sphere_strichartz.spectral import project, random_field
 
 
 def test_trivial_grid():
@@ -161,6 +167,49 @@ def test_legendre_table_equals_per_order_columns(band, N):
     np.testing.assert_array_equal(P, np.stack([legendre_column(m, N, t) for m in range(N + 1)]))
     m, n = np.indices((N + 1, N + 1))
     assert np.all(P[n < m] == 0.0)
+
+
+# K = band + 1 nodes: odd K, and even K at (1, 1), (17, 9) and (63, 40)
+@pytest.mark.parametrize("band,N", [(0, 0), (1, 1), (16, 8), (17, 9), (64, 64), (63, 40),
+                                    (128, 128), (256, 256), (512, 256), (512, 512)])
+def test_legendre_rows_equal_table_rows(band, N):
+    t = build_sphere_grid(band).t
+    P = _legendre_tables.__wrapped__(band, N)
+    for n, row in enumerate(_legendre_rows(t, N)):
+        assert row.shape == (n + 1, t.size)
+        assert row.tobytes() == P[: n + 1, n].tobytes()
+    for n in {0, N // 3, N}:  # a fresh generator stopped at degree n
+        assert _legendre_row(t, n).tobytes() == P[: n + 1, n].tobytes()
+    for m in {min(1, N), N // 2, N}:  # the per-order reference recurrence
+        np.testing.assert_array_equal(P[m], legendre_column(m, N, t))
+
+
+@pytest.mark.parametrize("oversample", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 17, 64])
+def test_single_degree_synthesis_equals_inverse_sht(n, oversample):
+    # the Legendre sum of inverse_sht adds exact zeros for the other degrees
+    rng = np.random.default_rng(n)
+    for f in (make_family("random-eigenspace", n, 2, rng=rng),
+              project(random_field(n + 5, 2, rng), n)):
+        grid = grid_for(f.N, 2, oversample)
+        assert np.array_equal(_single_degree_synthesis(f.a, n, grid), inverse_sht(f, grid))
+
+
+def test_legendre_table_map_failure_is_resource_limit(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    _legendre_tables.cache_clear()
+    monkeypatch.setattr(grids.mmap, "mmap", refuse)
+    try:
+        with pytest.raises(ResourceLimitError, match=r"grid band 40, N = 20 needs 0.000145 GB"):
+            _legendre_tables(40, 20)
+        assert run(["selftest", "--N", "24"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Legendre table for grid band 24, N = 24 needs 0.000125 GB ")
+        assert "Traceback" not in err
+    finally:
+        _legendre_tables.cache_clear()
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 7, 10])

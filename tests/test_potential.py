@@ -299,6 +299,27 @@ def test_potential_json_round_trip():
     np.testing.assert_allclose(V.values(times, g), V2.values(times, g), atol=1e-14)
 
 
+def test_potential_json_round_trip_zonal_d3():
+    B = CoefficientTable(3, 3, np.array([0.0, 0.5, 0.0, -0.25j]), zonal=True)
+    V = PotentialSpec([PotentialTerm(np.array([1, -1]), np.array([0.01, 0.01]), B)])
+    V2 = PotentialSpec.from_json_dict(json.loads(json.dumps(V.to_json_dict())), d=3)
+    (term,) = V2.terms
+    assert term.spatial.zonal and term.spatial.d == 3
+    np.testing.assert_array_equal(term.spatial.a, B.a)
+    g = grid_for(4, 3, 2.0)
+    times = np.linspace(0, TWO_PI, 5)
+    np.testing.assert_array_equal(V.values(times, g), V2.values(times, g))
+
+
+def test_potential_json_d3_rejects_nonzero_order():
+    data = {"terms": [{"time_coeffs": [{"freq": 0, "re": 1.0}],
+                       "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0},
+                                          {"n": 2, "m": -1, "re": 1.0}]}]}
+    with pytest.raises(ValueError, match=r"potential term 0, entry 1: m = -1"):
+        PotentialSpec.from_json_dict(data, d=3)
+    assert not PotentialSpec.from_json_dict(data, d=2).terms[0].spatial.zonal
+
+
 def test_potential_json_validation():
     with pytest.raises(ValueError):
         PotentialSpec.from_json_dict(
