@@ -10,8 +10,9 @@ are emitted at 17 significant digits, so identical configurations produce
 byte-identical output files.
 
 Exit codes: 0 success, 1 validation/configuration error (including
-non-finite numeric flags), 2 numerical error (identity/selftest tolerance
-exceeded, Picard divergence, or a non-finite or vacuous computed result).
+non-finite numeric flags) or an exceeded resource limit (band cap, out of
+memory), 2 numerical error (identity/selftest tolerance exceeded, Picard
+divergence, or a non-finite or vacuous computed result).
 """
 
 from __future__ import annotations
@@ -421,6 +422,9 @@ def run(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

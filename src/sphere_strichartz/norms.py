@@ -7,7 +7,11 @@ annihilated), and the Sobolev norm is the square-summed convention
 
 `mixed_norm` is an honest rectangle-rule time quadrature of samples on all M
 nodes (a free field's one period, counted M/P times); its agreement with
-`l2t_profile_exact` at q=2 is a verification target, not a shortcut.
+`l2t_profile_exact` at q=2 is a verification target, not a shortcut.  For a
+free field the time power sums run over `SpaceTimeField.iter_space_chunks`:
+|u|^q of each space chunk goes into one buffer reused across chunks, with the
+same operations per point as on whole arrays, so the sums do not depend on the
+chunk size.
 """
 
 from __future__ import annotations
@@ -103,8 +107,14 @@ def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
     vacuous = False
     if u.free:
         flat = S.reshape(-1)
+        mag = None
         for sl, series in u.iter_space_chunks():
-            flat[sl] = (u.tg.M // series.shape[-1]) * np.sum(np.abs(series) ** q, axis=-1)
+            if mag is None:  # the first chunk is the largest
+                mag = np.empty(series.shape)
+            m = mag[:series.shape[0]]
+            np.abs(series, out=m)
+            m **= q  # the same dispatch as `** q`, which squares for q = 2
+            flat[sl] = (u.tg.M // series.shape[-1]) * np.sum(m, axis=-1)
             vacuous = vacuous or np.any(series[flat[sl] == 0])
     else:
         for _, block in u.iter_time_blocks():

@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# Bytes of complex series per space chunk of a free field, about one core's L2 cache: smaller
+# chunks pay more per-call overhead, larger ones spill to main memory.
+_SERIES_CHUNK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -184,12 +187,19 @@ class SpaceTimeField:
         for j0 in range(0, self.tg.M, block):
             yield j0, _synthesize(self.history(j0, j0 + block), self.grid)
 
-    def iter_space_chunks(self, chunk: int = 1024):
-        """Yield (flat z slice, series of shape (chunk, P)) for free fields: one time period.
+    def iter_space_chunks(self, chunk: int | None = None):
+        """Yield (flat z slice, series of shape (rows, P)) for free fields: one time period.
 
         With g = gcd(M, lambda_1..lambda_N) and P = M/g, u(t_{j+P}, z) = u(t_j, z) exactly, and
         series[:, j] = u(t_j, z) = sum_n E_n(z) W[n, j] is an exact phase-table product with
         W[n, j] = e^{2 pi i ((lambda_n/g) j mod P)/P}, reduced in integers (needs lambda_N < M).
+
+        Every chunk is written into one buffer allocated per call, and the yielded series is a
+        view of it, valid until the next step.  A chunk holds `chunk` points, by default as many
+        as fit in _SERIES_CHUNK_BYTES of series (independent of N and M while two rows fit),
+        and never fewer than 2 unless the grid has one point: numpy computes a one-row product
+        as a matrix-vector product, whose bits differ from the matrix-matrix product that every
+        larger chunk gets.  The first chunk is the largest; it absorbs a one-point remainder.
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")
@@ -200,9 +210,14 @@ class SpaceTimeField:
         P = self.tg.M // g
         W = np.exp(2j * np.pi / P * (np.outer(lam // g, np.arange(P)) % P))
         E = synthesize_by_degree(self.base, self.grid).reshape(self.N + 1, -1)
-        for z0 in range(0, E.shape[1], chunk):
-            z1 = min(z0 + chunk, E.shape[1])
-            yield slice(z0, z1), E[:, z0:z1].T @ W
+        Z = E.shape[1]
+        rows = max(2, _SERIES_CHUNK_BYTES // (16 * P) if chunk is None else chunk)
+        z0, z1 = 0, min(Z, rows + 1 if Z % rows == 1 else rows)
+        series = np.empty((z1, P), dtype=complex)
+        while z0 < Z:
+            np.matmul(E[:, z0:z1].T, W, out=series[:z1 - z0])
+            yield slice(z0, z1), series[:z1 - z0]
+            z0, z1 = z1, min(z1 + rows, Z)
 
     def scaled(self, c: complex) -> "SpaceTimeField":
         if self.free:

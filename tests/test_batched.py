@@ -4,11 +4,16 @@ references)."""
 
 import math
 import mmap
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
+
+from sphere_strichartz import norms, spectral
+from sphere_strichartz.experiments import kappa_pq, strichartz_ratio
 
 from sphere_strichartz.grids import (
     CoefficientTable,
@@ -35,6 +40,8 @@ from sphere_strichartz.potential import (
 from sphere_strichartz.spectral import (
     SpaceTimeField,
     TimeGrid,
+    eigenvalues_upto,
+    nyquist_time_grid,
     project,
     random_field,
     synthesize_by_degree,
@@ -278,3 +285,120 @@ def test_one_period_synthesis_equals_full_m_reference(N, d, extra, q, chunk, see
     assert np.max(np.abs(ref - ref[np.arange(M) % P])) <= 1e-13 * scale
     want = np.sum(np.abs(ref) ** q, axis=0).reshape(grid.shape)
     np.testing.assert_allclose(_time_power_sums(u, q), want, rtol=1e-13)
+
+
+def ref_one_period_factors(u):
+    """Per-degree samples E (N+1, points) and phase table W (N+1, P) of a free field."""
+    lam = eigenvalues_upto(u.N, u.d).astype(int)
+    g = math.gcd(u.tg.M, *lam.tolist())
+    P = u.tg.M // g
+    W = np.exp(2j * np.pi / P * (np.outer(lam // g, np.arange(P)) % P))
+    return synthesize_by_degree(u.base, u.grid).reshape(u.N + 1, -1), W
+
+
+def ref_allocating_power_sums(u, q):
+    """Free-field power sums as computed before the chunk buffers: 1024-point chunks, each
+    with a fresh (chunk, P) series and fresh |series| and |series|^q arrays."""
+    E, W = ref_one_period_factors(u)
+    P = W.shape[1]
+    S = np.zeros(u.grid.shape)
+    flat = S.reshape(-1)
+    for z0 in range(0, E.shape[1], 1024):
+        z1 = min(z0 + 1024, E.shape[1])
+        series = E[:, z0:z1].T @ W
+        flat[z0:z1] = (u.tg.M // P) * np.sum(np.abs(series) ** q, axis=-1)
+    return S
+
+
+def chunk_rows(u, chunk=None):
+    """Row counts of the yielded chunks, checking that they tile the grid in order."""
+    rows, z = [], 0
+    for sl, series in u.iter_space_chunks(chunk=chunk):
+        assert sl.start == z and series.shape[0] == sl.stop - sl.start
+        rows.append(series.shape[0])
+        z = sl.stop
+    assert z == math.prod(u.grid.shape)
+    return rows
+
+
+@SETTINGS
+@given(N=st.integers(0, 8), d=st.sampled_from([2, 3, 4]),
+       q=st.sampled_from([2.0, 3.0, 4.0, 6.0]), big_period=st.booleans(),
+       extra=st.integers(1, 60), rows=st.integers(2, 40), one_point_tail=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=2, d=2, q=4.0, big_period=True, extra=1, rows=2, one_point_tail=False, seed=0)
+@example(N=3, d=3, q=6.0, big_period=True, extra=7, rows=2, one_point_tail=False, seed=1)
+@example(N=6, d=4, q=3.0, big_period=False, extra=5, rows=2, one_point_tail=True, seed=2)
+@example(N=5, d=2, q=2.0, big_period=False, extra=9, rows=2, one_point_tail=True, seed=3)
+def test_chunk_buffers_equal_allocating_loop(N, d, q, big_period, extra, rows, one_point_tail,
+                                             seed):
+    rng = np.random.default_rng(seed)
+    if big_period:
+        # odd M and N >= 2 give g = 1, so P = M and one series row exceeds the budget: every
+        # chunk is at the 2-row floor (3 rows when it absorbs a one-point remainder)
+        N = min(max(N, 2), 3)
+        grid = build_sphere_grid(N) if d == 2 else grid_for(N, d, 2.0)
+        M = 2**17 + 2 * extra + 1
+    else:
+        grid = grid_for(N, d, 2.0)
+        M = N * (N + d - 1) + extra
+    u = synthesize_history(random_field(N, d, rng, zonal=(d != 2)), TimeGrid(M), grid)
+    P = M // math.gcd(M, *eigenvalues_upto(N, d).astype(int).tolist())
+    Z = math.prod(grid.shape)
+    if big_period:
+        assert 16 * P > spectral._SERIES_CHUNK_BYTES
+        budget = spectral._SERIES_CHUNK_BYTES
+    else:
+        # a budget of r rows; r divides Z - 1 when a one-point remainder is wanted
+        divisors = [k for k in range(2, Z) if (Z - 1) % k == 0]
+        r = divisors[rows % len(divisors)] if one_point_tail and divisors else rows
+        budget = 16 * P * r
+    with mock.patch.object(spectral, "_SERIES_CHUNK_BYTES", budget):
+        got = _time_power_sums(u, q)
+        sizes = chunk_rows(u)
+    if Z > 1:
+        assert min(sizes) >= 2
+    assert sizes[0] == max(sizes)
+    if big_period:
+        assert max(sizes) <= 3
+    assert np.array_equal(got, ref_allocating_power_sums(u, q))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 2, 3, 4, 12, 13, 337, 1000])
+@pytest.mark.parametrize("d", [2, 3])
+def test_space_chunks_never_yield_one_row(chunk, d):
+    # the zonal grid has 13 points and the sphere grid 13 * 26 = 338: chunks of 1 (taken
+    # as 2), 2, 3, 4 and 12 points leave one point over on the first, 337 on the second
+    rng = np.random.default_rng(21)
+    N = 6
+    u = synthesize_history(random_field(N, d, rng, zonal=(d != 2)), nyquist_time_grid(N, d),
+                           grid_for(N, d, 2.0))
+    sizes = chunk_rows(u, chunk)
+    assert min(sizes) >= 2
+    assert sizes[0] == max(sizes)
+    if chunk is not None:
+        assert max(sizes) <= max(2, chunk) + 1
+    E, W = ref_one_period_factors(u)
+    for sl, series in u.iter_space_chunks(chunk=chunk):
+        assert np.array_equal(series, E[:, sl].T @ W)
+
+
+FREE_PAIRS = ((4.0, 4.0), (math.inf, 2.0), (6.0, 2.0))
+
+
+@pytest.mark.parametrize("time_grid", ["smooth", "nyquist"])
+@pytest.mark.parametrize("p, q", FREE_PAIRS)
+@pytest.mark.parametrize("N", [12, 16, 20])
+def test_sampled_strichartz_ratio_unchanged_by_chunk_buffers(N, p, q, time_grid):
+    # the benchmark's 18 free-field mixed-norm op kinds, at one seed: the ratio must be the
+    # same float as with the allocating 1024-point loop
+    grid = grid_for(N, 2, max(2.0, (2.0 if p == math.inf else p) / 2.0))
+    lam = N * (N + 1)
+    tg = TimeGrid(next_fast_len(2 * lam + 2)) if time_grid == "smooth" \
+        else nyquist_time_grid(N, 2)
+    f = random_field(N, 2, np.random.default_rng([6201, N]))
+    s = kappa_pq(p, q, 2)
+    got = strichartz_ratio(f, p, q, s, grid=grid, tg=tg, method="sampled")
+    with mock.patch.object(norms, "_time_power_sums", ref_allocating_power_sums):
+        want = strichartz_ratio(f, p, q, s, grid=grid, tg=tg, method="sampled")
+    assert got == want

@@ -10,6 +10,7 @@ import pytest
 
 import sphere_strichartz
 from sphere_strichartz.cli import run
+from sphere_strichartz.spectral import SpaceTimeField
 
 
 def test_kappa_prints_value_and_branch(capsys):
@@ -195,6 +196,18 @@ def test_overflowing_grid_size_exit_1(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_out_of_memory_exit_1(monkeypatch, capsys):
+    def refuse(self, chunk=None):
+        raise MemoryError("Unable to allocate 3.0 GiB for an array with shape (1024, 180602) "
+                          "and data type complex128")
+
+    monkeypatch.setattr(SpaceTimeField, "iter_space_chunks", refuse)
+    assert run(["strichartz", "--N", "6", "--p", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 3.0 GiB ")
+    assert "Traceback" not in err
+
+
 def test_strichartz_command(capsys):
     assert run(["strichartz", "--d", "2", "--N", "6", "--p", "4", "--q", "4",
                 "--seed", "5"]) == 0
@@ -333,3 +346,22 @@ def test_degree_512_sweep_runs_under_address_space_limit(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len((tmp_path / "sweep.csv").read_text().strip().split("\n")) == 4
+
+
+def test_out_of_memory_under_address_space_limit_exit_1():
+    # at N = 300 the phase table alone is 829 MiB: the run must stop with `error: ...`
+    resource = pytest.importorskip("resource")
+    limit = 1_500_000 * 1024  # `ulimit -v 1500000`
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(sphere_strichartz.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sphere_strichartz.cli", "strichartz", "--N", "300", "--p", "4"],
+        capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
