@@ -303,14 +303,14 @@ def fit_loglog(points) -> ExponentFit:
 
 
 def estimate_strichartz_constant(p: float, s: float, N: int, d: int,
-                                 rng: np.random.Generator, n_probe: int = 4) -> float:
+                                 rng: np.random.Generator) -> float:
     """Empirical bound for the q=2 free-evolution constant: max ratio over probes.
 
-    Probes are random band-N fields plus the two degree-N witnesses; used by
+    Probes are four random band-N fields plus the two degree-N witnesses; used by
     the potential solver's smallness gate (with a safety factor there).
     """
     best = 0.0
-    for _ in range(n_probe):
+    for _ in range(4):
         f = random_field(N, d, rng, zonal=(d != 2))
         best = max(best, strichartz_ratio(f, p, 2.0, s))
     for fam in ("zonal-kernel",) + (("highest-weight",) if d == 2 else ()):

@@ -140,7 +140,7 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float, *,
     if check_resolution:
         if not u.free:
             raise ValueError("resolution check requires a free-evolution field")
-        finer = SpaceTimeField(u.tg.doubled(), u.grid, u.base, free=True)
+        finer = SpaceTimeField(u.tg.doubled(), u.grid, u.base)
         refined = _sampled_mixed_norm(finer, p, q)
         if abs(refined - result) > rtol * max(abs(result), 1e-300):
             raise TimeResolutionError(

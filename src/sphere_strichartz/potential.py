@@ -27,8 +27,8 @@ import numpy as np
 
 from .experiments import estimate_strichartz_constant, kappa_pq
 from .grids import CoefficientTable, _analyze, grid_for, inverse_sht, inverse_zonal
-from .norms import _sobolev_norms, lp_norm, mixed_norm, sobolev_norm
-from .spectral import SpaceTimeField, TimeGrid, synthesize_history
+from .norms import _sobolev_norms, lp_norm, mixed_norm
+from .spectral import _TIME_BLOCK, SpaceTimeField, TimeGrid, synthesize_history
 
 __all__ = [
     "DivergenceError",
@@ -92,14 +92,14 @@ class PotentialSpec:
         """V(t_j, z) for every requested time, shape (len(times), *grid.shape)."""
         return np.tensordot(self.amplitudes(times).T, self.spatial_samples(grid), axes=1)
 
-    def sup_t_profile(self, grid, time_samples: int = 512) -> np.ndarray:
-        """Pointwise sup over t of |V(t, z)| by dense trigonometric sampling."""
+    def sup_t_profile(self, grid) -> np.ndarray:
+        """Pointwise sup over t of |V(t, z)| by dense trigonometric sampling (>= 512 nodes)."""
         max_freq = max(
             (int(np.max(np.abs(t.time_freqs))) if t.time_freqs.size else 0
              for t in self.terms),
             default=0,
         )
-        M = max(time_samples, 16 * (max_freq + 1))
+        M = max(512, 16 * (max_freq + 1))
         times = 2.0 * np.pi * np.arange(M) / M
         vals = self.values(times, grid)
         return np.max(np.abs(vals), axis=0)
@@ -175,10 +175,7 @@ class PicardReport:
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
     """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t)."""
-    if u.free:  # free evolution: |e^{i lambda t}| = 1, so every node has the W^s norm of f
-        sup_part = sobolev_norm(u.base, s)
-    else:
-        sup_part = float(np.max(_sobolev_norms(u.tables, s, u.base.zonal)))
+    sup_part = float(np.max(_sobolev_norms(u.history(), s, u.base.zonal)))
     return sup_part + mixed_norm(u, p, 2.0)
 
 
@@ -198,8 +195,9 @@ def duhamel_apply(G: SpaceTimeField, tg: TimeGrid) -> SpaceTimeField:
     phases = phases if G.base.zonal else phases[:, :, None]
     H = phases.conj() * G.history()
     out = np.cumsum(H, axis=0)
-    out -= 0.5 * H
-    out -= 0.5 * H[0]
+    H *= 0.5
+    out -= H
+    out -= H[0]
     out *= tg.dt * phases
     return SpaceTimeField(tg, G.grid, G.base * 0.0, tables=out)
 
@@ -209,7 +207,8 @@ def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> Space
 
     V w is formed and re-analyzed one block of time nodes at a time (the
     blocks of `w.iter_time_blocks`), with V = sum_k a_k(t_j) B_k(z) built per
-    block; the potential is never sampled at all M nodes at once.
+    block; the potential is never sampled at all M nodes at once.  The free
+    part is added block by block into the Duhamel integral's own buffer.
     """
     grid = w.grid
     if V.band + w.N > grid.band:
@@ -225,10 +224,12 @@ def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> Space
         G[j0:j1] = _analyze(Vblock * samples, grid, w.N)
         if not np.all(np.isfinite(G[j0:j1].view(float))):
             raise ValueError("coefficients must be finite")
-    Gfield = SpaceTimeField(w.tg, grid, w.base * 0.0, tables=G)
-    integral = duhamel_apply(Gfield, w.tg)
-    free = synthesize_history(f, w.tg, grid).history()
-    return SpaceTimeField(w.tg, grid, f.copy(), tables=free - 1j * integral.tables)
+    out = duhamel_apply(SpaceTimeField(w.tg, grid, w.base * 0.0, tables=G), w.tg).tables
+    free = synthesize_history(f, w.tg, grid)
+    for j0 in range(0, w.tg.M, _TIME_BLOCK):
+        j1 = min(j0 + _TIME_BLOCK, w.tg.M)
+        out[j0:j1] = free.history(j0, j1) - 1j * out[j0:j1]
+    return SpaceTimeField(w.tg, grid, f.copy(), tables=out)
 
 
 def holder_conjugate(p: float) -> float:
@@ -248,8 +249,6 @@ def picard_solve(
     tol: float = 1e-8,
     max_iter: int = 30,
     tg: TimeGrid | None = None,
-    grid=None,
-    c0: float | None = None,
     seed: int = 0,
 ) -> tuple[SpaceTimeField, PicardReport]:
     """Fixed-point solution of the potential-perturbed flow, with diagnostics.
@@ -265,19 +264,12 @@ def picard_solve(
     threshold = kappa_pq(p, 2.0, d)
     if s < threshold - 1e-12:
         raise ValueError(f"regularity s={s} below threshold {threshold}")
-    if grid is None:
-        grid = grid_for(f.N + V.band, d, 2.0)
+    grid = grid_for(f.N + V.band, d, 2.0)
     if tg is None:
         tg = TimeGrid(max(64, 8 * (int(f.N * (f.N + d - 1)) + 1)))
-    if V.band + f.N > grid.band:
-        raise ValueError(f"product band {V.band + f.N} overflows grid band {grid.band}")
 
     v_norm = V.mixed_q_inf_norm(q, grid)
-    c0_est = (
-        c0
-        if c0 is not None
-        else estimate_strichartz_constant(p, s, f.N, d, np.random.default_rng(seed))
-    )
+    c0_est = estimate_strichartz_constant(p, s, f.N, d, np.random.default_rng(seed))
     c_eff = 2.0 * c0_est
     smallness_ok = (c_eff + c_eff**2) * v_norm <= 0.5
 

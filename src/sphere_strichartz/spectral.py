@@ -7,11 +7,11 @@ exactly 2*pi-periodic in time; `propagate` reduces t modulo float64(2*pi)
 before forming phases so the discrete flow inherits that periodicity exactly
 instead of up to lambda_max * ulp(2*pi).
 
-`SpaceTimeField` holds a solution on a uniform time grid.  It either stores
+`SpaceTimeField` holds a solution on a uniform time grid.  Given `tables`,
 the explicit spectral history (one coefficient table per time node, the form
-the Picard solver manipulates) or is marked as the free evolution of its
-initial table, in which case samples are synthesized on demand by an exact
-phase-table product over one time period (not an FFT); both representations
+the Picard solver manipulates), it stores that; without it the field is the
+free evolution of its initial table, and samples are synthesized on demand
+by an exact phase-table product over one time period (not an FFT).  Both
 produce identical sample values.
 """
 
@@ -41,6 +41,8 @@ _TWO_PI = 2.0 * math.pi
 # Bytes of complex series per space chunk of a free field, about one core's L2 cache: smaller
 # chunks pay more per-call overhead, larger ones spill to main memory.
 _SERIES_CHUNK_BYTES = 2 * 2**20
+# Time nodes per batched transform of an explicit history (iter_time_blocks, apply_phi).
+_TIME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -65,15 +67,15 @@ class TimeGrid:
         return TimeGrid(2 * self.M)
 
 
-def nyquist_time_grid(N: int, d: int, margin: int = 4) -> TimeGrid:
-    """Default time grid: M = margin * (lambda_N + 1) nodes.
+def nyquist_time_grid(N: int, d: int) -> TimeGrid:
+    """Default time grid: M = 4 * (lambda_N + 1) nodes.
 
-    With the default margin 4 the rectangle rule on this grid integrates
-    |u|^q exactly for band-N free evolutions and even q up to 4 (the top
-    time frequency of |u|^4 is 2*lambda_N < M).
+    The rectangle rule on this grid integrates |u|^q exactly for band-N free
+    evolutions and even q up to 4 (the top time frequency of |u|^4 is
+    2*lambda_N < M).
     """
     lam = int(eigenvalue(N, d))
-    return TimeGrid(margin * (lam + 1))
+    return TimeGrid(4 * (lam + 1))
 
 
 def eigenvalues_upto(N: int, d: int) -> np.ndarray:
@@ -133,26 +135,27 @@ def synthesize_by_degree(f: CoefficientTable, grid) -> np.ndarray:
 class SpaceTimeField:
     """Solution samples/history on a time grid x spatial grid.
 
-    Exactly one of the representations is active:
-      * `tables` — explicit spectral history, shape (M, *coefficient shape);
-      * `free=True` — the field is the free evolution of `base`, and
-        histories/samples are generated on demand (memory-light even when
-        M * table size would be huge).
+    `tables`, when given, is the explicit spectral history, shape
+    (M, *coefficient shape).  Without it the field is the free evolution of
+    `base`, and histories/samples are generated on demand (memory-light even
+    when M * table size would be huge).
     """
 
     tg: TimeGrid
     grid: object
     base: CoefficientTable
     tables: np.ndarray | None = field(default=None, repr=False)
-    free: bool = False
 
     def __post_init__(self):
-        if self.free == (self.tables is not None):
-            raise ValueError("exactly one of `tables` / free=True must be set")
         if self.tables is not None:
             expected = (self.tg.M, *self.base.a.shape)
             if self.tables.shape != expected:
                 raise ValueError(f"history shape {self.tables.shape} != {expected}")
+
+    @property
+    def free(self) -> bool:
+        """True for the free evolution of `base`, which stores no history."""
+        return self.tables is None
 
     @property
     def N(self) -> int:
@@ -161,9 +164,6 @@ class SpaceTimeField:
     @property
     def d(self) -> int:
         return self.base.d
-
-    def table_at(self, j: int) -> CoefficientTable:
-        return CoefficientTable(self.N, self.d, self.history(j, j + 1)[0], zonal=self.base.zonal)
 
     def history(self, j0: int = 0, j1: int | None = None) -> np.ndarray:
         """Spectral history of time nodes j0..j1-1, shape (j1-j0, *coefficient shape)."""
@@ -182,10 +182,10 @@ class SpaceTimeField:
     def samples_at(self, j: int) -> np.ndarray:
         return _synthesize(self.history(j, j + 1)[0], self.grid)
 
-    def iter_time_blocks(self, block: int = 64):
+    def iter_time_blocks(self):
         """Yield (j0, samples of shape (b, *grid.shape)), one batched transform per block."""
-        for j0 in range(0, self.tg.M, block):
-            yield j0, _synthesize(self.history(j0, j0 + block), self.grid)
+        for j0 in range(0, self.tg.M, _TIME_BLOCK):
+            yield j0, _synthesize(self.history(j0, j0 + _TIME_BLOCK), self.grid)
 
     def iter_space_chunks(self, chunk: int | None = None):
         """Yield (flat z slice, series of shape (rows, P)) for free fields: one time period.
@@ -219,11 +219,6 @@ class SpaceTimeField:
             yield slice(z0, z1), series[:z1 - z0]
             z0, z1 = z1, min(z1 + rows, Z)
 
-    def scaled(self, c: complex) -> "SpaceTimeField":
-        if self.free:
-            return SpaceTimeField(self.tg, self.grid, self.base * c, free=True)
-        return SpaceTimeField(self.tg, self.grid, self.base * c, tables=self.tables * c)
-
     def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
         if self.tg.M != other.tg.M:
             raise ValueError("mismatched time grids")
@@ -235,7 +230,7 @@ def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeFiel
     """Free evolution of f on the given time grid: history[j] = propagate(f, t_j)."""
     if f.N > grid.band:
         raise ValueError(f"table band {f.N} exceeds grid band {grid.band}")
-    return SpaceTimeField(tg, grid, f.copy(), free=True)
+    return SpaceTimeField(tg, grid, f.copy())
 
 
 def random_field(N: int, d: int, rng: np.random.Generator, zonal: bool = False,

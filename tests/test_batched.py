@@ -4,6 +4,7 @@ references)."""
 
 import math
 import mmap
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -103,7 +104,7 @@ def ref_apply_phi(w, f, V):
     Vvals = V.values(w.tg.times, grid)
     G = np.empty_like(we.tables)
     for j in range(w.tg.M):
-        tab = we.table_at(j)
+        tab = CoefficientTable(w.N, w.d, we.tables[j], zonal=w.base.zonal)
         if tab.zonal:
             G[j] = forward_zonal(Vvals[j] * inverse_zonal(tab, grid), grid, w.N).a
         else:
@@ -111,6 +112,36 @@ def ref_apply_phi(w, f, V):
     integral = ref_duhamel(SpaceTimeField(w.tg, grid, w.base * 0.0, tables=G), w.tg)
     free = synthesize_history(f, w.tg, grid).materialize().tables
     return free - 1j * integral
+
+
+def whole_history_apply_phi(w, f, V):
+    """Phi(w) as the whole free history minus 1j times a separately stored Duhamel integral."""
+    grid, tg = w.grid, w.tg
+    B = V.spatial_samples(grid)
+    amps = V.amplitudes(tg.times)
+    G = np.empty((tg.M, *w.base.a.shape), dtype=complex)
+    for j0 in range(0, tg.M, 64):
+        samples = _synthesize(w.history(j0, j0 + 64), grid)
+        j1 = j0 + len(samples)
+        Vblock = np.tensordot(amps[:, j0:j1].T, B, axes=1)
+        G[j0:j1] = _analyze(Vblock * samples, grid, w.N)
+    lam = np.arange(w.N + 1) * (np.arange(w.N + 1) + w.d - 1)
+    phases = np.exp(2j * np.pi / tg.M * (np.outer(np.arange(tg.M), lam) % tg.M))
+    phases = phases if w.base.zonal else phases[:, :, None]
+    H = phases.conj() * G
+    integral = np.cumsum(H, axis=0)
+    integral -= 0.5 * H
+    integral -= 0.5 * H[0]
+    integral *= tg.dt * phases
+    free = synthesize_history(f, tg, grid).history()
+    return free - 1j * integral
+
+
+def _potential(d, rng):
+    return PotentialSpec([
+        PotentialTerm(np.array([1, -1]), np.array([0.02, 0.02]), random_field(1, d, rng)),
+        PotentialTerm(np.array([0, 3]), np.array([0.01, 0.005j]), random_field(2, d, rng)),
+    ])
 
 
 def _tables(rng, N, shape):
@@ -223,12 +254,7 @@ def test_blocked_apply_phi_equals_all_m_reference(M, d):
     rng = np.random.default_rng(M)
     N = 4
     f = random_field(N, d, rng)
-    B1 = random_field(1, d, rng)
-    B2 = random_field(2, d, rng)
-    V = PotentialSpec([
-        PotentialTerm(np.array([1, -1]), np.array([0.02, 0.02]), B1),
-        PotentialTerm(np.array([0, 3]), np.array([0.01, 0.005j]), B2),
-    ])
+    V = _potential(d, rng)
     grid = grid_for(N + V.band, d, 2.0)
     w = synthesize_history(random_field(N, d, rng), TimeGrid(M), grid).materialize()
     got = apply_phi(w, f, V).tables
@@ -402,3 +428,49 @@ def test_sampled_strichartz_ratio_unchanged_by_chunk_buffers(N, p, q, time_grid)
     with mock.patch.object(norms, "_time_power_sums", ref_allocating_power_sums):
         want = strichartz_ratio(f, p, q, s, grid=grid, tg=tg, method="sampled")
     assert got == want
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("M", [1, 63, 64, 128, 150])
+def test_apply_phi_equals_whole_history_composition(M, d):
+    rng = np.random.default_rng(M + 10 * d)
+    N = 4
+    f = random_field(N, d, rng)
+    V = _potential(d, rng)
+    grid = grid_for(N + V.band, d, 2.0)
+    w = synthesize_history(random_field(N, d, rng), TimeGrid(M), grid).materialize()
+    w.tables[1:] += 0.1 * w.tables[:-1]  # not a free evolution
+    assert np.array_equal(apply_phi(w, f, V).tables, whole_history_apply_phi(w, f, V))
+
+
+@pytest.mark.parametrize("zonal", [False, True])
+def test_duhamel_apply_leaves_input_unchanged(zonal):
+    rng = np.random.default_rng(7)
+    N, M, d = 5, 96, 3 if zonal else 2
+    shape = (N + 1,) if zonal else (N + 1, 2 * N + 1)
+    G = rng.standard_normal((M, *shape)) + 1j * rng.standard_normal((M, *shape))
+    before = G.copy()
+    base = CoefficientTable.zeros(N, d, zonal=zonal)
+    duhamel_apply(SpaceTimeField(TimeGrid(M), grid_for(N, d), base, tables=G), TimeGrid(M))
+    assert np.array_equal(G, before)
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_apply_phi_peak_allocation_below_4_5_histories(N):
+    # At the peak, inside duhamel_apply, G, H = e^{-i lambda t} G and their cumulative sum are
+    # alive: 3 histories plus one block of samples.  A whole free history and a whole
+    # 1j * integral on top of those take it above 5.
+    f = random_field(N, 2, np.random.default_rng(N))
+    V = PotentialSpec([PotentialTerm(np.array([1, -1]), np.array([0.015, 0.015]),
+                                     CoefficientTable.unit_mode(1, 1, 0))])  # README's example
+    grid = grid_for(N + V.band, 2, 2.0)
+    tg = TimeGrid(8 * (N * (N + 1) + 1))  # picard_solve's default grids
+    w = synthesize_history(f, tg, grid).materialize()
+    apply_phi(w, f, V)  # builds the cached Legendre tables
+    tracemalloc.start()
+    try:
+        apply_phi(w, f, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * w.tables.nbytes

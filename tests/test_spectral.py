@@ -217,7 +217,7 @@ def test_materialized_history_matches_free():
     u = synthesize_history(f, TimeGrid(10), g)
     ue = u.materialize()
     for j in (0, 4, 9):
-        np.testing.assert_allclose(ue.table_at(j).a, u.table_at(j).a, atol=1e-15)
+        np.testing.assert_allclose(ue.tables[j], u.history(j, j + 1)[0], atol=1e-15)
         np.testing.assert_allclose(ue.samples_at(j), u.samples_at(j), atol=1e-13)
 
 
@@ -270,6 +270,6 @@ def test_spacetime_subtraction_and_scaling():
     f = random_field(4, 2, rng)
     g = build_sphere_grid(4)
     u = synthesize_history(f, TimeGrid(6), g)
-    diff = u - u.scaled(0.5)
+    diff = u - SpaceTimeField(u.tg, g, u.base * 0.5)
     ue = u.materialize()
     np.testing.assert_allclose(diff.tables, 0.5 * ue.tables, atol=1e-15)
