@@ -13,6 +13,13 @@ A grid built with band parameter B integrates products of two band-B fields
 exactly: B+1 Gauss colatitudes (exact through polynomial degree 2B+1) and
 2B+2 longitudes (alias-free for azimuthal frequencies through 2B+1).
 Grids are immutable and cached by their (band, d) key.
+
+The S^2 Legendre table Pbar_n^m(t_k) is computed and cached for the first
+ceil(K/2) Gauss nodes only: the nodes are symmetric about the equator and the
+other half is the mirror image with the sign (-1)^(n+m), plus a short list of
+zeros whose sign does not mirror.  The transform kernels read the table in
+order-block slabs of about 2 MiB, each mirrored to all K nodes, so every
+matmul sees the same operands as with a full-height table.
 """
 
 from __future__ import annotations
@@ -276,19 +283,41 @@ def _legendre_rows(t: np.ndarray, N: int):
 
 
 def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
-    """Pbar_n^m(t) for m = 0..n, shape (n+1, K), in O(nK) memory."""
-    for row in _legendre_rows(t, n):
+    """Pbar_n^m(t) for m = 0..n at nodes symmetric about 0, shape (n+1, K), in O(nK) memory.
+
+    The recurrence runs on the first Kh = ceil(K/2) nodes; node k >= Kh is the mirror image
+    of node K-1-k, times (-1)^(n+m), except where that image holds a zero (_mirror_fixes):
+    those nodes are computed directly.
+    """
+    K = t.size
+    Kh = (K + 1) // 2
+    for H in _legendre_rows(t[:Kh], n):
         pass
+    row = np.empty((n + 1, K))
+    row[:, :Kh] = H
+    sign = np.where((n + np.arange(n + 1)) % 2, -1.0, 1.0)[:, None]
+    np.multiply(H[:, : K - Kh][:, ::-1], sign, out=row[:, Kh:])
+    polar = K - 1 - np.flatnonzero((H[:, : K - Kh] == 0).any(axis=0))
+    if polar.size:
+        for exact in _legendre_rows(t[polar], n):
+            pass
+        row[:, polar] = exact
     return row
 
 
 @lru_cache(maxsize=8)
 def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
-    """Pbar_n^m at the grid nodes, m-major: entry [m, n, k], shape (N+1, N+1, K)."""
+    """Pbar_n^m at the first Kh = ceil(K/2) grid nodes, m-major: entry [m, n, k], (N+1, N+1, Kh).
+
+    The Gauss nodes are symmetric, t[K-1-k] == -t[k], and so is every operation of the
+    recurrence: the other nodes hold (-1)^(n+m) times these values, up to the sign of some
+    zeros (_mirror_fixes).
+    """
     grid = build_sphere_grid(grid_band)
+    Kh = (grid.t.size + 1) // 2
     # Rows n < m are zero and never written: in a private anonymous mapping without huge
     # pages (numpy asks for them above 4 MB) they stay unmapped, half the table at large N.
-    shape = (N + 1, N + 1, grid.t.size)
+    shape = (N + 1, N + 1, Kh)
     nbytes = 8 * math.prod(shape)
     try:
         buf = (mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
@@ -297,10 +326,88 @@ def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
         raise ResourceLimitError(f"Legendre table for grid band {grid_band}, N = {N} needs "
                                  f"{nbytes / 1e9:.3g} GB and could not be mapped: {exc}") from None
     P = np.frombuffer(buf, dtype=float).reshape(shape)
-    for n, row in enumerate(_legendre_rows(grid.t, N)):
+    for n, row in enumerate(_legendre_rows(grid.t[:Kh], N)):
         P[: n + 1, n] = row
     P.setflags(write=False)
     return P
+
+
+@lru_cache(maxsize=8)
+def _mirror_fixes(grid_band: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries the mirror image gets wrong: (flat indices into the (N+1, N+1, K) table, values).
+
+    Magnitudes always mirror, but a zero's sign need not: x - y is +0.0 at t and at -t when
+    x == y.  So the nodes whose mirror image holds a zero (near the poles, where Pbar_m^m
+    underflows at large m) are recomputed, and the entries that differ are kept.
+    """
+    H = _legendre_tables(grid_band, N)
+    t = build_sphere_grid(grid_band).t
+    K, Kh = t.size, H.shape[-1]
+    has_zero = np.zeros(K - Kh, dtype=bool)
+    for m in range(N + 1):
+        has_zero |= (H[m, m:, : K - Kh] == 0).any(axis=0)
+    src = np.flatnonzero(has_zero)
+    idx, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for n, row in enumerate(_legendre_rows(t[K - 1 - src], N) if src.size else ()):
+        sign = np.where((n + np.arange(n + 1)) % 2, -1.0, 1.0)[:, None]  # (-1)^(n+m)
+        mirrored = H[: n + 1, n][:, src] * sign
+        mm, j = np.nonzero(row.view(np.uint64) != mirrored.view(np.uint64))
+        idx.append((mm * (N + 1) + n) * K + K - 1 - src[j])
+        vals.append(row[mm, j])
+    idx, vals = np.concatenate(idx), np.concatenate(vals)
+    order = np.argsort(idx)
+    idx, vals = idx[order], vals[order]
+    idx.setflags(write=False)
+    vals.setflags(write=False)
+    return idx, vals
+
+
+def _mirror_orders(H: np.ndarray, fixes, m0: int, m1: int, out: np.ndarray) -> np.ndarray:
+    """Orders [m0, m1) of the full-height table into out, shape (m1-m0, N+1, K)."""
+    Kh, K = H.shape[-1], out.shape[-1]
+    for m in range(m0, m1):
+        P = out[m - m0]
+        P[:m] = 0.0  # rows n < m
+        P[m:, :Kh] = H[m, m:]
+        P[m:, Kh:] = H[m, m:, : K - Kh][:, ::-1]
+        np.negative(P[m + 1 :: 2, Kh:], out=P[m + 1 :: 2, Kh:])  # (-1)^(n+m) = -1
+    idx, vals = fixes
+    base = m0 * out[0].size
+    lo, hi = np.searchsorted(idx, [base, base + out.size])
+    out.put(idx[lo:hi] - base, vals[lo:hi])
+    return out
+
+
+_SLAB_BYTES = 2 << 20  # full-height orders per slab: about one L2 cache, as _SERIES_CHUNK_BYTES
+
+
+@lru_cache(maxsize=8)
+def _whole_mirrored_table(grid_band: int, N: int) -> np.ndarray:
+    P = np.empty((N + 1, N + 1, grid_band + 1))
+    _mirror_orders(_legendre_tables(grid_band, N), _mirror_fixes(grid_band, N), 0, N + 1, P)
+    P.setflags(write=False)
+    return P
+
+
+def _legendre_slabs(grid: SphereGrid, N: int):
+    """Yield (m0, m1, slab): Pbar_n^m at all K grid nodes for the orders m0 <= m < m1.
+
+    Each slab is C-contiguous, shape (m1-m0, N+1, K), entry [m - m0, n, k], and holds the
+    bytes the recurrence gives at all K nodes: the half table, then its mirror image.
+    Slabs are about _SLAB_BYTES and share one buffer, so a slab is valid until the next;
+    a table that fits in one slab is mirrored once and cached.
+    """
+    H = _legendre_tables(grid.band, N)
+    K = grid.t.size
+    step = max(1, _SLAB_BYTES // (8 * (N + 1) * K))
+    if step > N:
+        yield 0, N + 1, _whole_mirrored_table(grid.band, N)
+        return
+    fixes = _mirror_fixes(grid.band, N)
+    buf = np.empty((step, N + 1, K))
+    for m0 in range(0, N + 1, step):
+        m1 = min(m0 + step, N + 1)
+        yield m0, m1, _mirror_orders(H, fixes, m0, m1, buf[: m1 - m0])
 
 
 @lru_cache(maxsize=8)
@@ -323,8 +430,10 @@ def _sht_synthesis(a: np.ndarray, grid: SphereGrid) -> np.ndarray:
     X[..., 0] = flat[:, :, N:].T
     X[..., 1] = flat[:, :, N::-1].T
     X[1::2, :, :, 1] *= -1.0  # basis convention Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
-    P = _legendre_tables(grid.band, N)
-    Y = np.matmul(P.transpose(0, 2, 1), X.view(float).reshape(N + 1, N + 1, -1))
+    Xf = X.view(float).reshape(N + 1, N + 1, -1)
+    Y = np.empty((N + 1, K, Xf.shape[-1]))
+    for m0, m1, slab in _legendre_slabs(grid, N):
+        np.matmul(slab.transpose(0, 2, 1), Xf[m0:m1], out=Y[m0:m1])
     Y = Y.reshape(N + 1, K, -1, 4).view(complex)  # [m, k, b, +/-]
     spec = np.zeros((len(flat), K, L), dtype=complex)
     spec[:, :, : N + 1] = Y[..., 0].T
@@ -341,11 +450,15 @@ def _degree_synthesis(a: np.ndarray, grid) -> np.ndarray:
     if isinstance(grid, ZonalGrid):
         return a[:, None] * _zonal_tables(grid.band, N, grid.d)
     K, L = grid.shape
-    P = _legendre_tables(grid.band, N).transpose(1, 2, 0)  # [n, k, m]
     sign = np.where(np.arange(1, N + 1) % 2, -1.0, 1.0)  # (-1)^m for m = 1..N
+    neg = (a[:, :N][:, ::-1] * sign)[:, None]  # [n, 1, m - 1]: the -m coefficients, signed
     spec = np.zeros((N + 1, K, L), dtype=complex)
-    np.multiply(a[:, None, N:], P, out=spec[:, :, : N + 1])
-    np.multiply((a[:, :N][:, ::-1] * sign)[:, None], P[:, :, 1:], out=spec[:, :, : L - N - 1 : -1])
+    for m0, m1, slab in _legendre_slabs(grid, N):
+        P = slab.transpose(1, 2, 0)  # [n, k, m - m0]
+        np.multiply(a[:, None, N + m0 : N + m1], P, out=spec[:, :, m0:m1])
+        lo = max(m0, 1)  # column L - m holds order -m, for m = lo..m1-1
+        np.multiply(neg[:, :, lo - 1 : m1 - 1], P[:, :, lo - m0 :],
+                    out=spec[:, :, L - lo : L - m1 : -1])
     return np.fft.ifft(spec, axis=-1, norm="forward")
 
 
@@ -368,7 +481,6 @@ def _single_degree_synthesis(a: np.ndarray, n: int, grid: SphereGrid) -> np.ndar
 def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int) -> np.ndarray:
     """Batched forward transform: values[..., K, L] -> a[..., N+1, 2N+1]."""
     K, L = grid.shape
-    P = _legendre_tables(grid.band, N)
     flat = values.reshape(-1, K, L)
     a = np.empty((len(flat), N + 1, 2 * N + 1), dtype=complex)
     for b0 in range(0, len(flat), 64):  # chunks keep each FFT output in cache for the reordering
@@ -378,7 +490,10 @@ def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int) -> np.ndarray:
         X[..., 0] = F[:, :, : N + 1].T
         X[1:, :, :, 1] = F[:, :, : L - N - 1 : -1].T
         X *= (2.0 * np.pi * grid.t_weights)[:, None, None]  # colatitude quadrature weights
-        Y = np.matmul(P, X.view(float).reshape(N + 1, K, -1))
+        Xf = X.view(float).reshape(N + 1, K, -1)
+        Y = np.empty((N + 1, N + 1, Xf.shape[-1]))
+        for m0, m1, slab in _legendre_slabs(grid, N):
+            np.matmul(slab, Xf[m0:m1], out=Y[m0:m1])
         Y = Y.reshape(N + 1, N + 1, -1, 4).view(complex)  # [m, n, b, +/-]
         Y[1::2, :, :, 1] *= -1.0  # Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
         out = a[b0 : b0 + 64]

@@ -12,12 +12,14 @@ Conventions (used consistently across the package):
   * all recurrences run upward in degree from normalized seeds, which is
     stable for degrees well past 512.
 
-Everything here is a pure function of its arguments; no shared state.
+Everything here is a pure function of its arguments; the only shared state is
+the memo of the zonal normalizers.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,6 +159,7 @@ def gegenbauer_at_one(n: int, alpha: float) -> float:
                     - math.lgamma(n + 1.0))
 
 
+@lru_cache(maxsize=None)
 def _zonal_norm_const(n: int, d: int) -> float:
     """Normalizer c so that c*C_n^alpha has unit L^2(S^d) norm as a zonal function.
 

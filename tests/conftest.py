@@ -1,5 +1,7 @@
 import pytest
 
+from sphere_strichartz import grids
+
 
 @pytest.fixture
 def criterion_report(request):
@@ -17,3 +19,14 @@ def criterion_report(request):
             reporter.write_line("\n" + line)
 
     return report
+
+
+@pytest.fixture
+def fresh_legendre_caches():
+    """Start and end with empty Legendre caches, so large tables do not outlive a test."""
+    caches = (grids._legendre_tables, grids._mirror_fixes, grids._whole_mirrored_table)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

@@ -5,6 +5,7 @@ references)."""
 import math
 import mmap
 import tracemalloc
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -13,12 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from sphere_strichartz import norms, spectral
+from sphere_strichartz import grids, norms, spectral
 from sphere_strichartz.experiments import kappa_pq, strichartz_ratio
 
 from sphere_strichartz.grids import (
     CoefficientTable,
     _analyze,
+    _legendre_rows,
+    _legendre_slabs,
     _legendre_tables,
     _synthesize,
     build_sphere_grid,
@@ -150,14 +153,148 @@ def _tables(rng, N, shape):
 
 
 @pytest.mark.parametrize("private_mapping", [True, False])
-def test_legendre_table_layout(private_mapping, monkeypatch):
+def test_legendre_table_layout(private_mapping, monkeypatch, fresh_legendre_caches):
     if not private_mapping:  # the plain zero-filled buffer used where MAP_PRIVATE is missing
         monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
     grid = build_sphere_grid(9)
-    P = _legendre_tables.__wrapped__(grid.band, 6)
-    assert P.shape == (7, 7, grid.t.size) and not P.flags.writeable
+    H = _legendre_tables(grid.band, 6)
+    assert H.shape == (7, 7, 5) and not H.flags.writeable
     for m in range(7):
-        np.testing.assert_array_equal(P[m], legendre_column(m, 6, grid.t))
+        np.testing.assert_array_equal(H[m], legendre_column(m, 6, grid.t[:5]))
+    # the whole table as one cached slab, then slabs of 3 orders from one reused buffer
+    for orders, spans in [(None, [(0, 7)]), (3, [(0, 3), (3, 6), (6, 7)])]:
+        if orders:
+            monkeypatch.setattr(grids, "_SLAB_BYTES", orders * 8 * 7 * grid.t.size)
+        seen = []
+        for m0, m1, slab in _legendre_slabs(grid, 6):
+            seen.append((m0, m1))
+            assert slab.shape == (m1 - m0, 7, grid.t.size) and slab.flags.c_contiguous
+            assert orders or not slab.flags.writeable
+            for m in range(m0, m1):
+                np.testing.assert_array_equal(slab[m - m0], legendre_column(m, 6, grid.t))
+        assert seen == spans
+
+
+def ref_full_node_table(band, N):
+    """The (N+1, N+1, K) table from the recurrence run at all K nodes: the slabs' reference."""
+    t = build_sphere_grid(band).t
+    shape = (N + 1, N + 1, t.size)
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    P = np.frombuffer(buf, dtype=float).reshape(shape)
+    for n, row in enumerate(_legendre_rows(t, N)):
+        P[: n + 1, n] = row
+    return P
+
+
+# K <= 3, odd and even K, one cached slab and many; from N = 256 some zeros do not mirror
+@pytest.mark.parametrize("band,N", [(0, 0), (1, 1), (2, 1), (2, 2), (9, 6), (17, 9), (63, 40),
+                                    (64, 64), (128, 128), (512, 256), (512, 512)])
+def test_slabs_equal_full_node_table(band, N, fresh_legendre_caches):
+    ref = ref_full_node_table(band, N)
+    covered = 0
+    for m0, m1, slab in _legendre_slabs(build_sphere_grid(band), N):
+        assert m0 == covered and slab.flags.c_contiguous
+        assert slab.tobytes() == ref[m0:m1].tobytes()
+        covered = m1
+    assert covered == N + 1
+
+
+_ref_table = lru_cache(maxsize=8)(ref_full_node_table)
+
+
+def ref_sht_synthesis(a, grid):
+    """The synthesis kernel on the whole full-node table: one stacked matmul over all orders."""
+    N = a.shape[-1] // 2
+    K, L = grid.shape
+    flat = a.reshape(-1, N + 1, 2 * N + 1)
+    X = np.empty((N + 1, N + 1, len(flat), 2), dtype=complex)
+    X[..., 0] = flat[:, :, N:].T
+    X[..., 1] = flat[:, :, N::-1].T
+    X[1::2, :, :, 1] *= -1.0
+    P = _ref_table(grid.band, N)
+    Y = np.matmul(P.transpose(0, 2, 1), X.view(float).reshape(N + 1, N + 1, -1))
+    Y = Y.reshape(N + 1, K, -1, 4).view(complex)
+    spec = np.zeros((len(flat), K, L), dtype=complex)
+    spec[:, :, : N + 1] = Y[..., 0].T
+    spec[:, :, L - N :] = Y[:0:-1, :, :, 1].T
+    return np.fft.ifft(spec, axis=-1, norm="forward").reshape(*a.shape[:-2], K, L)
+
+
+def ref_sht_analysis(values, grid, N):
+    """The analysis kernel on the whole full-node table."""
+    K, L = grid.shape
+    P = _ref_table(grid.band, N)
+    flat = values.reshape(-1, K, L)
+    a = np.empty((len(flat), N + 1, 2 * N + 1), dtype=complex)
+    for b0 in range(0, len(flat), 64):
+        F = np.fft.fft(flat[b0 : b0 + 64], axis=-1, norm="forward")
+        X = np.zeros((N + 1, K, len(F), 2), dtype=complex)
+        X[..., 0] = F[:, :, : N + 1].T
+        X[1:, :, :, 1] = F[:, :, : L - N - 1 : -1].T
+        X *= (2.0 * np.pi * grid.t_weights)[:, None, None]
+        Y = np.matmul(P, X.view(float).reshape(N + 1, K, -1))
+        Y = Y.reshape(N + 1, N + 1, -1, 4).view(complex)
+        Y[1::2, :, :, 1] *= -1.0
+        out = a[b0 : b0 + 64]
+        out[:, :, N::-1] = Y[..., 1].T
+        out[:, :, N:] = Y[..., 0].T
+    return a.reshape(*values.shape[:-2], N + 1, 2 * N + 1)
+
+
+def ref_degree_synthesis(a, grid):
+    """Per-degree components of one table from the whole full-node table."""
+    N = a.shape[0] - 1
+    K, L = grid.shape
+    P = _ref_table(grid.band, N).transpose(1, 2, 0)
+    sign = np.where(np.arange(1, N + 1) % 2, -1.0, 1.0)
+    spec = np.zeros((N + 1, K, L), dtype=complex)
+    np.multiply(a[:, None, N:], P, out=spec[:, :, : N + 1])
+    np.multiply((a[:, :N][:, ::-1] * sign)[:, None], P[:, :, 1:], out=spec[:, :, : L - N - 1 : -1])
+    return np.fft.ifft(spec, axis=-1, norm="forward")
+
+
+def ref_single_degree_synthesis(a, n, grid):
+    """Values of a degree-n table from that degree's Legendre row at all K nodes."""
+    N = a.shape[-1] // 2
+    K, L = grid.shape
+    for row in _legendre_rows(grid.t, n):
+        pass
+    P = row.T
+    sign = np.where(np.arange(1, n + 1) % 2, -1.0, 1.0)
+    spec = np.zeros((K, L), dtype=complex)
+    np.multiply(a[n, N : N + n + 1], P, out=spec[:, : n + 1])
+    np.multiply(a[n, N - n : N][::-1] * sign, P[:, 1:], out=spec[:, : L - n - 1 : -1])
+    return np.fft.ifft(spec, axis=-1, norm="forward")
+
+
+def _assert_kernels_equal_full_node_kernels(a, vals, n, grid):
+    N = a.shape[-1] // 2
+    one = a.reshape(-1, N + 1, 2 * N + 1)[0]
+    single = np.zeros_like(one)
+    single[n] = one[n]
+    assert grids._sht_synthesis(a, grid).tobytes() == ref_sht_synthesis(a, grid).tobytes()
+    assert grids._sht_analysis(vals, grid, N).tobytes() == ref_sht_analysis(vals, grid, N).tobytes()
+    assert grids._degree_synthesis(one, grid).tobytes() == ref_degree_synthesis(one, grid).tobytes()
+    assert (grids._single_degree_synthesis(single, n, grid).tobytes()
+            == ref_single_degree_synthesis(single, n, grid).tobytes())
+
+
+@SETTINGS
+@given(N=st.integers(0, 24), extra=st.integers(0, 8), shape=st.sampled_from(BATCH_SHAPES),
+       orders=st.sampled_from([None, 1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+@example(N=0, extra=0, shape=(), orders=None, seed=0)  # K = 1
+@example(N=1, extra=0, shape=(3, 5), orders=1, seed=1)  # K = 2
+@example(N=2, extra=0, shape=(7,), orders=2, seed=2)  # K = 3
+@example(N=24, extra=8, shape=(7,), orders=5, seed=3)
+def test_slab_kernels_equal_full_node_kernels(N, extra, shape, orders, seed):
+    grid = build_sphere_grid(N + extra)
+    rng = np.random.default_rng(seed)
+    a = _tables(rng, N, shape)
+    vals = (rng.standard_normal((*shape, *grid.shape))
+            + 1j * rng.standard_normal((*shape, *grid.shape)))
+    slab_bytes = grids._SLAB_BYTES if orders is None else orders * 8 * (N + 1) * grid.t.size
+    with mock.patch.object(grids, "_SLAB_BYTES", slab_bytes):
+        _assert_kernels_equal_full_node_kernels(a, vals, int(rng.integers(N + 1)), grid)
 
 
 @SETTINGS

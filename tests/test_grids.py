@@ -1,4 +1,5 @@
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sphere_strichartz.grids import (
     _build_zonal_grid,
     _legendre_row,
     _legendre_rows,
+    _legendre_slabs,
     _legendre_tables,
     _single_degree_synthesis,
     build_sphere_grid,
@@ -159,11 +161,35 @@ def test_zonal_d3_weights_match_gauss_chebyshev(N, rtol):
     np.testing.assert_allclose(zg.t_weights, np.pi / (K + 1) * np.sin(theta) ** 2, rtol=rtol)
 
 
+def _slab_table(band, N):
+    """The full-height (N+1, N+1, K) table assembled from the slabs.
+
+    Checks that the slabs cover the orders in sequence, are C-contiguous and hold +0.0 in
+    the rows n < m; those rows of the result stay untouched zeros, so at large N only the
+    pages of rows n >= m are ever written.
+    """
+    grid = build_sphere_grid(band)
+    K = grid.t.size
+    shape = (N + 1, N + 1, K)  # a private mapping: numpy would back np.zeros with huge pages
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    P = np.frombuffer(buf, dtype=float).reshape(shape)
+    covered = 0
+    for m0, m1, slab in _legendre_slabs(grid, N):
+        assert m0 == covered < m1 and slab.shape == (m1 - m0, N + 1, K)
+        assert slab.flags.c_contiguous
+        for m in range(m0, m1):
+            assert slab[m - m0, :m].tobytes() == bytes(8 * m * K)
+            P[m, m:] = slab[m - m0, m:]
+        covered = m1
+    assert covered == N + 1
+    return P
+
+
 @pytest.mark.parametrize("band,N", [(0, 0), (1, 1), (2, 2), (16, 8), (40, 20), (128, 128)])
-def test_legendre_table_equals_per_order_columns(band, N):
+def test_legendre_table_equals_per_order_columns(band, N, fresh_legendre_caches):
     # the all-orders recurrence repeats legendre_column's arithmetic, so equality is exact
     t = build_sphere_grid(band).t
-    P = _legendre_tables.__wrapped__(band, N)
+    P = _slab_table(band, N)
     np.testing.assert_array_equal(P, np.stack([legendre_column(m, N, t) for m in range(N + 1)]))
     m, n = np.indices((N + 1, N + 1))
     assert np.all(P[n < m] == 0.0)
@@ -172,13 +198,13 @@ def test_legendre_table_equals_per_order_columns(band, N):
 # K = band + 1 nodes: odd K, and even K at (1, 1), (17, 9) and (63, 40)
 @pytest.mark.parametrize("band,N", [(0, 0), (1, 1), (16, 8), (17, 9), (64, 64), (63, 40),
                                     (128, 128), (256, 256), (512, 256), (512, 512)])
-def test_legendre_rows_equal_table_rows(band, N):
+def test_legendre_rows_equal_table_rows(band, N, fresh_legendre_caches):
     t = build_sphere_grid(band).t
-    P = _legendre_tables.__wrapped__(band, N)
+    P = _slab_table(band, N)
     for n, row in enumerate(_legendre_rows(t, N)):
         assert row.shape == (n + 1, t.size)
         assert row.tobytes() == P[: n + 1, n].tobytes()
-    for n in {0, N // 3, N}:  # a fresh generator stopped at degree n
+    for n in {0, N // 3, N}:  # one hemisphere of nodes to degree n, then mirrored
         assert _legendre_row(t, n).tobytes() == P[: n + 1, n].tobytes()
     for m in {min(1, N), N // 2, N}:  # the per-order reference recurrence
         np.testing.assert_array_equal(P[m], legendre_column(m, N, t))
@@ -202,11 +228,12 @@ def test_legendre_table_map_failure_is_resource_limit(monkeypatch, capsys):
     _legendre_tables.cache_clear()
     monkeypatch.setattr(grids.mmap, "mmap", refuse)
     try:
-        with pytest.raises(ResourceLimitError, match=r"grid band 40, N = 20 needs 0.000145 GB"):
+        # the half table: Kh = 21 of K = 41 nodes, and 13 of 25
+        with pytest.raises(ResourceLimitError, match=r"grid band 40, N = 20 needs 7.41e-05 GB"):
             _legendre_tables(40, 20)
         assert run(["selftest", "--N", "24"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Legendre table for grid band 24, N = 24 needs 0.000125 GB ")
+        assert err.startswith("error: Legendre table for grid band 24, N = 24 needs 6.5e-05 GB ")
         assert "Traceback" not in err
     finally:
         _legendre_tables.cache_clear()
