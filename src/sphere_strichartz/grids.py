@@ -14,18 +14,15 @@ exactly: B+1 Gauss colatitudes (exact through polynomial degree 2B+1) and
 2B+2 longitudes (alias-free for azimuthal frequencies through 2B+1).
 Grids are immutable and cached by their (band, d) key.
 
-The S^2 Legendre table Pbar_n^m(t_k) is computed and cached for the first
-ceil(K/2) Gauss nodes only: the nodes are symmetric about the equator and the
-other half is the mirror image with the sign (-1)^(n+m), plus a short list of
-zeros whose sign does not mirror.  The transform kernels read the table in
-order-block slabs of about 2 MiB, each mirrored to all K nodes, so every
-matmul sees the same operands as with a full-height table.
+The transform kernels read the S^2 Legendre functions Pbar_n^m(t_k) in order-block
+slabs, so every matmul sees the same operands as with one full (N+1, N+1, K) table.  A
+small table is built once and cached whole; a larger one is never stored: each pass
+recomputes it in blocks of 16 orders, one recurrence step per degree, into one buffer.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -56,16 +53,21 @@ _DEFAULT_MAX_N = 1024
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested band limit exceeds the configured maximum, or its table cannot be mapped."""
+    """Requested band limit exceeds the configured maximum, or its table cannot be allocated."""
 
 
 def max_band_limit() -> int:
     """Band-limit cap; override with the SPHERE_STRICHARTZ_MAX_N env var."""
     raw = os.environ.get("SPHERE_STRICHARTZ_MAX_N", "")
-    try:
-        return int(raw) if raw else _DEFAULT_MAX_N
-    except ValueError:
+    if not raw:
         return _DEFAULT_MAX_N
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"SPHERE_STRICHARTZ_MAX_N must be an integer >= 0, got {raw!r}")
+    return cap
 
 
 def _check_band(N: int) -> None:
@@ -254,40 +256,63 @@ class CoefficientTable:
             raise ValueError("incompatible coefficient tables")
 
 
+def _order_block_rows(t: np.ndarray, N: int, width: int):
+    """Yield (m0, n, row) for the order blocks m0 = 0, width, 2*width, ... and n = m0..N.
+
+    row[m - m0] = Pbar_n^m(t) for the orders m0 <= m < min(m0 + width, N + 1), shape
+    (orders, K), +0.0 for m > n.
+    legendre_column's recurrence run for a block of orders at once, one degree n per step,
+    with the same operations in the same order, so each entry matches it bit for bit; the
+    diagonal Pbar_m^m is one running product carried from block to block.  Rows live in two
+    rolling (width, K) buffers: a yielded row is valid until the generator advances twice.
+    """
+    K = t.size
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    n_, kk = np.arange(N + 1)[:, None], np.arange(N + 1) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # entries m >= n - 1 are never read
+        a = np.sqrt((4.0 * n_ * n_ - 1.0) / (n_ * n_ - kk))[:, :, None]  # [n, m, 1]
+        b = np.sqrt(((n_ - 1.0) ** 2 - kk) / (4.0 * (n_ - 1.0) ** 2 - 1.0))[:, :, None]
+    buf, scratch = np.empty((2, width, K)), np.empty((width, K))
+    tt = np.broadcast_to(t, (width, K)).copy()  # same-shape operands: one inner loop
+    diag = np.full(K, 1.0 / math.sqrt(4.0 * math.pi))
+    for m0 in range(0, N + 1, width):
+        w = min(width, N + 1 - m0)
+        rows = buf[:, :w]
+        rows.fill(0.0)
+        for n in range(m0, N + 1):
+            prev, new = rows[(n - 1) % 2], rows[n % 2]  # new still holds row n - 2
+            k = min(n - 1 - m0, w)  # the orders m <= n - 2
+            if k > 0:
+                # a * (t * P[n-1] - b * P[n-2]), written over row n - 2
+                tp = np.multiply(tt[:k], prev[:k], out=scratch[:k])
+                np.multiply(b[n, m0 : m0 + k], new[:k], out=new[:k])
+                np.subtract(tp, new[:k], out=new[:k])
+                np.multiply(a[n, m0 : m0 + k], new[:k], out=new[:k])
+            if m0 < n <= m0 + w:  # order n - 1
+                np.multiply(np.sqrt(2 * n + 1.0) * t, prev[n - 1 - m0], out=new[n - 1 - m0])
+            if n < m0 + w:  # order n
+                if n:
+                    np.multiply(diag, -np.sqrt((2 * n + 1) / (2.0 * n)) * s, out=diag)
+                new[n - m0] = diag
+            yield m0, n, new
+
+
 def _legendre_rows(t: np.ndarray, N: int):
     """Yield the degree-n rows Pbar_n^m(t) for m = 0..n, shape (n+1, K), for n = 0..N.
 
-    legendre_column's recurrence run for every order m at once, one degree n per step, with
-    the same operations in the same order, so each row matches it bit for bit.  Rows live in
-    two rolling (N+1, K) buffers: a yielded row is valid until the generator advances twice.
+    One order block holding every order; a yielded row is valid until the generator
+    advances twice.
     """
-    rows = np.empty((2, N + 1, t.size))
-    scratch = np.empty((max(N - 1, 0), t.size))
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    kk = np.arange(N + 1) ** 2  # k * k for the orders k < n - 1
-    rows[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
-    yield rows[0, :1]
-    for n in range(1, N + 1):
-        prev, new = rows[(n - 1) % 2], rows[n % 2]  # new still holds row n - 2
-        if n >= 2:
-            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - kk[: n - 1]))[:, None]
-            b = np.sqrt(((n - 1.0) ** 2 - kk[: n - 1]) / (4.0 * (n - 1.0) ** 2 - 1.0))[:, None]
-            # a * (t * P[n-1] - b * P[n-2]), written over row n - 2
-            tp = np.multiply(t, prev[: n - 1], out=scratch[: n - 1])
-            np.multiply(b, new[: n - 1], out=new[: n - 1])
-            np.subtract(tp, new[: n - 1], out=new[: n - 1])
-            np.multiply(a, new[: n - 1], out=new[: n - 1])
-        np.multiply(np.sqrt(2 * n + 1.0) * t, prev[n - 1], out=new[n - 1])
-        np.multiply(prev[n - 1], -np.sqrt((2 * n + 1) / (2.0 * n)) * s, out=new[n])
-        yield new[: n + 1]
+    for _, n, row in _order_block_rows(t, N, N + 1):
+        yield row[: n + 1]
 
 
 def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     """Pbar_n^m(t) for m = 0..n at nodes symmetric about 0, shape (n+1, K), in O(nK) memory.
 
     The recurrence runs on the first Kh = ceil(K/2) nodes; node k >= Kh is the mirror image
-    of node K-1-k, times (-1)^(n+m), except where that image holds a zero (_mirror_fixes):
-    those nodes are computed directly.
+    of node K-1-k, times (-1)^(n+m), except where that image holds a zero, whose sign need
+    not mirror (x - y is +0.0 at t and at -t when x == y): those nodes are computed directly.
     """
     K = t.size
     Kh = (K + 1) // 2
@@ -305,109 +330,60 @@ def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     return row
 
 
+def _legendre_buffer(orders: int, N: int, grid: SphereGrid) -> np.ndarray:
+    """An (orders, N+1, K) float buffer; a failed allocation raises ResourceLimitError."""
+    shape = (orders, N + 1, grid.t.size)
+    try:
+        return np.empty(shape)
+    except MemoryError:
+        what = "table" if orders == N + 1 else f"block of {orders} orders"
+        raise ResourceLimitError(f"Legendre {what} for grid band {grid.band}, N = {N} needs "
+                                 f"{8 * math.prod(shape) / 1e9:.3g} GB") from None
+
+
+def _legendre_blocks(grid: SphereGrid, N: int, out: np.ndarray):
+    """Yield (m0, m1, block): Pbar_n^m at the grid nodes for m0 <= m < m1, entry [m - m0, n, k].
+
+    Blocks of len(out) orders, each written into out[:m1-m0] (so valid until the next) one
+    degree row at a time; the rows n < m0 that the previous block wrote are set to +0.0.
+    """
+    width = len(out)
+    for m0, n, row in _order_block_rows(grid.t, N, width):
+        if n == m0:
+            block = out[: len(row)]
+            block[:, max(m0 - width, 0) : m0] = 0.0
+        block[:, n] = row
+        if n == N:
+            yield m0, m0 + len(block), block
+
+
 @lru_cache(maxsize=8)
 def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
-    """Pbar_n^m at the first Kh = ceil(K/2) grid nodes, m-major: entry [m, n, k], (N+1, N+1, Kh).
-
-    The Gauss nodes are symmetric, t[K-1-k] == -t[k], and so is every operation of the
-    recurrence: the other nodes hold (-1)^(n+m) times these values, up to the sign of some
-    zeros (_mirror_fixes).
-    """
+    """Pbar_n^m at all grid nodes, m-major: entry [m, n, k], shape (N+1, N+1, K), read-only."""
     grid = build_sphere_grid(grid_band)
-    Kh = (grid.t.size + 1) // 2
-    # Rows n < m are zero and never written: in a private anonymous mapping without huge
-    # pages (numpy asks for them above 4 MB) they stay unmapped, half the table at large N.
-    shape = (N + 1, N + 1, Kh)
-    nbytes = 8 * math.prod(shape)
-    try:
-        buf = (mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-               if hasattr(mmap, "MAP_PRIVATE") else bytearray(nbytes))  # MAP_PRIVATE: Unix only
-    except (OSError, MemoryError) as exc:
-        raise ResourceLimitError(f"Legendre table for grid band {grid_band}, N = {N} needs "
-                                 f"{nbytes / 1e9:.3g} GB and could not be mapped: {exc}") from None
-    P = np.frombuffer(buf, dtype=float).reshape(shape)
-    for n, row in enumerate(_legendre_rows(grid.t[:Kh], N)):
-        P[: n + 1, n] = row
+    P = _legendre_buffer(N + 1, N, grid)
+    for _ in _legendre_blocks(grid, N, P):
+        pass
     P.setflags(write=False)
     return P
 
 
-@lru_cache(maxsize=8)
-def _mirror_fixes(grid_band: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entries the mirror image gets wrong: (flat indices into the (N+1, N+1, K) table, values).
-
-    Magnitudes always mirror, but a zero's sign need not: x - y is +0.0 at t and at -t when
-    x == y.  So the nodes whose mirror image holds a zero (near the poles, where Pbar_m^m
-    underflows at large m) are recomputed, and the entries that differ are kept.
-    """
-    H = _legendre_tables(grid_band, N)
-    t = build_sphere_grid(grid_band).t
-    K, Kh = t.size, H.shape[-1]
-    has_zero = np.zeros(K - Kh, dtype=bool)
-    for m in range(N + 1):
-        has_zero |= (H[m, m:, : K - Kh] == 0).any(axis=0)
-    src = np.flatnonzero(has_zero)
-    idx, vals = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for n, row in enumerate(_legendre_rows(t[K - 1 - src], N) if src.size else ()):
-        sign = np.where((n + np.arange(n + 1)) % 2, -1.0, 1.0)[:, None]  # (-1)^(n+m)
-        mirrored = H[: n + 1, n][:, src] * sign
-        mm, j = np.nonzero(row.view(np.uint64) != mirrored.view(np.uint64))
-        idx.append((mm * (N + 1) + n) * K + K - 1 - src[j])
-        vals.append(row[mm, j])
-    idx, vals = np.concatenate(idx), np.concatenate(vals)
-    order = np.argsort(idx)
-    idx, vals = idx[order], vals[order]
-    idx.setflags(write=False)
-    vals.setflags(write=False)
-    return idx, vals
-
-
-def _mirror_orders(H: np.ndarray, fixes, m0: int, m1: int, out: np.ndarray) -> np.ndarray:
-    """Orders [m0, m1) of the full-height table into out, shape (m1-m0, N+1, K)."""
-    Kh, K = H.shape[-1], out.shape[-1]
-    for m in range(m0, m1):
-        P = out[m - m0]
-        P[:m] = 0.0  # rows n < m
-        P[m:, :Kh] = H[m, m:]
-        P[m:, Kh:] = H[m, m:, : K - Kh][:, ::-1]
-        np.negative(P[m + 1 :: 2, Kh:], out=P[m + 1 :: 2, Kh:])  # (-1)^(n+m) = -1
-    idx, vals = fixes
-    base = m0 * out[0].size
-    lo, hi = np.searchsorted(idx, [base, base + out.size])
-    out.put(idx[lo:hi] - base, vals[lo:hi])
-    return out
-
-
-_SLAB_BYTES = 2 << 20  # full-height orders per slab: about one L2 cache, as _SERIES_CHUNK_BYTES
-
-
-@lru_cache(maxsize=8)
-def _whole_mirrored_table(grid_band: int, N: int) -> np.ndarray:
-    P = np.empty((N + 1, N + 1, grid_band + 1))
-    _mirror_orders(_legendre_tables(grid_band, N), _mirror_fixes(grid_band, N), 0, N + 1, P)
-    P.setflags(write=False)
-    return P
+_CACHED_TABLE_BYTES = 8 << 20  # larger Legendre tables are streamed in order blocks
+_BLOCK_ORDERS = 16  # orders per streamed block: 8.5 MB at N = 256, 34 MB at N = 512
 
 
 def _legendre_slabs(grid: SphereGrid, N: int):
     """Yield (m0, m1, slab): Pbar_n^m at all K grid nodes for the orders m0 <= m < m1.
 
-    Each slab is C-contiguous, shape (m1-m0, N+1, K), entry [m - m0, n, k], and holds the
-    bytes the recurrence gives at all K nodes: the half table, then its mirror image.
-    Slabs are about _SLAB_BYTES and share one buffer, so a slab is valid until the next;
-    a table that fits in one slab is mirrored once and cached.
+    Each slab is C-contiguous, shape (m1-m0, N+1, K), entry [m - m0, n, k], with +0.0 in
+    the rows n < m.  A table of at most _CACHED_TABLE_BYTES is one slab, built once and
+    cached; a larger one is recomputed on every pass in blocks of _BLOCK_ORDERS orders that
+    share one buffer, so a slab is valid until the next.
     """
-    H = _legendre_tables(grid.band, N)
-    K = grid.t.size
-    step = max(1, _SLAB_BYTES // (8 * (N + 1) * K))
-    if step > N:
-        yield 0, N + 1, _whole_mirrored_table(grid.band, N)
+    if 8 * (N + 1) ** 2 * grid.t.size <= _CACHED_TABLE_BYTES:
+        yield 0, N + 1, _legendre_tables(grid.band, N)
         return
-    fixes = _mirror_fixes(grid.band, N)
-    buf = np.empty((step, N + 1, K))
-    for m0 in range(0, N + 1, step):
-        m1 = min(m0 + step, N + 1)
-        yield m0, m1, _mirror_orders(H, fixes, m0, m1, buf[: m1 - m0])
+    yield from _legendre_blocks(grid, N, _legendre_buffer(min(_BLOCK_ORDERS, N + 1), N, grid))
 
 
 @lru_cache(maxsize=8)

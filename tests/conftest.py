@@ -23,10 +23,7 @@ def criterion_report(request):
 
 @pytest.fixture
 def fresh_legendre_caches():
-    """Start and end with empty Legendre caches, so large tables do not outlive a test."""
-    caches = (grids._legendre_tables, grids._mirror_fixes, grids._whole_mirrored_table)
-    for cache in caches:
-        cache.cache_clear()
+    """Start and end with an empty Legendre table cache, so tables do not outlive a test."""
+    grids._legendre_tables.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    grids._legendre_tables.cache_clear()

@@ -2,6 +2,7 @@
 one-period time synthesis against the simple code they replaced (kept here as
 references)."""
 
+import contextlib
 import math
 import mmap
 import tracemalloc
@@ -152,27 +153,51 @@ def _tables(rng, N, shape):
     return np.array(fields).reshape(*shape, N + 1, 2 * N + 1)
 
 
-@pytest.mark.parametrize("private_mapping", [True, False])
-def test_legendre_table_layout(private_mapping, monkeypatch, fresh_legendre_caches):
-    if not private_mapping:  # the plain zero-filled buffer used where MAP_PRIVATE is missing
-        monkeypatch.delattr(mmap, "MAP_PRIVATE", raising=False)
+def _stream(monkeypatch, orders):
+    """Stream every table in blocks of `orders` orders."""
+    monkeypatch.setattr(grids, "_CACHED_TABLE_BYTES", 0)
+    monkeypatch.setattr(grids, "_BLOCK_ORDERS", orders)
+
+
+@pytest.mark.parametrize("streamed", [True, False])
+def test_legendre_table_layout(streamed, monkeypatch, fresh_legendre_caches):
     grid = build_sphere_grid(9)
-    H = _legendre_tables(grid.band, 6)
-    assert H.shape == (7, 7, 5) and not H.flags.writeable
+    P = _legendre_tables(grid.band, 6)
+    assert P.shape == (7, 7, 10) and P.flags.c_contiguous and not P.flags.writeable
     for m in range(7):
-        np.testing.assert_array_equal(H[m], legendre_column(m, 6, grid.t[:5]))
-    # the whole table as one cached slab, then slabs of 3 orders from one reused buffer
-    for orders, spans in [(None, [(0, 7)]), (3, [(0, 3), (3, 6), (6, 7)])]:
-        if orders:
-            monkeypatch.setattr(grids, "_SLAB_BYTES", orders * 8 * 7 * grid.t.size)
-        seen = []
-        for m0, m1, slab in _legendre_slabs(grid, 6):
-            seen.append((m0, m1))
-            assert slab.shape == (m1 - m0, 7, grid.t.size) and slab.flags.c_contiguous
-            assert orders or not slab.flags.writeable
-            for m in range(m0, m1):
-                np.testing.assert_array_equal(slab[m - m0], legendre_column(m, 6, grid.t))
-        assert seen == spans
+        np.testing.assert_array_equal(P[m], legendre_column(m, 6, grid.t))
+    if streamed:  # slabs of 3 orders from one reused buffer
+        _stream(monkeypatch, 3)
+    seen = []
+    for m0, m1, slab in _legendre_slabs(grid, 6):
+        seen.append((m0, m1))
+        assert slab.shape == (m1 - m0, 7, grid.t.size) and slab.flags.c_contiguous
+        assert slab.flags.writeable == streamed  # else the cached table as one slab
+        for m in range(m0, m1):
+            np.testing.assert_array_equal(slab[m - m0], legendre_column(m, 6, grid.t))
+    assert seen == ([(0, 3), (3, 6), (6, 7)] if streamed else [(0, 7)])
+
+
+def ref_legendre_rows(t, N):
+    """The blocked recurrence's reference: all orders, one degree per step, a and b per step."""
+    rows = np.empty((2, N + 1, t.size))
+    scratch = np.empty((max(N - 1, 0), t.size))
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    kk = np.arange(N + 1) ** 2
+    rows[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    yield rows[0, :1]
+    for n in range(1, N + 1):
+        prev, new = rows[(n - 1) % 2], rows[n % 2]
+        if n >= 2:
+            a = np.sqrt((4.0 * n * n - 1.0) / (n * n - kk[: n - 1]))[:, None]
+            b = np.sqrt(((n - 1.0) ** 2 - kk[: n - 1]) / (4.0 * (n - 1.0) ** 2 - 1.0))[:, None]
+            tp = np.multiply(t, prev[: n - 1], out=scratch[: n - 1])
+            np.multiply(b, new[: n - 1], out=new[: n - 1])
+            np.subtract(tp, new[: n - 1], out=new[: n - 1])
+            np.multiply(a, new[: n - 1], out=new[: n - 1])
+        np.multiply(np.sqrt(2 * n + 1.0) * t, prev[n - 1], out=new[n - 1])
+        np.multiply(prev[n - 1], -np.sqrt((2 * n + 1) / (2.0 * n)) * s, out=new[n])
+        yield new[: n + 1]
 
 
 def ref_full_node_table(band, N):
@@ -181,22 +206,38 @@ def ref_full_node_table(band, N):
     shape = (N + 1, N + 1, t.size)
     buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     P = np.frombuffer(buf, dtype=float).reshape(shape)
-    for n, row in enumerate(_legendre_rows(t, N)):
+    for n, row in enumerate(ref_legendre_rows(t, N)):
         P[: n + 1, n] = row
     return P
 
 
-# K <= 3, odd and even K, one cached slab and many; from N = 256 some zeros do not mirror
+@pytest.mark.parametrize("band,N", [(0, 0), (1, 1), (2, 2), (17, 9), (64, 64), (512, 256)])
+def test_legendre_rows_equal_reference_rows(band, N):
+    t = build_sphere_grid(band).t
+    for nodes in (t, t[: (t.size + 1) // 2], t[[0, -1]]):  # all nodes, one hemisphere, poles
+        for row, ref in zip(_legendre_rows(nodes, N), ref_legendre_rows(nodes, N), strict=True):
+            assert row.tobytes() == ref.tobytes()
+
+
+# K <= 3, odd and even K, one cached slab and many streamed blocks; from N = 256 the
+# recurrence gives zeros whose sign differs between t and -t
 @pytest.mark.parametrize("band,N", [(0, 0), (1, 1), (2, 1), (2, 2), (9, 6), (17, 9), (63, 40),
                                     (64, 64), (128, 128), (512, 256), (512, 512)])
-def test_slabs_equal_full_node_table(band, N, fresh_legendre_caches):
+def test_slabs_equal_full_node_table(band, N, monkeypatch, fresh_legendre_caches):
     ref = ref_full_node_table(band, N)
-    covered = 0
-    for m0, m1, slab in _legendre_slabs(build_sphere_grid(band), N):
-        assert m0 == covered and slab.flags.c_contiguous
-        assert slab.tobytes() == ref[m0:m1].tobytes()
-        covered = m1
-    assert covered == N + 1
+    grid = build_sphere_grid(band)
+    cached = 8 * (N + 1) ** 2 * grid.t.size <= grids._CACHED_TABLE_BYTES
+    for orders in ([None, 1, 5] if cached else [None]):  # default sizes, then forced streams
+        if orders:
+            _stream(monkeypatch, orders)
+        width = N + 1 if cached and not orders else grids._BLOCK_ORDERS
+        covered = 0
+        for m0, m1, slab in _legendre_slabs(grid, N):
+            assert m0 == covered and m1 - m0 == min(width, N + 1 - m0)
+            assert slab.flags.c_contiguous
+            assert slab.tobytes() == ref[m0:m1].tobytes()
+            covered = m1
+        assert covered == N + 1
 
 
 _ref_table = lru_cache(maxsize=8)(ref_full_node_table)
@@ -257,7 +298,7 @@ def ref_single_degree_synthesis(a, n, grid):
     """Values of a degree-n table from that degree's Legendre row at all K nodes."""
     N = a.shape[-1] // 2
     K, L = grid.shape
-    for row in _legendre_rows(grid.t, n):
+    for row in ref_legendre_rows(grid.t, n):
         pass
     P = row.T
     sign = np.where(np.arange(1, n + 1) % 2, -1.0, 1.0)
@@ -292,8 +333,9 @@ def test_slab_kernels_equal_full_node_kernels(N, extra, shape, orders, seed):
     a = _tables(rng, N, shape)
     vals = (rng.standard_normal((*shape, *grid.shape))
             + 1j * rng.standard_normal((*shape, *grid.shape)))
-    slab_bytes = grids._SLAB_BYTES if orders is None else orders * 8 * (N + 1) * grid.t.size
-    with mock.patch.object(grids, "_SLAB_BYTES", slab_bytes):
+    # the cached whole table, or blocks of `orders` orders streamed on every pass
+    with (mock.patch.multiple(grids, _CACHED_TABLE_BYTES=0, _BLOCK_ORDERS=orders)
+          if orders else contextlib.nullcontext()):
         _assert_kernels_equal_full_node_kernels(a, vals, int(rng.integers(N + 1)), grid)
 
 

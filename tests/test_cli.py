@@ -348,11 +348,10 @@ def test_degree_512_sweep_runs_under_address_space_limit(tmp_path):
     assert len((tmp_path / "sweep.csv").read_text().strip().split("\n")) == 4
 
 
-def test_selftest_512_runs_under_1_gb_address_space_limit():
-    # the Legendre table holds one hemisphere of nodes: 0.54 GB of address space at N = 512,
-    # where the full-height table (1.08 GB) could not be mapped under this limit
+def _selftest_under_address_space_limit(N, kb):
+    """`selftest --N N` in a child process capped at `ulimit -v kb`, two BLAS threads."""
     resource = pytest.importorskip("resource")
-    limit = 1_000_000 * 1024  # `ulimit -v 1000000`
+    limit = kb * 1024
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -360,13 +359,23 @@ def test_selftest_512_runs_under_1_gb_address_space_limit():
     src = str(Path(sphere_strichartz.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
     proc = subprocess.run(
-        [sys.executable, "-m", "sphere_strichartz.cli", "selftest", "--N", "512"],
+        [sys.executable, "-m", "sphere_strichartz.cli", "selftest", "--N", str(N)],
         capture_output=True, text=True, env=env, preexec_fn=cap_address_space,
     )
     assert proc.returncode == 0, proc.stderr
     *checks, last = proc.stdout.strip().split("\n")
     assert len(checks) == 6 and all(line.startswith("PASS  ") for line in checks), proc.stdout
     assert last == "selftest: all checks passed"
+
+
+def test_selftest_512_runs_under_1_gb_address_space_limit():
+    _selftest_under_address_space_limit(512, 1_000_000)
+
+
+def test_selftest_512_runs_under_half_gb_address_space_limit():
+    # no O(N^3) Legendre table: blocks of 16 orders (34 MB at N = 512) are recomputed on
+    # each pass, where the table of one hemisphere of nodes alone took 0.54 GB
+    _selftest_under_address_space_limit(512, 500_000)
 
 
 def test_out_of_memory_under_address_space_limit_exit_1():

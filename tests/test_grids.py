@@ -24,6 +24,7 @@ from sphere_strichartz.grids import (
     integrate,
     inverse_sht,
     inverse_zonal,
+    max_band_limit,
     pole_values,
 )
 from sphere_strichartz.harmonics import (
@@ -222,21 +223,42 @@ def test_single_degree_synthesis_equals_inverse_sht(n, oversample):
 
 
 def test_legendre_table_map_failure_is_resource_limit(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise OSError(12, "Cannot allocate memory")
+    empty = np.empty
+
+    def refuse_large(shape, *args, **kwargs):  # as if memory ran out at 100 kB
+        if 8 * math.prod(np.atleast_1d(shape)) >= 100_000:
+            raise MemoryError("Unable to allocate")
+        return empty(shape, *args, **kwargs)
 
     _legendre_tables.cache_clear()
-    monkeypatch.setattr(grids.mmap, "mmap", refuse)
+    monkeypatch.setattr(np, "empty", refuse_large)
     try:
-        # the half table: Kh = 21 of K = 41 nodes, and 13 of 25
-        with pytest.raises(ResourceLimitError, match=r"grid band 40, N = 20 needs 7.41e-05 GB"):
+        # the cached table at all K = 41 nodes, and at 25
+        with pytest.raises(ResourceLimitError, match=r"^Legendre table for grid band 40, "
+                                                     r"N = 20 needs 0.000145 GB$"):
             _legendre_tables(40, 20)
         assert run(["selftest", "--N", "24"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: Legendre table for grid band 24, N = 24 needs 6.5e-05 GB ")
+        assert err.startswith("error: Legendre table for grid band 24, N = 24 needs 0.000125 GB")
         assert "Traceback" not in err
+        # a streamed block of 16 orders
+        monkeypatch.setattr(grids, "_CACHED_TABLE_BYTES", 0)
+        with pytest.raises(ResourceLimitError, match=r"^Legendre block of 16 orders for grid "
+                                                     r"band 40, N = 30 needs 0.000163 GB$"):
+            next(_legendre_slabs(build_sphere_grid(40), 30))
     finally:
         _legendre_tables.cache_clear()
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "-5"])
+def test_band_limit_cap_must_be_a_nonnegative_integer(value, monkeypatch, capsys):
+    monkeypatch.setenv("SPHERE_STRICHARTZ_MAX_N", value)
+    with pytest.raises(ValueError, match=f"SPHERE_STRICHARTZ_MAX_N .* got '{value}'"):
+        max_band_limit()
+    assert run(["selftest", "--N", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: SPHERE_STRICHARTZ_MAX_N must be an integer >= 0, got '{value}'")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 7, 10])
