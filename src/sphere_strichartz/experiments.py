@@ -71,8 +71,8 @@ def geometric_degrees(lo: int, hi: int, count: int = 11) -> tuple:
     """Roughly log-spaced integer degrees in [lo, hi], deduplicated."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got {lo}, {hi}")
-    vals = np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
-    return tuple(int(v) for v in vals)
+    # sorted(set(...)), not np.unique, which imports numpy.ma (DEFAULT_DEGREES runs at import)
+    return tuple(sorted({int(v) for v in np.rint(np.geomspace(lo, hi, count))}))
 
 
 # default fit window: small degrees pollute the asymptotics

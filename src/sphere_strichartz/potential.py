@@ -22,13 +22,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .experiments import estimate_strichartz_constant, kappa_pq
 from .grids import CoefficientTable, _analyze, grid_for, inverse_sht, inverse_zonal
 from .norms import _sobolev_norms, lp_norm, mixed_norm
-from .spectral import _TIME_BLOCK, SpaceTimeField, TimeGrid, synthesize_history
+from .spectral import (
+    _SERIES_CHUNK_BYTES,
+    _TIME_BLOCK,
+    SpaceTimeField,
+    TimeGrid,
+    eigenvalues_upto,
+    synthesize_history,
+)
 
 __all__ = [
     "DivergenceError",
@@ -42,6 +50,15 @@ __all__ = [
     "contraction_check",
     "l2_drift",
 ]
+
+# Bytes of V samples per chunk of PotentialSpec.sup_t_profile, at most glibc's 32 MiB cap
+# on its dynamic mmap threshold: all 512 nodes at once on the Picard grids up to N = 21,
+# three chunks instead of 73 MB at N = 32.  Freeing such a chunk raises glibc's heap-trim
+# threshold to twice its size.  With 64-node chunks it stayed near one block of samples,
+# and the Picard map's per-block temporaries were given back to the system and page-faulted
+# in again: 8600 minor faults per picard_potential op and up to 460000 per solve at N = 22
+# (20% and 15% slower), against none and 10000 with whole-array sampling.
+_SUP_CHUNK_BYTES = 32 << 20
 
 
 class DivergenceError(RuntimeError):
@@ -93,16 +110,27 @@ class PotentialSpec:
         return np.tensordot(self.amplitudes(times).T, self.spatial_samples(grid), axes=1)
 
     def sup_t_profile(self, grid) -> np.ndarray:
-        """Pointwise sup over t of |V(t, z)| by dense trigonometric sampling (>= 512 nodes)."""
+        """Pointwise sup over t of |V(t, z)| by dense trigonometric sampling (>= 512 nodes).
+
+        V is sampled in chunks of at most _SUP_CHUNK_BYTES of values; the running max is
+        exact, so the profile equals the max over all nodes at once.
+        """
         max_freq = max(
             (int(np.max(np.abs(t.time_freqs))) if t.time_freqs.size else 0
              for t in self.terms),
             default=0,
         )
         M = max(512, 16 * (max_freq + 1))
-        times = 2.0 * np.pi * np.arange(M) / M
-        vals = self.values(times, grid)
-        return np.max(np.abs(vals), axis=0)
+        amps = self.amplitudes(2.0 * np.pi * np.arange(M) / M)
+        B = self.spatial_samples(grid)
+        prof = np.zeros(grid.shape)
+        # a multiple of 16 rows, as M is: a one-row product would be a matrix-vector
+        # product, whose bits differ from the matrix-matrix product of the other rows
+        rows = 16 * max(1, _SUP_CHUNK_BYTES // (256 * math.prod(grid.shape)))
+        for j0 in range(0, M, rows):
+            vals = np.tensordot(amps[:, j0:j0 + rows].T, B, axes=1)
+            np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
+        return prof
 
     def mixed_q_inf_norm(self, q: float, grid) -> float:
         """Smallness norm ||V||_{L^q_x(L^inf_t)} of the potential."""
@@ -174,9 +202,59 @@ class PicardReport:
 
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
-    """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t)."""
-    sup_part = float(np.max(_sobolev_norms(u.history(), s, u.base.zonal)))
+    """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t).
+
+    Neither part reads the whole history at once: the sup part takes chunks of about
+    _SERIES_CHUNK_BYTES of it, the mixed norm one block of time nodes at a time.
+    """
+    rows = max(1, _SERIES_CHUNK_BYTES // (16 * u.base.a.size))
+    sup_part = float(np.max([np.max(_sobolev_norms(u.history(j0, j0 + rows), s, u.base.zonal))
+                             for j0 in range(0, u.tg.M, rows)]))
     return sup_part + mixed_norm(u, p, 2.0)
+
+
+class _Increment(SpaceTimeField):
+    """new - old as a history whose blocks are formed on demand, never as a whole."""
+
+    def __init__(self, new: SpaceTimeField, old: SpaceTimeField):
+        new._check_same_grids(old)
+        super().__init__(new.tg, new.grid, new.base - old.base)
+        self._pair = (new, old)
+
+    @property
+    def free(self) -> bool:
+        return False
+
+    def history(self, j0: int = 0, j1: int | None = None) -> np.ndarray:
+        new, old = self._pair
+        return new.history(j0, j1) - old.history(j0, j1)
+
+
+def _duhamel_phases(tg: TimeGrid, N: int, d: int, zonal: bool):
+    """(e^{-i lambda t_j}, dt e^{i lambda t_j}), shaped to multiply a history.
+
+    lambda t_j = 2 pi (lambda j mod M) / M is reduced exactly in integers.
+    """
+    lam = np.arange(N + 1) * (np.arange(N + 1) + d - 1)
+    phases = np.exp(2j * np.pi / tg.M * (np.outer(np.arange(tg.M), lam) % tg.M))
+    phases = phases if zonal else phases[:, :, None]
+    return phases.conj(), tg.dt * phases
+
+
+def _duhamel(G: np.ndarray, conj: np.ndarray, scaled: np.ndarray,
+             H: np.ndarray | None = None) -> np.ndarray:
+    """dt e^{i lambda t_j} (sum_{k<=j} H_k - (H_0 + H_j)/2) with H = e^{-i lambda t} G.
+
+    H is written into `H` when given (G itself, to reuse its buffer), else into a new array;
+    G is read only.
+    """
+    H = np.multiply(conj, G, out=H)
+    out = np.cumsum(H, axis=0)
+    H *= 0.5
+    out -= H
+    out -= H[0]
+    out *= scaled
+    return out
 
 
 def duhamel_apply(G: SpaceTimeField, tg: TimeGrid) -> SpaceTimeField:
@@ -185,51 +263,60 @@ def duhamel_apply(G: SpaceTimeField, tg: TimeGrid) -> SpaceTimeField:
     Composite trapezoid in tau through the propagated spectral coefficients,
     in the exact cumulative-sum form I_j = e^{i lambda t_j} dt (sum_{k<=j} H_k
     - (H_0 + H_j)/2) with H_k = e^{-i lambda t_k} G_k; spectral in space,
-    O(dt^2) in time.
+    O(dt^2) in time.  G is not written.
     """
     if G.tg.M != tg.M:
         raise ValueError(f"history on M={G.tg.M} nodes but integration grid M={tg.M}")
-    lam = np.arange(G.N + 1) * (np.arange(G.N + 1) + G.d - 1)
-    # e^{i lambda t_k}, lambda t_k = 2 pi (lambda k mod M) / M reduced exactly in integers
-    phases = np.exp(2j * np.pi / tg.M * (np.outer(np.arange(tg.M), lam) % tg.M))
-    phases = phases if G.base.zonal else phases[:, :, None]
-    H = phases.conj() * G.history()
-    out = np.cumsum(H, axis=0)
-    H *= 0.5
-    out -= H
-    out -= H[0]
-    out *= tg.dt * phases
+    out = _duhamel(G.history(), *_duhamel_phases(tg, G.N, G.d, G.base.zonal))
     return SpaceTimeField(tg, G.grid, G.base * 0.0, tables=out)
 
 
-def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> SpaceTimeField:
-    """One fixed-point map application: free evolution of f minus i * Duhamel(V w).
+class _PicardMap:
+    """Phi(w) = e^{i t Delta} f - i Duhamel(V w) on one time grid and one spatial grid.
 
-    V w is formed and re-analyzed one block of time nodes at a time (the
-    blocks of `w.iter_time_blocks`), with V = sum_k a_k(t_j) B_k(z) built per
-    block; the potential is never sampled at all M nodes at once.  The free
-    part is added block by block into the Duhamel integral's own buffer.
+    What does not depend on w is built once: V's spatial samples B, its amplitudes
+    a_k(t_j) at all M nodes, the Duhamel phase tables and the free-evolution phases
+    e^{i lambda t_j}.  Each application forms V w one block of time nodes at a time (the
+    blocks of `w.iter_time_blocks`, with V = sum_k a_k(t_j) B_k(z) built per block, so V is
+    never sampled at all M nodes at once) and re-analyzes it into its own history buffer G;
+    e^{-i lambda t} G is written over G, and the free part is added into the integral one
+    block at a time.  So w, G and the integral are the only histories alive.
     """
-    grid = w.grid
-    if V.band + w.N > grid.band:
-        raise ValueError(
-            f"product band {V.band + w.N} overflows grid band {grid.band}"
-        )
-    B = V.spatial_samples(grid)
-    amps = V.amplitudes(w.tg.times)
-    G = np.empty((w.tg.M, *w.base.a.shape), dtype=complex)
-    for j0, samples in w.iter_time_blocks():
-        j1 = j0 + len(samples)
-        Vblock = np.tensordot(amps[:, j0:j1].T, B, axes=1)
-        G[j0:j1] = _analyze(Vblock * samples, grid, w.N)
-        if not np.all(np.isfinite(G[j0:j1].view(float))):
-            raise ValueError("coefficients must be finite")
-    out = duhamel_apply(SpaceTimeField(w.tg, grid, w.base * 0.0, tables=G), w.tg).tables
-    free = synthesize_history(f, w.tg, grid)
-    for j0 in range(0, w.tg.M, _TIME_BLOCK):
-        j1 = min(j0 + _TIME_BLOCK, w.tg.M)
-        out[j0:j1] = free.history(j0, j1) - 1j * out[j0:j1]
-    return SpaceTimeField(w.tg, grid, f.copy(), tables=out)
+
+    def __init__(self, f: CoefficientTable, V: PotentialSpec, tg: TimeGrid, grid):
+        self.f, self.tg, self.grid, self.band = f, tg, grid, V.band
+        self.B = V.spatial_samples(grid)
+        self.amps = V.amplitudes(tg.times)
+        self.conj, self.scaled = _duhamel_phases(tg, f.N, f.d, f.zonal)
+        free = np.exp(1j * np.outer(tg.times, eigenvalues_upto(f.N, f.d)))
+        self.free = free if f.zonal else free[:, :, None]
+
+    def __call__(self, w: SpaceTimeField) -> SpaceTimeField:
+        if self.band + w.N > self.grid.band:
+            raise ValueError(
+                f"product band {self.band + w.N} overflows grid band {self.grid.band}"
+            )
+        if w.base.a.shape != self.f.a.shape:
+            raise ValueError(f"history of band {w.N} but initial data of band {self.f.N}")
+        G = np.empty((self.tg.M, *self.f.a.shape), dtype=complex)
+        for j0, samples in w.iter_time_blocks():
+            j1 = j0 + len(samples)
+            # V w, written into the samples' buffer, which is freed before the next block
+            np.multiply(np.tensordot(self.amps[:, j0:j1].T, self.B, axes=1), samples, out=samples)
+            G[j0:j1] = _analyze(samples, self.grid, w.N)
+            del samples
+            if not np.all(np.isfinite(G[j0:j1].view(float))):
+                raise ValueError("coefficients must be finite")
+        out = _duhamel(G, self.conj, self.scaled, H=G)
+        for j0 in range(0, self.tg.M, _TIME_BLOCK):
+            j1 = min(j0 + _TIME_BLOCK, self.tg.M)
+            out[j0:j1] = self.f.a * self.free[j0:j1] - 1j * out[j0:j1]
+        return SpaceTimeField(self.tg, self.grid, self.f.copy(), tables=out)
+
+
+def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> SpaceTimeField:
+    """One fixed-point map application: free evolution of f minus i * Duhamel(V w)."""
+    return _PicardMap(f, V, w.tg, w.grid)(w)
 
 
 def holder_conjugate(p: float) -> float:
@@ -239,6 +326,12 @@ def holder_conjugate(p: float) -> float:
     if p == math.inf:
         return 1.0
     return p / (p - 2.0)
+
+
+@lru_cache(maxsize=64)
+def _gate_constant(p: float, s: float, N: int, d: int, seed: int) -> float:
+    """estimate_strichartz_constant with a generator seeded by `seed`; deterministic, so cached."""
+    return estimate_strichartz_constant(p, s, N, d, np.random.default_rng(seed))
 
 
 def picard_solve(
@@ -254,9 +347,12 @@ def picard_solve(
     """Fixed-point solution of the potential-perturbed flow, with diagnostics.
 
     Iterates u_0 = free evolution, u_{k+1} = Phi(u_k); stops when the X-norm
-    increment falls below tol.  The smallness gate compares
+    increment falls below tol.  One map Phi is built per solve, and the
+    increment u_{k+1} - u_k is formed one block of time nodes at a time, so
+    at most three histories are alive.  The smallness gate compares
     (C + C^2) ||V||_{L^q_x(L^inf_t)} against 1/2 with C = 2 * (empirical
-    free-evolution constant); its outcome is reported, not enforced.
+    free-evolution constant, cached per (p, s, N, d, seed)); its outcome is
+    reported, not enforced.
     Raises DivergenceError after three consecutive non-contracting steps.
     """
     d = f.d
@@ -269,18 +365,19 @@ def picard_solve(
         tg = TimeGrid(max(64, 8 * (int(f.N * (f.N + d - 1)) + 1)))
 
     v_norm = V.mixed_q_inf_norm(q, grid)
-    c0_est = estimate_strichartz_constant(p, s, f.N, d, np.random.default_rng(seed))
+    c0_est = _gate_constant(p, s, f.N, d, seed)
     c_eff = 2.0 * c0_est
     smallness_ok = (c_eff + c_eff**2) * v_norm <= 0.5
 
+    phi = _PicardMap(f, V, tg, grid)
     u = synthesize_history(f, tg, grid).materialize()
     increments: list[float] = []
     ratios: list[float] = []
     converged = False
     bad_streak = 0
     for _ in range(max_iter):
-        u_next = apply_phi(u, f, V)
-        delta = x_norm(u_next - u, p, s)
+        u_next = phi(u)
+        delta = x_norm(_Increment(u_next, u), p, s)
         if increments:
             ratio = delta / increments[-1] if increments[-1] > 0 else 0.0
             ratios.append(ratio)
@@ -296,7 +393,7 @@ def picard_solve(
         if delta <= tol:
             converged = True
             break
-    residual = x_norm(apply_phi(u, f, V) - u, p, s)
+    residual = x_norm(_Increment(phi(u), u), p, s)
     report = PicardReport(
         iterations=len(increments),
         increments=increments,

@@ -38,10 +38,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# Bytes of complex series per space chunk of a free field, about one core's L2 cache: smaller
-# chunks pay more per-call overhead, larger ones spill to main memory.
+# Bytes of complex series per space chunk of a free field (and of history per chunk of
+# potential.x_norm's sup part), about one core's L2 cache: smaller chunks pay more per-call
+# overhead, larger ones spill to main memory.
 _SERIES_CHUNK_BYTES = 2 * 2**20
-# Time nodes per batched transform of an explicit history (iter_time_blocks, apply_phi).
+# Time nodes per batched transform of an explicit history (iter_time_blocks, the Picard map).
 _TIME_BLOCK = 64
 
 
@@ -219,9 +220,16 @@ class SpaceTimeField:
             yield slice(z0, z1), series[:z1 - z0]
             z0, z1 = z1, min(z1 + rows, Z)
 
-    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
+    def _check_same_grids(self, other: "SpaceTimeField") -> None:
+        """ValueError unless `other` lives on the same time grid and the same spatial grid."""
         if self.tg.M != other.tg.M:
             raise ValueError("mismatched time grids")
+        keys = [(type(g).__name__, g.band, g.d, g.shape) for g in (self.grid, other.grid)]
+        if keys[0] != keys[1]:
+            raise ValueError(f"mismatched spatial grids (type, band, d, shape): {keys}")
+
+    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
+        self._check_same_grids(other)
         return SpaceTimeField(self.tg, self.grid, self.base - other.base,
                               tables=self.history() - other.history())
 

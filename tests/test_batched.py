@@ -41,6 +41,7 @@ from sphere_strichartz.potential import (
     PotentialTerm,
     apply_phi,
     duhamel_apply,
+    picard_solve,
 )
 from sphere_strichartz.spectral import (
     SpaceTimeField,
@@ -653,3 +654,49 @@ def test_apply_phi_peak_allocation_below_4_5_histories(N):
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * w.tables.nbytes
+
+
+def _readme_picard_problem(N):
+    """README's potential 0.03 cos(t) Y_{1,0}, a random band-N field and picard_solve's grids."""
+    f = random_field(N, 2, np.random.default_rng(N))
+    V = PotentialSpec([PotentialTerm(np.array([1, -1]), np.array([0.015, 0.015]),
+                                     CoefficientTable.unit_mode(1, 1, 0))])
+    return f, V, grid_for(N + V.band, 2, 2.0), TimeGrid(8 * (N * (N + 1) + 1))
+
+
+@pytest.mark.parametrize("N", [12, 14])
+def test_apply_phi_peak_allocation_below_2_5_histories(N):
+    # The map allocates two histories: G, which e^{-i lambda t} G overwrites, and the
+    # integral that the free part is added into; the rest is one block of samples and
+    # (M, N+1) phase tables.  H = e^{-i lambda t} G in a third history would take it above
+    # 3.  At N = 8 a 64-node block of samples on the oversampled grid is half a history,
+    # so the bound is tested where blocks are small.
+    f, V, grid, tg = _readme_picard_problem(N)
+    w = synthesize_history(f, tg, grid).materialize()
+    apply_phi(w, f, V)  # builds the cached Legendre tables
+    tracemalloc.start()
+    try:
+        apply_phi(w, f, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * w.tables.nbytes
+
+
+@pytest.mark.parametrize("N", [12, 14])
+def test_picard_solve_peak_allocation_below_3_5_histories(N):
+    # Three histories: the iterate, the next one and, inside each application of the map,
+    # its buffer G (then the integral is the next iterate).  The increment is formed one
+    # block of time nodes at a time; a whole difference u_next - u, or H and its
+    # cumulative sum next to G, would take it above 4.
+    f, V, grid, tg = _readme_picard_problem(N)
+    s = kappa_pq(4.0, 2.0, 2)
+    picard_solve(f, V, p=4.0, s=s, tg=tg)  # Legendre tables and the cached gate constant
+    tracemalloc.start()
+    try:
+        u, _ = picard_solve(f, V, p=4.0, s=s, tg=tg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.grid is grid
+    assert peak < 3.5 * u.tables.nbytes

@@ -327,6 +327,22 @@ def test_package_imports_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_numpy_ma_unloaded():
+    # numpy.ma costs every CLI process about 15 ms and 1.3 MB at start-up; nothing the CLI
+    # imports (DEFAULT_DEGREES is computed at import) may pull it in.  numpy 1.x imports
+    # numpy.ma itself, so the check is that the CLI adds nothing to what numpy loads.
+    src = str(Path(sphere_strichartz.__file__).resolve().parents[1])
+    code = ("import sys, numpy; print('numpy.ma' in sys.modules); "
+            "import sphere_strichartz.cli; print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    by_numpy, after_cli = proc.stdout.split()
+    assert after_cli == by_numpy
+    if int(np.__version__.split(".")[0]) >= 2:
+        assert after_cli == "False"
+
+
 def test_degree_512_sweep_runs_under_address_space_limit(tmp_path):
     # single-degree synthesis needs one Legendre row, not the O(N^3) table (2.2 GB at
     # grid band 1024), so a degree-512 projection sweep fits in a 1.5 GB address space

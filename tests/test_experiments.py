@@ -102,6 +102,16 @@ def test_geometric_degrees():
     assert list(degs) == sorted(set(degs))
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 1), (1, 2), (1, 9), (3, 40), (16, 256), (17, 18),
+                                    (100, 1024)])
+def test_geometric_degrees_equal_np_unique(lo, hi):
+    for count in (1, 2, 5, 11, 12, 40):
+        want = tuple(int(v) for v in np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int)))
+        got = geometric_degrees(lo, hi, count)
+        assert got == want
+        assert all(type(n) is int for n in got)
+
+
 def test_make_family_zonal_ratio_closed_form():
     # sup/L2 ratio of the normalized zonal kernel: sqrt((2n+1)/(4 pi))
     f = make_family("zonal-kernel", 10, 2)

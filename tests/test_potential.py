@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from sphere_strichartz import potential
 from sphere_strichartz.grids import CoefficientTable, grid_for
 from sphere_strichartz.harmonics import eigenvalue
-from sphere_strichartz.norms import mixed_norm
+from sphere_strichartz.norms import _sobolev_norms, mixed_norm
 from sphere_strichartz.potential import (
     DivergenceError,
     PicardReport,
@@ -163,6 +164,15 @@ def test_apply_phi_band_overflow():
     w = synthesize_history(f, TimeGrid(8), g).materialize()
     with pytest.raises(ValueError):
         apply_phi(w, f, cos_t_potential(0.1))
+
+
+def test_apply_phi_rejects_initial_data_of_another_band():
+    rng = np.random.default_rng(25)
+    g = grid_for(6, 2, 2.0)
+    w = synthesize_history(random_field(4, 2, rng), TimeGrid(8), g).materialize()
+    for N in (0, 3):  # a band-0 table would broadcast over every degree
+        with pytest.raises(ValueError, match="initial data of band"):
+            apply_phi(w, random_field(N, 2, rng), cos_t_potential(0.1))
 
 
 def test_holder_conjugate():
@@ -333,3 +343,96 @@ def test_potential_json_validation():
             {"terms": [{"time_coeffs": [{"freq": 0, "re": 1.0}],
                         "spatial_coeffs": []}]}
         )
+
+
+def test_gate_constant_is_cached_per_key(monkeypatch):
+    real = potential.estimate_strichartz_constant
+    calls = []
+
+    def counting(p, s, N, d, rng):
+        calls.append((p, s, N, d))
+        return real(p, s, N, d, rng)
+
+    monkeypatch.setattr(potential, "estimate_strichartz_constant", counting)
+    potential._gate_constant.cache_clear()
+    try:
+        f = random_field(3, 2, np.random.default_rng(22))
+        V = cos_t_potential(0.03)
+        _, first = picard_solve(f, V, p=4.0, s=0.125, seed=3)
+        assert calls == [(4.0, 0.125, 3, 2)]
+        _, again = picard_solve(f * 0.5, V, p=4.0, s=0.125, seed=3)  # same key, other field
+        assert len(calls) == 1
+        assert again.c0_estimate == first.c0_estimate
+        assert first.c0_estimate == real(4.0, 0.125, 3, 2, np.random.default_rng(3))
+        _, other = picard_solve(f, V, p=4.0, s=0.125, seed=4)
+        assert len(calls) == 2
+        assert other.c0_estimate == real(4.0, 0.125, 3, 2, np.random.default_rng(4))
+    finally:
+        potential._gate_constant.cache_clear()
+
+
+@pytest.mark.parametrize("rows", [None, 1, 64, 100])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sup_t_profile_equals_whole_array_max(d, rows, monkeypatch):
+    rng = np.random.default_rng(23 + d)
+    grid = grid_for(6, d, 2.0)
+    if rows is not None:  # chunks of 16, 64 and 96 time nodes, not the default whole array
+        monkeypatch.setattr(potential, "_SUP_CHUNK_BYTES", 16 * rows * math.prod(grid.shape))
+    cases = [
+        PotentialSpec([]),
+        PotentialSpec([PotentialTerm(np.array([1, -1]), np.array([0.015, 0.015]),
+                                     random_field(1, d, rng))]),
+        # max frequency 40: 656 nodes
+        PotentialSpec([
+            PotentialTerm(np.array([0, 3]), np.array([0.2, 0.1j]), random_field(2, d, rng)),
+            PotentialTerm(np.array([-40, 7]), np.array([0.05 - 0.02j, 0.3]),
+                          random_field(3, d, rng)),
+        ]),
+    ]
+    for V in cases:
+        max_freq = max((int(np.max(np.abs(t.time_freqs))) for t in V.terms), default=0)
+        M = max(512, 16 * (max_freq + 1))
+        # reference: V at all M sampled times as one array, then the max over time
+        want = np.max(np.abs(V.values(2.0 * np.pi * np.arange(M) / M, grid)), axis=0)
+        got = V.sup_t_profile(grid)
+        assert got.shape == grid.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _random_history(N, d, M, grid, rng):
+    if d == 2:
+        return explicit_field(CoefficientTable.zeros(N, 2), M, grid, rng)
+    tables = rng.standard_normal((M, N + 1)) + 1j * rng.standard_normal((M, N + 1))
+    return SpaceTimeField(TimeGrid(M), grid, CoefficientTable.zeros(N, d, zonal=True),
+                          tables=tables)
+
+
+def ref_x_norm(u, p, s):
+    """x_norm with the Sobolev sup over the whole history at once."""
+    return float(np.max(_sobolev_norms(u.history(), s, u.base.zonal))) + mixed_norm(u, p, 2.0)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7])
+@pytest.mark.parametrize("d", [2, 3])
+def test_blockwise_increment_equals_whole_difference(d, rows, monkeypatch):
+    rng = np.random.default_rng(24 + d)
+    N = 3
+    g = grid_for(N + 1, d, 2.0)
+    if rows is not None:  # the sup part in chunks of `rows` time nodes
+        nbytes = 16 * CoefficientTable.zeros(N, d, zonal=(d != 2)).a.size
+        monkeypatch.setattr(potential, "_SERIES_CHUNK_BYTES", rows * nbytes)
+    for M in (16, 64, 150):
+        w, v = _random_history(N, d, M, g, rng), _random_history(N, d, M, g, rng)
+        inc = potential._Increment(w, v)
+        assert not inc.free
+        assert np.array_equal(inc.history(), (w - v).tables)
+        for p in (4.0, math.inf):
+            assert x_norm(inc, p, 0.3) == x_norm(w - v, p, 0.3) == ref_x_norm(w - v, p, 0.3)
+    u = synthesize_history(random_field(N, d, rng), TimeGrid(16), g).materialize()
+    v = _random_history(N, d, 16, g, rng)
+    assert x_norm(potential._Increment(u, v), 4.0, 0.3) == x_norm(u - v, 4.0, 0.3)
+    other = synthesize_history(random_field(N, d, rng), TimeGrid(16), grid_for(N + 2, d, 2.0))
+    with pytest.raises(ValueError, match="spatial grids"):
+        potential._Increment(u, other.materialize())
+    with pytest.raises(ValueError, match="time grids"):
+        potential._Increment(u, _random_history(N, d, 17, g, rng))

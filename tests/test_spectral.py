@@ -273,3 +273,22 @@ def test_spacetime_subtraction_and_scaling():
     diff = u - SpaceTimeField(u.tg, g, u.base * 0.5)
     ue = u.materialize()
     np.testing.assert_allclose(diff.tables, 0.5 * ue.tables, atol=1e-15)
+
+
+def test_spacetime_subtraction_needs_the_same_grids():
+    rng = np.random.default_rng(17)
+    f = random_field(4, 2, rng)
+    u = synthesize_history(f, TimeGrid(6), build_sphere_grid(4))
+    other = synthesize_history(f, TimeGrid(6), build_sphere_grid(5))
+    with pytest.raises(ValueError, match="spatial grids"):
+        u - other
+    with pytest.raises(ValueError, match="spatial grids"):
+        other - u
+    with pytest.raises(ValueError, match="time grids"):
+        u - synthesize_history(f, TimeGrid(7), build_sphere_grid(4))
+    # zonal grids of the same band and size on S^3 and S^4
+    z3 = synthesize_history(random_field(4, 3, rng), TimeGrid(6), grid_for(4, 3))
+    z4 = synthesize_history(random_field(4, 4, rng), TimeGrid(6), grid_for(4, 4))
+    assert z3.grid.shape == z4.grid.shape
+    with pytest.raises(ValueError, match="spatial grids"):
+        z3 - z4
