@@ -392,29 +392,62 @@ def _zonal_tables(grid_band: int, N: int, d: int) -> np.ndarray:
     return zonal_basis_column(N, d, grid.t)
 
 
-def _sht_synthesis(a: np.ndarray, grid: SphereGrid) -> np.ndarray:
+def _work_buffer(work: dict | None, name: str, shape: tuple, dtype=complex) -> np.ndarray:
+    """An uninitialized array of `shape`: a new one without `work`, else a view of work[name].
+
+    work[name] is reallocated only when it is too small, so the blocks of one pass that share
+    a `work` dict share its buffers.
+    """
+    if work is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    buf = work.get(name)
+    if buf is None or buf.size < size or buf.dtype != dtype:
+        buf = work[name] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # numpy.fft takes `out=` from 2.0
+
+
+def _fft_into(fft, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """fft(x, axis=-1, norm="forward") written into `out`.
+
+    Before numpy 2.0 a few rows at a time: each row's transform is independent of the others.
+    """
+    if _FFT_OUT:
+        return fft(x, axis=-1, norm="forward", out=out)
+    for i in range(0, len(x), 8):
+        out[i : i + 8] = fft(x[i : i + 8], axis=-1, norm="forward")
+    return out
+
+
+def _sht_synthesis(a: np.ndarray, grid: SphereGrid, work: dict | None = None) -> np.ndarray:
     """Batched inverse transform: a[..., N+1, 2N+1] -> values[..., K, L].
 
     One Legendre pass for every leading batch index: per order m the real
     table Pbar^m(t)^T multiplies a real, contiguous, m-major block that holds
-    the +m and -m columns of all batch entries as float pairs.
+    the +m and -m columns of all batch entries as float pairs.  The longitude
+    FFT runs in place, so with a `work` dict (see _work_buffer) the values are
+    work["spec"], valid until its next use.
     """
     N = a.shape[-1] // 2
     K, L = grid.shape
     flat = a.reshape(-1, N + 1, 2 * N + 1)
-    X = np.empty((N + 1, N + 1, len(flat), 2), dtype=complex)  # [m, n, b, +/-]
+    X = _work_buffer(work, "X", (N + 1, N + 1, len(flat), 2))  # [m, n, b, +/-]
     X[..., 0] = flat[:, :, N:].T
     X[..., 1] = flat[:, :, N::-1].T
     X[1::2, :, :, 1] *= -1.0  # basis convention Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
     Xf = X.view(float).reshape(N + 1, N + 1, -1)
-    Y = np.empty((N + 1, K, Xf.shape[-1]))
+    Y = _work_buffer(work, "Y", (N + 1, K, Xf.shape[-1]), float)
     for m0, m1, slab in _legendre_slabs(grid, N):
         np.matmul(slab.transpose(0, 2, 1), Xf[m0:m1], out=Y[m0:m1])
     Y = Y.reshape(N + 1, K, -1, 4).view(complex)  # [m, k, b, +/-]
-    spec = np.zeros((len(flat), K, L), dtype=complex)
+    spec = _work_buffer(work, "spec", (len(flat), K, L))
+    spec[:, :, N + 1 : L - N] = 0.0
     spec[:, :, : N + 1] = Y[..., 0].T
     spec[:, :, L - N :] = Y[:0:-1, :, :, 1].T
-    return np.fft.ifft(spec, axis=-1, norm="forward").reshape(*a.shape[:-2], K, L)
+    return _fft_into(np.fft.ifft, spec, spec).reshape(*a.shape[:-2], K, L)
 
 
 def _degree_synthesis(a: np.ndarray, grid) -> np.ndarray:
@@ -454,42 +487,53 @@ def _single_degree_synthesis(a: np.ndarray, n: int, grid: SphereGrid) -> np.ndar
     return np.fft.ifft(spec, axis=-1, norm="forward")
 
 
-def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int) -> np.ndarray:
-    """Batched forward transform: values[..., K, L] -> a[..., N+1, 2N+1]."""
+def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int, work: dict | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Batched forward transform: values[..., K, L] -> a[..., N+1, 2N+1], written into `out`
+    when given.
+
+    With a `work` dict its buffers come from it, and the longitude spectrum goes into
+    work["spec"]: values held there (a synthesis' output) are overwritten, others are not.
+    """
     K, L = grid.shape
     flat = values.reshape(-1, K, L)
-    a = np.empty((len(flat), N + 1, 2 * N + 1), dtype=complex)
+    if out is None:
+        out = np.empty((*values.shape[:-2], N + 1, 2 * N + 1), dtype=complex)
+    a = out.reshape(len(flat), N + 1, 2 * N + 1)
     for b0 in range(0, len(flat), 64):  # chunks keep each FFT output in cache for the reordering
         # longitude analysis: F[k, m mod L] = (1 / L) sum_j values e^{-i m phi_j}
-        F = np.fft.fft(flat[b0 : b0 + 64], axis=-1, norm="forward")
-        X = np.zeros((N + 1, K, len(F), 2), dtype=complex)  # [m, k, b, +/-]
+        chunk = flat[b0 : b0 + 64]
+        F = _fft_into(np.fft.fft, chunk, _work_buffer(work, "spec", chunk.shape))
+        X = _work_buffer(work, "X", (N + 1, K, len(F), 2))  # [m, k, b, +/-]
+        X[0, :, :, 1] = 0.0
         X[..., 0] = F[:, :, : N + 1].T
         X[1:, :, :, 1] = F[:, :, : L - N - 1 : -1].T
         X *= (2.0 * np.pi * grid.t_weights)[:, None, None]  # colatitude quadrature weights
         Xf = X.view(float).reshape(N + 1, K, -1)
-        Y = np.empty((N + 1, N + 1, Xf.shape[-1]))
+        Y = _work_buffer(work, "Y", (N + 1, N + 1, Xf.shape[-1]), float)
         for m0, m1, slab in _legendre_slabs(grid, N):
             np.matmul(slab, Xf[m0:m1], out=Y[m0:m1])
         Y = Y.reshape(N + 1, N + 1, -1, 4).view(complex)  # [m, n, b, +/-]
         Y[1::2, :, :, 1] *= -1.0  # Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
-        out = a[b0 : b0 + 64]
-        out[:, :, N::-1] = Y[..., 1].T
-        out[:, :, N:] = Y[..., 0].T  # overwrites the m = 0 column written above
-    return a.reshape(*values.shape[:-2], N + 1, 2 * N + 1)
+        ab = a[b0 : b0 + 64]
+        ab[:, :, N::-1] = Y[..., 1].T
+        ab[:, :, N:] = Y[..., 0].T  # overwrites the m = 0 column written above
+    return out
 
 
-def _synthesize(a: np.ndarray, grid) -> np.ndarray:
+def _synthesize(a: np.ndarray, grid, work: dict | None = None) -> np.ndarray:
     """Batched synthesis on a sphere or zonal grid: a[..., *table] -> values[..., *grid]."""
     if isinstance(grid, ZonalGrid):
         return a @ _zonal_tables(grid.band, a.shape[-1] - 1, grid.d)
-    return _sht_synthesis(a, grid)
+    return _sht_synthesis(a, grid, work)
 
 
-def _analyze(values: np.ndarray, grid, N: int) -> np.ndarray:
+def _analyze(values: np.ndarray, grid, N: int, work: dict | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Batched band-N analysis on a sphere or zonal grid: values[..., *grid] -> a[..., *table]."""
     if isinstance(grid, ZonalGrid):
-        return (grid.weights() * values) @ _zonal_tables(grid.band, N, grid.d).T
-    return _sht_analysis(values, grid, N)
+        return np.matmul(grid.weights() * values, _zonal_tables(grid.band, N, grid.d).T, out=out)
+    return _sht_analysis(values, grid, N, work, out)
 
 
 def forward_sht(values: np.ndarray, grid: SphereGrid, N: int) -> CoefficientTable:

@@ -8,10 +8,10 @@ annihilated), and the Sobolev norm is the square-summed convention
 `mixed_norm` is an honest rectangle-rule time quadrature of samples on all M
 nodes (a free field's one period, counted M/P times); its agreement with
 `l2t_profile_exact` at q=2 is a verification target, not a shortcut.  For a
-free field the time power sums run over `SpaceTimeField.iter_space_chunks`:
-|u|^q of each space chunk goes into one buffer reused across chunks, with the
-same operations per point as on whole arrays, so the sums do not depend on the
-chunk size.
+free field the time power sums run over `SpaceTimeField.iter_space_chunks`,
+for any other over `iter_time_blocks`: |u|^q of each chunk or block goes into
+one buffer reused across them, with the same operations per point as on whole
+arrays, so the sums do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -117,8 +117,14 @@ def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
             flat[sl] = (u.tg.M // series.shape[-1]) * np.sum(m, axis=-1)
             vacuous = vacuous or np.any(series[flat[sl] == 0])
     else:
-        for _, block in u.iter_time_blocks():
-            S += np.sum(np.abs(block) ** q, axis=0)
+        work, mag = {}, None
+        for _, block in u.iter_time_blocks(work):
+            if mag is None:  # the first block is the largest
+                mag = np.empty(block.shape)
+            m = mag[: len(block)]
+            np.abs(block, out=m)
+            m **= q
+            S += np.sum(m, axis=0)
             vacuous = vacuous or np.any(block[:, S == 0])
     if vacuous or not np.all(np.isfinite(S)):
         raise FloatingPointError(f"non-finite or vacuous time power sums of |u|^{q:g}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,14 +50,9 @@ __all__ = [
     "l2_drift",
 ]
 
-# Bytes of V samples per chunk of PotentialSpec.sup_t_profile, at most glibc's 32 MiB cap
-# on its dynamic mmap threshold: all 512 nodes at once on the Picard grids up to N = 21,
-# three chunks instead of 73 MB at N = 32.  Freeing such a chunk raises glibc's heap-trim
-# threshold to twice its size.  With 64-node chunks it stayed near one block of samples,
-# and the Picard map's per-block temporaries were given back to the system and page-faulted
-# in again: 8600 minor faults per picard_potential op and up to 460000 per solve at N = 22
-# (20% and 15% slower), against none and 10000 with whole-array sampling.
-_SUP_CHUNK_BYTES = 32 << 20
+# Time nodes per product V(t_j) of the Picard map.  A one-row remainder is joined to the
+# rows before it: a one-row product is a matrix-vector product, whose bits differ.
+_V_ROWS = 16
 
 
 class DivergenceError(RuntimeError):
@@ -112,8 +106,8 @@ class PotentialSpec:
     def sup_t_profile(self, grid) -> np.ndarray:
         """Pointwise sup over t of |V(t, z)| by dense trigonometric sampling (>= 512 nodes).
 
-        V is sampled in chunks of at most _SUP_CHUNK_BYTES of values; the running max is
-        exact, so the profile equals the max over all nodes at once.
+        V is sampled _TIME_BLOCK nodes at a time; the running max is exact, so the profile
+        equals the max over all nodes at once.
         """
         max_freq = max(
             (int(np.max(np.abs(t.time_freqs))) if t.time_freqs.size else 0
@@ -124,11 +118,10 @@ class PotentialSpec:
         amps = self.amplitudes(2.0 * np.pi * np.arange(M) / M)
         B = self.spatial_samples(grid)
         prof = np.zeros(grid.shape)
-        # a multiple of 16 rows, as M is: a one-row product would be a matrix-vector
-        # product, whose bits differ from the matrix-matrix product of the other rows
-        rows = 16 * max(1, _SUP_CHUNK_BYTES // (256 * math.prod(grid.shape)))
-        for j0 in range(0, M, rows):
-            vals = np.tensordot(amps[:, j0:j0 + rows].T, B, axes=1)
+        # M is a multiple of 16, so no slice has one row: a one-row product would be a
+        # matrix-vector product, whose bits differ from the other slices' matrix products
+        for j0 in range(0, M, _TIME_BLOCK):
+            vals = np.tensordot(amps[:, j0:j0 + _TIME_BLOCK].T, B, axes=1)
             np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
         return prof
 
@@ -213,23 +206,6 @@ def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
     return sup_part + mixed_norm(u, p, 2.0)
 
 
-class _Increment(SpaceTimeField):
-    """new - old as a history whose blocks are formed on demand, never as a whole."""
-
-    def __init__(self, new: SpaceTimeField, old: SpaceTimeField):
-        new._check_same_grids(old)
-        super().__init__(new.tg, new.grid, new.base - old.base)
-        self._pair = (new, old)
-
-    @property
-    def free(self) -> bool:
-        return False
-
-    def history(self, j0: int = 0, j1: int | None = None) -> np.ndarray:
-        new, old = self._pair
-        return new.history(j0, j1) - old.history(j0, j1)
-
-
 def _duhamel_phases(tg: TimeGrid, N: int, d: int, zonal: bool):
     """(e^{-i lambda t_j}, dt e^{i lambda t_j}), shaped to multiply a history.
 
@@ -279,13 +255,14 @@ class _PicardMap:
     e^{i lambda t_j}.  Each application forms V w one block of time nodes at a time (the
     blocks of `w.iter_time_blocks`, with V = sum_k a_k(t_j) B_k(z) built per block, so V is
     never sampled at all M nodes at once) and re-analyzes it into its own history buffer G;
-    e^{-i lambda t} G is written over G, and the free part is added into the integral one
-    block at a time.  So w, G and the integral are the only histories alive.
+    the blocks share the transforms' buffers.  e^{-i lambda t} G is written over G, and the
+    free part is added into the integral one block at a time.  So w, G and the integral are
+    the only histories alive.
     """
 
     def __init__(self, f: CoefficientTable, V: PotentialSpec, tg: TimeGrid, grid):
         self.f, self.tg, self.grid, self.band = f, tg, grid, V.band
-        self.B = V.spatial_samples(grid)
+        self.B = V.spatial_samples(grid).reshape(len(V.terms), math.prod(grid.shape))  # [k, z]
         self.amps = V.amplitudes(tg.times)
         self.conj, self.scaled = _duhamel_phases(tg, f.N, f.d, f.zonal)
         free = np.exp(1j * np.outer(tg.times, eigenvalues_upto(f.N, f.d)))
@@ -299,15 +276,23 @@ class _PicardMap:
         if w.base.a.shape != self.f.a.shape:
             raise ValueError(f"history of band {w.N} but initial data of band {self.f.N}")
         G = np.empty((self.tg.M, *self.f.a.shape), dtype=complex)
-        for j0, samples in w.iter_time_blocks():
+        work = {}
+        V = np.empty((_V_ROWS + 1, self.B.shape[1]), dtype=complex)
+        for j0, samples in w.iter_time_blocks(work):
             j1 = j0 + len(samples)
-            # V w, written into the samples' buffer, which is freed before the next block
-            np.multiply(np.tensordot(self.amps[:, j0:j1].T, self.B, axes=1), samples, out=samples)
-            G[j0:j1] = _analyze(samples, self.grid, w.N)
-            del samples
+            flat = samples.reshape(j1 - j0, -1)
+            r0 = 0
+            while r0 < len(flat):  # V w, with V built _V_ROWS nodes at a time
+                r1 = r0 + _V_ROWS if len(flat) - r0 > _V_ROWS + 1 else len(flat)
+                np.dot(self.amps[:, j0 + r0:j0 + r1].T, self.B, out=V[:r1 - r0])
+                np.multiply(V[:r1 - r0], flat[r0:r1], out=flat[r0:r1])
+                r0 = r1
+            _analyze(samples, self.grid, w.N, work, out=G[j0:j1])
             if not np.all(np.isfinite(G[j0:j1].view(float))):
                 raise ValueError("coefficients must be finite")
+        del work, samples, flat, V
         out = _duhamel(G, self.conj, self.scaled, H=G)
+        del G  # now H, which the integral no longer needs
         for j0 in range(0, self.tg.M, _TIME_BLOCK):
             j1 = min(j0 + _TIME_BLOCK, self.tg.M)
             out[j0:j1] = self.f.a * self.free[j0:j1] - 1j * out[j0:j1]
@@ -328,12 +313,6 @@ def holder_conjugate(p: float) -> float:
     return p / (p - 2.0)
 
 
-@lru_cache(maxsize=64)
-def _gate_constant(p: float, s: float, N: int, d: int, seed: int) -> float:
-    """estimate_strichartz_constant with a generator seeded by `seed`; deterministic, so cached."""
-    return estimate_strichartz_constant(p, s, N, d, np.random.default_rng(seed))
-
-
 def picard_solve(
     f: CoefficientTable,
     V: PotentialSpec,
@@ -351,8 +330,7 @@ def picard_solve(
     increment u_{k+1} - u_k is formed one block of time nodes at a time, so
     at most three histories are alive.  The smallness gate compares
     (C + C^2) ||V||_{L^q_x(L^inf_t)} against 1/2 with C = 2 * (empirical
-    free-evolution constant, cached per (p, s, N, d, seed)); its outcome is
-    reported, not enforced.
+    free-evolution constant); its outcome is reported, not enforced.
     Raises DivergenceError after three consecutive non-contracting steps.
     """
     d = f.d
@@ -365,7 +343,7 @@ def picard_solve(
         tg = TimeGrid(max(64, 8 * (int(f.N * (f.N + d - 1)) + 1)))
 
     v_norm = V.mixed_q_inf_norm(q, grid)
-    c0_est = _gate_constant(p, s, f.N, d, seed)
+    c0_est = estimate_strichartz_constant(p, s, f.N, d, np.random.default_rng(seed))
     c_eff = 2.0 * c0_est
     smallness_ok = (c_eff + c_eff**2) * v_norm <= 0.5
 
@@ -377,7 +355,7 @@ def picard_solve(
     bad_streak = 0
     for _ in range(max_iter):
         u_next = phi(u)
-        delta = x_norm(_Increment(u_next, u), p, s)
+        delta = x_norm(u_next - u, p, s)
         if increments:
             ratio = delta / increments[-1] if increments[-1] > 0 else 0.0
             ratios.append(ratio)
@@ -393,7 +371,7 @@ def picard_solve(
         if delta <= tol:
             converged = True
             break
-    residual = x_norm(_Increment(phi(u), u), p, s)
+    residual = x_norm(phi(u) - u, p, s)
     report = PicardReport(
         iterations=len(increments),
         increments=increments,

@@ -12,7 +12,8 @@ the explicit spectral history (one coefficient table per time node, the form
 the Picard solver manipulates), it stores that; without it the field is the
 free evolution of its initial table, and samples are synthesized on demand
 by an exact phase-table product over one time period (not an FFT).  Both
-produce identical sample values.
+produce identical sample values.  A difference `u - v` stores no history
+either: its history is formed from the operands' on demand, a block at a time.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ class SpaceTimeField:
     `tables`, when given, is the explicit spectral history, shape
     (M, *coefficient shape).  Without it the field is the free evolution of
     `base`, and histories/samples are generated on demand (memory-light even
-    when M * table size would be huge).
+    when M * table size would be huge).  `u - v` is a `_Difference`, which is
+    not free and stores no tables; `materialize()` gives its explicit history.
     """
 
     tg: TimeGrid
@@ -183,10 +185,14 @@ class SpaceTimeField:
     def samples_at(self, j: int) -> np.ndarray:
         return _synthesize(self.history(j, j + 1)[0], self.grid)
 
-    def iter_time_blocks(self):
-        """Yield (j0, samples of shape (b, *grid.shape)), one batched transform per block."""
+    def iter_time_blocks(self, work: dict | None = None):
+        """Yield (j0, samples of shape (b, *grid.shape)), one batched transform per block.
+
+        With a `work` dict the transforms reuse its buffers from block to block (see
+        grids._work_buffer), and the yielded samples are valid until the next step.
+        """
         for j0 in range(0, self.tg.M, _TIME_BLOCK):
-            yield j0, _synthesize(self.history(j0, j0 + _TIME_BLOCK), self.grid)
+            yield j0, _synthesize(self.history(j0, j0 + _TIME_BLOCK), self.grid, work)
 
     def iter_space_chunks(self, chunk: int | None = None):
         """Yield (flat z slice, series of shape (rows, P)) for free fields: one time period.
@@ -229,9 +235,29 @@ class SpaceTimeField:
             raise ValueError(f"mismatched spatial grids (type, band, d, shape): {keys}")
 
     def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        self._check_same_grids(other)
-        return SpaceTimeField(self.tg, self.grid, self.base - other.base,
-                              tables=self.history() - other.history())
+        return _Difference(self, other)
+
+
+class _Difference(SpaceTimeField):
+    """a - b, with no history of its own: a block of its history is the difference of the
+    operands' blocks, formed on demand, so a blockwise pass never holds the whole difference.
+    It reads the operands when asked, so it sees later writes to their tables."""
+
+    def __init__(self, a: SpaceTimeField, b: SpaceTimeField):
+        a._check_same_grids(b)
+        super().__init__(a.tg, a.grid, a.base - b.base)
+        self._operands = (a, b)
+
+    @property
+    def free(self) -> bool:
+        return False
+
+    def history(self, j0: int = 0, j1: int | None = None) -> np.ndarray:
+        a, b = self._operands
+        return a.history(j0, j1) - b.history(j0, j1)
+
+    def materialize(self) -> SpaceTimeField:
+        return SpaceTimeField(self.tg, self.grid, self.base.copy(), tables=self.history())
 
 
 def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeField:

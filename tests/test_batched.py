@@ -664,13 +664,14 @@ def _readme_picard_problem(N):
     return f, V, grid_for(N + V.band, 2, 2.0), TimeGrid(8 * (N * (N + 1) + 1))
 
 
-@pytest.mark.parametrize("N", [12, 14])
+@pytest.mark.parametrize("N", [8, 12])
 def test_apply_phi_peak_allocation_below_2_5_histories(N):
     # The map allocates two histories: G, which e^{-i lambda t} G overwrites, and the
-    # integral that the free part is added into; the rest is one block of samples and
-    # (M, N+1) phase tables.  H = e^{-i lambda t} G in a third history would take it above
-    # 3.  At N = 8 a 64-node block of samples on the oversampled grid is half a history,
-    # so the bound is tested where blocks are small.
+    # integral that the free part is added into.  Beside G, the blocks share one block of
+    # samples, in which both longitude FFTs run in place, V at 16 nodes and the Legendre
+    # sums' buffers: 2.45 histories at N = 8, where a 64-node block of samples on the
+    # oversampled grid is half a history.  H = e^{-i lambda t} G in a third history, or a
+    # second block of samples at N = 8, would take it above 2.5.
     f, V, grid, tg = _readme_picard_problem(N)
     w = synthesize_history(f, tg, grid).materialize()
     apply_phi(w, f, V)  # builds the cached Legendre tables
@@ -683,7 +684,15 @@ def test_apply_phi_peak_allocation_below_2_5_histories(N):
     assert peak < 2.5 * w.tables.nbytes
 
 
-@pytest.mark.parametrize("N", [12, 14])
+@pytest.mark.parametrize("N", [
+    pytest.param(8, marks=pytest.mark.xfail(strict=True, reason=(
+        "3.7 histories at N = 8, in x_norm's sup part: a history there is smaller than its "
+        "2 MiB chunk, so it forms the whole increment and its magnitudes beside both "
+        "iterates; the power sums reach about 3.4, since a 64-node block of samples is "
+        "half a history"))),
+    12,
+    14,
+])
 def test_picard_solve_peak_allocation_below_3_5_histories(N):
     # Three histories: the iterate, the next one and, inside each application of the map,
     # its buffer G (then the integral is the next iterate).  The increment is formed one
@@ -691,7 +700,7 @@ def test_picard_solve_peak_allocation_below_3_5_histories(N):
     # cumulative sum next to G, would take it above 4.
     f, V, grid, tg = _readme_picard_problem(N)
     s = kappa_pq(4.0, 2.0, 2)
-    picard_solve(f, V, p=4.0, s=s, tg=tg)  # Legendre tables and the cached gate constant
+    picard_solve(f, V, p=4.0, s=s, tg=tg)  # builds the cached Legendre tables
     tracemalloc.start()
     try:
         u, _ = picard_solve(f, V, p=4.0, s=s, tg=tg)
@@ -700,3 +709,26 @@ def test_picard_solve_peak_allocation_below_3_5_histories(N):
         tracemalloc.stop()
     assert u.grid is grid
     assert peak < 3.5 * u.tables.nbytes
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_time_blocks_share_their_transform_buffers(d):
+    # One work dict across the blocks of a pass: the same bits as transforms with buffers of
+    # their own, and after the first block no buffer is allocated again.
+    rng = np.random.default_rng(31 + d)
+    N = 4
+    grid = grid_for(N + 1, d, 2.0)
+    w = synthesize_history(random_field(N, d, rng), TimeGrid(150), grid).materialize()
+    w.tables[1:] += 0.1 * w.tables[:-1]
+    work, seen = {}, []
+    for j0, samples in w.iter_time_blocks(work):
+        block = w.history(j0, j0 + 64)
+        want = _synthesize(block, grid)
+        assert samples.tobytes() == want.tobytes()
+        got = np.empty_like(block)
+        assert _analyze(samples, grid, N, work, out=got) is got
+        assert got.tobytes() == _analyze(want, grid, N).tobytes()
+        seen.append({name: buf.ctypes.data for name, buf in work.items()})
+    assert len(seen) == 3 and seen[1] == seen[2]
+    if d == 2:
+        assert sorted(seen[1]) == ["X", "Y", "spec"]

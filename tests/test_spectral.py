@@ -272,7 +272,7 @@ def test_spacetime_subtraction_and_scaling():
     u = synthesize_history(f, TimeGrid(6), g)
     diff = u - SpaceTimeField(u.tg, g, u.base * 0.5)
     ue = u.materialize()
-    np.testing.assert_allclose(diff.tables, 0.5 * ue.tables, atol=1e-15)
+    np.testing.assert_allclose(diff.materialize().tables, 0.5 * ue.tables, atol=1e-15)
 
 
 def test_spacetime_subtraction_needs_the_same_grids():
