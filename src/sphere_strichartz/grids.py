@@ -268,15 +268,16 @@ def _order_block_rows(t: np.ndarray, N: int, width: int):
     """
     K = t.size
     s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    n_, kk = np.arange(N + 1)[:, None], np.arange(N + 1) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):  # entries m >= n - 1 are never read
-        a = np.sqrt((4.0 * n_ * n_ - 1.0) / (n_ * n_ - kk))[:, :, None]  # [n, m, 1]
-        b = np.sqrt(((n_ - 1.0) ** 2 - kk) / (4.0 * (n_ - 1.0) ** 2 - 1.0))[:, :, None]
+    n_ = np.arange(N + 1)[:, None]
     buf, scratch = np.empty((2, width, K)), np.empty((width, K))
     tt = np.broadcast_to(t, (width, K)).copy()  # same-shape operands: one inner loop
     diag = np.full(K, 1.0 / math.sqrt(4.0 * math.pi))
     for m0 in range(0, N + 1, width):
         w = min(width, N + 1 - m0)
+        kk = np.arange(m0, m0 + w) ** 2  # the block's orders only: (N+1, w) coefficients
+        with np.errstate(divide="ignore", invalid="ignore"):  # entries m >= n - 1 are unread
+            a = np.sqrt((4.0 * n_ * n_ - 1.0) / (n_ * n_ - kk))[:, :, None]  # [n, m - m0, 1]
+            b = np.sqrt(((n_ - 1.0) ** 2 - kk) / (4.0 * (n_ - 1.0) ** 2 - 1.0))[:, :, None]
         rows = buf[:, :w]
         rows.fill(0.0)
         for n in range(m0, N + 1):
@@ -285,9 +286,9 @@ def _order_block_rows(t: np.ndarray, N: int, width: int):
             if k > 0:
                 # a * (t * P[n-1] - b * P[n-2]), written over row n - 2
                 tp = np.multiply(tt[:k], prev[:k], out=scratch[:k])
-                np.multiply(b[n, m0 : m0 + k], new[:k], out=new[:k])
+                np.multiply(b[n, :k], new[:k], out=new[:k])
                 np.subtract(tp, new[:k], out=new[:k])
-                np.multiply(a[n, m0 : m0 + k], new[:k], out=new[:k])
+                np.multiply(a[n, :k], new[:k], out=new[:k])
             if m0 < n <= m0 + w:  # order n - 1
                 np.multiply(np.sqrt(2 * n + 1.0) * t, prev[n - 1 - m0], out=new[n - 1 - m0])
             if n < m0 + w:  # order n
@@ -442,6 +443,7 @@ def _sht_synthesis(a: np.ndarray, grid: SphereGrid, work: dict | None = None) ->
     Y = _work_buffer(work, "Y", (N + 1, K, Xf.shape[-1]), float)
     for m0, m1, slab in _legendre_slabs(grid, N):
         np.matmul(slab.transpose(0, 2, 1), Xf[m0:m1], out=Y[m0:m1])
+    del slab  # a streamed block is freed before `spec` is allocated
     Y = Y.reshape(N + 1, K, -1, 4).view(complex)  # [m, k, b, +/-]
     spec = _work_buffer(work, "spec", (len(flat), K, L))
     spec[:, :, N + 1 : L - N] = 0.0
@@ -468,7 +470,7 @@ def _degree_synthesis(a: np.ndarray, grid) -> np.ndarray:
         lo = max(m0, 1)  # column L - m holds order -m, for m = lo..m1-1
         np.multiply(neg[:, :, lo - 1 : m1 - 1], P[:, :, lo - m0 :],
                     out=spec[:, :, L - lo : L - m1 : -1])
-    return np.fft.ifft(spec, axis=-1, norm="forward")
+    return _fft_into(np.fft.ifft, spec, spec)
 
 
 def _single_degree_synthesis(a: np.ndarray, n: int, grid: SphereGrid) -> np.ndarray:
@@ -484,7 +486,7 @@ def _single_degree_synthesis(a: np.ndarray, n: int, grid: SphereGrid) -> np.ndar
     spec = np.zeros((K, L), dtype=complex)
     np.multiply(a[n, N : N + n + 1], P, out=spec[:, : n + 1])
     np.multiply(a[n, N - n : N][::-1] * sign, P[:, 1:], out=spec[:, : L - n - 1 : -1])
-    return np.fft.ifft(spec, axis=-1, norm="forward")
+    return _fft_into(np.fft.ifft, spec, spec)
 
 
 def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int, work: dict | None = None,
@@ -494,12 +496,11 @@ def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int, work: dict | Non
 
     With a `work` dict its buffers come from it, and the longitude spectrum goes into
     work["spec"]: values held there (a synthesis' output) are overwritten, others are not.
+    Without one, the spectrum is freed once X holds it, and a missing `out` is allocated
+    after the first Legendre pass has freed its block.
     """
     K, L = grid.shape
     flat = values.reshape(-1, K, L)
-    if out is None:
-        out = np.empty((*values.shape[:-2], N + 1, 2 * N + 1), dtype=complex)
-    a = out.reshape(len(flat), N + 1, 2 * N + 1)
     for b0 in range(0, len(flat), 64):  # chunks keep each FFT output in cache for the reordering
         # longitude analysis: F[k, m mod L] = (1 / L) sum_j values e^{-i m phi_j}
         chunk = flat[b0 : b0 + 64]
@@ -508,14 +509,18 @@ def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int, work: dict | Non
         X[0, :, :, 1] = 0.0
         X[..., 0] = F[:, :, : N + 1].T
         X[1:, :, :, 1] = F[:, :, : L - N - 1 : -1].T
+        del F
         X *= (2.0 * np.pi * grid.t_weights)[:, None, None]  # colatitude quadrature weights
         Xf = X.view(float).reshape(N + 1, K, -1)
         Y = _work_buffer(work, "Y", (N + 1, N + 1, Xf.shape[-1]), float)
         for m0, m1, slab in _legendre_slabs(grid, N):
             np.matmul(slab, Xf[m0:m1], out=Y[m0:m1])
+        del slab
+        if out is None:
+            out = np.empty((*values.shape[:-2], N + 1, 2 * N + 1), dtype=complex)
         Y = Y.reshape(N + 1, N + 1, -1, 4).view(complex)  # [m, n, b, +/-]
         Y[1::2, :, :, 1] *= -1.0  # Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
-        ab = a[b0 : b0 + 64]
+        ab = out.reshape(len(flat), N + 1, 2 * N + 1)[b0 : b0 + 64]
         ab[:, :, N::-1] = Y[..., 1].T
         ab[:, :, N:] = Y[..., 0].T  # overwrites the m = 0 column written above
     return out

@@ -48,8 +48,10 @@ def lp_norm(values: np.ndarray, grid, p: float) -> float:
         return float(np.max(np.abs(values)))
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    w = grid.weights()
-    return float(np.sum(w * np.abs(values) ** p) ** (1.0 / p))
+    m = np.abs(values).astype(float, copy=False)  # w |v|^p in one array; int |v| cannot `**=`
+    m **= p
+    m *= grid.weights()
+    return float(np.sum(m) ** (1.0 / p))
 
 
 def sobolev_norm(f: CoefficientTable, s: float) -> float:

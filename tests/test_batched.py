@@ -21,9 +21,13 @@ from sphere_strichartz.experiments import kappa_pq, strichartz_ratio
 from sphere_strichartz.grids import (
     CoefficientTable,
     _analyze,
+    _degree_synthesis,
     _legendre_rows,
     _legendre_slabs,
     _legendre_tables,
+    _sht_analysis,
+    _sht_synthesis,
+    _single_degree_synthesis,
     _synthesize,
     build_sphere_grid,
     build_zonal_grid,
@@ -35,7 +39,7 @@ from sphere_strichartz.grids import (
     inverse_zonal,
 )
 from sphere_strichartz.harmonics import legendre_column
-from sphere_strichartz.norms import _time_power_sums
+from sphere_strichartz.norms import _time_power_sums, lp_norm
 from sphere_strichartz.potential import (
     PotentialSpec,
     PotentialTerm,
@@ -709,6 +713,91 @@ def test_picard_solve_peak_allocation_below_3_5_histories(N):
         tracemalloc.stop()
     assert u.grid is grid
     assert peak < 3.5 * u.tables.nbytes
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the bytes that tracemalloc saw allocated during the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("direction", ["inverse", "forward"])
+def test_sht_peak_allocation_below_one_block_and_2_5_tables(direction):
+    # At N = 256 the Legendre functions stream in blocks of 16 orders.  Inverse: the pass
+    # holds X and Y (a table each) beside a block, then X, Y and the values once the block is
+    # freed.  Forward: X and Y beside a block, and the output after the block is freed.  The
+    # last block alive beside the values, or the spectrum and the output alive beside X and
+    # the block, take the peak to 3 tables or more beyond the block.
+    N = 256
+    grid = build_sphere_grid(N)
+    f = random_field(N, 2, np.random.default_rng(256))
+    values = inverse_sht(f, grid)
+    want = forward_sht(values, grid, N)
+    if direction == "inverse":
+        got, peak = _traced_peak(inverse_sht, f, grid)
+        assert got.tobytes() == values.tobytes()
+    else:
+        got, peak = _traced_peak(forward_sht, values, grid, N)
+        assert got.a.tobytes() == want.a.tobytes()
+    assert peak < 16 * (N + 1) * grid.t.size * 8 + 2.5 * f.a.nbytes
+
+
+@pytest.mark.parametrize("kernel", ["single degree", "all degrees"])
+def test_degree_synthesis_peak_allocation_below_1_5_outputs(kernel):
+    # The longitude spectrum is the output, transformed in place; an out-of-place FFT
+    # allocates a second one.
+    rng = np.random.default_rng(20)
+    if kernel == "single degree":
+        a = rng.standard_normal((257, 513)) + 1j * rng.standard_normal((257, 513))
+        out, peak = _traced_peak(_single_degree_synthesis, a, 256, build_sphere_grid(512))
+    else:
+        a = rng.standard_normal((21, 41)) + 1j * rng.standard_normal((21, 41))
+        grid = build_sphere_grid(60)  # 61 x 122, grid_for(20, 2, 3.0)
+        _degree_synthesis(a, grid)  # builds the cached Legendre table
+        out, peak = _traced_peak(_degree_synthesis, a, grid)
+        assert out.shape == (21, 61, 122)
+    assert peak < 1.5 * out.nbytes
+
+
+def test_lp_norm_peak_allocation_below_0_75_inputs():
+    # w |v|^p is formed in one float array, half a complex input's bytes (0.62 inputs with the
+    # ufunc buffer of `*= weights` at this size); a second float temporary makes it a whole one.
+    grid = build_sphere_grid(128)
+    rng = np.random.default_rng(128)
+    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    for p in (2.0, 3.0, 4.0):
+        _, peak = _traced_peak(lp_norm, v, grid, p)
+        assert peak < 0.75 * v.nbytes
+
+
+def test_fft_fallback_equals_out_path(monkeypatch):
+    # numpy < 2 has no `out=` on numpy.fft: _fft_into then transforms 8 rows at a time.  Batches
+    # and degree counts above 8, and a streamed table (N = 128), cover its row loop.
+    rng = np.random.default_rng(8)
+    cases = [(build_sphere_grid(band), rng.standard_normal((B, N + 1, 2 * N + 1))
+              + 1j * rng.standard_normal((B, N + 1, 2 * N + 1)))
+             for band, N, B in ((20, 20, 11), (40, 20, 70), (128, 128, 2))]
+
+    def kernels():
+        got = []
+        for grid, a in cases:
+            N = a.shape[-2] - 1
+            values = _sht_synthesis(a, grid)
+            got += [values, _sht_analysis(values, grid, N), _degree_synthesis(a[0], grid),
+                    _single_degree_synthesis(a[0], N // 2, grid)]
+        return got
+
+    want = kernels()
+    monkeypatch.setattr(grids, "_FFT_OUT", False)
+    got = kernels()
+    assert len(got) == len(want) == 12
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3])

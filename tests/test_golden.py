@@ -1,0 +1,96 @@
+"""Golden output digests: the SHA-256 of each command's `--output` file, run in process.
+
+The digests in golden_digests.json were recorded together with the numpy version, BLAS
+build and CPU features they were recorded under.  Other libraries or another CPU may round
+differently, so where any of those differ the test skips and says which.  To record them
+again (only when a change is meant to move output bytes):
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sphere_strichartz import cli
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+# README's example potential 0.03 cos(t) Y_{1,0}
+POTENTIAL = {"terms": [{"time_coeffs": [{"freq": 1, "re": 0.015, "im": 0.0},
+                                        {"freq": -1, "re": 0.015, "im": 0.0}],
+                        "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0, "im": 0.0}]}]}
+
+COMMANDS = {
+    "kappa": ["kappa", "--d", "3", "--p", "6", "--q", "2"],
+    "identity-check": ["identity-check", "--N", "12", "--trials", "3"],
+    "selftest-64": ["selftest", "--N", "64"],
+    # a streamed Legendre table: (N+1)^2 K floats above 8 MiB
+    "selftest-128": ["selftest", "--N", "128"],
+    "sweep-d2": ["sweep", "--d", "2", "--p", "4", "--family", "random", "--n", "16:96:4"],
+    "sweep-d3": ["sweep", "--d", "3", "--p", "inf", "--family", "zonal", "--n", "16:96:4"],
+    "sharpness": ["sharpness", "--p", "inf", "--s", "0.4", "--n", "16:96:4"],
+    "strichartz": ["strichartz", "--N", "16", "--p", "4"],
+    "solve-potential": ["solve-potential", "--potential", "{potential}", "--N", "6",
+                        "--format", "json"],
+}
+
+
+def environment() -> dict:
+    """The numpy version, BLAS build, machine and numpy SIMD targets that outputs depend on."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 prints its configuration only
+        blas = "unknown"
+    simd = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine(), "simd": simd}
+
+
+def output_digest(name: str, tmp: Path) -> str:
+    """Run COMMANDS[name] at --seed 5 through cli.run and hash its --output file."""
+    potential = tmp / "potential.json"
+    potential.write_text(json.dumps(POTENTIAL), encoding="utf-8")
+    output = tmp / f"{name}.out"
+    argv = [arg.format(potential=potential) for arg in COMMANDS[name]]
+    code = cli.run(argv + ["--seed", "5", "--output", str(output)])
+    assert code == 0, f"{name} exited {code}"
+    return hashlib.sha256(output.read_bytes()).hexdigest()
+
+
+def _recorded() -> dict:
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_digest_matches_recording(name, tmp_path):
+    recorded = _recorded()
+    env = environment()
+    moved = {k: (recorded["environment"].get(k), v) for k, v in env.items()
+             if recorded["environment"].get(k) != v}
+    if moved:
+        pytest.skip(f"digests recorded under another environment (recorded, here): {moved}")
+    assert output_digest(name, tmp_path) == recorded["digests"][name]
+
+
+def test_recording_covers_every_command():
+    assert sorted(_recorded()["digests"]) == sorted(COMMANDS)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: output_digest(name, Path(tmp)) for name in sorted(COMMANDS)}
+    DIGESTS.write_text(json.dumps({"environment": environment(), "digests": digests},
+                                  indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)

@@ -58,6 +58,14 @@ def test_lp_norm_validation():
         lp_norm(np.ones((1, 1)), g, 2.0)
 
 
+def test_lp_norm_of_integers_equals_float64():
+    # |v| of an integer array is an integer array, which cannot take `**=` a float power
+    g = build_sphere_grid(6)
+    v = np.arange(g.t.size * g.lon_count).reshape(g.shape) - 40
+    for p in (1, 2, 2.5, 3.0, 4, math.inf):
+        assert lp_norm(v, g, p) == lp_norm(v.astype(float), g, p)
+
+
 def test_lp_norm_monotone_on_probability_space():
     rng = np.random.default_rng(0)
     f = random_field(8, 2, rng)

@@ -1,0 +1,129 @@
+"""Extended-precision oracle for the S^2 quadrature and the Legendre recurrence at N = 1024.
+
+The reference values are computed in np.longdouble, which serves as an oracle only where it
+is wider than float64 (80-bit x87 on x86-64 Linux; plain double on some platforms, where
+the module skips).  Each test prints the error it measures.
+
+  * nodes: leggauss nodes refined by two Newton steps on P_K, in long double;
+  * weights: the Christoffel numbers 1 / sum_{n<K} (n + 1/2) P_n(t_k)^2 at the refined nodes;
+  * Legendre rows: the recurrence of grids._order_block_rows in long double.
+
+numpy's `leggauss` weights are far less accurate than its nodes, up to 1e-8 relative at the
+end nodes at K = 1025; the strict xfails record that defect.
+"""
+
+import numpy as np
+import pytest
+from numpy.polynomial.legendre import leggauss
+
+from sphere_strichartz.grids import _order_block_rows, build_sphere_grid
+
+pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                                reason="np.longdouble is no wider than float64 here")
+
+LD = np.longdouble
+N = 1024
+
+
+def _legendre_pair(t, K):
+    """P_K(t) and P_{K-1}(t), unnormalized, by the three-term recurrence in t's precision."""
+    prev, cur = np.ones_like(t), t.copy()
+    for n in range(1, K):
+        prev, cur = cur, ((2 * n + 1) * t * cur - n * prev) / (n + 1)
+    return cur, prev
+
+
+def oracle_nodes(K):
+    """The K Gauss-Legendre nodes in long double: leggauss' nodes after two Newton steps."""
+    t = leggauss(K)[0].astype(LD)
+    for _ in range(2):
+        p, q = _legendre_pair(t, K)
+        t = t - p * (t * t - 1) / (K * (t * p - q))
+    return t
+
+
+def oracle_weights(t):
+    """Christoffel numbers 1 / sum_{n<K} (n + 1/2) P_n(t)^2 at the nodes t, in t's precision."""
+    prev, cur = np.zeros_like(t), np.ones_like(t)
+    total = 0.5 * cur * cur
+    for n in range(1, len(t)):
+        prev, cur = cur, ((2 * n - 1) * t * cur - (n - 1) * prev) / n
+        total += (n + 0.5) * cur * cur
+    return 1 / total
+
+
+def oracle_rows(t, m):
+    """Pbar_n^m(t) for n = 0..N in long double, shape (N+1, len(t)), +0 for n < m."""
+    t = np.asarray(t, dtype=LD)
+    s = np.sqrt((1 - t) * (1 + t))
+    rows = np.zeros((N + 1, len(t)), dtype=LD)
+    diag = np.full(len(t), 1 / np.sqrt(4 * LD(np.pi)))
+    for n in range(1, m + 1):
+        diag *= -np.sqrt(LD(2 * n + 1) / (2 * n)) * s
+    rows[m] = diag
+    if m < N:
+        rows[m + 1] = np.sqrt(LD(2 * m + 3)) * t * diag
+    for n in range(m + 2, N + 1):
+        a = np.sqrt(LD(4 * n * n - 1) / (n * n - m * m))
+        b = np.sqrt(LD((n - 1) ** 2 - m * m) / (4 * (n - 1) ** 2 - 1))
+        rows[n] = a * (t * rows[n - 1] - b * rows[n - 2])
+    return rows
+
+
+def recurrence_rows(t, orders):
+    """{m: Pbar_n^m(t) for n = 0..N} from _order_block_rows in blocks of 16 orders."""
+    want = {m: np.zeros((N + 1, len(t))) for m in orders}
+    last = max(orders)
+    for m0, n, row in _order_block_rows(t, N, 16):
+        if m0 > last:
+            break
+        for m in orders:
+            if m0 <= m < m0 + len(row):
+                want[m][n] = row[m - m0]
+    return want
+
+
+def test_grid_nodes_against_oracle():
+    grid = build_sphere_grid(N)
+    err = float(np.max(np.abs(grid.t - oracle_nodes(N + 1))))
+    print(f"nodes, K = {N + 1}: max abs error {err:.2e}")
+    assert err < 1e-16  # 6.3e-17 measured
+
+
+def test_grid_weights_against_oracle():
+    grid = build_sphere_grid(N)
+    rel = np.abs(grid.t_weights / oracle_weights(oracle_nodes(N + 1)) - 1).astype(float)
+    print(f"weights, K = {N + 1}: max rel error {rel.max():.2e}, median {np.median(rel):.2e}")
+    assert rel.max() < 2e-8  # 1.0e-8 measured, at the end nodes
+    assert np.median(rel) < 1e-13
+
+
+@pytest.mark.parametrize("K", [257, 513, 1025])
+@pytest.mark.xfail(strict=True, reason="numpy's leggauss weights err up to 1.4e-10 (K = 257), "
+                   "9.0e-10 (513) and 1.0e-8 (1025) relative at the end nodes")
+def test_leggauss_weights_within_1e_12(K):
+    rel = np.abs(leggauss(K)[1] / oracle_weights(oracle_nodes(K)) - 1).astype(float)
+    print(f"leggauss weights, K = {K}: max rel error {rel.max():.2e}")
+    assert rel.max() < 1e-12
+
+
+def test_legendre_rows_low_orders_against_oracle():
+    # every node of the band-1024 grid; the recurrence over 1024 degrees loses the most here
+    t = build_sphere_grid(N).t
+    got = recurrence_rows(t, (0, 1))
+    for m, tol in ((0, 1e-11), (1, 1e-11)):  # 2.8e-12 and 7.7e-12 measured
+        err = float(np.max(np.abs(got[m] - oracle_rows(t, m))))
+        print(f"Legendre rows, N = {N}, m = {m}: max abs error {err:.2e}")
+        assert err < tol
+
+
+def test_legendre_rows_high_orders_against_oracle():
+    # later order blocks, on every 8th node and the end nodes (rows are per node, so the
+    # values match a run on all nodes bit for bit)
+    t = build_sphere_grid(N).t
+    t = t[np.unique(np.r_[0:len(t):8, len(t) - 1])]
+    got = recurrence_rows(t, (17, 300, 700))
+    for m, tol in ((17, 1e-11), (300, 1e-12), (700, 1e-12)):
+        err = float(np.max(np.abs(got[m] - oracle_rows(t, m))))
+        print(f"Legendre rows, N = {N}, m = {m}: max abs error {err:.2e}")
+        assert err < tol
