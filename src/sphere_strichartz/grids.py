@@ -129,12 +129,8 @@ def build_sphere_grid(N: int) -> SphereGrid:
 
 @lru_cache(maxsize=None)
 def _build_sphere_grid(N: int) -> SphereGrid:
-    K = N + 1
-    L = 2 * N + 2
-    t, w = leggauss(K)
-    t.setflags(write=False)
-    w.setflags(write=False)
-    return SphereGrid(band=N, t=t, t_weights=w, lon_count=L)
+    rule = _build_zonal_grid(N, 2)  # the colatitude rule is the d = 2 zonal (Gauss-Legendre) one
+    return SphereGrid(band=N, t=rule.t, t_weights=rule.t_weights, lon_count=2 * N + 2)
 
 
 def build_zonal_grid(N: int, d: int) -> ZonalGrid:
@@ -162,8 +158,6 @@ def _build_zonal_grid(N: int, d: int) -> ZonalGrid:
         # zonal basis, divided by the S^(d-1) area that `weights()` multiplies back in
         phi = zonal_basis_column(N, d, t)
         w = 1.0 / (surface_area(d - 1) * np.sum(phi * phi, axis=0))
-    t = np.asarray(t, dtype=float)
-    w = np.asarray(w, dtype=float)
     t.setflags(write=False)
     w.setflags(write=False)
     return ZonalGrid(band=N, d=d, t=t, t_weights=w)
@@ -358,7 +352,9 @@ def _legendre_blocks(grid: SphereGrid, N: int, out: np.ndarray):
             yield m0, m0 + len(block), block
 
 
-@lru_cache(maxsize=8)
+# 16 entries: a Picard solve at N = 4, 5, 6 alone reads 9 (grid band, N) keys.  Only tables
+# of at most _CACHED_TABLE_BYTES are stored, so the cache never holds more than 128 MiB.
+@lru_cache(maxsize=16)
 def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
     """Pbar_n^m at all grid nodes, m-major: entry [m, n, k], shape (N+1, N+1, K), read-only."""
     grid = build_sphere_grid(grid_band)
@@ -541,50 +537,51 @@ def _analyze(values: np.ndarray, grid, N: int, work: dict | None = None,
     return _sht_analysis(values, grid, N, work, out)
 
 
+def _check_fit(grid, N: int, zonal: bool, d: int) -> None:
+    """ValueError unless a band-N table of this kind (zonal or full) on S^d fits `grid`."""
+    if (zonal, d) != (isinstance(grid, ZonalGrid), grid.d):
+        table = f"{'zonal' if zonal else 'full'} S^{d} table"
+        grid_kind = f"{'zonal' if isinstance(grid, ZonalGrid) else 'sphere'} S^{grid.d} grid"
+        raise ValueError(f"a {table} does not fit a {grid_kind}")
+    if N > grid.band:
+        raise ValueError(f"table band {N} exceeds grid band {grid.band}")
+
+
+def _as_samples(values, grid) -> np.ndarray:
+    """`values` as a complex array; ValueError unless its shape is the grid's."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape != grid.shape:
+        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
+    return values
+
+
 def forward_sht(values: np.ndarray, grid: SphereGrid, N: int) -> CoefficientTable:
     """Analysis on S^2: coefficients a_{n,m} of `values` against the orthonormal basis.
 
     Exact for band-limited input when the grid band is >= the input band.
     """
-    values = np.asarray(values, dtype=complex)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-    if N > grid.band:
-        raise ValueError(f"band limit {N} exceeds grid band {grid.band}")
-    return CoefficientTable(N, 2, _sht_analysis(values, grid, N))
+    _check_fit(grid, N, False, 2)
+    return CoefficientTable(N, 2, _sht_analysis(_as_samples(values, grid), grid, N))
 
 
 def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid) -> np.ndarray:
     """Synthesis on S^2: pointwise sum of coefficients times basis functions."""
-    if coeffs.zonal:
-        raise ValueError("inverse_sht expects a full S^2 table; use inverse_zonal")
-    if coeffs.N > grid.band:
-        raise ValueError(f"table band {coeffs.N} exceeds grid band {grid.band}")
-    return _sht_synthesis(coeffs.a, grid)
+    _check_fit(grid, coeffs.N, coeffs.zonal, coeffs.d)
+    return _synthesize(coeffs.a, grid)
 
 
 def forward_zonal(values: np.ndarray, grid: ZonalGrid, N: int) -> CoefficientTable:
     """Analysis of a zonal field against the orthonormal zonal basis."""
-    values = np.asarray(values, dtype=complex)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
-    if N > grid.band:
-        raise ValueError(f"band limit {N} exceeds grid band {grid.band}")
+    _check_fit(grid, N, True, grid.d)
     B = _zonal_tables(grid.band, N, grid.d)
-    a = B @ (grid.weights() * values)
+    a = B @ (grid.weights() * _as_samples(values, grid))
     return CoefficientTable(N=N, d=grid.d, a=a, zonal=True)
 
 
 def inverse_zonal(coeffs: CoefficientTable, grid: ZonalGrid) -> np.ndarray:
     """Synthesis of a zonal table at the grid nodes."""
-    if not coeffs.zonal:
-        raise ValueError("inverse_zonal expects a zonal table")
-    if coeffs.N > grid.band:
-        raise ValueError(f"table band {coeffs.N} exceeds grid band {grid.band}")
-    if coeffs.d != grid.d:
-        raise ValueError(f"table dimension {coeffs.d} != grid dimension {grid.d}")
-    B = _zonal_tables(grid.band, coeffs.N, grid.d)
-    return coeffs.a @ B
+    _check_fit(grid, coeffs.N, coeffs.zonal, coeffs.d)
+    return _synthesize(coeffs.a, grid)
 
 
 def integrate(values: np.ndarray, grid) -> complex | float:

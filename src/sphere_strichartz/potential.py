@@ -33,7 +33,7 @@ from .spectral import (
     _TIME_BLOCK,
     SpaceTimeField,
     TimeGrid,
-    eigenvalues_upto,
+    free_phases,
     synthesize_history,
 )
 
@@ -136,21 +136,12 @@ class PotentialSpec:
                 {"freq": int(f), "re": float(c.real), "im": float(c.imag)}
                 for f, c in zip(term.time_freqs, term.time_coeffs)
             ]
-            sc = []
             tab = term.spatial
-            if tab.zonal:
-                for n in range(tab.N + 1):
-                    c = tab.a[n]
-                    if c != 0:
-                        sc.append({"n": n, "m": 0,
-                                   "re": float(c.real), "im": float(c.imag)})
-            else:
-                for n in range(tab.N + 1):
-                    for m in range(-n, n + 1):
-                        c = tab.a[n, m + tab.N]
-                        if c != 0:
-                            sc.append({"n": n, "m": m,
-                                       "re": float(c.real), "im": float(c.imag)})
+            a = tab.a.reshape(tab.N + 1, -1)  # a zonal table is one column, m = 0
+            m0 = 0 if tab.zonal else -tab.N  # the order of column 0
+            sc = [{"n": int(n), "m": int(j) + m0, "re": float(a[n, j].real),
+                   "im": float(a[n, j].imag)}
+                  for n, j in zip(*np.nonzero(a))]
             out["terms"].append({"time_coeffs": tc, "spatial_coeffs": sc})
         return out
 
@@ -265,8 +256,7 @@ class _PicardMap:
         self.B = V.spatial_samples(grid).reshape(len(V.terms), math.prod(grid.shape))  # [k, z]
         self.amps = V.amplitudes(tg.times)
         self.conj, self.scaled = _duhamel_phases(tg, f.N, f.d, f.zonal)
-        free = np.exp(1j * np.outer(tg.times, eigenvalues_upto(f.N, f.d)))
-        self.free = free if f.zonal else free[:, :, None]
+        self.free = free_phases(tg.times, f)
 
     def __call__(self, w: SpaceTimeField) -> SpaceTimeField:
         if self.band + w.N > self.grid.band:

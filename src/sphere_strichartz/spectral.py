@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CoefficientTable, SphereGrid, ZonalGrid, _degree_synthesis, _synthesize
+from .grids import CoefficientTable, _check_fit, _degree_synthesis, _synthesize
 from .harmonics import eigenvalue
 
 __all__ = [
@@ -100,17 +100,15 @@ def reduce_time(t: float) -> float:
     return tr + _TWO_PI if tr < 0.0 else tr
 
 
-def propagation_phases(N: int, d: int, t: float) -> np.ndarray:
-    """Per-degree phases e^{i lambda_n t}, with t reduced modulo 2 pi first."""
-    tr = reduce_time(t)
-    return np.exp(1j * eigenvalues_upto(N, d) * tr)
+def free_phases(times, f: CoefficientTable) -> np.ndarray:
+    """e^{i lambda_n t_j}, shape (len(times), N+1[, 1]): f.a times row j is f evolved to t_j."""
+    phases = np.exp(1j * np.outer(times, eigenvalues_upto(f.N, f.d)))
+    return phases if f.zonal else phases[:, :, None]
 
 
 def propagate(f: CoefficientTable, t: float) -> CoefficientTable:
     """Free Schrodinger evolution by time t: degree-n coefficients times e^{i lambda_n t}."""
-    phases = propagation_phases(f.N, f.d, t)
-    if not f.zonal:
-        phases = phases[:, None]
+    phases = free_phases([reduce_time(t)], f)[0]
     return CoefficientTable(f.N, f.d, f.a * phases, zonal=f.zonal)
 
 
@@ -124,12 +122,7 @@ def fractional_weight(f: CoefficientTable, s: float) -> CoefficientTable:
 
 def synthesize_by_degree(f: CoefficientTable, grid) -> np.ndarray:
     """Sampled per-degree components (H_n f)(z): shape (N+1, *grid.shape)."""
-    if f.zonal and not isinstance(grid, ZonalGrid):
-        raise ValueError("zonal table needs a zonal grid")
-    if not f.zonal and not isinstance(grid, SphereGrid):
-        raise ValueError("full S^2 table needs a sphere grid")
-    if f.N > grid.band:
-        raise ValueError(f"table band {f.N} exceeds grid band {grid.band}")
+    _check_fit(grid, f.N, f.zonal, f.d)
     return _degree_synthesis(f.a, grid)
 
 
@@ -172,13 +165,11 @@ class SpaceTimeField:
         """Spectral history of time nodes j0..j1-1, shape (j1-j0, *coefficient shape)."""
         if not self.free:
             return self.tables[j0:j1]
-        lam = eigenvalues_upto(self.N, self.d)
-        phases = np.exp(1j * np.outer(self.tg.times[j0:j1], lam))
-        return self.base.a * (phases if self.base.zonal else phases[:, :, None])
+        return self.base.a * free_phases(self.tg.times[j0:j1], self.base)
 
     def materialize(self) -> "SpaceTimeField":
         """Explicit-history copy of this field (intended for modest M * table size)."""
-        if not self.free:
+        if self.tables is not None:
             return self
         return SpaceTimeField(self.tg, self.grid, self.base.copy(), tables=self.history())
 
@@ -256,14 +247,10 @@ class _Difference(SpaceTimeField):
         a, b = self._operands
         return a.history(j0, j1) - b.history(j0, j1)
 
-    def materialize(self) -> SpaceTimeField:
-        return SpaceTimeField(self.tg, self.grid, self.base.copy(), tables=self.history())
-
 
 def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeField:
     """Free evolution of f on the given time grid: history[j] = propagate(f, t_j)."""
-    if f.N > grid.band:
-        raise ValueError(f"table band {f.N} exceeds grid band {grid.band}")
+    _check_fit(grid, f.N, f.zonal, f.d)
     return SpaceTimeField(tg, grid, f.copy())
 
 

@@ -1,5 +1,6 @@
 import math
 import mmap
+import re
 
 import numpy as np
 import pytest
@@ -35,7 +36,16 @@ from sphere_strichartz.harmonics import (
     zonal_kernel,
 )
 from sphere_strichartz.cli import run
-from sphere_strichartz.spectral import project, random_field
+from sphere_strichartz.experiments import kappa_pq
+from sphere_strichartz.norms import l2t_profile_exact, mixed_norm
+from sphere_strichartz.potential import PotentialSpec, PotentialTerm, picard_solve
+from sphere_strichartz.spectral import (
+    TimeGrid,
+    project,
+    random_field,
+    synthesize_by_degree,
+    synthesize_history,
+)
 
 
 def test_trivial_grid():
@@ -412,3 +422,58 @@ def test_zonal_kernel_orthogonality_under_quadrature():
         x[1] - x2[1]
     )
     assert same == pytest.approx(zonal_kernel(4, 2, cos_xx2), abs=1e-11)
+
+
+def _mismatches():
+    """pytest params (call, table kind, grid kind), one per entry point: a table, or the table
+    an entry point analyzes into, handed a grid of another kind or dimension."""
+    rng = np.random.default_rng(3)
+    z3, z2 = random_field(4, 3, rng, zonal=True), random_field(4, 2, rng, zonal=True)
+    full = random_field(4, 2, rng)
+    zg2, sg = build_zonal_grid(8, 2), build_sphere_grid(8)
+    return [
+        pytest.param(lambda: synthesize_by_degree(z3, zg2), "zonal S^3", "zonal S^2",
+                     id="synthesize_by_degree"),
+        pytest.param(lambda: l2t_profile_exact(z3, zg2), "zonal S^3", "zonal S^2",
+                     id="l2t_profile_exact"),
+        pytest.param(lambda: mixed_norm(synthesize_history(z3, TimeGrid(160), zg2), 4.0, 2.0),
+                     "zonal S^3", "zonal S^2", id="synthesize_history"),
+        pytest.param(lambda: inverse_zonal(z2, sg), "zonal S^2", "sphere S^2",
+                     id="inverse_zonal"),
+        pytest.param(lambda: forward_zonal(np.ones(sg.shape), sg, 4), "zonal S^2",
+                     "sphere S^2", id="forward_zonal"),
+        pytest.param(lambda: inverse_sht(full, zg2), "full S^2", "zonal S^2", id="inverse_sht"),
+        pytest.param(lambda: forward_sht(np.ones(zg2.shape), zg2, 4), "full S^2", "zonal S^2",
+                     id="forward_sht"),
+    ]
+
+
+@pytest.mark.parametrize("call, table, grid", _mismatches())
+def test_table_on_grid_of_another_kind_raises_naming_both(call, table, grid):
+    # A mismatched pair must fail before any work, with one message naming both kinds, not
+    # return numbers in the wrong basis or shape.
+    message = f"a {table} table does not fit a {grid} grid"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_legendre_table_cache_holds_a_picard_op(fresh_legendre_caches):
+    # One benchmark Picard op: solves at N = 4, 5 and 6 with one band-1 potential, which read
+    # 9 (grid band, N) table keys.  After one op has filled the cache, the next rebuilds none.
+    B = CoefficientTable.unit_mode(1, 1, 0)
+    V = PotentialSpec([PotentialTerm(np.array([1, -1]), np.array([0.015, 0.015]), B)])
+    rng = np.random.default_rng(11)
+    fields = [random_field(N, 2, rng) for N in (4, 5, 6)]
+    s = kappa_pq(4.0, 2.0, 2)
+
+    def op():
+        for f in fields:
+            picard_solve(f, V, p=4.0, s=s)
+
+    op()
+    before = _legendre_tables.cache_info()
+    op()
+    after = _legendre_tables.cache_info()
+    assert after.currsize <= after.maxsize
+    assert after.misses == before.misses, f"{after.misses - before.misses} tables rebuilt"
+    assert after.hits > before.hits

@@ -408,3 +408,30 @@ def test_difference_is_formed_blockwise(d, rows, monkeypatch):
     v = _random_history(N, d, 16, g, rng)
     assert x_norm(u - v, 4.0, 0.3) == x_norm(u.materialize() - v, 4.0, 0.3)
     assert np.array_equal((u - v).materialize().tables, u.materialize().tables - v.tables)
+
+
+# to_json_dict of the spec built in the test below, recorded from the nested-loop version
+# it replaced: entries in (n, m) order, m from -n to n, the sign of a zero kept.
+_JSON_LITERAL = (
+    '{"terms": [{"time_coeffs": [{"freq": 1, "re": 0.015, "im": 0.0}, '
+    '{"freq": -1, "re": 0.015, "im": 0.0}], "spatial_coeffs": ['
+    '{"n": 0, "m": 0, "re": 0.5, "im": 0.0}, {"n": 1, "m": -1, "re": -0.0, "im": -0.25}, '
+    '{"n": 1, "m": 1, "re": 0.75, "im": 0.0}, {"n": 2, "m": -2, "re": 1.5, "im": -0.5}, '
+    '{"n": 2, "m": 0, "re": -2.0, "im": 0.0}, {"n": 3, "m": -1, "re": 0.125, "im": 0.0}, '
+    '{"n": 3, "m": 3, "re": 0.25, "im": 1.0}]}, '
+    '{"time_coeffs": [{"freq": 0, "re": 1.0, "im": 0.0}, {"freq": 2, "re": 0.0, "im": 0.5}], '
+    '"spatial_coeffs": [{"n": 1, "m": 0, "re": 0.5, "im": 0.25}, '
+    '{"n": 4, "m": 0, "re": -1.0, "im": 0.0}]}]}'
+)
+
+
+def test_potential_to_json_dict_order_and_values():
+    full = CoefficientTable.zeros(3, 2)
+    for n, m, c in [(0, 0, 0.5), (1, -1, -0.25j), (1, 1, 0.75), (2, -2, 1.5 - 0.5j),
+                    (2, 0, -2.0), (3, -1, 0.125), (3, 3, 0.25 + 1j)]:
+        full.a[n, m + 3] = c
+    zonal = CoefficientTable.zeros(4, 3, zonal=True)
+    zonal.a[1], zonal.a[4] = 0.5 + 0.25j, -1.0
+    V = PotentialSpec([PotentialTerm([1, -1], [0.015, 0.015], full),
+                       PotentialTerm([0, 2], [1.0, 0.5j], zonal)])
+    assert json.dumps(V.to_json_dict()) == _JSON_LITERAL

@@ -16,6 +16,7 @@ from sphere_strichartz.spectral import (
     project,
     propagate,
     random_field,
+    reduce_time,
     synthesize_by_degree,
     synthesize_history,
 )
@@ -292,3 +293,15 @@ def test_spacetime_subtraction_needs_the_same_grids():
     assert z3.grid.shape == z4.grid.shape
     with pytest.raises(ValueError, match="spatial grids"):
         z3 - z4
+
+
+@pytest.mark.parametrize("d, N", [(2, 0), (2, 7), (2, 40), (3, 1), (3, 12), (3, 64)])
+@pytest.mark.parametrize("t", [-37.25, -TWO_PI, -1e-3, -0.0, 0.7, TWO_PI, 50.0])
+def test_propagate_equals_direct_phase_product(d, N, t):
+    # propagate's coefficients are, bit for bit, f.a * exp(1j * lambda_n * reduce_time(t))
+    # formed directly.
+    f = random_field(N, d, np.random.default_rng(N), zonal=(d != 2))
+    n = np.arange(N + 1)
+    phases = np.exp(1j * (n * (n + d - 1)).astype(float) * reduce_time(t))
+    want = f.a * (phases if f.zonal else phases[:, None])
+    assert propagate(f, t).a.tobytes() == want.tobytes()
