@@ -325,24 +325,20 @@ def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     return row
 
 
-def _legendre_buffer(orders: int, N: int, grid: SphereGrid) -> np.ndarray:
-    """An (orders, N+1, K) float buffer; a failed allocation raises ResourceLimitError."""
-    shape = (orders, N + 1, grid.t.size)
-    try:
-        return np.empty(shape)
-    except MemoryError:
-        what = "table" if orders == N + 1 else f"block of {orders} orders"
-        raise ResourceLimitError(f"Legendre {what} for grid band {grid.band}, N = {N} needs "
-                                 f"{8 * math.prod(shape) / 1e9:.3g} GB") from None
-
-
-def _legendre_blocks(grid: SphereGrid, N: int, out: np.ndarray):
+def _legendre_blocks(grid: SphereGrid, N: int, width: int):
     """Yield (m0, m1, block): Pbar_n^m at the grid nodes for m0 <= m < m1, entry [m - m0, n, k].
 
-    Blocks of len(out) orders, each written into out[:m1-m0] (so valid until the next) one
-    degree row at a time; the rows n < m0 that the previous block wrote are set to +0.0.
+    Blocks of `width` orders, each written into one (width, N+1, K) buffer (so valid until the
+    next) one degree row at a time; the rows n < m0 that the previous block wrote are set to
+    +0.0.  A failed allocation of the buffer raises ResourceLimitError.
     """
-    width = len(out)
+    shape = (width, N + 1, grid.t.size)
+    try:
+        out = np.empty(shape)
+    except MemoryError:
+        what = "table" if width == N + 1 else f"block of {width} orders"
+        raise ResourceLimitError(f"Legendre {what} for grid band {grid.band}, N = {N} needs "
+                                 f"{8 * math.prod(shape) / 1e9:.3g} GB") from None
     for m0, n, row in _order_block_rows(grid.t, N, width):
         if n == m0:
             block = out[: len(row)]
@@ -357,9 +353,7 @@ def _legendre_blocks(grid: SphereGrid, N: int, out: np.ndarray):
 @lru_cache(maxsize=16)
 def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
     """Pbar_n^m at all grid nodes, m-major: entry [m, n, k], shape (N+1, N+1, K), read-only."""
-    grid = build_sphere_grid(grid_band)
-    P = _legendre_buffer(N + 1, N, grid)
-    for _ in _legendre_blocks(grid, N, P):
+    for _, _, P in _legendre_blocks(build_sphere_grid(grid_band), N, N + 1):
         pass
     P.setflags(write=False)
     return P
@@ -380,7 +374,7 @@ def _legendre_slabs(grid: SphereGrid, N: int):
     if 8 * (N + 1) ** 2 * grid.t.size <= _CACHED_TABLE_BYTES:
         yield 0, N + 1, _legendre_tables(grid.band, N)
         return
-    yield from _legendre_blocks(grid, N, _legendre_buffer(min(_BLOCK_ORDERS, N + 1), N, grid))
+    yield from _legendre_blocks(grid, N, min(_BLOCK_ORDERS, N + 1))
 
 
 @lru_cache(maxsize=8)
@@ -490,35 +484,34 @@ def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int, work: dict | Non
     """Batched forward transform: values[..., K, L] -> a[..., N+1, 2N+1], written into `out`
     when given.
 
-    With a `work` dict its buffers come from it, and the longitude spectrum goes into
-    work["spec"]: values held there (a synthesis' output) are overwritten, others are not.
-    Without one, the spectrum is freed once X holds it, and a missing `out` is allocated
-    after the first Legendre pass has freed its block.
+    One pass for the whole batch: callers cut long histories into blocks of time nodes.  With
+    a `work` dict its buffers come from it, and the longitude spectrum goes into work["spec"]:
+    values held there (a synthesis' output) are overwritten, others are not.  Without one,
+    the spectrum is freed once X holds it, and a missing `out` is allocated after the first
+    Legendre pass has freed its block.
     """
     K, L = grid.shape
     flat = values.reshape(-1, K, L)
-    for b0 in range(0, len(flat), 64):  # chunks keep each FFT output in cache for the reordering
-        # longitude analysis: F[k, m mod L] = (1 / L) sum_j values e^{-i m phi_j}
-        chunk = flat[b0 : b0 + 64]
-        F = _fft_into(np.fft.fft, chunk, _work_buffer(work, "spec", chunk.shape))
-        X = _work_buffer(work, "X", (N + 1, K, len(F), 2))  # [m, k, b, +/-]
-        X[0, :, :, 1] = 0.0
-        X[..., 0] = F[:, :, : N + 1].T
-        X[1:, :, :, 1] = F[:, :, : L - N - 1 : -1].T
-        del F
-        X *= (2.0 * np.pi * grid.t_weights)[:, None, None]  # colatitude quadrature weights
-        Xf = X.view(float).reshape(N + 1, K, -1)
-        Y = _work_buffer(work, "Y", (N + 1, N + 1, Xf.shape[-1]), float)
-        for m0, m1, slab in _legendre_slabs(grid, N):
-            np.matmul(slab, Xf[m0:m1], out=Y[m0:m1])
-        del slab
-        if out is None:
-            out = np.empty((*values.shape[:-2], N + 1, 2 * N + 1), dtype=complex)
-        Y = Y.reshape(N + 1, N + 1, -1, 4).view(complex)  # [m, n, b, +/-]
-        Y[1::2, :, :, 1] *= -1.0  # Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
-        ab = out.reshape(len(flat), N + 1, 2 * N + 1)[b0 : b0 + 64]
-        ab[:, :, N::-1] = Y[..., 1].T
-        ab[:, :, N:] = Y[..., 0].T  # overwrites the m = 0 column written above
+    # longitude analysis: F[k, m mod L] = (1 / L) sum_j values e^{-i m phi_j}
+    F = _fft_into(np.fft.fft, flat, _work_buffer(work, "spec", flat.shape))
+    X = _work_buffer(work, "X", (N + 1, K, len(F), 2))  # [m, k, b, +/-]
+    X[0, :, :, 1] = 0.0
+    X[..., 0] = F[:, :, : N + 1].T
+    X[1:, :, :, 1] = F[:, :, : L - N - 1 : -1].T
+    del F
+    X *= (2.0 * np.pi * grid.t_weights)[:, None, None]  # colatitude quadrature weights
+    Xf = X.view(float).reshape(N + 1, K, -1)
+    Y = _work_buffer(work, "Y", (N + 1, N + 1, Xf.shape[-1]), float)
+    for m0, m1, slab in _legendre_slabs(grid, N):
+        np.matmul(slab, Xf[m0:m1], out=Y[m0:m1])
+    del slab
+    if out is None:
+        out = np.empty((*values.shape[:-2], N + 1, 2 * N + 1), dtype=complex)
+    Y = Y.reshape(N + 1, N + 1, -1, 4).view(complex)  # [m, n, b, +/-]
+    Y[1::2, :, :, 1] *= -1.0  # Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
+    ab = out.reshape(len(flat), N + 1, 2 * N + 1)
+    ab[:, :, N::-1] = Y[..., 1].T
+    ab[:, :, N:] = Y[..., 0].T  # overwrites the m = 0 column written above
     return out
 
 
@@ -548,8 +541,8 @@ def _check_fit(grid, N: int, zonal: bool, d: int) -> None:
 
 
 def _as_samples(values, grid) -> np.ndarray:
-    """`values` as a complex array; ValueError unless its shape is the grid's."""
-    values = np.asarray(values, dtype=complex)
+    """`values` as an array of its own dtype; ValueError unless its shape is the grid's."""
+    values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
     return values
@@ -561,7 +554,8 @@ def forward_sht(values: np.ndarray, grid: SphereGrid, N: int) -> CoefficientTabl
     Exact for band-limited input when the grid band is >= the input band.
     """
     _check_fit(grid, N, False, 2)
-    return CoefficientTable(N, 2, _sht_analysis(_as_samples(values, grid), grid, N))
+    values = _as_samples(values, grid).astype(complex, copy=False)
+    return CoefficientTable(N, 2, _sht_analysis(values, grid, N))
 
 
 def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid) -> np.ndarray:
@@ -573,8 +567,8 @@ def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid) -> np.ndarray:
 def forward_zonal(values: np.ndarray, grid: ZonalGrid, N: int) -> CoefficientTable:
     """Analysis of a zonal field against the orthonormal zonal basis."""
     _check_fit(grid, N, True, grid.d)
-    B = _zonal_tables(grid.band, N, grid.d)
-    a = B @ (grid.weights() * _as_samples(values, grid))
+    values = _as_samples(values, grid).astype(complex, copy=False)
+    a = _zonal_tables(grid.band, N, grid.d) @ (grid.weights() * values)
     return CoefficientTable(N=N, d=grid.d, a=a, zonal=True)
 
 
@@ -586,9 +580,7 @@ def inverse_zonal(coeffs: CoefficientTable, grid: ZonalGrid) -> np.ndarray:
 
 def integrate(values: np.ndarray, grid) -> complex | float:
     """Surface integral of sampled values by the grid quadrature."""
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
+    values = _as_samples(values, grid)
     total = np.sum(grid.weights() * values)
     return float(total.real) if not np.iscomplexobj(values) else complex(total)
 

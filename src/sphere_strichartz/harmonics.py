@@ -202,11 +202,8 @@ def zonal_kernel(n: int, d: int, t):
     degree n.  Uses the exact eigenspace dimension so the reproducing
     identity holds without asymptotic slack.
     """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
     if d < 2:
         raise ValueError(f"zonal kernel needs d >= 2, got {d}")
     alpha = (d - 1) / 2.0
     scale = eigenspace_dim(n, d) / surface_area(d) / gegenbauer_at_one(n, alpha)
-    out = _eval_shaped(lambda x: gegenbauer_column(n, alpha, x), n, t)
-    return scale * out
+    return scale * gegenbauer(n, alpha, t)

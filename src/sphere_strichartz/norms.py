@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .grids import CoefficientTable
+from .grids import CoefficientTable, _as_samples
 from .spectral import SpaceTimeField, synthesize_by_degree
 
 __all__ = [
@@ -41,9 +41,7 @@ class TimeResolutionError(RuntimeError):
 
 def lp_norm(values: np.ndarray, grid, p: float) -> float:
     """Quadrature L^p norm of sampled values; p = inf is the max over the grid."""
-    values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise ValueError(f"values shape {values.shape} != grid shape {grid.shape}")
+    values = _as_samples(values, grid)
     if p == math.inf:
         return float(np.max(np.abs(values)))
     if not p >= 1:
@@ -106,28 +104,21 @@ def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
 def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
     """sum_j |u(t_j, z)|^q over all M nodes; FloatingPointError if |u|^q leaves float range."""
     S = np.zeros(u.grid.shape)
+    flat = S.reshape(-1)
     vacuous = False
-    if u.free:
-        flat = S.reshape(-1)
-        mag = None
-        for sl, series in u.iter_space_chunks():
-            if mag is None:  # the first chunk is the largest
-                mag = np.empty(series.shape)
-            m = mag[:series.shape[0]]
-            np.abs(series, out=m)
-            m **= q  # the same dispatch as `** q`, which squares for q = 2
-            flat[sl] = (u.tg.M // series.shape[-1]) * np.sum(m, axis=-1)
-            vacuous = vacuous or np.any(series[flat[sl] == 0])
-    else:
-        work, mag = {}, None
-        for _, block in u.iter_time_blocks(work):
-            if mag is None:  # the first block is the largest
-                mag = np.empty(block.shape)
-            m = mag[: len(block)]
-            np.abs(block, out=m)
-            m **= q
+    mag = None
+    for key, x in u.iter_space_chunks() if u.free else u.iter_time_blocks({}):
+        if mag is None:  # the first chunk or block is the largest
+            mag = np.empty(x.shape)
+        m = mag[: len(x)]
+        np.abs(x, out=m)
+        m **= q  # the same dispatch as `** q`, which squares for q = 2
+        if u.free:  # key: a flat z slice; x: one period of P nodes, counted M/P times
+            flat[key] = (u.tg.M // x.shape[-1]) * np.sum(m, axis=-1)
+            vacuous = vacuous or np.any(x[flat[key] == 0])
+        else:  # x: the samples of one block of time nodes
             S += np.sum(m, axis=0)
-            vacuous = vacuous or np.any(block[:, S == 0])
+            vacuous = vacuous or np.any(x[:, S == 0])
     if vacuous or not np.all(np.isfinite(S)):
         raise FloatingPointError(f"non-finite or vacuous time power sums of |u|^{q:g}")
     return S

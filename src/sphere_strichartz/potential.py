@@ -33,6 +33,7 @@ from .spectral import (
     _TIME_BLOCK,
     SpaceTimeField,
     TimeGrid,
+    eigenvalues_upto,
     free_phases,
     synthesize_history,
 )
@@ -141,7 +142,7 @@ class PotentialSpec:
             m0 = 0 if tab.zonal else -tab.N  # the order of column 0
             sc = [{"n": int(n), "m": int(j) + m0, "re": float(a[n, j].real),
                    "im": float(a[n, j].imag)}
-                  for n, j in zip(*np.nonzero(a))]
+                  for n, j in zip(*np.nonzero(a)) if abs(j + m0) <= n]  # no transform reads |m| > n
             out["terms"].append({"time_coeffs": tc, "spatial_coeffs": sc})
         return out
 
@@ -202,7 +203,7 @@ def _duhamel_phases(tg: TimeGrid, N: int, d: int, zonal: bool):
 
     lambda t_j = 2 pi (lambda j mod M) / M is reduced exactly in integers.
     """
-    lam = np.arange(N + 1) * (np.arange(N + 1) + d - 1)
+    lam = eigenvalues_upto(N, d)
     phases = np.exp(2j * np.pi / tg.M * (np.outer(np.arange(tg.M), lam) % tg.M))
     phases = phases if zonal else phases[:, :, None]
     return phases.conj(), tg.dt * phases
@@ -330,7 +331,7 @@ def picard_solve(
         raise ValueError(f"regularity s={s} below threshold {threshold}")
     grid = grid_for(f.N + V.band, d, 2.0)
     if tg is None:
-        tg = TimeGrid(max(64, 8 * (int(f.N * (f.N + d - 1)) + 1)))
+        tg = TimeGrid(max(64, 8 * (int(eigenvalues_upto(f.N, d)[-1]) + 1)))
 
     v_norm = V.mixed_q_inf_norm(q, grid)
     c0_est = estimate_strichartz_constant(p, s, f.N, d, np.random.default_rng(seed))

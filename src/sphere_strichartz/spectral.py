@@ -81,8 +81,9 @@ def nyquist_time_grid(N: int, d: int) -> TimeGrid:
 
 
 def eigenvalues_upto(N: int, d: int) -> np.ndarray:
+    """The integer eigenvalues lambda_n = n(n+d-1) for n = 0..N."""
     n = np.arange(N + 1)
-    return (n * (n + d - 1)).astype(float)
+    return n * (n + d - 1)
 
 
 def project(f: CoefficientTable, n: int) -> CoefficientTable:
@@ -201,7 +202,7 @@ class SpaceTimeField:
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")
-        lam = eigenvalues_upto(self.N, self.d).astype(int)
+        lam = eigenvalues_upto(self.N, self.d)
         if lam[-1] >= self.tg.M:
             raise ValueError(f"time grid too coarse: lambda_N={lam[-1]} >= M={self.tg.M}")
         g = math.gcd(self.tg.M, *lam.tolist())

@@ -332,6 +332,9 @@ def _assert_kernels_equal_full_node_kernels(a, vals, n, grid):
 @example(N=1, extra=0, shape=(3, 5), orders=1, seed=1)  # K = 2
 @example(N=2, extra=0, shape=(7,), orders=2, seed=2)  # K = 3
 @example(N=24, extra=8, shape=(7,), orders=5, seed=3)
+# batches above one 64-node time block: one analysis pass against the reference's 64-slice cuts
+@example(N=3, extra=1, shape=(65,), orders=None, seed=4)
+@example(N=5, extra=2, shape=(2, 65), orders=2, seed=5)
 def test_slab_kernels_equal_full_node_kernels(N, extra, shape, orders, seed):
     grid = build_sphere_grid(N + extra)
     rng = np.random.default_rng(seed)

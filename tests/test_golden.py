@@ -38,6 +38,9 @@ COMMANDS = {
     "strichartz": ["strichartz", "--N", "16", "--p", "4"],
     "solve-potential": ["solve-potential", "--potential", "{potential}", "--N", "6",
                         "--format", "json"],
+    # the zonal Picard path: README's potential on S^3
+    "solve-potential-d3": ["solve-potential", "--potential", "{potential}", "--d", "3",
+                           "--N", "4", "--format", "json"],
 }
 
 

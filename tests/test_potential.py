@@ -435,3 +435,14 @@ def test_potential_to_json_dict_order_and_values():
     V = PotentialSpec([PotentialTerm([1, -1], [0.015, 0.015], full),
                        PotentialTerm([0, 2], [1.0, 0.5j], zonal)])
     assert json.dumps(V.to_json_dict()) == _JSON_LITERAL
+
+
+def test_potential_json_round_trip_skips_entries_outside_the_band():
+    # a full table may hold entries at |m| > n, which no transform reads: the file leaves
+    # them out, so it loads again and V's samples are unchanged
+    B = random_field(2, 2, np.random.default_rng(31))
+    B.a[0, 0] = 0.5  # (n, m) = (0, -2)
+    V = PotentialSpec([PotentialTerm([1, -1], [0.015, 0.015], B)])
+    back = PotentialSpec.from_json_dict(json.loads(json.dumps(V.to_json_dict())))
+    grid = grid_for(2, 2, 2.0)
+    assert back.spatial_samples(grid).tobytes() == V.spatial_samples(grid).tobytes()
