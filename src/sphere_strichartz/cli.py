@@ -210,7 +210,7 @@ def _cmd_strichartz(args) -> int:
 def _cmd_sharpness(args) -> int:
     degrees = _parse_degrees(args.n, args.count)
     p = _parse_p(_require(args, "p"))
-    s = _finite("s", args.s) if args.s is not None else xp.kappa_pq(p, 2.0, args.d)
+    s = xp.kappa_pq(p, 2.0, args.d) if args.s == "auto" else _finite("s", float(args.s))
     per_family = xp.sharpness_rows(p, s, args.d, degrees)
     rows = [[n, r, args.p, 2.0, s, args.d, fam]
             for fam, fam_rows in per_family.items() for n, r in fam_rows]
@@ -226,6 +226,7 @@ def _cmd_sharpness(args) -> int:
 def _cmd_solve_potential(args) -> int:
     p = _parse_p(args.p)
     s = xp.kappa_pq(p, 2.0, args.d) if args.s == "auto" else _finite("s", float(args.s))
+    _finite("tol", args.tol)
     with open(_require(args, "potential"), "r", encoding="utf-8") as fh:
         V = pot.PotentialSpec.from_json_dict(json.load(fh), d=args.d)
     rng = _rng(args.seed)
@@ -341,7 +342,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp = sub.add_parser("sharpness", help="ratio growth below the sharp regularity")
     sp.add_argument("--d", type=int, default=2)
     sp.add_argument("--p", default=None)
-    sp.add_argument("--s", type=float, default=None)
+    sp.add_argument("--s", default="auto")
     sp.add_argument("--n", default="16:256")
     sp.add_argument("--count", type=int, default=12)
     _add_common(sp)

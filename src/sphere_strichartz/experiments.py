@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import (
     CoefficientTable,
-    _single_degree_synthesis,
+    _degree_synthesis,
     build_sphere_grid,
     build_zonal_grid,
     grid_for,
@@ -198,7 +198,7 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0,
         grid = grid_for(f.N, 2, nu)
         degrees = np.nonzero(np.any(f.a != 0, axis=1))[0]
         if degrees.size == 1:  # one Legendre row, O(nK) memory, instead of the O(N^2 K) table
-            vals = _single_degree_synthesis(f.a, int(degrees[0]), grid)
+            vals = _degree_synthesis(f.a, grid, int(degrees[0]))
         else:
             vals = inverse_sht(f, grid)
         res = lp_norm(vals, grid, p)

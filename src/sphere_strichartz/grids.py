@@ -292,16 +292,6 @@ def _order_block_rows(t: np.ndarray, N: int, width: int):
             yield m0, n, new
 
 
-def _legendre_rows(t: np.ndarray, N: int):
-    """Yield the degree-n rows Pbar_n^m(t) for m = 0..n, shape (n+1, K), for n = 0..N.
-
-    One order block holding every order; a yielded row is valid until the generator
-    advances twice.
-    """
-    for _, n, row in _order_block_rows(t, N, N + 1):
-        yield row[: n + 1]
-
-
 def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     """Pbar_n^m(t) for m = 0..n at nodes symmetric about 0, shape (n+1, K), in O(nK) memory.
 
@@ -311,7 +301,7 @@ def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     """
     K = t.size
     Kh = (K + 1) // 2
-    for H in _legendre_rows(t[:Kh], n):
+    for *_, H in _order_block_rows(t[:Kh], n, n + 1):  # one block of every order, to degree n
         pass
     row = np.empty((n + 1, K))
     row[:, :Kh] = H
@@ -319,7 +309,7 @@ def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     np.multiply(H[:, : K - Kh][:, ::-1], sign, out=row[:, Kh:])
     polar = K - 1 - np.flatnonzero((H[:, : K - Kh] == 0).any(axis=0))
     if polar.size:
-        for exact in _legendre_rows(t[polar], n):
+        for *_, exact in _order_block_rows(t[polar], n, n + 1):
             pass
         row[:, polar] = exact
     return row
@@ -442,40 +432,32 @@ def _sht_synthesis(a: np.ndarray, grid: SphereGrid, work: dict | None = None) ->
     return _fft_into(np.fft.ifft, spec, spec).reshape(*a.shape[:-2], K, L)
 
 
-def _degree_synthesis(a: np.ndarray, grid) -> np.ndarray:
+def _degree_synthesis(a: np.ndarray, grid, n: int | None = None) -> np.ndarray:
     """Per-degree components of one table on a sphere or zonal grid: entry n = (H_n f)(z).
 
     No Legendre sum: row n of the longitude spectrum is a_{n,m} Pbar_n^m(t), by broadcasting.
+    Given `n` (sphere grids only), just (H_n f)(z), from that degree's Legendre row in O(nK)
+    memory.  For a table whose only nonzero row is n this equals _sht_synthesis, whose
+    Legendre sum adds exact zeros for the other degrees, without the O(N^2 K) table.
     """
     N = a.shape[0] - 1
     if isinstance(grid, ZonalGrid):
         return a[:, None] * _zonal_tables(grid.band, N, grid.d)
     K, L = grid.shape
+    if n is None:
+        slabs = _legendre_slabs(grid, N)
+    else:  # one slab holding degree n's orders, entry [m, 0, k]
+        a, slabs = a[n : n + 1], [(0, n + 1, _legendre_row(grid.t, n)[:, None])]
     sign = np.where(np.arange(1, N + 1) % 2, -1.0, 1.0)  # (-1)^m for m = 1..N
     neg = (a[:, :N][:, ::-1] * sign)[:, None]  # [n, 1, m - 1]: the -m coefficients, signed
-    spec = np.zeros((N + 1, K, L), dtype=complex)
-    for m0, m1, slab in _legendre_slabs(grid, N):
+    spec = np.zeros((len(a), K, L), dtype=complex)
+    for m0, m1, slab in slabs:
         P = slab.transpose(1, 2, 0)  # [n, k, m - m0]
         np.multiply(a[:, None, N + m0 : N + m1], P, out=spec[:, :, m0:m1])
         lo = max(m0, 1)  # column L - m holds order -m, for m = lo..m1-1
         np.multiply(neg[:, :, lo - 1 : m1 - 1], P[:, :, lo - m0 :],
                     out=spec[:, :, L - lo : L - m1 : -1])
-    return _fft_into(np.fft.ifft, spec, spec)
-
-
-def _single_degree_synthesis(a: np.ndarray, n: int, grid: SphereGrid) -> np.ndarray:
-    """Values of a table whose only nonzero row is degree n, from that degree's Legendre row.
-
-    Equal to _sht_synthesis(a, grid), whose Legendre sum adds exact zeros for the other
-    degrees, without the O(N^2 K) table or the O(N^3 K) sum.
-    """
-    N = a.shape[-1] // 2
-    K, L = grid.shape
-    P = _legendre_row(grid.t, n).T  # [k, m]
-    sign = np.where(np.arange(1, n + 1) % 2, -1.0, 1.0)  # (-1)^m for m = 1..n
-    spec = np.zeros((K, L), dtype=complex)
-    np.multiply(a[n, N : N + n + 1], P, out=spec[:, : n + 1])
-    np.multiply(a[n, N - n : N][::-1] * sign, P[:, 1:], out=spec[:, : L - n - 1 : -1])
+    spec = spec if n is None else spec[0]  # (K, L): before numpy 2, FFTs of 8 rows, not all K
     return _fft_into(np.fft.ifft, spec, spec)
 
 

@@ -329,6 +329,8 @@ def picard_solve(
     threshold = kappa_pq(p, 2.0, d)
     if s < threshold - 1e-12:
         raise ValueError(f"regularity s={s} below threshold {threshold}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = grid_for(f.N + V.band, d, 2.0)
     if tg is None:
         tg = TimeGrid(max(64, 8 * (int(eigenvalues_upto(f.N, d)[-1]) + 1)))

@@ -22,12 +22,11 @@ from sphere_strichartz.grids import (
     CoefficientTable,
     _analyze,
     _degree_synthesis,
-    _legendre_rows,
     _legendre_slabs,
     _legendre_tables,
+    _order_block_rows,
     _sht_analysis,
     _sht_synthesis,
-    _single_degree_synthesis,
     _synthesize,
     build_sphere_grid,
     build_zonal_grid,
@@ -220,8 +219,9 @@ def ref_full_node_table(band, N):
 def test_legendre_rows_equal_reference_rows(band, N):
     t = build_sphere_grid(band).t
     for nodes in (t, t[: (t.size + 1) // 2], t[[0, -1]]):  # all nodes, one hemisphere, poles
-        for row, ref in zip(_legendre_rows(nodes, N), ref_legendre_rows(nodes, N), strict=True):
-            assert row.tobytes() == ref.tobytes()
+        rows = _order_block_rows(nodes, N, N + 1)  # one block holding every order
+        for (_, n, row), ref in zip(rows, ref_legendre_rows(nodes, N), strict=True):
+            assert row[: n + 1].tobytes() == ref.tobytes()
 
 
 # K <= 3, odd and even K, one cached slab and many streamed blocks; from N = 256 the
@@ -321,7 +321,7 @@ def _assert_kernels_equal_full_node_kernels(a, vals, n, grid):
     assert grids._sht_synthesis(a, grid).tobytes() == ref_sht_synthesis(a, grid).tobytes()
     assert grids._sht_analysis(vals, grid, N).tobytes() == ref_sht_analysis(vals, grid, N).tobytes()
     assert grids._degree_synthesis(one, grid).tobytes() == ref_degree_synthesis(one, grid).tobytes()
-    assert (grids._single_degree_synthesis(single, n, grid).tobytes()
+    assert (grids._degree_synthesis(single, grid, n).tobytes()
             == ref_single_degree_synthesis(single, n, grid).tobytes())
 
 
@@ -397,6 +397,19 @@ def test_per_degree_synthesis_equals_per_order_loop(N, extra, seed):
     assert E.shape == (N + 1, *grid.shape)
     for n in range(N + 1):
         assert np.max(np.abs(E[n] - ref_inverse(project(f, n).a, grid))) <= 1e-14
+
+
+# K = 103 and 162 nodes; both Legendre tables are streamed, 8 (N+1)^2 K > 8 MiB
+@pytest.mark.parametrize("N,band", [(102, 102), (80, 161)])
+def test_single_degree_synthesis_equals_streamed_all_degrees(N, band):
+    # the same kernel from its two Legendre sources: one degree's row, or the order blocks
+    grid = build_sphere_grid(band)
+    assert 8 * (N + 1) ** 2 * grid.t.size > grids._CACHED_TABLE_BYTES
+    rng = np.random.default_rng(N)
+    a = rng.standard_normal((N + 1, 2 * N + 1)) + 1j * rng.standard_normal((N + 1, 2 * N + 1))
+    E = _degree_synthesis(a, grid)
+    for n in (0, 1, 17, N // 2, N - 1, N):
+        assert _degree_synthesis(a, grid, n).tobytes() == E[n].tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -757,7 +770,8 @@ def test_degree_synthesis_peak_allocation_below_1_5_outputs(kernel):
     rng = np.random.default_rng(20)
     if kernel == "single degree":
         a = rng.standard_normal((257, 513)) + 1j * rng.standard_normal((257, 513))
-        out, peak = _traced_peak(_single_degree_synthesis, a, 256, build_sphere_grid(512))
+        out, peak = _traced_peak(_degree_synthesis, a, build_sphere_grid(512), 256)
+        assert out.shape == (513, 1026)
     else:
         a = rng.standard_normal((21, 41)) + 1j * rng.standard_normal((21, 41))
         grid = build_sphere_grid(60)  # 61 x 122, grid_for(20, 2, 3.0)
@@ -792,7 +806,7 @@ def test_fft_fallback_equals_out_path(monkeypatch):
             N = a.shape[-2] - 1
             values = _sht_synthesis(a, grid)
             got += [values, _sht_analysis(values, grid, N), _degree_synthesis(a[0], grid),
-                    _single_degree_synthesis(a[0], N // 2, grid)]
+                    _degree_synthesis(a[0], grid, N // 2)]
         return got
 
     want = kernels()

@@ -156,6 +156,8 @@ def test_config_negative_trials_exit_1(tmp_path, capsys):
     ["sharpness", "--p", "inf", "--s", "nan", "--n", "4,8,16"],
     ["solve-potential", "--potential", "unused.json", "--s", "nan"],
     ["identity-check", "--N", "8", "--trials", "1", "--tol", "nan"],
+    ["solve-potential", "--potential", "unused.json", "--tol", "nan"],
+    ["solve-potential", "--potential", "unused.json", "--tol", "inf"],
 ])
 def test_non_finite_flag_exit_1(argv, capsys):
     assert run(argv) == 1
@@ -227,6 +229,17 @@ def test_sharpness_command(tmp_path, capsys):
     assert len(lines) == 11  # 5 degrees x 2 families + header
 
 
+def test_sharpness_s_auto_equals_no_s(tmp_path, capsys):
+    # --s auto is kappa_{p,2}, the default, as on strichartz and solve-potential
+    results = []
+    for flags in ([], ["--s", "auto"]):
+        out = tmp_path / f"sharp{len(flags)}.csv"
+        assert run(["sharpness", "--p", "inf", "--n", "16:32:3", "--output", str(out),
+                    *flags]) == 0
+        results.append((out.read_bytes(), capsys.readouterr()))
+    assert results[0] == results[1]
+
+
 def test_solve_potential_roundtrip(tmp_path, capsys):
     pot_file = tmp_path / "pot.json"
     pot_file.write_text(json.dumps({
@@ -277,6 +290,17 @@ def test_solve_potential_missing_key_exit_1(term, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(key) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_solve_potential_max_iter_below_1_exit_1(max_iter, tmp_path, capsys):
+    pot_file = tmp_path / "pot.json"
+    pot_file.write_text(json.dumps({"terms": [_TERM]}))
+    assert run(["solve-potential", "--potential", str(pot_file), "--N", "4",
+                "--max-iter", max_iter]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: max_iter must be >= 1")
+    assert "converged" not in captured.out
 
 
 def test_solve_potential_d3_zonal_file(tmp_path, capsys):

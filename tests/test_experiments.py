@@ -178,8 +178,8 @@ def test_field_lp_norm_single_degree_path_equals_table_path(p, monkeypatch):
     fields = [make_family("random-eigenspace", n, 2, rng=rng) for n in (1, 17, 64)]
     fields += [project(random_field(40, 2, rng), n) for n in (2, 33)]
     fast = [field_lp_norm(f, p) for f in fields]
-    monkeypatch.setattr(experiments, "_single_degree_synthesis",
-                        lambda a, n, grid: inverse_sht(CoefficientTable(len(a) - 1, 2, a), grid))
+    monkeypatch.setattr(experiments, "_degree_synthesis",
+                        lambda a, grid, n: inverse_sht(CoefficientTable(len(a) - 1, 2, a), grid))
     assert fast == [field_lp_norm(f, p) for f in fields]
 
 

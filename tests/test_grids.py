@@ -12,11 +12,11 @@ from sphere_strichartz.grids import (
     CoefficientTable,
     ResourceLimitError,
     _build_zonal_grid,
+    _degree_synthesis,
     _legendre_row,
-    _legendre_rows,
     _legendre_slabs,
     _legendre_tables,
-    _single_degree_synthesis,
+    _order_block_rows,
     build_sphere_grid,
     build_zonal_grid,
     forward_sht,
@@ -212,9 +212,9 @@ def test_legendre_table_equals_per_order_columns(band, N, fresh_legendre_caches)
 def test_legendre_rows_equal_table_rows(band, N, fresh_legendre_caches):
     t = build_sphere_grid(band).t
     P = _slab_table(band, N)
-    for n, row in enumerate(_legendre_rows(t, N)):
-        assert row.shape == (n + 1, t.size)
-        assert row.tobytes() == P[: n + 1, n].tobytes()
+    for n, (m0, n_, row) in enumerate(_order_block_rows(t, N, N + 1)):  # one block: every order
+        assert (m0, n_, row.shape) == (0, n, (N + 1, t.size))
+        assert row.tobytes() == P[:, n].tobytes()  # with +0.0 for the orders m > n
     for n in {0, N // 3, N}:  # one hemisphere of nodes to degree n, then mirrored
         assert _legendre_row(t, n).tobytes() == P[: n + 1, n].tobytes()
     for m in {min(1, N), N // 2, N}:  # the per-order reference recurrence
@@ -229,7 +229,7 @@ def test_single_degree_synthesis_equals_inverse_sht(n, oversample):
     for f in (make_family("random-eigenspace", n, 2, rng=rng),
               project(random_field(n + 5, 2, rng), n)):
         grid = grid_for(f.N, 2, oversample)
-        assert np.array_equal(_single_degree_synthesis(f.a, n, grid), inverse_sht(f, grid))
+        assert np.array_equal(_degree_synthesis(f.a, grid, n), inverse_sht(f, grid))
 
 
 def test_legendre_table_map_failure_is_resource_limit(monkeypatch, capsys):
