@@ -1,12 +1,12 @@
 """Batch experiment runner.
 
 Subcommands: kappa, identity-check, sweep, strichartz, sharpness,
-solve-potential, selftest.  Results go to stdout plus an optional
---output file as CSV (default) or JSON (--format json).  A --config JSON
-file (with a top-level "version" field) supplies flag defaults; explicit
-command-line flags override it.  Runs are deterministic: the random
-stream is a counter-based Philox generator keyed by --seed, and floats
-are emitted at 17 significant digits, so identical configurations produce
+solve-potential, selftest.  Results go to stdout plus an optional --output
+file as CSV (default) or JSON (--format json).  A --config JSON file (with a
+top-level "version" field) holds flag values, parsed as the same flags;
+explicit command-line flags override it.  Runs are deterministic: the random
+stream is a counter-based Philox generator keyed by --seed, and floats are
+emitted at 17 significant digits, so identical configurations produce
 byte-identical output files.
 
 Exit codes: 0 success, 1 validation/configuration error (including
@@ -132,7 +132,7 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_identity_check(args) -> int:
-    if not (isinstance(args.trials, int) and args.trials >= 1):
+    if args.trials < 1:
         raise ValueError(f"--trials must be an integer >= 1, got {args.trials!r}")
     _finite("tol", args.tol)
     rng = _rng(args.seed)
@@ -293,8 +293,8 @@ def _add_common(sp, seed=0):
     sp.add_argument("--seed", type=int, default=seed)
 
 
-def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; `config` maps a subcommand name to flag defaults."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser."""
     ap = argparse.ArgumentParser(
         prog="sphere-strichartz",
         description="Spectral experiments for the Schrodinger flow on the d-sphere",
@@ -364,9 +364,6 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=128)
     _add_common(sp)
     sp.set_defaults(func=_cmd_selftest)
-
-    for name, defaults in (config or {}).items():
-        sub.choices[name].set_defaults(**defaults)
     return ap
 
 
@@ -378,11 +375,14 @@ def _load_config(path: str) -> dict:
     version = cfg.pop("version", None)
     if version != CONFIG_VERSION:
         raise ValueError(f"config version {version!r} != {CONFIG_VERSION}")
+    bad = sorted(k for k, v in cfg.items() if v is None or isinstance(v, (bool, list, dict)))
+    if bad:
+        raise ValueError(f"config values must be numbers or strings: {bad}")
     return cfg
 
 
 def _parse_args(argv: list) -> argparse.Namespace:
-    """Parse argv; a --config file supplies defaults for its subcommand, flags still win."""
+    """Parse argv; a --config file's values are parsed as flags of its subcommand, flags win."""
     pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
@@ -390,10 +390,12 @@ def _parse_args(argv: list) -> argparse.Namespace:
     if path is None:
         return args
     cfg = _load_config(path)
-    unknown = set(cfg) - (set(vars(args)) - {"command", "func"})
+    unknown = set(cfg) - (set(vars(args)) - {"command", "func", "config"})
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return build_parser({args.command: cfg}).parse_args(argv)
+    i = argv.index(args.command) + 1  # `--key=value` tokens first: explicit flags override them
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()]
+    return build_parser().parse_args(argv[:i] + flags + argv[i:])
 
 
 def run(argv=None) -> int:

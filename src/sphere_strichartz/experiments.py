@@ -23,7 +23,6 @@ import numpy as np
 from .grids import (
     CoefficientTable,
     _degree_synthesis,
-    build_sphere_grid,
     build_zonal_grid,
     grid_for,
     inverse_sht,
@@ -155,25 +154,21 @@ def make_family(kind: str, n: int, d: int,
     raise ValueError(f"unknown family {kind!r}")
 
 
-def _single_m_profile(f: CoefficientTable, band: int):
-    """(t-nodes, t-weights, |g(t)|) when |f| depends on colatitude only, else None.
+def _colatitude_profile(f: CoefficientTable, band: int):
+    """(values, colatitude grid) when |f| depends on colatitude only, else None.
 
-    Holds for zonal tables and for d=2 tables supported on a single
-    longitude frequency m; the longitude average is then exact for any L,
-    so the L^p quadrature collapses to the colatitude rule.
+    Holds for zonal tables and for d=2 tables supported on a single longitude frequency m;
+    the longitude average is then exact for any L, so the L^p quadrature collapses to the
+    colatitude rule, whose weights carry the circle's length 2 pi = surface_area(1).
     """
+    g = build_zonal_grid(band, f.d)  # for d = 2 tables, the S^2 grid's colatitude rule
     if f.zonal:
-        g = build_zonal_grid(band, f.d)
-        vals = inverse_zonal(f, g)
-        return g.t, g.weights(), np.abs(vals)
+        return inverse_zonal(f, g), g
     nz = np.nonzero(np.any(f.a != 0, axis=0))[0]
     if nz.size != 1:
         return None
-    g = build_sphere_grid(band)
     m = int(nz[0]) - f.N
-    P = legendre_column(abs(m), f.N, g.t)
-    prof = np.abs(f.a[:, nz[0]] @ P)
-    return g.t, g.t_weights * (2.0 * np.pi), prof
+    return f.a[:, nz[0]] @ legendre_column(abs(m), f.N, g.t), g
 
 
 def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0,
@@ -187,21 +182,15 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0,
     """
     nu = oversample if p == math.inf else max(oversample, p / 2.0)
     band = max(f.N, math.ceil(nu * f.N))
-    prof = _single_m_profile(f, band)
-    if prof is not None:
-        t, w, absg = prof
-        if p == math.inf:
-            res = float(np.max(absg))
-        else:
-            res = float(np.sum(w * absg ** p) ** (1.0 / p))
-    else:  # a d = 2 table with more than one active order
+    prof = _colatitude_profile(f, band)
+    if prof is None:  # a d = 2 table with more than one active order
         grid = grid_for(f.N, 2, nu)
         degrees = np.nonzero(np.any(f.a != 0, axis=1))[0]
         if degrees.size == 1:  # one Legendre row, O(nK) memory, instead of the O(N^2 K) table
-            vals = _degree_synthesis(f.a, grid, int(degrees[0]))
+            prof = _degree_synthesis(f.a, grid, int(degrees[0])), grid
         else:
-            vals = inverse_sht(f, grid)
-        res = lp_norm(vals, grid, p)
+            prof = inverse_sht(f, grid), grid
+    res = lp_norm(*prof, p)
     if p == math.inf and include_poles:
         res = max(res, float(np.max(np.abs(pole_values(f)))))
     return res

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .grids import CoefficientTable, _as_samples
-from .spectral import SpaceTimeField, synthesize_by_degree
+from .spectral import SpaceTimeField, TimeGrid, synthesize_by_degree
 
 __all__ = [
     "TimeResolutionError",
@@ -139,7 +139,7 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float, *,
     if check_resolution:
         if not u.free:
             raise ValueError("resolution check requires a free-evolution field")
-        finer = SpaceTimeField(u.tg.doubled(), u.grid, u.base)
+        finer = SpaceTimeField(TimeGrid(2 * u.tg.M), u.grid, u.base)
         refined = _sampled_mixed_norm(finer, p, q)
         if abs(refined - result) > rtol * max(abs(result), 1e-300):
             raise TimeResolutionError(

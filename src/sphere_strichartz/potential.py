@@ -26,13 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiments import estimate_strichartz_constant, kappa_pq
-from .grids import CoefficientTable, _analyze, grid_for, inverse_sht, inverse_zonal
+from .grids import CoefficientTable, _analyze, grid_for, inverse_sht
 from .norms import _sobolev_norms, lp_norm, mixed_norm
 from .spectral import (
     _SERIES_CHUNK_BYTES,
     _TIME_BLOCK,
     SpaceTimeField,
     TimeGrid,
+    _row_blocks,
     eigenvalues_upto,
     free_phases,
     synthesize_history,
@@ -51,8 +52,7 @@ __all__ = [
     "l2_drift",
 ]
 
-# Time nodes per product V(t_j) of the Picard map.  A one-row remainder is joined to the
-# rows before it: a one-row product is a matrix-vector product, whose bits differ.
+# Time nodes per product V(t_j) of the Picard map, cut by spectral._row_blocks.
 _V_ROWS = 16
 
 
@@ -89,10 +89,7 @@ class PotentialSpec:
         return max((t.spatial.N for t in self.terms), default=0)
 
     def spatial_samples(self, grid) -> np.ndarray:
-        out = []
-        for term in self.terms:
-            tab = term.spatial
-            out.append(inverse_zonal(tab, grid) if tab.zonal else inverse_sht(tab, grid))
+        out = [inverse_sht(term.spatial, grid) for term in self.terms]  # zonal: its zonal grid
         return np.array(out) if out else np.zeros((0, *grid.shape))
 
     def amplitudes(self, times: np.ndarray) -> np.ndarray:
@@ -119,10 +116,8 @@ class PotentialSpec:
         amps = self.amplitudes(2.0 * np.pi * np.arange(M) / M)
         B = self.spatial_samples(grid)
         prof = np.zeros(grid.shape)
-        # M is a multiple of 16, so no slice has one row: a one-row product would be a
-        # matrix-vector product, whose bits differ from the other slices' matrix products
-        for j0 in range(0, M, _TIME_BLOCK):
-            vals = np.tensordot(amps[:, j0:j0 + _TIME_BLOCK].T, B, axes=1)
+        for j0, j1 in _row_blocks(M, _TIME_BLOCK):
+            vals = np.tensordot(amps[:, j0:j1].T, B, axes=1)
             np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
         return prof
 
@@ -272,20 +267,16 @@ class _PicardMap:
         for j0, samples in w.iter_time_blocks(work):
             j1 = j0 + len(samples)
             flat = samples.reshape(j1 - j0, -1)
-            r0 = 0
-            while r0 < len(flat):  # V w, with V built _V_ROWS nodes at a time
-                r1 = r0 + _V_ROWS if len(flat) - r0 > _V_ROWS + 1 else len(flat)
+            for r0, r1 in _row_blocks(len(flat), _V_ROWS):  # V w, V built _V_ROWS nodes at a time
                 np.dot(self.amps[:, j0 + r0:j0 + r1].T, self.B, out=V[:r1 - r0])
                 np.multiply(V[:r1 - r0], flat[r0:r1], out=flat[r0:r1])
-                r0 = r1
             _analyze(samples, self.grid, w.N, work, out=G[j0:j1])
             if not np.all(np.isfinite(G[j0:j1].view(float))):
                 raise ValueError("coefficients must be finite")
         del work, samples, flat, V
         out = _duhamel(G, self.conj, self.scaled, H=G)
         del G  # now H, which the integral no longer needs
-        for j0 in range(0, self.tg.M, _TIME_BLOCK):
-            j1 = min(j0 + _TIME_BLOCK, self.tg.M)
+        for j0, j1 in _row_blocks(self.tg.M, _TIME_BLOCK):
             out[j0:j1] = self.f.a * self.free[j0:j1] - 1j * out[j0:j1]
         return SpaceTimeField(self.tg, self.grid, self.f.copy(), tables=out)
 

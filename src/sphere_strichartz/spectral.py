@@ -65,8 +65,18 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return _TWO_PI * np.arange(self.M) / self.M
 
-    def doubled(self) -> "TimeGrid":
-        return TimeGrid(2 * self.M)
+
+def _row_blocks(n: int, rows: int):
+    """Yield (i0, i1) for consecutive blocks of `rows` rows that tile range(n), rows >= 2.
+
+    numpy computes a one-row product as a matrix-vector product, whose bits differ from the
+    matrix-matrix product that every larger block gets, so no block has one row unless n = 1:
+    the first block is the largest: it absorbs a one-row remainder and then holds rows + 1.
+    """
+    i0, i1 = 0, min(n, rows + 1 if n % rows == 1 else rows)
+    while i0 < n:
+        yield i0, i1
+        i0, i1 = i1, min(i1 + rows, n)
 
 
 def nyquist_time_grid(N: int, d: int) -> TimeGrid:
@@ -196,9 +206,7 @@ class SpaceTimeField:
         Every chunk is written into one buffer allocated per call, and the yielded series is a
         view of it, valid until the next step.  A chunk holds `chunk` points, by default as many
         as fit in _SERIES_CHUNK_BYTES of series (independent of N and M while two rows fit),
-        and never fewer than 2 unless the grid has one point: numpy computes a one-row product
-        as a matrix-vector product, whose bits differ from the matrix-matrix product that every
-        larger chunk gets.  The first chunk is the largest; it absorbs a one-point remainder.
+        cut by _row_blocks: never fewer than 2 unless the grid has one point.
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")
@@ -209,14 +217,12 @@ class SpaceTimeField:
         P = self.tg.M // g
         W = np.exp(2j * np.pi / P * (np.outer(lam // g, np.arange(P)) % P))
         E = synthesize_by_degree(self.base, self.grid).reshape(self.N + 1, -1)
-        Z = E.shape[1]
         rows = max(2, _SERIES_CHUNK_BYTES // (16 * P) if chunk is None else chunk)
-        z0, z1 = 0, min(Z, rows + 1 if Z % rows == 1 else rows)
-        series = np.empty((z1, P), dtype=complex)
-        while z0 < Z:
+        blocks = list(_row_blocks(E.shape[1], rows))
+        series = np.empty((blocks[0][1], P), dtype=complex)
+        for z0, z1 in blocks:
             np.matmul(E[:, z0:z1].T, W, out=series[:z1 - z0])
             yield slice(z0, z1), series[:z1 - z0]
-            z0, z1 = z1, min(z1 + rows, Z)
 
     def _check_same_grids(self, other: "SpaceTimeField") -> None:
         """ValueError unless `other` lives on the same time grid and the same spatial grid."""

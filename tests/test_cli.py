@@ -99,8 +99,10 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     cfg.write_text(json.dumps({"version": 1, "d": 2, "p": "8"}))
     assert run(["kappa", "--config", str(cfg)]) == 0
     assert "0.25" in capsys.readouterr().out
-    # explicit flag beats the config value
+    # explicit flag beats the config value, after --config or before it
     assert run(["kappa", "--config", str(cfg), "--p", "inf"]) == 0
+    assert "0.5" in capsys.readouterr().out
+    assert run(["kappa", "--p", "inf", "--config", str(cfg)]) == 0
     assert "0.5" in capsys.readouterr().out
 
 
@@ -132,6 +134,42 @@ def test_config_equals_form_is_honoured(tmp_path, capsys):
     assert "kappa_p = 0.25" in capsys.readouterr().out
     assert run(["kappa", f"--config={cfg}", "--p", "inf"]) == 0
     assert "kappa_p = 0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["strichartz", "--N", "6", "--p", "4"], {"s": None}),
+    (["kappa", "--p", "4"], {"q": True}),
+    (["identity-check", "--N", "8"], {"p_list": [2, 4]}),
+    (["kappa", "--p", "4"], {"q": {"value": 4}}),
+    (["kappa", "--p", "4"], {"config": "other.json"}),
+    (["strichartz", "--p", "4"], {"N": 3.5}),
+    (["kappa", "--p", "4"], {"seed": 1.5}),
+    (["sweep", "--p", "4", "--n", "4,8,16"], {"family": "bogus"}),
+    (["kappa", "--p", "4"], {"format": "xml"}),
+], ids=["null", "boolean", "list", "object", "config-key", "float-N", "float-seed",
+        "bad-family", "bad-format"])
+def test_config_values_parsed_as_flags_or_exit_1(argv, values, tmp_path, capsys):
+    # each value passes its flag's type= and choices=; null, booleans, lists, objects and
+    # a "config" key are refused: exit 1 with an error line, no traceback and no output
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, **values}))
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--config", str(cfg), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "error: " in captured.err
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_config_numbers_equal_the_same_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"version": 1, "p": 4, "q": 4}))
+    outs = [tmp_path / "flags.csv", tmp_path / "config.csv"]
+    assert run(["kappa", "--p", "4", "--q", "4", "--output", str(outs[0])]) == 0
+    flags = capsys.readouterr()
+    assert run(["kappa", "--config", str(cfg), "--output", str(outs[1])]) == 0
+    assert capsys.readouterr() == flags
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_identity_check_zero_trials_exit_1(capsys):

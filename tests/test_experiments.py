@@ -20,7 +20,16 @@ from sphere_strichartz.experiments import (
     steepest_fit,
     strichartz_ratio,
 )
-from sphere_strichartz.grids import CoefficientTable, grid_for, inverse_sht
+from sphere_strichartz.grids import (
+    CoefficientTable,
+    build_sphere_grid,
+    build_zonal_grid,
+    grid_for,
+    inverse_sht,
+    inverse_zonal,
+    pole_values,
+)
+from sphere_strichartz.harmonics import legendre_column
 from sphere_strichartz.norms import lp_norm
 from sphere_strichartz.spectral import project, random_field
 
@@ -181,6 +190,47 @@ def test_field_lp_norm_single_degree_path_equals_table_path(p, monkeypatch):
     monkeypatch.setattr(experiments, "_degree_synthesis",
                         lambda a, grid, n: inverse_sht(CoefficientTable(len(a) - 1, 2, a), grid))
     assert fast == [field_lp_norm(f, p) for f in fields]
+
+
+def _reference_colatitude_lp_norm(f, p, oversample=2.0, include_poles=True):
+    """field_lp_norm's former hand-written colatitude quadrature, for tables whose |f| depends
+    on colatitude only: sum(w |g|^p)^(1/p), or max |g| for p = inf."""
+    nu = oversample if p == INF else max(oversample, p / 2.0)
+    band = max(f.N, math.ceil(nu * f.N))
+    if f.zonal:
+        g = build_zonal_grid(band, f.d)
+        w, absg = g.weights(), np.abs(inverse_zonal(f, g))
+    else:
+        (col,) = np.nonzero(np.any(f.a != 0, axis=0))[0]
+        g = build_sphere_grid(band)
+        P = legendre_column(abs(int(col) - f.N), f.N, g.t)
+        w, absg = g.t_weights * (2.0 * np.pi), np.abs(f.a[:, col] @ P)
+    res = float(np.max(absg)) if p == INF else float(np.sum(w * absg ** p) ** (1.0 / p))
+    if p == INF and include_poles:
+        res = max(res, float(np.max(np.abs(pole_values(f)))))
+    return res
+
+
+def _colatitude_tables():
+    rng = np.random.default_rng(31)
+    tables = [random_field(N, d, rng, zonal=True) for d in (2, 3, 4) for N in (1, 9, 24)]
+    tables += [make_family("zonal-kernel", n, d) for d in (3, 4) for n in (5, 40)]
+    for N, m in [(12, 0), (12, 3), (12, -3), (12, 12), (12, -12), (30, 3), (30, -30)]:
+        tab = CoefficientTable.zeros(N, 2)  # one active order m, random degrees |m|..N
+        k = N + 1 - abs(m)
+        tab.a[abs(m):, m + N] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        tables.append(tab)
+    tables += [CoefficientTable.unit_mode(n, n, m) for n in (7, 33) for m in (0, 3, -3, n, -n)]
+    return tables
+
+
+@pytest.mark.parametrize("include_poles", [True, False])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 7.5, INF])
+def test_field_lp_norm_colatitude_path_equals_reference_quadrature(p, include_poles):
+    # the colatitude path through lp_norm gives the former hand-written sum's floats
+    for f in _colatitude_tables():
+        want = _reference_colatitude_lp_norm(f, p, include_poles=include_poles)
+        assert field_lp_norm(f, p, include_poles=include_poles) == want, (f.N, f.d, f.zonal)
 
 
 def test_sweep_p2_is_flat():

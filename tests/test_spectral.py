@@ -5,11 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_strichartz.grids import CoefficientTable, build_sphere_grid, grid_for
+from sphere_strichartz.grids import (
+    CoefficientTable,
+    _synthesize,
+    build_sphere_grid,
+    build_zonal_grid,
+    grid_for,
+)
 from sphere_strichartz.harmonics import associated_legendre, eigenvalue
 from sphere_strichartz.spectral import (
     SpaceTimeField,
     TimeGrid,
+    _row_blocks,
     eigenvalues_upto,
     fractional_weight,
     nyquist_time_grid,
@@ -305,3 +312,27 @@ def test_propagate_equals_direct_phase_product(d, N, t):
     phases = np.exp(1j * (n * (n + d - 1)).astype(float) * reduce_time(t))
     want = f.a * (phases if f.zonal else phases[:, None])
     assert propagate(f, t).a.tobytes() == want.tobytes()
+
+
+def test_row_blocks_tile_in_order_with_no_one_row_block():
+    for n in range(1, 301):
+        for rows in range(2, 71):
+            blocks = list(_row_blocks(n, rows))
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))  # in order, no gap
+            sizes = [i1 - i0 for i0, i1 in blocks]
+            assert sizes[0] == max(sizes) <= rows + 1
+            assert min(sizes) >= 2 or n == 1, (n, rows, sizes)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "iter_time_blocks cuts M = 65 into 64 + 1 nodes; on a zonal grid the one-node block is "
+    "a matrix-vector product, whose bits differ from the same node's row in a larger block"))
+def test_one_node_time_block_equals_node_of_whole_synthesis():
+    grid = build_zonal_grid(24, 3)
+    f = random_field(12, 3, np.random.default_rng(0), zonal=True)
+    u = synthesize_history(f, TimeGrid(65), grid)
+    whole = _synthesize(u.history(), grid)
+    j0, last = list(u.iter_time_blocks())[-1]
+    assert (j0, last.shape) == (64, (1, grid.t.size))
+    assert last[0].tobytes() == whole[64].tobytes()
