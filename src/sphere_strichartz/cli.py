@@ -28,8 +28,6 @@ from . import experiments as xp
 from . import potential as pot
 from .grids import (
     ResourceLimitError,
-    build_sphere_grid,
-    build_zonal_grid,
     forward_sht,
     forward_zonal,
     grid_for,
@@ -261,7 +259,7 @@ def _cmd_selftest(args) -> int:
 
     N = args.N
     for d, name in ((2, "sphere"), (3, "zonal(d=3)")):
-        grid = build_sphere_grid(N) if d == 2 else build_zonal_grid(N, d)
+        grid = grid_for(N, d, 1.0)  # band N: exact for |f|^2 of a band-N field
         f = random_field(N, d, rng, zonal=(d != 2))
         vals = inverse_sht(f, grid)  # a zonal table is synthesized on its zonal grid
         back = (forward_sht if d == 2 else forward_zonal)(vals, grid, N)
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", default="auto")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--max-iter", type=int, default=30)
-    sp.add_argument("--M", type=int, default=None, help="time nodes (default 8(lam_N+1))")
+    sp.add_argument("--M", type=int, default=None, help="time nodes, default max(64, 8(lam_N+1))")
     _add_common(sp)
     sp.set_defaults(func=_cmd_solve_potential)
 

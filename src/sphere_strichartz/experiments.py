@@ -16,7 +16,7 @@ two classical witness families realize the two regimes: zonal kernels
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +26,11 @@ from .grids import (
     build_zonal_grid,
     grid_for,
     inverse_sht,
-    inverse_zonal,
     pole_values,
 )
 from .harmonics import legendre_column
 from .norms import lp_norm, mixed_norm, sobolev_norm
-from .spectral import nyquist_time_grid, project, random_field, synthesize_history
+from .spectral import nyquist_time_grid, random_field, synthesize_history
 
 __all__ = [
     "ExponentFit",
@@ -136,9 +135,7 @@ def make_family(kind: str, n: int, d: int,
     if n < 1:
         raise ValueError(f"witness degree must be >= 1, got {n}")
     if kind == "zonal-kernel":
-        if d == 2:
-            return CoefficientTable.unit_mode(n, n, 0, d=2)
-        return CoefficientTable.unit_mode(n, n, d=d, zonal=True)
+        return CoefficientTable.unit_mode(n, n, 0, d=d, zonal=(d != 2))
     if kind == "highest-weight":
         if d != 2:
             raise ValueError("highest-weight family requires d = 2")
@@ -163,7 +160,7 @@ def _colatitude_profile(f: CoefficientTable, band: int):
     """
     g = build_zonal_grid(band, f.d)  # for d = 2 tables, the S^2 grid's colatitude rule
     if f.zonal:
-        return inverse_zonal(f, g), g
+        return inverse_sht(f, g), g
     nz = np.nonzero(np.any(f.a != 0, axis=0))[0]
     if nz.size != 1:
         return None
@@ -181,10 +178,9 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0,
     no node at t = +-1, where zonal witnesses peak).
     """
     nu = oversample if p == math.inf else max(oversample, p / 2.0)
-    band = max(f.N, math.ceil(nu * f.N))
-    prof = _colatitude_profile(f, band)
+    grid = grid_for(f.N, f.d, nu)
+    prof = _colatitude_profile(f, grid.band)
     if prof is None:  # a d = 2 table with more than one active order
-        grid = grid_for(f.N, 2, nu)
         degrees = np.nonzero(np.any(f.a != 0, axis=1))[0]
         if degrees.size == 1:  # one Legendre row, O(nK) memory, instead of the O(N^2 K) table
             prof = _degree_synthesis(f.a, grid, int(degrees[0])), grid
@@ -201,9 +197,8 @@ def projection_ratio_sweep(cfg: SweepConfig):
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for n in cfg.degrees:
-        f = make_family(cfg.family, n, cfg.d, rng=rng)
-        hf = project(f, n)
-        ratio = field_lp_norm(hf, cfg.p, cfg.oversample) / f.l2_norm()
+        f = make_family(cfg.family, n, cfg.d, rng=rng)  # a degree-n table: its own projection
+        ratio = field_lp_norm(f, cfg.p, cfg.oversample) / f.l2_norm()
         rows.append((n, ratio))
     return rows, fit_loglog(rows)
 
@@ -302,7 +297,6 @@ def estimate_strichartz_constant(p: float, s: float, N: int, d: int,
     for _ in range(4):
         f = random_field(N, d, rng, zonal=(d != 2))
         best = max(best, strichartz_ratio(f, p, 2.0, s))
-    for fam in ("zonal-kernel",) + (("highest-weight",) if d == 2 else ()):
-        f = make_family(fam, max(N, 1), d)
-        best = max(best, strichartz_ratio(f, p, 2.0, s))
+    for rows in sharpness_rows(p, s, d, [max(N, 1)]).values():
+        best = max(best, rows[0][1])
     return best

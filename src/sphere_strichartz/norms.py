@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .grids import CoefficientTable, _as_samples
-from .spectral import SpaceTimeField, TimeGrid, synthesize_by_degree
+from .spectral import _TWO_PI, SpaceTimeField, TimeGrid, synthesize_by_degree
 
 __all__ = [
     "TimeResolutionError",
@@ -31,8 +31,6 @@ __all__ = [
     "l2t_profile_exact",
     "mixed_norm",
 ]
-
-_TWO_PI = 2.0 * math.pi
 
 
 class TimeResolutionError(RuntimeError):

@@ -74,9 +74,6 @@ class PotentialTerm:
         if self.time_freqs.shape != self.time_coeffs.shape:
             raise ValueError("time_freqs and time_coeffs must have matching shapes")
 
-    def amplitude(self, times: np.ndarray) -> np.ndarray:
-        return np.exp(1j * np.outer(times, self.time_freqs)) @ self.time_coeffs
-
 
 @dataclass
 class PotentialSpec:
@@ -94,7 +91,7 @@ class PotentialSpec:
 
     def amplitudes(self, times: np.ndarray) -> np.ndarray:
         """a_k(t_j) for every term and requested time, shape (len(terms), len(times))."""
-        amps = [term.amplitude(times) for term in self.terms]
+        amps = [np.exp(1j * np.outer(times, t.time_freqs)) @ t.time_coeffs for t in self.terms]
         return np.array(amps, dtype=complex).reshape(len(self.terms), len(times))
 
     def values(self, times: np.ndarray, grid) -> np.ndarray:
@@ -178,7 +175,6 @@ class PicardReport:
     smallness_ok: bool
     c0_estimate: float
     v_norm: float
-    holder_q: float
 
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
@@ -193,14 +189,14 @@ def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
     return sup_part + mixed_norm(u, p, 2.0)
 
 
-def _duhamel_phases(tg: TimeGrid, N: int, d: int, zonal: bool):
-    """(e^{-i lambda t_j}, dt e^{i lambda t_j}), shaped to multiply a history.
+def _duhamel_phases(tg: TimeGrid, f: CoefficientTable):
+    """(e^{-i lambda t_j}, dt e^{i lambda t_j}), shaped to multiply a history of f's kind.
 
     lambda t_j = 2 pi (lambda j mod M) / M is reduced exactly in integers.
     """
-    lam = eigenvalues_upto(N, d)
+    lam = eigenvalues_upto(f.N, f.d)
     phases = np.exp(2j * np.pi / tg.M * (np.outer(np.arange(tg.M), lam) % tg.M))
-    phases = phases if zonal else phases[:, :, None]
+    phases = phases if f.zonal else phases[:, :, None]
     return phases.conj(), tg.dt * phases
 
 
@@ -220,18 +216,16 @@ def _duhamel(G: np.ndarray, conj: np.ndarray, scaled: np.ndarray,
     return out
 
 
-def duhamel_apply(G: SpaceTimeField, tg: TimeGrid) -> SpaceTimeField:
-    """Time-ordered integral int_0^{t_j} e^{i (t_j - tau) Delta} G(tau) dtau.
+def duhamel_apply(G: SpaceTimeField) -> SpaceTimeField:
+    """Time-ordered integral int_0^{t_j} e^{i (t_j - tau) Delta} G(tau) dtau on G's time grid.
 
     Composite trapezoid in tau through the propagated spectral coefficients,
     in the exact cumulative-sum form I_j = e^{i lambda t_j} dt (sum_{k<=j} H_k
     - (H_0 + H_j)/2) with H_k = e^{-i lambda t_k} G_k; spectral in space,
     O(dt^2) in time.  G is not written.
     """
-    if G.tg.M != tg.M:
-        raise ValueError(f"history on M={G.tg.M} nodes but integration grid M={tg.M}")
-    out = _duhamel(G.history(), *_duhamel_phases(tg, G.N, G.d, G.base.zonal))
-    return SpaceTimeField(tg, G.grid, G.base * 0.0, tables=out)
+    out = _duhamel(G.history(), *_duhamel_phases(G.tg, G.base))
+    return SpaceTimeField(G.tg, G.grid, G.base * 0.0, tables=out)
 
 
 class _PicardMap:
@@ -251,7 +245,7 @@ class _PicardMap:
         self.f, self.tg, self.grid, self.band = f, tg, grid, V.band
         self.B = V.spatial_samples(grid).reshape(len(V.terms), math.prod(grid.shape))  # [k, z]
         self.amps = V.amplitudes(tg.times)
-        self.conj, self.scaled = _duhamel_phases(tg, f.N, f.d, f.zonal)
+        self.conj, self.scaled = _duhamel_phases(tg, f)
         self.free = free_phases(tg.times, f)
 
     def __call__(self, w: SpaceTimeField) -> SpaceTimeField:
@@ -335,7 +329,6 @@ def picard_solve(
     u = synthesize_history(f, tg, grid).materialize()
     increments: list[float] = []
     ratios: list[float] = []
-    converged = False
     bad_streak = 0
     for _ in range(max_iter):
         u_next = phi(u)
@@ -353,8 +346,12 @@ def picard_solve(
         increments.append(delta)
         u = u_next
         if delta <= tol:
-            converged = True
             break
+    else:
+        raise DivergenceError(
+            f"no convergence to tol={tol} within {max_iter} iterations "
+            f"(last increment {increments[-1]:.3g})"
+        )
     residual = x_norm(phi(u) - u, p, s)
     report = PicardReport(
         iterations=len(increments),
@@ -362,17 +359,11 @@ def picard_solve(
         ratios=ratios,
         contraction_ratio=max(ratios) if ratios else 0.0,
         residual=residual,
-        converged=converged,
+        converged=True,
         smallness_ok=smallness_ok,
         c0_estimate=c0_est,
         v_norm=v_norm,
-        holder_q=q,
     )
-    if not converged:
-        raise DivergenceError(
-            f"no convergence to tol={tol} within {max_iter} iterations "
-            f"(last increment {increments[-1]:.3g})"
-        )
     return u, report
 
 
@@ -383,8 +374,8 @@ def contraction_check(V: PotentialSpec, w: SpaceTimeField, v: SpaceTimeField,
     if denom == 0.0:
         raise ValueError("w and v coincide")
     zero = CoefficientTable.zeros(w.N, w.d, zonal=w.base.zonal)
-    num = x_norm(apply_phi(w, zero, V) - apply_phi(v, zero, V), p, s)
-    return num / denom
+    phi = _PicardMap(zero, V, w.tg, w.grid)  # one map for both: w and v share their grids
+    return x_norm(phi(w) - phi(v), p, s) / denom
 
 
 def l2_drift(u: SpaceTimeField) -> float:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import CoefficientTable, _check_fit, _degree_synthesis, _synthesize
-from .harmonics import eigenvalue
 
 __all__ = [
     "TimeGrid",
@@ -86,8 +85,7 @@ def nyquist_time_grid(N: int, d: int) -> TimeGrid:
     evolutions and even q up to 4 (the top time frequency of |u|^4 is
     2*lambda_N < M).
     """
-    lam = int(eigenvalue(N, d))
-    return TimeGrid(4 * (lam + 1))
+    return TimeGrid(4 * (int(eigenvalues_upto(N, d)[-1]) + 1))
 
 
 def eigenvalues_upto(N: int, d: int) -> np.ndarray:

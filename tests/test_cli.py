@@ -310,6 +310,22 @@ def test_solve_potential_divergence_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_potential_no_convergence_exit_2(tmp_path, capsys):
+    # README's potential needs more than one iterate to reach tol = 1e-8
+    pot_file = tmp_path / "pot.json"
+    pot_file.write_text(json.dumps({"terms": [
+        {"time_coeffs": [{"freq": 1, "re": 0.015, "im": 0.0},
+                         {"freq": -1, "re": 0.015, "im": 0.0}],
+         "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0, "im": 0.0}]}]}))
+    out = tmp_path / "div.csv"
+    assert run(["solve-potential", "--potential", str(pot_file), "--N", "6",
+                "--max-iter", "1", "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("divergence: no convergence")
+    assert "Traceback" not in captured.err and "converged" not in captured.out
+    assert not out.exists()
+
+
 _TERM = {"time_coeffs": [{"freq": 0, "re": 0.01}],
          "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0}]}
 

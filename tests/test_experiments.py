@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,19 @@ def test_field_lp_norm_colatitude_path_equals_reference_quadrature(p, include_po
         assert field_lp_norm(f, p, include_poles=include_poles) == want, (f.N, f.d, f.zonal)
 
 
+@pytest.mark.parametrize("N", [3, 8, 13])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 7.5, INF])
+def test_field_lp_norm_full_synthesis_path_equals_reference(p, N):
+    # a d = 2 table with several degrees and several orders is synthesized whole on the grid
+    # grid_for sizes for |f|^p; at p = inf the pole values join the grid maximum
+    f = random_field(N, 2, np.random.default_rng(N))
+    grid = grid_for(N, 2, 2.0 if p == INF else max(2.0, p / 2.0))
+    want = lp_norm(inverse_sht(f, grid), grid, p)
+    if p == INF:
+        want = max(want, float(np.max(np.abs(pole_values(f)))))
+    assert field_lp_norm(f, p) == want
+
+
 def test_sweep_p2_is_flat():
     cfg = SweepConfig(d=2, p=2.0, family="zonal-kernel", degrees=(8, 16, 32, 64))
     rows, fit = projection_ratio_sweep(cfg)
@@ -326,6 +340,16 @@ def test_strichartz_ratio_guards():
     f = CoefficientTable.unit_mode(4, 2, 0)
     with pytest.raises(ValueError):
         strichartz_ratio(f, 4.0, 2.0, -0.1)
+
+
+@pytest.mark.parametrize("f, method, message", [
+    (CoefficientTable.unit_mode(4, 2, 1), "exact", "unknown method 'exact'"),
+    (CoefficientTable.unit_mode(4, 2, 1) + CoefficientTable.unit_mode(4, 3, 0), "closed",
+     "closed form requires a single-degree field"),
+], ids=["unknown-method", "closed-on-two-degrees"])
+def test_strichartz_ratio_method_validation(f, method, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        strichartz_ratio(f, 4.0, 2.0, 0.5, method=method)
 
 
 def test_sharpness_sweep_slopes():

@@ -374,6 +374,11 @@ def test_coefficient_table_validation():
         CoefficientTable(N=2, d=2, a=bad, zonal=True)
 
 
+def test_unit_mode_rejects_order_above_degree():
+    with pytest.raises(ValueError, match=re.escape("|m| <= n violated: n=2, m=-3")):
+        CoefficientTable.unit_mode(4, 2, -3)
+
+
 def test_pole_values():
     tab = CoefficientTable.unit_mode(6, 3, 0)
     north, south = pole_values(tab)

@@ -23,6 +23,7 @@ from sphere_strichartz.spectral import (
     TimeGrid,
     nyquist_time_grid,
     random_field,
+    synthesize_by_degree,
     synthesize_history,
 )
 
@@ -257,6 +258,72 @@ def test_mixed_norm_rejects_bad_q():
     u = synthesize_history(f, TimeGrid(8), g)
     with pytest.raises(ValueError):
         mixed_norm(u, 2.0, math.inf)
+
+
+def test_mixed_norm_accepts_q_equal_1():
+    # q = 1 is the smallest inner exponent: for one degree |u(t, z)| = |f(z)|, so the
+    # L^1_t norm is 2 pi |f(z)| and the L^2_z norm of that is 2 pi ||f||_2
+    f = CoefficientTable.unit_mode(6, 4, 2)
+    u = synthesize_history(f, nyquist_time_grid(6, 2), grid_for(6, 2, 2.0))
+    assert mixed_norm(u, 2.0, 1.0) == pytest.approx(TWO_PI, rel=1e-12)
+    with pytest.raises(ValueError, match="inner exponent must satisfy 1 <= q < inf, got 0.5"):
+        mixed_norm(u, 2.0, 0.5)
+
+
+def test_triebel_lizorkin_q_boundaries():
+    # q = 0 is rejected; any q > 0 is taken, q = 0.5 included
+    f = random_field(5, 2, np.random.default_rng(4))
+    g = grid_for(5, 2, 2.0)
+    with pytest.raises(ValueError, match="q must be > 0 or inf, got 0"):
+        triebel_lizorkin_norm(f, g, 2.0, 0.0, 0.0)
+    inner = np.sum(np.abs(synthesize_by_degree(f, g)) ** 0.5, axis=0) ** 2.0
+    assert triebel_lizorkin_norm(f, g, 2.0, 0.5, 0.0) == pytest.approx(
+        lp_norm(inner, g, 2.0), rel=1e-13
+    )
+
+
+def test_resolution_check_refines_by_doubling():
+    # q = 6 on S^2 with lambda_N = 20 < M = 25 <= 1.5 lambda_N: |u|^6 is a trigonometric
+    # polynomial in t with even frequencies up to 3 lambda_N = 60.  M and 2M nodes both alias
+    # exactly the frequencies +-50, so the doubled sums agree up to rounding; 3M nodes
+    # alias none.
+    f = random_field(4, 2, np.random.default_rng(0))
+    g = grid_for(4, 2, 2.0)
+    u = synthesize_history(f, TimeGrid(25), g)
+    base = mixed_norm(u, 4.0, 6.0)
+    tripled = mixed_norm(SpaceTimeField(TimeGrid(75), g, f), 4.0, 6.0)
+    assert abs(tripled - base) > 1e-4 * base
+    assert mixed_norm(u, 4.0, 6.0, check_resolution=True, rtol=1e-12) == base
+
+
+def test_resolution_check_accepts_an_unmoved_norm_at_rtol_0():
+    # a degree-0 field has one-node time series, so M and 2M nodes give the same bits
+    f = CoefficientTable.unit_mode(0, 0, 0) * 0.7
+    u = synthesize_history(f, TimeGrid(8), grid_for(0, 2, 2.0))
+    for q in (1.0, 2.0, 3.0, 6.0):
+        assert mixed_norm(u, 4.0, q, check_resolution=True, rtol=0.0) > 0
+
+
+def test_resolution_check_tolerance_is_relative():
+    # scaled by 1e3 the norm is about 1e3, so rtol * |norm| and rtol / |norm| are 1e6 apart;
+    # M = 24 aliases the frequencies +-24 and +-48 of |u|^6 and 2M only +-48, so doubling
+    # moves the norm by about 2e-3 of itself
+    f = random_field(4, 2, np.random.default_rng(0)) * 1e3
+    g = grid_for(4, 2, 2.0)
+    u = synthesize_history(f, TimeGrid(24), g)
+    base = mixed_norm(u, 4.0, 6.0)
+    move = abs(mixed_norm(SpaceTimeField(TimeGrid(48), g, f), 4.0, 6.0) - base) / base
+    assert 1e-3 < move < 1e-2 and base > 100.0
+    assert mixed_norm(u, 4.0, 6.0, check_resolution=True, rtol=2 * move) == base
+    with pytest.raises(TimeResolutionError):
+        mixed_norm(u, 4.0, 6.0, check_resolution=True, rtol=move / 2)
+
+
+def test_resolution_check_requires_a_free_field():
+    f = random_field(3, 2, np.random.default_rng(1))
+    u = synthesize_history(f, TimeGrid(16), grid_for(3, 2, 2.0)).materialize()
+    with pytest.raises(ValueError, match="resolution check requires a free-evolution field"):
+        mixed_norm(u, 4.0, 2.0, check_resolution=True)
 
 
 @pytest.mark.parametrize("explicit", [False, True])

@@ -78,7 +78,7 @@ def test_duhamel_zero():
     g = grid_for(4, 2, 2.0)
     tab = CoefficientTable.zeros(4, 2)
     G = SpaceTimeField(TimeGrid(16), g, tab, tables=np.zeros((16, 5, 9), complex))
-    out = duhamel_apply(G, G.tg)
+    out = duhamel_apply(G)
     assert np.max(np.abs(out.tables)) == 0.0
 
 
@@ -90,7 +90,7 @@ def test_duhamel_degree_zero_exact():
     tg = TimeGrid(M)
     tables = np.repeat(tab.a[None], M, axis=0) * 0.3
     G = SpaceTimeField(tg, g, tab, tables=tables)
-    out = duhamel_apply(G, tg)
+    out = duhamel_apply(G)
     for j in (0, 7, 31):
         assert out.tables[j, 0, 2] == pytest.approx(0.3 * tg.times[j], abs=1e-13)
 
@@ -107,19 +107,11 @@ def test_duhamel_single_degree_closed_form_and_order():
         tg = TimeGrid(M)
         tab = CoefficientTable.unit_mode(N, n, 1)
         tables = np.repeat(tab.a[None], M, axis=0) * coeff
-        out = duhamel_apply(SpaceTimeField(tg, g, tab, tables=tables), tg)
+        out = duhamel_apply(SpaceTimeField(tg, g, tab, tables=tables))
         exact = coeff * (np.exp(1j * lam * tg.times) - 1.0) / (1j * lam)
         errs[M] = np.max(np.abs(out.tables[:, n, 1 + N] - exact))
     assert errs[64] < 2e-2
     assert errs[64] / errs[128] == pytest.approx(4.0, rel=0.15)
-
-
-def test_duhamel_grid_mismatch():
-    g = grid_for(2, 2, 2.0)
-    tab = CoefficientTable.zeros(2, 2)
-    G = SpaceTimeField(TimeGrid(8), g, tab, tables=np.zeros((8, 3, 5), complex))
-    with pytest.raises(ValueError):
-        duhamel_apply(G, TimeGrid(16))
 
 
 def test_apply_phi_with_zero_potential_is_free():
@@ -229,6 +221,28 @@ def test_picard_divergence_error():
         picard_solve(f, V, p=4.0, s=0.125, tol=1e-10, max_iter=12, seed=1)
 
 
+def test_picard_no_convergence_applies_the_map_max_iter_times(monkeypatch):
+    # README's potential contracts, but not to 1e-30 in two steps: the solve gives up
+    # after exactly max_iter applications of the map, with no residual step after them
+    calls = []
+    call = potential._PicardMap.__call__
+
+    def counted(self, w):
+        calls.append(w.tg.M)
+        return call(self, w)
+
+    monkeypatch.setattr(potential._PicardMap, "__call__", counted)
+    f = random_field(6, 2, np.random.default_rng(5))
+    with pytest.raises(DivergenceError, match="no convergence to tol=1e-30 within 2 iterations"):
+        picard_solve(f, cos_t_potential(0.03), p=4.0, s=0.125, tol=1e-30, max_iter=2)
+    assert len(calls) == 2
+
+
+def test_potential_term_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="time_freqs and time_coeffs must have matching shapes"):
+        PotentialTerm(np.array([1, -1]), np.array([0.5]), CoefficientTable.unit_mode(1, 1, 0))
+
+
 def test_contraction_check_zero_potential():
     rng = np.random.default_rng(10)
     g = grid_for(4, 2, 2.0)
@@ -273,7 +287,7 @@ def test_duality_ratio_stable_under_refinement():
         for l, amp in ((0, 1.0), (1, 0.5), (-2, 0.25)):
             tables += amp * np.exp(1j * l * tg.times)[:, None, None] * tab.a[None]
         G = SpaceTimeField(tg, g, tab, tables=tables)
-        out = duhamel_apply(G, tg)
+        out = duhamel_apply(G)
         return mixed_norm(out, p, 2.0) / mixed_norm(G, p_dual, 2.0)
 
     base = ratio(4, 128)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -336,3 +337,21 @@ def test_one_node_time_block_equals_node_of_whole_synthesis():
     j0, last = list(u.iter_time_blocks())[-1]
     assert (j0, last.shape) == (64, (1, grid.t.size))
     assert last[0].tobytes() == whole[64].tobytes()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: next(SpaceTimeField(TimeGrid(16), grid_for(3, 2, 2.0), CoefficientTable.zeros(3, 2),
+                                 tables=np.zeros((16, 4, 7), complex)).iter_space_chunks()),
+     "space-chunk iteration requires a free-evolution field"),
+    (lambda: next(synthesize_history(random_field(4, 2, np.random.default_rng(0)),
+                                     TimeGrid(20), grid_for(4, 2, 2.0)).iter_space_chunks()),
+     "time grid too coarse: lambda_N=20 >= M=20"),
+    (lambda: SpaceTimeField(TimeGrid(8), grid_for(3, 2, 2.0), CoefficientTable.zeros(3, 2),
+                            tables=np.zeros((8, 4, 5), complex)),
+     "history shape (8, 4, 5) != (8, 4, 7)"),
+    (lambda: TimeGrid(0), "need at least one time node, got M=0"),
+], ids=["space-chunks-of-explicit-history", "space-chunks-lambda-N-at-M",
+        "history-shape", "no-time-node"])
+def test_validation_errors(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
