@@ -3,7 +3,7 @@
 from .harmonics import (
     associated_legendre,
     eigenspace_dim,
-    eigenvalue,
+    eigenvalues_upto,
     gegenbauer,
     surface_area,
     zonal_basis,

@@ -140,7 +140,7 @@ def _cmd_identity_check(args) -> int:
     rows = []
     worst = 0.0
     for trial in range(args.trials):
-        f = random_field(args.N, args.d, rng, zonal=(args.d != 2))
+        f = random_field(args.N, args.d, rng)
         u = synthesize_history(f, tg, grid)
         prof = l2t_profile_exact(f, grid)
         for p in ps:
@@ -194,7 +194,7 @@ def _cmd_strichartz(args) -> int:
     s = xp.kappa_pq(p, args.q, args.d) if args.s == "auto" else _finite("s", float(args.s))
     rng = _rng(args.seed)
     if args.family == "random":
-        f = random_field(args.N, args.d, rng, zonal=(args.d != 2))
+        f = random_field(args.N, args.d, rng)
     else:
         f = xp.make_family(_FAMILY_ALIASES[args.family], args.N, args.d, rng=rng)
     ratio = xp.strichartz_ratio(f, p, args.q, s)
@@ -260,7 +260,7 @@ def _cmd_selftest(args) -> int:
     N = args.N
     for d, name in ((2, "sphere"), (3, "zonal(d=3)")):
         grid = grid_for(N, d, 1.0)  # band N: exact for |f|^2 of a band-N field
-        f = random_field(N, d, rng, zonal=(d != 2))
+        f = random_field(N, d, rng)
         vals = inverse_sht(f, grid)  # a zonal table is synthesized on its zonal grid
         back = (forward_sht if d == 2 else forward_zonal)(vals, grid, N)
         check(f"{name} round-trip N={N}", float(np.max(np.abs(back.a - f.a))), 1e-12)
@@ -284,11 +284,11 @@ def _cmd_selftest(args) -> int:
     return 2
 
 
-def _add_common(sp, seed=0):
+def _add_common(sp):
     sp.add_argument("--config", help="JSON config file supplying flag defaults")
     sp.add_argument("--output", help="result file path")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--seed", type=int, default=seed)
+    sp.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

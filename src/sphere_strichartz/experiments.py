@@ -168,8 +168,7 @@ def _colatitude_profile(f: CoefficientTable, band: int):
     return f.a[:, nz[0]] @ legendre_column(abs(m), f.N, g.t), g
 
 
-def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0,
-                  include_poles: bool = True) -> float:
+def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> float:
     """L^p norm of a band-limited field, on a grid sized for |f|^p.
 
     For finite even p the quadrature is exact once the grid band reaches
@@ -187,7 +186,7 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0,
         else:
             prof = inverse_sht(f, grid), grid
     res = lp_norm(*prof, p)
-    if p == math.inf and include_poles:
+    if p == math.inf:
         res = max(res, float(np.max(np.abs(pole_values(f)))))
     return res
 
@@ -217,13 +216,10 @@ def strichartz_ratio(f: CoefficientTable, p: float, q: float, s: float,
     denom = sobolev_norm(f, s)
     if denom == 0.0:
         raise ValueError("zero field")
-    active = np.nonzero(f.degrees_l2() > 0)[0]
-    if method not in ("auto", "closed", "sampled"):
+    if method not in ("auto", "sampled"):
         raise ValueError(f"unknown method {method!r}")
-    use_closed = (method == "closed") or (method == "auto" and active.size == 1)
-    if use_closed:
-        if active.size != 1:
-            raise ValueError("closed form requires a single-degree field")
+    active = np.nonzero(np.any(f.a.reshape(f.N + 1, -1) != 0, axis=1))[0]
+    if method == "auto" and active.size == 1:
         num = (2.0 * math.pi) ** (1.0 / q) * field_lp_norm(f, p)
     else:
         if grid is None:
@@ -295,7 +291,7 @@ def estimate_strichartz_constant(p: float, s: float, N: int, d: int,
     """
     best = 0.0
     for _ in range(4):
-        f = random_field(N, d, rng, zonal=(d != 2))
+        f = random_field(N, d, rng)
         best = max(best, strichartz_ratio(f, p, 2.0, s))
     for rows in sharpness_rows(p, s, d, [max(N, 1)]).values():
         best = max(best, rows[0][1])

@@ -218,17 +218,6 @@ class CoefficientTable:
     def copy(self) -> "CoefficientTable":
         return CoefficientTable(N=self.N, d=self.d, a=self.a.copy(), zonal=self.zonal)
 
-    def get(self, n: int, m: int = 0) -> complex:
-        if self.zonal:
-            return complex(self.a[n])
-        return complex(self.a[n, m + self.N])
-
-    def degrees_l2(self) -> np.ndarray:
-        """Per-degree L^2 norms ||H_n f||, shape (N+1,)."""
-        if self.zonal:
-            return np.abs(self.a)
-        return np.sqrt(np.sum(np.abs(self.a) ** 2, axis=1))
-
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.a))
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "eigenvalue",
+    "eigenvalues_upto",
     "eigenspace_dim",
     "surface_area",
     "associated_legendre",
@@ -38,13 +38,14 @@ __all__ = [
 ]
 
 
-def eigenvalue(n: int, d: int) -> float:
-    """Laplacian eigenvalue n(n+d-1) of the degree-n harmonic subspace."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
+def eigenvalues_upto(N: int, d: int) -> np.ndarray:
+    """The integer Laplacian eigenvalues lambda_n = n(n+d-1) for n = 0..N."""
+    if N < 0:
+        raise ValueError(f"degree must be >= 0, got {N}")
     if d < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
-    return float(n * (n + d - 1))
+    n = np.arange(N + 1)
+    return n * (n + d - 1)
 
 
 def eigenspace_dim(n: int, d: int) -> int:

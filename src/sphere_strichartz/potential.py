@@ -27,6 +27,7 @@ import numpy as np
 
 from .experiments import estimate_strichartz_constant, kappa_pq
 from .grids import CoefficientTable, _analyze, grid_for, inverse_sht
+from .harmonics import eigenvalues_upto
 from .norms import _sobolev_norms, lp_norm, mixed_norm
 from .spectral import (
     _SERIES_CHUNK_BYTES,
@@ -34,7 +35,6 @@ from .spectral import (
     SpaceTimeField,
     TimeGrid,
     _row_blocks,
-    eigenvalues_upto,
     free_phases,
     synthesize_history,
 )
@@ -110,17 +110,12 @@ class PotentialSpec:
             default=0,
         )
         M = max(512, 16 * (max_freq + 1))
-        amps = self.amplitudes(2.0 * np.pi * np.arange(M) / M)
-        B = self.spatial_samples(grid)
+        times = 2.0 * np.pi * np.arange(M) / M
         prof = np.zeros(grid.shape)
         for j0, j1 in _row_blocks(M, _TIME_BLOCK):
-            vals = np.tensordot(amps[:, j0:j1].T, B, axes=1)
+            vals = self.values(times[j0:j1], grid)
             np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
         return prof
-
-    def mixed_q_inf_norm(self, q: float, grid) -> float:
-        """Smallness norm ||V||_{L^q_x(L^inf_t)} of the potential."""
-        return lp_norm(self.sup_t_profile(grid), grid, q)
 
     def to_json_dict(self) -> dict:
         out = {"terms": []}
@@ -320,7 +315,7 @@ def picard_solve(
     if tg is None:
         tg = TimeGrid(max(64, 8 * (int(eigenvalues_upto(f.N, d)[-1]) + 1)))
 
-    v_norm = V.mixed_q_inf_norm(q, grid)
+    v_norm = lp_norm(V.sup_t_profile(grid), grid, q)  # ||V||_{L^q_x(L^inf_t)}
     c0_est = estimate_strichartz_constant(p, s, f.N, d, np.random.default_rng(seed))
     c_eff = 2.0 * c0_est
     smallness_ok = (c_eff + c_eff**2) * v_norm <= 0.5

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import CoefficientTable, _check_fit, _degree_synthesis, _synthesize
+from .harmonics import eigenvalues_upto
 
 __all__ = [
     "TimeGrid",
@@ -86,12 +87,6 @@ def nyquist_time_grid(N: int, d: int) -> TimeGrid:
     2*lambda_N < M).
     """
     return TimeGrid(4 * (int(eigenvalues_upto(N, d)[-1]) + 1))
-
-
-def eigenvalues_upto(N: int, d: int) -> np.ndarray:
-    """The integer eigenvalues lambda_n = n(n+d-1) for n = 0..N."""
-    n = np.arange(N + 1)
-    return n * (n + d - 1)
 
 
 def project(f: CoefficientTable, n: int) -> CoefficientTable:
@@ -259,9 +254,8 @@ def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeFiel
     return SpaceTimeField(tg, grid, f.copy())
 
 
-def random_field(N: int, d: int, rng: np.random.Generator, zonal: bool = False,
-                 unit_norm: bool = True) -> CoefficientTable:
-    """Random band-limited field with i.i.d. complex gaussian coefficients."""
+def random_field(N: int, d: int, rng: np.random.Generator, zonal: bool = False) -> CoefficientTable:
+    """Unit-L^2 band-limited field from i.i.d. complex gaussian coefficients (zonal for d != 2)."""
     if zonal or d != 2:
         a = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
         tab = CoefficientTable(N, d, a, zonal=True)
@@ -271,6 +265,5 @@ def random_field(N: int, d: int, rng: np.random.Generator, zonal: bool = False,
             cols = slice(N - n, N + n + 1)
             tab.a[n, cols] = (rng.standard_normal(2 * n + 1)
                               + 1j * rng.standard_normal(2 * n + 1))
-    if unit_norm:
-        tab.a /= np.linalg.norm(tab.a)
+    tab.a /= np.linalg.norm(tab.a)
     return tab

@@ -37,7 +37,7 @@ from sphere_strichartz.grids import (
     inverse_sht,
     inverse_zonal,
 )
-from sphere_strichartz.harmonics import legendre_column
+from sphere_strichartz.harmonics import eigenvalues_upto, legendre_column
 from sphere_strichartz.norms import _time_power_sums, lp_norm
 from sphere_strichartz.potential import (
     PotentialSpec,
@@ -49,7 +49,6 @@ from sphere_strichartz.potential import (
 from sphere_strichartz.spectral import (
     SpaceTimeField,
     TimeGrid,
-    eigenvalues_upto,
     nyquist_time_grid,
     project,
     random_field,

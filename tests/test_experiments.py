@@ -148,7 +148,7 @@ def test_make_family_random_eigenspace():
     rng = np.random.default_rng(1)
     f = make_family("random-eigenspace", 6, 2, rng=rng)
     assert f.l2_norm() == pytest.approx(1.0, rel=1e-12)
-    per_degree = f.degrees_l2()
+    per_degree = np.linalg.norm(f.a, axis=1)
     assert per_degree[6] == pytest.approx(1.0, rel=1e-12)
     assert np.max(per_degree[:6]) == 0.0
 
@@ -176,7 +176,7 @@ def test_field_lp_norm_profile_matches_full_grid():
     rng = np.random.default_rng(2)
     f = make_family("random-eigenspace", 8, 2, rng=rng)
     g = grid_for(8, 2, 2.0)
-    assert field_lp_norm(f, 4.0, include_poles=False) == pytest.approx(
+    assert field_lp_norm(f, 4.0) == pytest.approx(
         lp_norm(inverse_sht(f, g), g, 4.0), rel=1e-12
     )
 
@@ -193,7 +193,7 @@ def test_field_lp_norm_single_degree_path_equals_table_path(p, monkeypatch):
     assert fast == [field_lp_norm(f, p) for f in fields]
 
 
-def _reference_colatitude_lp_norm(f, p, oversample=2.0, include_poles=True):
+def _reference_colatitude_lp_norm(f, p, oversample=2.0):
     """field_lp_norm's former hand-written colatitude quadrature, for tables whose |f| depends
     on colatitude only: sum(w |g|^p)^(1/p), or max |g| for p = inf."""
     nu = oversample if p == INF else max(oversample, p / 2.0)
@@ -207,7 +207,7 @@ def _reference_colatitude_lp_norm(f, p, oversample=2.0, include_poles=True):
         P = legendre_column(abs(int(col) - f.N), f.N, g.t)
         w, absg = g.t_weights * (2.0 * np.pi), np.abs(f.a[:, col] @ P)
     res = float(np.max(absg)) if p == INF else float(np.sum(w * absg ** p) ** (1.0 / p))
-    if p == INF and include_poles:
+    if p == INF:
         res = max(res, float(np.max(np.abs(pole_values(f)))))
     return res
 
@@ -225,13 +225,11 @@ def _colatitude_tables():
     return tables
 
 
-@pytest.mark.parametrize("include_poles", [True, False])
 @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 7.5, INF])
-def test_field_lp_norm_colatitude_path_equals_reference_quadrature(p, include_poles):
+def test_field_lp_norm_colatitude_path_equals_reference_quadrature(p):
     # the colatitude path through lp_norm gives the former hand-written sum's floats
     for f in _colatitude_tables():
-        want = _reference_colatitude_lp_norm(f, p, include_poles=include_poles)
-        assert field_lp_norm(f, p, include_poles=include_poles) == want, (f.N, f.d, f.zonal)
+        assert field_lp_norm(f, p) == _reference_colatitude_lp_norm(f, p), (f.N, f.d, f.zonal)
 
 
 @pytest.mark.parametrize("N", [3, 8, 13])
@@ -301,7 +299,7 @@ def test_strichartz_ratio_single_degree_identity():
     rng = np.random.default_rng(3)
     f = make_family("random-eigenspace", 6, 2, rng=rng)
     for p, q in [(4.0, 2.0), (INF, 2.0), (4.0, 4.0)]:
-        closed = strichartz_ratio(f, p, q, 0.3, method="closed")
+        closed = strichartz_ratio(f, p, q, 0.3, method="auto")
         sampled = strichartz_ratio(f, p, q, 0.3, method="sampled")
         assert closed == pytest.approx(sampled, rel=1e-10)
 
@@ -344,9 +342,7 @@ def test_strichartz_ratio_guards():
 
 @pytest.mark.parametrize("f, method, message", [
     (CoefficientTable.unit_mode(4, 2, 1), "exact", "unknown method 'exact'"),
-    (CoefficientTable.unit_mode(4, 2, 1) + CoefficientTable.unit_mode(4, 3, 0), "closed",
-     "closed form requires a single-degree field"),
-], ids=["unknown-method", "closed-on-two-degrees"])
+], ids=["unknown-method"])
 def test_strichartz_ratio_method_validation(f, method, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         strichartz_ratio(f, 4.0, 2.0, 0.5, method=method)

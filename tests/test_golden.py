@@ -29,6 +29,8 @@ POTENTIAL = {"terms": [{"time_coeffs": [{"freq": 1, "re": 0.015, "im": 0.0},
 COMMANDS = {
     "kappa": ["kappa", "--d", "3", "--p", "6", "--q", "2"],
     "identity-check": ["identity-check", "--N", "12", "--trials", "3"],
+    # the zonal free path on S^3: lambda_n, the time grid and the identity at d != 2
+    "identity-check-d3": ["identity-check", "--d", "3", "--N", "10", "--trials", "2"],
     "selftest-64": ["selftest", "--N", "64"],
     # a streamed Legendre table: (N+1)^2 K floats above 8 MiB
     "selftest-128": ["selftest", "--N", "128"],
@@ -36,6 +38,7 @@ COMMANDS = {
     "sweep-d3": ["sweep", "--d", "3", "--p", "inf", "--family", "zonal", "--n", "16:96:4"],
     "sharpness": ["sharpness", "--p", "inf", "--s", "0.4", "--n", "16:96:4"],
     "strichartz": ["strichartz", "--N", "16", "--p", "4"],
+    "strichartz-d3": ["strichartz", "--d", "3", "--N", "10", "--p", "inf"],
     "solve-potential": ["solve-potential", "--potential", "{potential}", "--N", "6",
                         "--format", "json"],
     # the zonal Picard path: README's potential on S^3

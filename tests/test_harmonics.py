@@ -7,7 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from sphere_strichartz.harmonics import (
     associated_legendre,
     eigenspace_dim,
-    eigenvalue,
+    eigenvalues_upto,
     gegenbauer,
     gegenbauer_at_one,
     legendre_column,
@@ -18,23 +18,25 @@ from sphere_strichartz.harmonics import (
 
 
 def test_eigenvalue_examples():
-    assert eigenvalue(0, 2) == 0.0
-    assert eigenvalue(1, 2) == 2.0
-    assert eigenvalue(3, 3) == 15.0
+    assert eigenvalues_upto(0, 2)[0] == 0.0
+    assert eigenvalues_upto(1, 2)[1] == 2.0
+    assert eigenvalues_upto(3, 3)[3] == 15.0
+    lam = eigenvalues_upto(12, 4)  # every degree at once, as integers
+    assert lam.dtype.kind == "i" and lam.tolist() == [n * (n + 3) for n in range(13)]
 
 
 def test_eigenvalue_strictly_increasing_and_injective():
     for d in (2, 3, 5):
-        lams = [eigenvalue(n, d) for n in range(200)]
+        lams = [eigenvalues_upto(n, d)[n] for n in range(200)]
         assert all(b > a for a, b in zip(lams, lams[1:]))
         assert len(set(lams)) == len(lams)
 
 
 def test_eigenvalue_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eigenvalue(-1, 2)
-    with pytest.raises(ValueError):
-        eigenvalue(3, 0)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        eigenvalues_upto(-1, 2)
+    with pytest.raises(ValueError, match="sphere dimension must be >= 1"):
+        eigenvalues_upto(3, 0)
 
 
 def test_eigenspace_dim_examples():

@@ -92,7 +92,7 @@ def test_sobolev_norm_examples():
 
 def test_sobolev_is_l2_at_zero():
     rng = np.random.default_rng(1)
-    f = random_field(10, 2, rng, unit_norm=False)
+    f = random_field(10, 2, rng) * 3.0
     assert sobolev_norm(f, 0.0) == pytest.approx(f.l2_norm(), rel=1e-14)
 
 
@@ -112,6 +112,22 @@ def test_triebel_lizorkin_single_mode():
     for p, q, r in [(4.0, 2.0, 0.7), (2.0, 7.0, -0.3), (math.inf, 2.0, 1.0)]:
         want = (1 + 5) ** r * lp_norm(vals, g, p)
         assert triebel_lizorkin_norm(f, g, p, q, r) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_triebel_lizorkin_weights_the_degree_axis(d):
+    # a band-N grid has K = N + 1 colatitudes, so a weight vector over the N + 1 degrees would
+    # also broadcast along colatitude; r != 0 tells the two axes apart
+    N = 6
+    f = random_field(N, d, np.random.default_rng(40))
+    g = grid_for(N, d, 1.0)
+    assert g.shape[0] == N + 1
+    E = synthesize_by_degree(f, g).reshape(N + 1, -1)
+    w = (1.0 + np.arange(N + 1.0)) ** 0.8
+    inner = np.sqrt(np.sum((w[:, None] * np.abs(E)) ** 2, axis=0)).reshape(g.shape)
+    assert triebel_lizorkin_norm(f, g, 3.0, 2.0, 0.8) == pytest.approx(
+        lp_norm(inner, g, 3.0), rel=1e-13
+    )
 
 
 def test_triebel_lizorkin_q_monotone():
@@ -319,6 +335,41 @@ def test_resolution_check_tolerance_is_relative():
         mixed_norm(u, 4.0, 6.0, check_resolution=True, rtol=move / 2)
 
 
+def test_resolution_check_default_rtol_is_1e_8():
+    # Y00 plus eps times the previous test's field: |u|^6 at M = 24 aliases only products of
+    # two cross terms, so doubling moves the norm by about 1.1e-2 eps^2 of itself, 2e-8 at
+    # eps = 1.34e-3 and 5e-9 at eps = 6.7e-4: the default rtol must raise on the first and
+    # pass the second
+    f = random_field(4, 2, np.random.default_rng(0))
+    g = grid_for(4, 2, 2.0)
+    for eps, lo, hi, raises in [(1.34e-3, 1.5e-8, 3e-8, True), (6.7e-4, 3e-9, 7e-9, False)]:
+        h = CoefficientTable.unit_mode(4, 0, 0) + f * eps
+        u = synthesize_history(h, TimeGrid(24), g)
+        base = mixed_norm(u, 4.0, 6.0)
+        move = abs(mixed_norm(SpaceTimeField(TimeGrid(48), g, h), 4.0, 6.0) - base) / base
+        assert lo < move < hi
+        if raises:
+            with pytest.raises(TimeResolutionError):
+                mixed_norm(u, 4.0, 6.0, check_resolution=True)
+        else:
+            assert mixed_norm(u, 4.0, 6.0, check_resolution=True) == base
+
+
+def test_resolution_check_floors_the_norm_at_1e_300():
+    # scaled by 1e-302 the norm (p = inf, q = 1) is about 3e-302, below the floor, so the
+    # tolerance is rtol * 1e-300: the same move passes at rtol = 2 move / 1e-300 and raises at
+    # a quarter of that.  Without the floor the first call would raise as well.
+    f = random_field(4, 2, np.random.default_rng(0)) * 1e-302
+    g = grid_for(4, 2, 2.0)
+    u = synthesize_history(f, TimeGrid(24), g)
+    base = mixed_norm(u, math.inf, 1.0)
+    move = abs(mixed_norm(SpaceTimeField(TimeGrid(48), g, f), math.inf, 1.0) - base)
+    assert base < 1e-301 and move > 1e-3 * base
+    assert mixed_norm(u, math.inf, 1.0, check_resolution=True, rtol=2 * move / 1e-300) == base
+    with pytest.raises(TimeResolutionError):
+        mixed_norm(u, math.inf, 1.0, check_resolution=True, rtol=move / 2e-300)
+
+
 def test_resolution_check_requires_a_free_field():
     f = random_field(3, 2, np.random.default_rng(1))
     u = synthesize_history(f, TimeGrid(16), grid_for(3, 2, 2.0)).materialize()
@@ -338,7 +389,7 @@ def test_mixed_norm_rejects_vacuous_underflow(explicit):
 
 @pytest.mark.parametrize("explicit", [False, True])
 def test_mixed_norm_rejects_overflow(explicit):
-    f = random_field(6, 2, np.random.default_rng(22), unit_norm=False)
+    f = random_field(6, 2, np.random.default_rng(22))
     f.a *= 1e3
     u = synthesize_history(f, nyquist_time_grid(6, 2), grid_for(6, 2, 2.0))
     u = u.materialize() if explicit else u

@@ -6,8 +6,8 @@ import pytest
 
 from sphere_strichartz import potential
 from sphere_strichartz.grids import CoefficientTable, grid_for
-from sphere_strichartz.harmonics import eigenvalue
-from sphere_strichartz.norms import _sobolev_norms, mixed_norm
+from sphere_strichartz.harmonics import eigenvalues_upto
+from sphere_strichartz.norms import _sobolev_norms, lp_norm, mixed_norm
 from sphere_strichartz.potential import (
     DivergenceError,
     PicardReport,
@@ -99,7 +99,7 @@ def test_duhamel_single_degree_closed_form_and_order():
     # constant-in-time G at degree n: I(t) = g (e^{i lam t} - 1)/(i lam),
     # trapezoid error O(dt^2): doubling M shrinks it ~4x
     n, N = 3, 4
-    lam = eigenvalue(n, 2)
+    lam = eigenvalues_upto(n, 2)[n]
     g = grid_for(N, 2, 2.0)
     coeff = 0.8 - 0.4j
     errs = {}
@@ -275,7 +275,7 @@ def test_duality_ratio_stable_under_refinement():
     # ||duhamel(G)||_{L^p(L^2_t)} / ||G||_{L^p'(L^2_t)} for fixed band-4 G,
     # re-evaluated with band and time resolution doubled: +-10%
     rng = np.random.default_rng(13)
-    small = random_field(4, 2, rng, unit_norm=False)
+    small = random_field(4, 2, rng)
     p, p_dual = 4.0, 4.0 / 3.0
 
     def ratio(N, M):
@@ -311,7 +311,7 @@ def test_potential_norm_and_band():
     assert V.band == 2
     g = grid_for(4, 2, 2.0)
     # sup_t |eps cos t Y20(z)| = eps |Y20(z)|; L^2_x of that = eps
-    assert V.mixed_q_inf_norm(2.0, g) == pytest.approx(0.25, rel=1e-10)
+    assert lp_norm(V.sup_t_profile(g), g, 2.0) == pytest.approx(0.25, rel=1e-10)
 
 
 def test_potential_json_round_trip():

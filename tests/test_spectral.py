@@ -13,12 +13,11 @@ from sphere_strichartz.grids import (
     build_zonal_grid,
     grid_for,
 )
-from sphere_strichartz.harmonics import associated_legendre, eigenvalue
+from sphere_strichartz.harmonics import associated_legendre, eigenvalues_upto
 from sphere_strichartz.spectral import (
     SpaceTimeField,
     TimeGrid,
     _row_blocks,
-    eigenvalues_upto,
     fractional_weight,
     nyquist_time_grid,
     project,
@@ -85,7 +84,7 @@ def test_propagate_single_mode_phase():
     # degree-1 on S^2 has eigenvalue 2, so the coefficient phase is e^{2it}
     f = CoefficientTable.unit_mode(4, 1, 0)
     t = 0.8371
-    got = propagate(f, t).get(1, 0)
+    got = propagate(f, t).a[1, 0 + f.N]
     assert got == pytest.approx(np.exp(2j * t), abs=1e-15)
 
 
@@ -152,7 +151,7 @@ def test_propagate_zonal_pipeline():
     f = random_field(12, 3, rng, zonal=True)
     t = 2.5
     got = propagate(f, t)
-    lam = np.array([eigenvalue(n, 3) for n in range(13)])
+    lam = np.array([eigenvalues_upto(n, 3)[n] for n in range(13)])
     np.testing.assert_allclose(got.a, f.a * np.exp(1j * lam * t), atol=1e-15)
 
 
@@ -161,7 +160,8 @@ def test_fractional_weight_examples():
     f = random_field(8, 2, rng)
     np.testing.assert_array_equal(fractional_weight(f, 0.0).a, f.a)
     y3 = CoefficientTable.unit_mode(8, 3, 1)
-    assert fractional_weight(y3, 1.0).get(3, 1) == pytest.approx(4.0, rel=1e-15)
+    w3 = fractional_weight(y3, 1.0)
+    assert w3.a[3, 1 + w3.N] == pytest.approx(4.0, rel=1e-15)
     roundtrip = fractional_weight(fractional_weight(f, 0.7), -0.7)
     assert np.max(np.abs(roundtrip.a - f.a)) < 1e-14
 
@@ -211,9 +211,9 @@ def test_history_matches_direct_summation():
         l = int(rng.integers(0, g.shape[1]))
         t, tk, ph = tg.times[j], g.t[k], g.phi[l]
         direct = (
-            f.get(2, 1) * np.exp(1j * eigenvalue(2, 2) * t)
+            f.a[2, 1 + f.N] * np.exp(1j * eigenvalues_upto(2, 2)[2] * t)
             * associated_legendre(2, 1, tk) * np.exp(1j * ph)
-            + f.get(4, -3) * np.exp(1j * eigenvalue(4, 2) * t)
+            + f.a[4, -3 + f.N] * np.exp(1j * eigenvalues_upto(4, 2)[4] * t)
             * (-1.0) * associated_legendre(4, 3, tk) * np.exp(-3j * ph)
         )
         assert u.samples_at(j)[k, l] == pytest.approx(direct, abs=1e-12)
@@ -350,8 +350,10 @@ def test_one_node_time_block_equals_node_of_whole_synthesis():
                             tables=np.zeros((8, 4, 5), complex)),
      "history shape (8, 4, 5) != (8, 4, 7)"),
     (lambda: TimeGrid(0), "need at least one time node, got M=0"),
+    (lambda: nyquist_time_grid(-1, 2), "degree must be >= 0, got -1"),
+    (lambda: nyquist_time_grid(4, 0), "sphere dimension must be >= 1, got 0"),
 ], ids=["space-chunks-of-explicit-history", "space-chunks-lambda-N-at-M",
-        "history-shape", "no-time-node"])
+        "history-shape", "no-time-node", "nyquist-negative-band", "nyquist-dimension-0"])
 def test_validation_errors(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
