@@ -332,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default=None)
     sp.add_argument("--q", type=float, default=2.0)
     sp.add_argument("--s", default="auto")
-    sp.add_argument("--family", default="random",
-                    choices=sorted(set(_FAMILY_ALIASES) | {"random"}))
+    sp.add_argument("--family", default="random", choices=sorted(_FAMILY_ALIASES))
     _add_common(sp)
     sp.set_defaults(func=_cmd_strichartz)
 

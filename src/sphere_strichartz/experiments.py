@@ -135,7 +135,7 @@ def make_family(kind: str, n: int, d: int,
     if n < 1:
         raise ValueError(f"witness degree must be >= 1, got {n}")
     if kind == "zonal-kernel":
-        return CoefficientTable.unit_mode(n, n, 0, d=d, zonal=(d != 2))
+        return CoefficientTable.unit_mode(n, n, 0, d=d)
     if kind == "highest-weight":
         if d != 2:
             raise ValueError("highest-weight family requires d = 2")

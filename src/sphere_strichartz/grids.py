@@ -5,9 +5,9 @@ Two pipelines:
   * S^2 ("sphere" tables): Gauss-Legendre colatitudes x uniform longitudes,
     full (n, m) coefficient tables, forward/inverse transform by longitude
     FFT + colatitude quadrature against orthonormalized Legendre functions.
-  * zonal functions on S^d, d >= 2 ("zonal" tables): Gauss-Jacobi nodes for
+  * zonal functions on S^d, d >= 3 ("zonal" tables): Gauss-Jacobi nodes for
     the weight (1-t^2)^((d-2)/2), one coefficient per degree in the
-    orthonormal zonal basis.
+    orthonormal zonal basis.  The d = 2 rule is only the S^2 grid's colatitude rule.
 
 A grid built with band parameter B integrates products of two band-B fields
 exactly: B+1 Gauss colatitudes (exact through polynomial degree 2B+1) and
@@ -86,7 +86,7 @@ class SphereGrid:
     t: np.ndarray          # (K,) Gauss-Legendre nodes, cos(colatitude), ascending
     t_weights: np.ndarray  # (K,) Gauss-Legendre weights
     lon_count: int
-    d: int = 2
+    d = 2  # a class attribute, not a field: every sphere grid is on S^2
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -171,71 +171,72 @@ def grid_for(N: int, d: int, oversample: float = 2.0):
     return build_zonal_grid(band, d)
 
 
+def _table_shape(N: int, d: int) -> tuple:
+    """A table's layout: (N+1, 2N+1) on S^2, zonal (N+1,) on S^d for d >= 3."""
+    if N < 0:
+        raise ValueError(f"band limit must be >= 0, got {N}")
+    return (N + 1, 2 * N + 1) if d == 2 else (N + 1,)
+
+
 @dataclass
 class CoefficientTable:
-    """Spectral representation of a band-limited field on S^d.
+    """Spectral representation of a band-limited field on S^d, laid out by _table_shape.
 
-    For d = 2 (`zonal=False`) `a` has shape (N+1, 2N+1) with column index
-    m + N and entries zero for |m| > n.  Zonal tables (`zonal=True`, any
-    d >= 2) hold one complex coefficient per degree, shape (N+1,).
-    Coefficients are taken against the orthonormal basis, so the L^2 norm
-    is the plain euclidean norm of `a`.
+    For d = 2 the column index of `a` is m + N, with entries zero for |m| > n.  A zonal
+    table (d >= 3) holds one coefficient per degree.  Coefficients are taken against the
+    orthonormal basis, so the L^2 norm is the plain euclidean norm of `a`.
     """
 
     N: int
     d: int
     a: np.ndarray = field(repr=False)
-    zonal: bool = False
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=complex)
-        expected = (self.N + 1,) if self.zonal else (self.N + 1, 2 * self.N + 1)
+        expected = _table_shape(self.N, self.d)
         if self.a.shape != expected:
             raise ValueError(f"coefficient array shape {self.a.shape} != {expected}")
-        if not self.zonal and self.d != 2:
-            raise ValueError("full (n, m) tables are only supported for d = 2")
         if not np.all(np.isfinite(self.a.view(float))):
             raise ValueError("coefficients must be finite")
 
-    @classmethod
-    def zeros(cls, N: int, d: int, zonal: bool = False) -> "CoefficientTable":
-        shape = (N + 1,) if zonal else (N + 1, 2 * N + 1)
-        return cls(N=N, d=d, a=np.zeros(shape, dtype=complex), zonal=zonal)
+    @property
+    def zonal(self) -> bool:  # one coefficient per degree, on S^d for d >= 3
+        return self.d != 2
 
     @classmethod
-    def unit_mode(cls, N: int, n: int, m: int = 0, d: int = 2,
-                  zonal: bool = False) -> "CoefficientTable":
+    def zeros(cls, N: int, d: int) -> "CoefficientTable":
+        return cls(N=N, d=d, a=np.zeros(_table_shape(N, d), dtype=complex))
+
+    @classmethod
+    def unit_mode(cls, N: int, n: int, m: int = 0, d: int = 2) -> "CoefficientTable":
         """Table holding a single unit coefficient at (n, m) (or degree n, zonal)."""
-        out = cls.zeros(N, d, zonal=zonal)
-        if zonal:
-            out.a[n] = 1.0
-        else:
-            if abs(m) > n:
-                raise ValueError(f"|m| <= n violated: n={n}, m={m}")
-            out.a[n, m + N] = 1.0
+        out = cls.zeros(N, d)
+        if not out.zonal and abs(m) > n:
+            raise ValueError(f"|m| <= n violated: n={n}, m={m}")
+        out.a[(n,) if out.zonal else (n, m + N)] = 1.0
         return out
 
     def copy(self) -> "CoefficientTable":
-        return CoefficientTable(N=self.N, d=self.d, a=self.a.copy(), zonal=self.zonal)
+        return CoefficientTable(N=self.N, d=self.d, a=self.a.copy())
 
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.a))
 
     def __add__(self, other: "CoefficientTable") -> "CoefficientTable":
         self._check_compatible(other)
-        return CoefficientTable(self.N, self.d, self.a + other.a, self.zonal)
+        return CoefficientTable(self.N, self.d, self.a + other.a)
 
     def __sub__(self, other: "CoefficientTable") -> "CoefficientTable":
         self._check_compatible(other)
-        return CoefficientTable(self.N, self.d, self.a - other.a, self.zonal)
+        return CoefficientTable(self.N, self.d, self.a - other.a)
 
     def __mul__(self, c) -> "CoefficientTable":
-        return CoefficientTable(self.N, self.d, self.a * c, self.zonal)
+        return CoefficientTable(self.N, self.d, self.a * c)
 
     __rmul__ = __mul__
 
     def _check_compatible(self, other: "CoefficientTable") -> None:
-        if (self.N, self.d, self.zonal) != (other.N, other.d, other.zonal):
+        if (self.N, self.d) != (other.N, other.d):
             raise ValueError("incompatible coefficient tables")
 
 
@@ -501,10 +502,10 @@ def _analyze(values: np.ndarray, grid, N: int, work: dict | None = None,
     return _sht_analysis(values, grid, N, work, out)
 
 
-def _check_fit(grid, N: int, zonal: bool, d: int) -> None:
-    """ValueError unless a band-N table of this kind (zonal or full) on S^d fits `grid`."""
-    if (zonal, d) != (isinstance(grid, ZonalGrid), grid.d):
-        table = f"{'zonal' if zonal else 'full'} S^{d} table"
+def _check_fit(grid, N: int, d: int) -> None:
+    """ValueError unless a band-N table on S^d (zonal for d >= 3, else full) fits `grid`."""
+    if (d != 2, d) != (isinstance(grid, ZonalGrid), grid.d):
+        table = f"{'zonal' if d != 2 else 'full'} S^{d} table"
         grid_kind = f"{'zonal' if isinstance(grid, ZonalGrid) else 'sphere'} S^{grid.d} grid"
         raise ValueError(f"a {table} does not fit a {grid_kind}")
     if N > grid.band:
@@ -524,28 +525,30 @@ def forward_sht(values: np.ndarray, grid: SphereGrid, N: int) -> CoefficientTabl
 
     Exact for band-limited input when the grid band is >= the input band.
     """
-    _check_fit(grid, N, False, 2)
+    _check_fit(grid, N, 2)
     values = _as_samples(values, grid).astype(complex, copy=False)
     return CoefficientTable(N, 2, _sht_analysis(values, grid, N))
 
 
 def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid) -> np.ndarray:
     """Synthesis on S^2: pointwise sum of coefficients times basis functions."""
-    _check_fit(grid, coeffs.N, coeffs.zonal, coeffs.d)
+    _check_fit(grid, coeffs.N, coeffs.d)
     return _synthesize(coeffs.a, grid)
 
 
 def forward_zonal(values: np.ndarray, grid: ZonalGrid, N: int) -> CoefficientTable:
-    """Analysis of a zonal field against the orthonormal zonal basis."""
-    _check_fit(grid, N, True, grid.d)
+    """Analysis of a zonal field on S^d, d >= 3, against the orthonormal zonal basis."""
+    if not isinstance(grid, ZonalGrid):
+        raise ValueError("a zonal table does not fit a sphere S^2 grid")
+    _check_fit(grid, N, grid.d)
     values = _as_samples(values, grid).astype(complex, copy=False)
     a = _zonal_tables(grid.band, N, grid.d) @ (grid.weights() * values)
-    return CoefficientTable(N=N, d=grid.d, a=a, zonal=True)
+    return CoefficientTable(N=N, d=grid.d, a=a)
 
 
 def inverse_zonal(coeffs: CoefficientTable, grid: ZonalGrid) -> np.ndarray:
     """Synthesis of a zonal table at the grid nodes."""
-    _check_fit(grid, coeffs.N, coeffs.zonal, coeffs.d)
+    _check_fit(grid, coeffs.N, coeffs.d)
     return _synthesize(coeffs.a, grid)
 
 

@@ -37,29 +37,46 @@ class TimeResolutionError(RuntimeError):
     """Doubling the time grid moved a mixed norm beyond the requested tolerance."""
 
 
+def _finite_or_fail(norms, x: np.ndarray, what: str):
+    """`norms`, a float or one per leading index of x; FloatingPointError if one is not finite,
+    or is 0 where x has a nonzero entry.  A Picard op makes about 70 checks: floats skip numpy,
+    and x is read only at zero norms (a Picard increment's first node is exactly 0)."""
+    if np.ndim(norms) == 0:
+        bad = not 0.0 < norms < math.inf and (norms != 0.0 or np.any(x))
+    else:
+        bad = not np.isfinite(norms).all() or (
+            not norms.all() and np.any(x.reshape(*norms.shape, -1)[norms == 0]))
+    if bad:
+        raise FloatingPointError(f"non-finite or vacuous {what}")
+    return norms
+
+
 def lp_norm(values: np.ndarray, grid, p: float) -> float:
     """Quadrature L^p norm of sampled values; p = inf is the max over the grid."""
     values = _as_samples(values, grid)
     if p == math.inf:
-        return float(np.max(np.abs(values)))
+        return _finite_or_fail(float(np.max(np.abs(values))), values, "L^inf norm")
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
     m = np.abs(values).astype(float, copy=False)  # w |v|^p in one array; int |v| cannot `**=`
-    m **= p
+    with np.errstate(over="ignore"):  # an inf, which fails below
+        m **= p
     m *= grid.weights()
-    return float(np.sum(m) ** (1.0 / p))
+    return _finite_or_fail(float(np.sum(m) ** (1.0 / p)), values, f"L^{p:g} norm")
 
 
 def sobolev_norm(f: CoefficientTable, s: float) -> float:
     """Spectral Sobolev norm (sum_n (1+n)^{2s} ||H_n f||^2)^{1/2}; L^2 at s=0."""
-    return float(_sobolev_norms(f.a, s, f.zonal))
+    with np.errstate(over="ignore", invalid="ignore"):  # (1+n)^s * 0 = nan: fails below
+        return float(_sobolev_norms(f.a, s, f.zonal))
 
 
 def _sobolev_norms(a: np.ndarray, s: float, zonal: bool) -> np.ndarray:
     """Sobolev norms over leading batch axes of a[..., N+1] (zonal) or a[..., N+1, 2N+1]."""
     per_degree = np.abs(a) if zonal else np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
     w = (1.0 + np.arange(per_degree.shape[-1])) ** float(s)
-    return np.linalg.norm(w * per_degree, axis=-1)
+    norms = np.linalg.norm(w * per_degree, axis=-1)
+    return _finite_or_fail(norms, a, f"Sobolev norm at s = {s:g}")
 
 
 def triebel_lizorkin_norm(f: CoefficientTable, grid, p: float, q: float,

@@ -144,7 +144,7 @@ class PotentialSpec:
                 if not entries:
                     raise ValueError("potential term with empty spatial_coeffs")
                 N = max(int(e["n"]) for e in entries)
-                tab = CoefficientTable.zeros(N, d, zonal=(d != 2))  # S^d, d >= 3: zonal terms
+                tab = CoefficientTable.zeros(N, d)  # S^d, d >= 3: zonal terms
                 for j, e in enumerate(entries):
                     n, m = int(e["n"]), int(e["m"])
                     if abs(m) > n:
@@ -368,7 +368,7 @@ def contraction_check(V: PotentialSpec, w: SpaceTimeField, v: SpaceTimeField,
     denom = x_norm(w - v, p, s)
     if denom == 0.0:
         raise ValueError("w and v coincide")
-    zero = CoefficientTable.zeros(w.N, w.d, zonal=w.base.zonal)
+    zero = CoefficientTable.zeros(w.N, w.d)
     phi = _PicardMap(zero, V, w.tg, w.grid)  # one map for both: w and v share their grids
     return x_norm(phi(w) - phi(v), p, s) / denom
 

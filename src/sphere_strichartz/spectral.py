@@ -93,7 +93,7 @@ def project(f: CoefficientTable, n: int) -> CoefficientTable:
     """Orthogonal projection onto the degree-n harmonic subspace."""
     if not 0 <= n <= f.N:
         raise ValueError(f"degree {n} outside band [0, {f.N}]")
-    out = CoefficientTable.zeros(f.N, f.d, zonal=f.zonal)
+    out = CoefficientTable.zeros(f.N, f.d)
     out.a[n] = f.a[n]
     return out
 
@@ -113,20 +113,18 @@ def free_phases(times, f: CoefficientTable) -> np.ndarray:
 def propagate(f: CoefficientTable, t: float) -> CoefficientTable:
     """Free Schrodinger evolution by time t: degree-n coefficients times e^{i lambda_n t}."""
     phases = free_phases([reduce_time(t)], f)[0]
-    return CoefficientTable(f.N, f.d, f.a * phases, zonal=f.zonal)
+    return CoefficientTable(f.N, f.d, f.a * phases)
 
 
 def fractional_weight(f: CoefficientTable, s: float) -> CoefficientTable:
     """Smoothing/roughening multiplier (1+n)^s on degree-n coefficients."""
     w = (1.0 + np.arange(f.N + 1)) ** float(s)
-    if not f.zonal:
-        w = w[:, None]
-    return CoefficientTable(f.N, f.d, f.a * w, zonal=f.zonal)
+    return CoefficientTable(f.N, f.d, f.a * (w if f.zonal else w[:, None]))
 
 
 def synthesize_by_degree(f: CoefficientTable, grid) -> np.ndarray:
     """Sampled per-degree components (H_n f)(z): shape (N+1, *grid.shape)."""
-    _check_fit(grid, f.N, f.zonal, f.d)
+    _check_fit(grid, f.N, f.d)
     return _degree_synthesis(f.a, grid)
 
 
@@ -189,7 +187,7 @@ class SpaceTimeField:
         for j0 in range(0, self.tg.M, _TIME_BLOCK):
             yield j0, _synthesize(self.history(j0, j0 + _TIME_BLOCK), self.grid, work)
 
-    def iter_space_chunks(self, chunk: int | None = None):
+    def iter_space_chunks(self):
         """Yield (flat z slice, series of shape (rows, P)) for free fields: one time period.
 
         With g = gcd(M, lambda_1..lambda_N) and P = M/g, u(t_{j+P}, z) = u(t_j, z) exactly, and
@@ -197,9 +195,9 @@ class SpaceTimeField:
         W[n, j] = e^{2 pi i ((lambda_n/g) j mod P)/P}, reduced in integers (needs lambda_N < M).
 
         Every chunk is written into one buffer allocated per call, and the yielded series is a
-        view of it, valid until the next step.  A chunk holds `chunk` points, by default as many
-        as fit in _SERIES_CHUNK_BYTES of series (independent of N and M while two rows fit),
-        cut by _row_blocks: never fewer than 2 unless the grid has one point.
+        view of it, valid until the next step.  A chunk holds as many points as fit in
+        _SERIES_CHUNK_BYTES of series (independent of N and M while two rows fit), cut by
+        _row_blocks: never fewer than 2 unless the grid has one point.
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")
@@ -210,7 +208,7 @@ class SpaceTimeField:
         P = self.tg.M // g
         W = np.exp(2j * np.pi / P * (np.outer(lam // g, np.arange(P)) % P))
         E = synthesize_by_degree(self.base, self.grid).reshape(self.N + 1, -1)
-        rows = max(2, _SERIES_CHUNK_BYTES // (16 * P) if chunk is None else chunk)
+        rows = max(2, _SERIES_CHUNK_BYTES // (16 * P))
         blocks = list(_row_blocks(E.shape[1], rows))
         series = np.empty((blocks[0][1], P), dtype=complex)
         for z0, z1 in blocks:
@@ -250,15 +248,14 @@ class _Difference(SpaceTimeField):
 
 def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeField:
     """Free evolution of f on the given time grid: history[j] = propagate(f, t_j)."""
-    _check_fit(grid, f.N, f.zonal, f.d)
+    _check_fit(grid, f.N, f.d)
     return SpaceTimeField(tg, grid, f.copy())
 
 
-def random_field(N: int, d: int, rng: np.random.Generator, zonal: bool = False) -> CoefficientTable:
+def random_field(N: int, d: int, rng: np.random.Generator) -> CoefficientTable:
     """Unit-L^2 band-limited field from i.i.d. complex gaussian coefficients (zonal for d != 2)."""
-    if zonal or d != 2:
-        a = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
-        tab = CoefficientTable(N, d, a, zonal=True)
+    if d != 2:
+        tab = CoefficientTable(N, d, rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1))
     else:
         tab = CoefficientTable.zeros(N, 2)
         for n in range(N + 1):

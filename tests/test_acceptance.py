@@ -262,7 +262,7 @@ def test_criterion_11_transform_selftest(criterion_report):
     pv_sphere = abs(integrate(np.abs(vals) ** 2, g) - np.sum(np.abs(f.a) ** 2))
 
     zg = build_zonal_grid(N, 3)
-    zf = random_field(N, 3, rng, zonal=True)
+    zf = random_field(N, 3, rng)
     zvals = inverse_zonal(zf, zg)
     rt_zonal = float(np.max(np.abs(forward_zonal(zvals, zg, N).a - zf.a)))
     pv_zonal = abs(integrate(np.abs(zvals) ** 2, zg) - np.sum(np.abs(zf.a) ** 2))

@@ -111,7 +111,7 @@ def ref_apply_phi(w, f, V):
     Vvals = V.values(w.tg.times, grid)
     G = np.empty_like(we.tables)
     for j in range(w.tg.M):
-        tab = CoefficientTable(w.N, w.d, we.tables[j], zonal=w.base.zonal)
+        tab = CoefficientTable(w.N, w.d, we.tables[j])
         if tab.zonal:
             G[j] = forward_zonal(Vvals[j] * inverse_zonal(tab, grid), grid, w.N).a
         else:
@@ -413,8 +413,11 @@ def test_single_degree_synthesis_equals_streamed_all_degrees(N, band):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_per_degree_synthesis_zonal(d):
-    grid = build_zonal_grid(9, d)
-    f = random_field(7, d, np.random.default_rng(d), zonal=True)
+    grid = grid_for(9, d, 1.0)  # the S^2 grid at d = 2
+    f = random_field(7, max(d, 3), np.random.default_rng(d))  # unit coefficients, one per degree
+    if d == 2:  # a zonal field on S^2: the full table with only its m = 0 column
+        f, column = CoefficientTable.zeros(7, 2), f.a
+        f.a[:, 7] = column
     E = synthesize_by_degree(f, grid)
     for n in range(8):
         np.testing.assert_allclose(E[n], inverse_zonal(project(f, n), grid), atol=1e-15)
@@ -441,7 +444,7 @@ def test_cumulative_duhamel_equals_step_recursion(N, M, zonal, seed):
     G = (rng.standard_normal((M, *shape)) + 1j * rng.standard_normal((M, *shape)))
     G /= math.sqrt(G[0].size)
     tg = TimeGrid(M)
-    base = CoefficientTable.zeros(N, d, zonal=zonal)
+    base = CoefficientTable.zeros(N, d)
     field = SpaceTimeField(tg, grid_for(N, d), base, tables=G)
     out = duhamel_apply(field).tables
     assert np.max(np.abs(out - ref_duhamel(field, tg))) <= 1e-13
@@ -493,7 +496,7 @@ def test_one_period_synthesis_equals_full_m_reference(N, d, extra, q, chunk, see
     rng = np.random.default_rng(seed)
     grid = grid_for(N, d, 2.0)
     M = N * (N + d - 1) + extra
-    u = synthesize_history(random_field(N, d, rng, zonal=(d != 2)), TimeGrid(M), grid)
+    u = synthesize_history(random_field(N, d, rng), TimeGrid(M), grid)
     ref = ref_time_samples(u)
     lam = [n * (n + d - 1) for n in range(1, N + 1)]
     P = M // math.gcd(M, *lam)
@@ -501,10 +504,11 @@ def test_one_period_synthesis_equals_full_m_reference(N, d, extra, q, chunk, see
         assert M // P % 2 == 0
     scale = np.max(np.abs(ref))
     covered = 0
-    for sl, series in u.iter_space_chunks(chunk=chunk):
-        assert series.shape == (sl.stop - sl.start, P)
-        assert np.max(np.abs(series - ref[:P, sl].T)) <= 1e-13 * scale
-        covered += series.shape[0]
+    with chunk_budget(u, chunk):
+        for sl, series in u.iter_space_chunks():
+            assert series.shape == (sl.stop - sl.start, P)
+            assert np.max(np.abs(series - ref[:P, sl].T)) <= 1e-13 * scale
+            covered += series.shape[0]
     assert covered == ref.shape[1]
     # the period: all M samples repeat with P
     assert np.max(np.abs(ref - ref[np.arange(M) % P])) <= 1e-13 * scale
@@ -535,13 +539,23 @@ def ref_allocating_power_sums(u, q):
     return S
 
 
+def chunk_budget(u, chunk):
+    """spectral._SERIES_CHUNK_BYTES patched to hold `chunk` points of u's one-period series
+    (left as it is for None)."""
+    if chunk is None:
+        return contextlib.nullcontext()
+    P = u.tg.M // math.gcd(u.tg.M, *eigenvalues_upto(u.N, u.d).astype(int).tolist())
+    return mock.patch.object(spectral, "_SERIES_CHUNK_BYTES", 16 * P * chunk)
+
+
 def chunk_rows(u, chunk=None):
     """Row counts of the yielded chunks, checking that they tile the grid in order."""
     rows, z = [], 0
-    for sl, series in u.iter_space_chunks(chunk=chunk):
-        assert sl.start == z and series.shape[0] == sl.stop - sl.start
-        rows.append(series.shape[0])
-        z = sl.stop
+    with chunk_budget(u, chunk):
+        for sl, series in u.iter_space_chunks():
+            assert sl.start == z and series.shape[0] == sl.stop - sl.start
+            rows.append(series.shape[0])
+            z = sl.stop
     assert z == math.prod(u.grid.shape)
     return rows
 
@@ -567,7 +581,7 @@ def test_chunk_buffers_equal_allocating_loop(N, d, q, big_period, extra, rows, o
     else:
         grid = grid_for(N, d, 2.0)
         M = N * (N + d - 1) + extra
-    u = synthesize_history(random_field(N, d, rng, zonal=(d != 2)), TimeGrid(M), grid)
+    u = synthesize_history(random_field(N, d, rng), TimeGrid(M), grid)
     P = M // math.gcd(M, *eigenvalues_upto(N, d).astype(int).tolist())
     Z = math.prod(grid.shape)
     if big_period:
@@ -596,7 +610,7 @@ def test_space_chunks_never_yield_one_row(chunk, d):
     # as 2), 2, 3, 4 and 12 points leave one point over on the first, 337 on the second
     rng = np.random.default_rng(21)
     N = 6
-    u = synthesize_history(random_field(N, d, rng, zonal=(d != 2)), nyquist_time_grid(N, d),
+    u = synthesize_history(random_field(N, d, rng), nyquist_time_grid(N, d),
                            grid_for(N, d, 2.0))
     sizes = chunk_rows(u, chunk)
     assert min(sizes) >= 2
@@ -604,8 +618,9 @@ def test_space_chunks_never_yield_one_row(chunk, d):
     if chunk is not None:
         assert max(sizes) <= max(2, chunk) + 1
     E, W = ref_one_period_factors(u)
-    for sl, series in u.iter_space_chunks(chunk=chunk):
-        assert np.array_equal(series, E[:, sl].T @ W)
+    with chunk_budget(u, chunk):
+        for sl, series in u.iter_space_chunks():
+            assert np.array_equal(series, E[:, sl].T @ W)
 
 
 FREE_PAIRS = ((4.0, 4.0), (math.inf, 2.0), (6.0, 2.0))
@@ -649,7 +664,7 @@ def test_duhamel_apply_leaves_input_unchanged(zonal):
     shape = (N + 1,) if zonal else (N + 1, 2 * N + 1)
     G = rng.standard_normal((M, *shape)) + 1j * rng.standard_normal((M, *shape))
     before = G.copy()
-    base = CoefficientTable.zeros(N, d, zonal=zonal)
+    base = CoefficientTable.zeros(N, d)
     duhamel_apply(SpaceTimeField(TimeGrid(M), grid_for(N, d), base, tables=G))
     assert np.array_equal(G, before)
 

@@ -229,6 +229,36 @@ def test_vacuous_power_sum_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning on stderr either
+def test_lp_norm_out_of_float_range_exit_2(tmp_path, capsys):
+    # |profile|^1e308 overflows where the profile exceeds 1 and underflows to 0 elsewhere, so
+    # the L^1e308 norms are inf or 0: a numerical error, not a division by zero
+    out = tmp_path / "r.csv"
+    code = run(["identity-check", "--N", "4", "--p-list", "1e308", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "numerical error: non-finite or vacuous L^1e+308 norm\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # no RuntimeWarning on stderr either
+def test_overflowing_sobolev_weight_exit_2(tmp_path, capsys):
+    # (1 + n)^300 overflows, so the Sobolev norm is inf: not a ratio of 0
+    out = tmp_path / "r.csv"
+    code = run(["strichartz", "--N", "40", "--p", "4", "--s", "300", "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "numerical error: non-finite or vacuous Sobolev norm at s = 300\n"
+    assert "ratio =" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_negative_band_limit_exit_1(d, capsys):
+    assert run(["strichartz", "--d", d, "--N", "-1", "--p", "4"]) == 1
+    assert capsys.readouterr().err == "error: band limit must be >= 0, got -1\n"
+
+
 def test_overflowing_grid_size_exit_1(capsys):
     # the grid band p/2 * N overflows to an infinite size
     assert run(["sweep", "--d", "2", "--p", "1e308", "--family", "zonal",
@@ -237,7 +267,7 @@ def test_overflowing_grid_size_exit_1(capsys):
 
 
 def test_out_of_memory_exit_1(monkeypatch, capsys):
-    def refuse(self, chunk=None):
+    def refuse(self):
         raise MemoryError("Unable to allocate 3.0 GiB for an array with shape (1024, 180602) "
                           "and data type complex128")
 

@@ -214,7 +214,10 @@ def _reference_colatitude_lp_norm(f, p, oversample=2.0):
 
 def _colatitude_tables():
     rng = np.random.default_rng(31)
-    tables = [random_field(N, d, rng, zonal=True) for d in (2, 3, 4) for N in (1, 9, 24)]
+    tables = [random_field(N, d, rng) for d in (3, 4) for N in (1, 9, 24)]
+    for f in tables[:3]:  # the d = 3 coefficients on S^2 too: a full table's m = 0 column
+        tables.append(CoefficientTable.zeros(f.N, 2))
+        tables[-1].a[:, f.N] = f.a
     tables += [make_family("zonal-kernel", n, d) for d in (3, 4) for n in (5, 40)]
     for N, m in [(12, 0), (12, 3), (12, -3), (12, 12), (12, -12), (30, 3), (30, -30)]:
         tab = CoefficientTable.zeros(N, 2)  # one active order m, random degrees |m|..N

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import mmap
 import re
@@ -155,9 +156,12 @@ def test_round_trip_on_oversampled_grid():
 @pytest.mark.parametrize("d,N", [(2, 16), (3, 16), (3, 128), (5, 24)])
 def test_round_trip_zonal(d, N):
     rng = np.random.default_rng(d * 1000 + N)
-    f = random_field(N, d, rng, zonal=True)
-    zg = build_zonal_grid(N, d)
-    back = forward_zonal(inverse_zonal(f, zg), zg, N)
+    f = random_field(N, max(d, 3), rng)  # unit coefficients, one per degree
+    if d == 2:  # a zonal field on S^2: the full table with only its m = 0 column
+        f, column = CoefficientTable.zeros(N, 2), f.a
+        f.a[:, N] = column
+    g = grid_for(N, d, 1.0)  # the S^2 grid at d = 2
+    back = (forward_sht if d == 2 else forward_zonal)(inverse_sht(f, g), g, N)
     assert np.max(np.abs(back.a - f.a)) < 1e-12
 
 
@@ -284,7 +288,7 @@ def test_zonal_nodes_match_scipy_gauss_jacobi(d, K):
 @pytest.mark.parametrize("N", [256, 512])
 def test_zonal_round_trip_and_parseval_large_band(d, N):
     rng = np.random.default_rng(10 * N + d)
-    f = random_field(N, d, rng, zonal=True)
+    f = random_field(N, d, rng)
     zg = build_zonal_grid(N, d)
     vals = inverse_zonal(f, zg)
     assert np.max(np.abs(forward_zonal(vals, zg, N).a - f.a)) <= 1e-12
@@ -318,7 +322,7 @@ def test_parseval_both_pipelines():
     assert integrate(np.abs(vals) ** 2, g) == pytest.approx(
         float(np.sum(np.abs(f.a) ** 2)), abs=1e-12
     )
-    zf = random_field(16, 3, rng, zonal=True)
+    zf = random_field(16, 3, rng)
     zg = build_zonal_grid(16, 3)
     zvals = inverse_zonal(zf, zg)
     assert integrate(np.abs(zvals) ** 2, zg) == pytest.approx(
@@ -358,9 +362,9 @@ def test_shape_and_band_errors():
         inverse_sht(CoefficientTable.zeros(9, 2), g)
     zg = build_zonal_grid(4, 3)
     with pytest.raises(ValueError):
-        inverse_zonal(CoefficientTable.zeros(9, 3, zonal=True), zg)
+        inverse_zonal(CoefficientTable.zeros(9, 3), zg)
     with pytest.raises(ValueError):
-        inverse_zonal(CoefficientTable.zeros(2, 4, zonal=True), zg)  # wrong d
+        inverse_zonal(CoefficientTable.zeros(2, 4), zg)  # wrong d
 
 
 def test_coefficient_table_validation():
@@ -368,10 +372,40 @@ def test_coefficient_table_validation():
         CoefficientTable(N=2, d=2, a=np.zeros((2, 5)))  # bad shape
     with pytest.raises(ValueError):
         CoefficientTable(N=1, d=3, a=np.zeros((2, 3)))  # full table needs d=2
+    with pytest.raises(ValueError, match=re.escape("shape (3,) != (3, 5)")):
+        CoefficientTable(N=2, d=2, a=np.zeros(3))  # a zonal table needs d >= 3
     bad = np.zeros(3, dtype=complex)
     bad[1] = np.nan
     with pytest.raises(ValueError):
-        CoefficientTable(N=2, d=2, a=bad, zonal=True)
+        CoefficientTable(N=2, d=3, a=bad)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_table_layout_follows_from_d(d):
+    # one shape rule for the constructor, zeros, unit_mode and random_field; `zonal` is read
+    # from d and is no parameter
+    shape = (5, 9) if d == 2 else (5,)
+    tables = [CoefficientTable(4, d, np.zeros(shape)), CoefficientTable.zeros(4, d),
+              CoefficientTable.unit_mode(4, 2, d=d), random_field(4, d, np.random.default_rng(d))]
+    tables += [t.copy() for t in tables] + [tables[1] + tables[2], 2.0 * tables[3]]
+    for f in tables:
+        assert f.a.shape == shape and f.zonal == (f.d != 2)
+    with pytest.raises(AttributeError):
+        tables[0].zonal = d == 2
+    with pytest.raises(TypeError):
+        CoefficientTable(4, d, np.zeros(shape), zonal=d != 2)
+    negative = [lambda: CoefficientTable.zeros(-1, d), lambda: CoefficientTable(-1, d, []),
+                lambda: random_field(-1, d, np.random.default_rng(0))]
+    for make in negative:
+        with pytest.raises(ValueError, match=re.escape("band limit must be >= 0, got -1")):
+            make()
+
+
+def test_sphere_grid_dimension_is_not_a_field():
+    g = build_sphere_grid(3)
+    assert g.d == 2 and "d" not in {f.name for f in dataclasses.fields(g)}
+    with pytest.raises(TypeError):
+        grids.SphereGrid(band=3, t=g.t, t_weights=g.t_weights, lon_count=8, d=2)
 
 
 def test_unit_mode_rejects_order_above_degree():
@@ -433,8 +467,7 @@ def _mismatches():
     """pytest params (call, table kind, grid kind), one per entry point: a table, or the table
     an entry point analyzes into, handed a grid of another kind or dimension."""
     rng = np.random.default_rng(3)
-    z3, z2 = random_field(4, 3, rng, zonal=True), random_field(4, 2, rng, zonal=True)
-    full = random_field(4, 2, rng)
+    z3, full = random_field(4, 3, rng), random_field(4, 2, rng)
     zg2, sg = build_zonal_grid(8, 2), build_sphere_grid(8)
     return [
         pytest.param(lambda: synthesize_by_degree(z3, zg2), "zonal S^3", "zonal S^2",
@@ -443,10 +476,10 @@ def _mismatches():
                      id="l2t_profile_exact"),
         pytest.param(lambda: mixed_norm(synthesize_history(z3, TimeGrid(160), zg2), 4.0, 2.0),
                      "zonal S^3", "zonal S^2", id="synthesize_history"),
-        pytest.param(lambda: inverse_zonal(z2, sg), "zonal S^2", "sphere S^2",
+        pytest.param(lambda: inverse_zonal(z3, sg), "zonal S^3", "sphere S^2",
                      id="inverse_zonal"),
-        pytest.param(lambda: forward_zonal(np.ones(sg.shape), sg, 4), "zonal S^2",
-                     "sphere S^2", id="forward_zonal"),
+        pytest.param(lambda: forward_zonal(np.ones(sg.shape), sg, 4), "zonal", "sphere S^2",
+                     id="forward_zonal"),
         pytest.param(lambda: inverse_sht(full, zg2), "full S^2", "zonal S^2", id="inverse_sht"),
         pytest.param(lambda: forward_sht(np.ones(zg2.shape), zg2, 4), "full S^2", "zonal S^2",
                      id="forward_sht"),

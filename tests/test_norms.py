@@ -12,6 +12,7 @@ from sphere_strichartz.grids import (
 )
 from sphere_strichartz.norms import (
     TimeResolutionError,
+    _sobolev_norms,
     l2t_profile_exact,
     lp_norm,
     mixed_norm,
@@ -405,3 +406,22 @@ def test_mixed_norm_allows_exact_zeros(explicit):
     u = u.materialize() if explicit else u
     assert np.any(u.samples_at(0) == 0)
     assert mixed_norm(u, 2.0, 3.0) > 0
+
+
+def test_norms_are_finite_or_fail():
+    # a zero field has norm 0; a nonzero one whose |v|^p or weighted sum leaves float range
+    # raises, where it returned 0 or inf
+    g = build_sphere_grid(2)
+    assert lp_norm(np.zeros(g.shape), g, 1e308) == 0.0
+    for value, p in [(0.5, 1e308), (2.0, 1e308), (np.nan, 4.0), (np.inf, math.inf)]:
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="vacuous L"):
+            lp_norm(np.full(g.shape, value), g, p)
+    batch = np.zeros((3, 4))
+    np.testing.assert_array_equal(_sobolev_norms(batch, 0.5, True), np.zeros(3))
+    batch[1, 3] = 1e-200  # its square underflows: a zero norm for a nonzero row
+    with pytest.raises(FloatingPointError, match="Sobolev norm at s = 0.5"):
+        _sobolev_norms(batch, 0.5, True)
+    with pytest.raises(FloatingPointError, match="Sobolev norm at s = 0.5"):
+        _sobolev_norms(batch.reshape(3, 2, 2), 0.5, False)  # |a|^2 underflows in the row sums
+    with pytest.raises(FloatingPointError, match="Sobolev norm at s = 400"):
+        sobolev_norm(CoefficientTable.unit_mode(8, 8, 0), 400.0)

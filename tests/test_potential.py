@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from sphere_strichartz import potential
+from sphere_strichartz.experiments import kappa_pq
 from sphere_strichartz.grids import CoefficientTable, grid_for
-from sphere_strichartz.harmonics import eigenvalues_upto
+from sphere_strichartz.harmonics import eigenvalues_upto, surface_area
 from sphere_strichartz.norms import _sobolev_norms, lp_norm, mixed_norm
 from sphere_strichartz.potential import (
     DivergenceError,
@@ -24,6 +25,7 @@ from sphere_strichartz.potential import (
 from sphere_strichartz.spectral import (
     SpaceTimeField,
     TimeGrid,
+    free_phases,
     random_field,
     synthesize_history,
 )
@@ -326,7 +328,7 @@ def test_potential_json_round_trip():
 
 
 def test_potential_json_round_trip_zonal_d3():
-    B = CoefficientTable(3, 3, np.array([0.0, 0.5, 0.0, -0.25j]), zonal=True)
+    B = CoefficientTable(3, 3, np.array([0.0, 0.5, 0.0, -0.25j]))
     V = PotentialSpec([PotentialTerm(np.array([1, -1]), np.array([0.01, 0.01]), B)])
     V2 = PotentialSpec.from_json_dict(json.loads(json.dumps(V.to_json_dict())), d=3)
     (term,) = V2.terms
@@ -391,7 +393,7 @@ def _random_history(N, d, M, grid, rng):
     if d == 2:
         return explicit_field(CoefficientTable.zeros(N, 2), M, grid, rng)
     tables = rng.standard_normal((M, N + 1)) + 1j * rng.standard_normal((M, N + 1))
-    return SpaceTimeField(TimeGrid(M), grid, CoefficientTable.zeros(N, d, zonal=True),
+    return SpaceTimeField(TimeGrid(M), grid, CoefficientTable.zeros(N, d),
                           tables=tables)
 
 
@@ -407,7 +409,7 @@ def test_difference_is_formed_blockwise(d, rows, monkeypatch):
     N = 3
     g = grid_for(N + 1, d, 2.0)
     if rows is not None:  # the sup part in chunks of `rows` time nodes
-        nbytes = 16 * CoefficientTable.zeros(N, d, zonal=(d != 2)).a.size
+        nbytes = 16 * CoefficientTable.zeros(N, d).a.size
         monkeypatch.setattr(potential, "_SERIES_CHUNK_BYTES", rows * nbytes)
     for M in (16, 64, 150):
         w, v = _random_history(N, d, M, g, rng), _random_history(N, d, M, g, rng)
@@ -444,7 +446,7 @@ def test_potential_to_json_dict_order_and_values():
     for n, m, c in [(0, 0, 0.5), (1, -1, -0.25j), (1, 1, 0.75), (2, -2, 1.5 - 0.5j),
                     (2, 0, -2.0), (3, -1, 0.125), (3, 3, 0.25 + 1j)]:
         full.a[n, m + 3] = c
-    zonal = CoefficientTable.zeros(4, 3, zonal=True)
+    zonal = CoefficientTable.zeros(4, 3)
     zonal.a[1], zonal.a[4] = 0.5 + 0.25j, -1.0
     V = PotentialSpec([PotentialTerm([1, -1], [0.015, 0.015], full),
                        PotentialTerm([0, 2], [1.0, 0.5j], zonal)])
@@ -460,3 +462,25 @@ def test_potential_json_round_trip_skips_entries_outside_the_band():
     back = PotentialSpec.from_json_dict(json.loads(json.dumps(V.to_json_dict())))
     grid = grid_for(2, 2, 2.0)
     assert back.spatial_samples(grid).tobytes() == V.spatial_samples(grid).tobytes()
+
+
+@pytest.mark.parametrize("d, bound", [(2, 5.73e-8), (3, 8.04e-8)])
+def test_picard_solve_is_second_order_against_a_closed_form(d, bound):
+    # V = 0.03 cos(t) Y_00 is constant in space, so the exact solution of i u_t = (-Delta + V) u
+    # is exp(-i 0.03 sin(t) / sqrt|S^d|) e^{it Delta} f.  The trapezoid rule makes the error
+    # O(dt^2): each doubling of M divides it by 4.  The bound is 1.5 times the error measured
+    # at M = 512.
+    N = 6
+    f = random_field(N, d, np.random.default_rng(d))
+    V = PotentialSpec([PotentialTerm([1, -1], [0.015, 0.015],
+                                     CoefficientTable.unit_mode(0, 0, d=d))])
+    errors = []
+    for M in (128, 256, 512):
+        tg = TimeGrid(M)
+        u, _ = picard_solve(f, V, 4.0, kappa_pq(4.0, 2.0, d), tol=1e-13, tg=tg)
+        phase = np.exp(-0.03j * np.sin(tg.times) / math.sqrt(surface_area(d)))
+        exact = phase.reshape(-1, *[1] * f.a.ndim) * f.a * free_phases(tg.times, f)
+        errors.append(np.max(np.abs(u.tables - exact)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert abs(coarse / fine - 4.0) <= 0.01, errors
+    assert errors[-1] <= bound

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphere_strichartz import spectral
 from sphere_strichartz.grids import (
     CoefficientTable,
     _synthesize,
@@ -121,11 +122,11 @@ def lattice(lo, hi, h=2.0**-39):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(N=st.integers(0, 32), d=st.sampled_from([2, 3, 4]), zonal=st.booleans(),
+@given(N=st.integers(0, 32), d=st.sampled_from([2, 3, 4]),
        s=lattice(0, 3.14), t=lattice(0, 3.14), r=lattice(-6.28, 6.28),
        seed=st.integers(0, 2**32 - 1))
-def test_propagate_group_law_property(N, d, zonal, s, t, r, seed):
-    f = random_field(N, d, np.random.default_rng(seed), zonal=zonal)
+def test_propagate_group_law_property(N, d, s, t, r, seed):
+    f = random_field(N, d, np.random.default_rng(seed))
     # s + t < 2 pi: no time wraps and every phase argument is exact, so only exp rounds
     lhs = propagate(propagate(f, s), t)
     assert np.max(np.abs(lhs.a - propagate(f, s + t).a)) <= 1e-13
@@ -148,7 +149,7 @@ def test_propagate_commutes_with_projection():
 
 def test_propagate_zonal_pipeline():
     rng = np.random.default_rng(8)
-    f = random_field(12, 3, rng, zonal=True)
+    f = random_field(12, 3, rng)
     t = 2.5
     got = propagate(f, t)
     lam = np.array([eigenvalues_upto(n, 3)[n] for n in range(13)])
@@ -230,7 +231,7 @@ def test_materialized_history_matches_free():
         np.testing.assert_allclose(ue.samples_at(j), u.samples_at(j), atol=1e-13)
 
 
-def test_space_chunks_match_per_time_samples():
+def test_space_chunks_match_per_time_samples(monkeypatch):
     # d = 2: every lambda_n is even, so one period is P = M/2 nodes
     rng = np.random.default_rng(13)
     f = random_field(5, 2, rng)
@@ -239,23 +240,25 @@ def test_space_chunks_match_per_time_samples():
     u = synthesize_history(f, tg, g)
     P = tg.M // 2
     series = np.empty((*g.shape, P), dtype=complex)
-    for sl, block in u.iter_space_chunks(chunk=37):
+    monkeypatch.setattr(spectral, "_SERIES_CHUNK_BYTES", 16 * P * 37)  # chunks of 37 points
+    for sl, block in u.iter_space_chunks():
         assert block.shape == (sl.stop - sl.start, P)
         series.reshape(-1, P)[sl] = block
     for j in (0, tg.M // 3, P + 1, tg.M - 1):
         np.testing.assert_allclose(series[..., j % P], u.samples_at(j), atol=1e-12)
 
 
-def test_space_chunks_zonal():
+def test_space_chunks_zonal(monkeypatch):
     # d = 3: gcd(lambda_1, lambda_2) = gcd(3, 8) = 1, so the period is all M nodes
     rng = np.random.default_rng(14)
-    f = random_field(6, 3, rng, zonal=True)
+    f = random_field(6, 3, rng)
     g = grid_for(6, 3, 2.0)
     tg = nyquist_time_grid(6, 3)
     u = synthesize_history(f, tg, g)
     P = tg.M
     series = np.empty((*g.shape, P), dtype=complex)
-    for sl, block in u.iter_space_chunks(chunk=5):
+    monkeypatch.setattr(spectral, "_SERIES_CHUNK_BYTES", 16 * P * 5)  # chunks of 5 points
+    for sl, block in u.iter_space_chunks():
         assert block.shape == (sl.stop - sl.start, P)
         series.reshape(-1, P)[sl] = block
     for j in (0, tg.M - 1):
@@ -308,7 +311,7 @@ def test_spacetime_subtraction_needs_the_same_grids():
 def test_propagate_equals_direct_phase_product(d, N, t):
     # propagate's coefficients are, bit for bit, f.a * exp(1j * lambda_n * reduce_time(t))
     # formed directly.
-    f = random_field(N, d, np.random.default_rng(N), zonal=(d != 2))
+    f = random_field(N, d, np.random.default_rng(N))
     n = np.arange(N + 1)
     phases = np.exp(1j * (n * (n + d - 1)).astype(float) * reduce_time(t))
     want = f.a * (phases if f.zonal else phases[:, None])
@@ -331,7 +334,7 @@ def test_row_blocks_tile_in_order_with_no_one_row_block():
     "a matrix-vector product, whose bits differ from the same node's row in a larger block"))
 def test_one_node_time_block_equals_node_of_whole_synthesis():
     grid = build_zonal_grid(24, 3)
-    f = random_field(12, 3, np.random.default_rng(0), zonal=True)
+    f = random_field(12, 3, np.random.default_rng(0))
     u = synthesize_history(f, TimeGrid(65), grid)
     whole = _synthesize(u.history(), grid)
     j0, last = list(u.iter_time_blocks())[-1]
