@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import (
     CoefficientTable,
-    _degree_synthesis,
+    _degree_abs,
     build_zonal_grid,
     grid_for,
     inverse_sht,
@@ -95,6 +95,9 @@ class SweepConfig:
         self.degrees = degs
         if not (self.p >= 2):
             raise ValueError(f"p must be >= 2, got {self.p}")
+        if not 0 < self.oversample < math.inf:
+            raise ValueError(f"oversample must be a finite number > 0, got {self.oversample}")
+        _lp_oversample(self.p, max(degs, default=0), self.oversample)  # before any work
 
 
 def p_critical(d: int) -> float:
@@ -168,6 +171,15 @@ def _colatitude_profile(f: CoefficientTable, band: int):
     return f.a[:, nz[0]] @ legendre_column(abs(m), f.N, g.t), g
 
 
+def _lp_oversample(p: float, N: int, oversample: float = 2.0) -> float:
+    """Grid oversampling for |f|^p of a band-N field: max(oversample, p/2), or oversample at
+    p = inf.  ValueError naming p when the grid band, this times N, overflows."""
+    nu = oversample if p == math.inf else max(oversample, p / 2.0)
+    if not math.isfinite(nu * N):
+        raise ValueError(f"p = {p:g} needs a grid band of {nu:g} * {N}, which overflows")
+    return nu
+
+
 def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> float:
     """L^p norm of a band-limited field, on a grid sized for |f|^p.
 
@@ -176,13 +188,12 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> flo
     maximum is augmented with the pole values (Gauss colatitude grids have
     no node at t = +-1, where zonal witnesses peak).
     """
-    nu = oversample if p == math.inf else max(oversample, p / 2.0)
-    grid = grid_for(f.N, f.d, nu)
+    grid = grid_for(f.N, f.d, _lp_oversample(p, f.N, oversample))
     prof = _colatitude_profile(f, grid.band)
     if prof is None:  # a d = 2 table with more than one active order
         degrees = np.nonzero(np.any(f.a != 0, axis=1))[0]
-        if degrees.size == 1:  # one Legendre row, O(nK) memory, instead of the O(N^2 K) table
-            prof = _degree_synthesis(f.a, grid, int(degrees[0])), grid
+        if degrees.size == 1:  # |H_n f| from one Legendre row, not the O(N^2 K) table
+            prof = _degree_abs(f.a, grid, int(degrees[0])), grid
         else:
             prof = inverse_sht(f, grid), grid
     res = lp_norm(*prof, p)
@@ -213,6 +224,7 @@ def strichartz_ratio(f: CoefficientTable, p: float, q: float, s: float,
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
+    nu = _lp_oversample(p, f.N)  # before any work: fails if the grid band overflows
     denom = sobolev_norm(f, s)
     if denom == 0.0:
         raise ValueError("zero field")
@@ -223,7 +235,7 @@ def strichartz_ratio(f: CoefficientTable, p: float, q: float, s: float,
         num = (2.0 * math.pi) ** (1.0 / q) * field_lp_norm(f, p)
     else:
         if grid is None:
-            grid = grid_for(f.N, f.d, max(2.0, (p if p != math.inf else 2.0) / 2.0))
+            grid = grid_for(f.N, f.d, nu)
         if tg is None:
             tg = nyquist_time_grid(f.N, f.d)
         u = synthesize_history(f, tg, grid)

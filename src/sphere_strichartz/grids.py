@@ -17,7 +17,8 @@ Grids are immutable and cached by their (band, d) key.
 The transform kernels read the S^2 Legendre functions Pbar_n^m(t_k) in order-block
 slabs, so every matmul sees the same operands as with one full (N+1, N+1, K) table.  A
 small table is built once and cached whole; a larger one is never stored: each pass
-recomputes it in blocks of 16 orders, one recurrence step per degree, into one buffer.
+recomputes it in blocks of 8 orders, one recurrence step per degree, into one buffer.
+The magnitude |H_n f| of one degree reads only that degree's Legendre row.
 """
 
 from __future__ import annotations
@@ -340,7 +341,7 @@ def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
 
 
 _CACHED_TABLE_BYTES = 8 << 20  # larger Legendre tables are streamed in order blocks
-_BLOCK_ORDERS = 16  # orders per streamed block: 8.5 MB at N = 256, 34 MB at N = 512
+_BLOCK_ORDERS = 8  # orders per streamed block: 4.2 MB at N = 256, 67 MB at N = 1024
 
 
 def _legendre_slabs(grid: SphereGrid, N: int):
@@ -422,33 +423,47 @@ def _sht_synthesis(a: np.ndarray, grid: SphereGrid, work: dict | None = None) ->
     return _fft_into(np.fft.ifft, spec, spec).reshape(*a.shape[:-2], K, L)
 
 
-def _degree_synthesis(a: np.ndarray, grid, n: int | None = None) -> np.ndarray:
+def _degree_synthesis(a: np.ndarray, grid) -> np.ndarray:
     """Per-degree components of one table on a sphere or zonal grid: entry n = (H_n f)(z).
 
     No Legendre sum: row n of the longitude spectrum is a_{n,m} Pbar_n^m(t), by broadcasting.
-    Given `n` (sphere grids only), just (H_n f)(z), from that degree's Legendre row in O(nK)
-    memory.  For a table whose only nonzero row is n this equals _sht_synthesis, whose
-    Legendre sum adds exact zeros for the other degrees, without the O(N^2 K) table.
     """
     N = a.shape[0] - 1
     if isinstance(grid, ZonalGrid):
         return a[:, None] * _zonal_tables(grid.band, N, grid.d)
     K, L = grid.shape
-    if n is None:
-        slabs = _legendre_slabs(grid, N)
-    else:  # one slab holding degree n's orders, entry [m, 0, k]
-        a, slabs = a[n : n + 1], [(0, n + 1, _legendre_row(grid.t, n)[:, None])]
     sign = np.where(np.arange(1, N + 1) % 2, -1.0, 1.0)  # (-1)^m for m = 1..N
     neg = (a[:, :N][:, ::-1] * sign)[:, None]  # [n, 1, m - 1]: the -m coefficients, signed
-    spec = np.zeros((len(a), K, L), dtype=complex)
-    for m0, m1, slab in slabs:
+    spec = np.zeros((N + 1, K, L), dtype=complex)
+    for m0, m1, slab in _legendre_slabs(grid, N):
         P = slab.transpose(1, 2, 0)  # [n, k, m - m0]
         np.multiply(a[:, None, N + m0 : N + m1], P, out=spec[:, :, m0:m1])
         lo = max(m0, 1)  # column L - m holds order -m, for m = lo..m1-1
         np.multiply(neg[:, :, lo - 1 : m1 - 1], P[:, :, lo - m0 :],
                     out=spec[:, :, L - lo : L - m1 : -1])
-    spec = spec if n is None else spec[0]  # (K, L): before numpy 2, FFTs of 8 rows, not all K
     return _fft_into(np.fft.ifft, spec, spec)
+
+
+_DEGREE_ROWS = 16  # colatitude rows per longitude spectrum of _degree_abs
+
+
+def _degree_abs(a: np.ndarray, grid: SphereGrid, n: int) -> np.ndarray:
+    """np.abs(_degree_synthesis(a, grid)[n]), a float (K, L) array, from degree n's Legendre
+    row in O(nK) memory: the same products, _DEGREE_ROWS colatitudes at a time, each chunk's
+    spectrum transformed in place, so no complex (K, L) array is made."""
+    N = a.shape[0] - 1
+    K, L = grid.shape
+    P = _legendre_row(grid.t, n).T  # [k, m]
+    neg = a[n, N - n : N][::-1] * np.where(np.arange(1, n + 1) % 2, -1.0, 1.0)  # order -m, (-1)^m
+    out = np.empty((K, L))
+    spec = np.empty((min(_DEGREE_ROWS, K), L), dtype=complex)
+    for k0 in range(0, K, _DEGREE_ROWS):
+        rows, s = P[k0 : k0 + _DEGREE_ROWS], spec[: K - k0]
+        np.multiply(a[n, N : N + n + 1], rows, out=s[:, : n + 1])
+        s[:, n + 1 : L - n] = 0.0
+        np.multiply(neg, rows[:, 1:], out=s[:, L - 1 : L - n - 1 : -1])
+        np.abs(_fft_into(np.fft.ifft, s, s), out=out[k0 : k0 + len(s)])
+    return out
 
 
 def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int, work: dict | None = None,

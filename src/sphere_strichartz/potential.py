@@ -94,15 +94,17 @@ class PotentialSpec:
         amps = [np.exp(1j * np.outer(times, t.time_freqs)) @ t.time_coeffs for t in self.terms]
         return np.array(amps, dtype=complex).reshape(len(self.terms), len(times))
 
-    def values(self, times: np.ndarray, grid) -> np.ndarray:
-        """V(t_j, z) for every requested time, shape (len(times), *grid.shape)."""
-        return np.tensordot(self.amplitudes(times).T, self.spatial_samples(grid), axes=1)
+    def values(self, times: np.ndarray, grid, samples: np.ndarray | None = None) -> np.ndarray:
+        """V(t_j, z) for every requested time, shape (len(times), *grid.shape); `samples`, when
+        given, is spatial_samples(grid), synthesized once by a caller that asks for many times."""
+        samples = self.spatial_samples(grid) if samples is None else samples
+        return np.tensordot(self.amplitudes(times).T, samples, axes=1)
 
     def sup_t_profile(self, grid) -> np.ndarray:
         """Pointwise sup over t of |V(t, z)| by dense trigonometric sampling (>= 512 nodes).
 
-        V is sampled _TIME_BLOCK nodes at a time; the running max is exact, so the profile
-        equals the max over all nodes at once.
+        V is sampled _TIME_BLOCK nodes at a time, from one synthesis of its spatial samples; the
+        running max is exact, so the profile equals the max over all nodes at once.
         """
         max_freq = max(
             (int(np.max(np.abs(t.time_freqs))) if t.time_freqs.size else 0
@@ -112,8 +114,9 @@ class PotentialSpec:
         M = max(512, 16 * (max_freq + 1))
         times = 2.0 * np.pi * np.arange(M) / M
         prof = np.zeros(grid.shape)
+        samples = self.spatial_samples(grid)
         for j0, j1 in _row_blocks(M, _TIME_BLOCK):
-            vals = self.values(times[j0:j1], grid)
+            vals = self.values(times[j0:j1], grid, samples)
             np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
         return prof
 

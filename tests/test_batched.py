@@ -21,6 +21,7 @@ from sphere_strichartz.experiments import kappa_pq, strichartz_ratio
 from sphere_strichartz.grids import (
     CoefficientTable,
     _analyze,
+    _degree_abs,
     _degree_synthesis,
     _legendre_slabs,
     _legendre_tables,
@@ -320,8 +321,8 @@ def _assert_kernels_equal_full_node_kernels(a, vals, n, grid):
     assert grids._sht_synthesis(a, grid).tobytes() == ref_sht_synthesis(a, grid).tobytes()
     assert grids._sht_analysis(vals, grid, N).tobytes() == ref_sht_analysis(vals, grid, N).tobytes()
     assert grids._degree_synthesis(one, grid).tobytes() == ref_degree_synthesis(one, grid).tobytes()
-    assert (grids._degree_synthesis(single, grid, n).tobytes()
-            == ref_single_degree_synthesis(single, n, grid).tobytes())
+    assert (grids._degree_abs(single, grid, n).tobytes()
+            == np.abs(ref_single_degree_synthesis(single, n, grid)).tobytes())
 
 
 @SETTINGS
@@ -398,17 +399,33 @@ def test_per_degree_synthesis_equals_per_order_loop(N, extra, seed):
         assert np.max(np.abs(E[n] - ref_inverse(project(f, n).a, grid))) <= 1e-14
 
 
+def _assert_degree_abs_equals_all_degrees(a, grid, degrees):
+    E = _degree_synthesis(a, grid)
+    for n in degrees:
+        assert _degree_abs(a, grid, n).tobytes() == np.abs(E[n]).tobytes(), n
+
+
 # K = 103 and 162 nodes; both Legendre tables are streamed, 8 (N+1)^2 K > 8 MiB
 @pytest.mark.parametrize("N,band", [(102, 102), (80, 161)])
 def test_single_degree_synthesis_equals_streamed_all_degrees(N, band):
-    # the same kernel from its two Legendre sources: one degree's row, or the order blocks
+    # |H_n f| from one degree's Legendre row against the magnitude of the order-block kernel
     grid = build_sphere_grid(band)
     assert 8 * (N + 1) ** 2 * grid.t.size > grids._CACHED_TABLE_BYTES
     rng = np.random.default_rng(N)
     a = rng.standard_normal((N + 1, 2 * N + 1)) + 1j * rng.standard_normal((N + 1, 2 * N + 1))
-    E = _degree_synthesis(a, grid)
-    for n in (0, 1, 17, N // 2, N - 1, N):
-        assert _degree_synthesis(a, grid, n).tobytes() == E[n].tobytes()
+    _assert_degree_abs_equals_all_degrees(a, grid, (0, 1, 17, N // 2, N - 1, N))
+
+
+# With chunks of 16 colatitude rows: K = 1, 2 and 3 nodes, less than one chunk; K = 64, four
+# whole chunks; K = 65 and 97, a partial last chunk.  Odd K puts a node at t = 0, where
+# Pbar_n^m(0) = 0 for odd n + m.  Every degree n = 0..N, odd and even.
+@pytest.mark.parametrize("N,band", [(0, 0), (1, 1), (2, 2), (20, 63), (33, 64), (48, 96)])
+def test_degree_abs_equals_all_degree_synthesis(N, band):
+    grid = build_sphere_grid(band)
+    assert grids._DEGREE_ROWS == 16  # the chunking the cases above are chosen for
+    rng = np.random.default_rng(band)
+    a = rng.standard_normal((N + 1, 2 * N + 1)) + 1j * rng.standard_normal((N + 1, 2 * N + 1))
+    _assert_degree_abs_equals_all_degrees(a, grid, range(N + 1))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -758,7 +775,7 @@ def _traced_peak(fn, *args):
 
 @pytest.mark.parametrize("direction", ["inverse", "forward"])
 def test_sht_peak_allocation_below_one_block_and_2_5_tables(direction):
-    # At N = 256 the Legendre functions stream in blocks of 16 orders.  Inverse: the pass
+    # At N = 256 the Legendre functions stream in blocks of 8 orders.  Inverse: the pass
     # holds X and Y (a table each) beside a block, then X, Y and the values once the block is
     # freed.  Forward: X and Y beside a block, and the output after the block is freed.  The
     # last block alive beside the values, or the spectrum and the output alive beside X and
@@ -774,18 +791,21 @@ def test_sht_peak_allocation_below_one_block_and_2_5_tables(direction):
     else:
         got, peak = _traced_peak(forward_sht, values, grid, N)
         assert got.a.tobytes() == want.a.tobytes()
-    assert peak < 16 * (N + 1) * grid.t.size * 8 + 2.5 * f.a.nbytes
+    assert peak < grids._BLOCK_ORDERS * (N + 1) * grid.t.size * 8 + 2.5 * f.a.nbytes
 
 
 @pytest.mark.parametrize("kernel", ["single degree", "all degrees"])
 def test_degree_synthesis_peak_allocation_below_1_5_outputs(kernel):
-    # The longitude spectrum is the output, transformed in place; an out-of-place FFT
-    # allocates a second one.
+    # All degrees: the longitude spectrum is the output, transformed in place; an out-of-place
+    # FFT allocates a second one.  Single degree: the float |H_n f| beside degree n's Legendre
+    # row (a quarter of it at grid band 2n) and one chunk of spectrum with the FFT's copy of
+    # it, 1.36 outputs; a whole complex (K, L) spectrum would be 2 outputs by itself.
     rng = np.random.default_rng(20)
     if kernel == "single degree":
         a = rng.standard_normal((257, 513)) + 1j * rng.standard_normal((257, 513))
-        out, peak = _traced_peak(_degree_synthesis, a, build_sphere_grid(512), 256)
-        assert out.shape == (513, 1026)
+        out, peak = _traced_peak(_degree_abs, a, build_sphere_grid(512), 256)
+        assert out.shape == (513, 1026) and out.dtype == float
+        assert peak < 1.4 * out.nbytes
     else:
         a = rng.standard_normal((21, 41)) + 1j * rng.standard_normal((21, 41))
         grid = build_sphere_grid(60)  # 61 x 122, grid_for(20, 2, 3.0)
@@ -820,7 +840,7 @@ def test_fft_fallback_equals_out_path(monkeypatch):
             N = a.shape[-2] - 1
             values = _sht_synthesis(a, grid)
             got += [values, _sht_analysis(values, grid, N), _degree_synthesis(a[0], grid),
-                    _degree_synthesis(a[0], grid, N // 2)]
+                    _degree_abs(a[0], grid, N // 2)]
         return got
 
     want = kernels()

@@ -266,6 +266,32 @@ def test_overflowing_grid_size_exit_1(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_OVERSAMPLE = "oversample must be a finite number > 0, got "
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--p", "4", "--oversample", "nan"], _OVERSAMPLE + "nan"),
+    (["sweep", "--p", "4", "--oversample", "inf"], _OVERSAMPLE + "inf"),
+    (["sweep", "--p", "4", "--oversample", "0"], _OVERSAMPLE + "0.0"),
+    (["sweep", "--p", "4", "--oversample", "-1"], _OVERSAMPLE + "-1.0"),
+    (["sweep", "--p", "1e308"], "p = 1e+308 needs a grid band of 5e+307 * 256, which overflows"),
+    (["strichartz", "--N", "4", "--p", "1e308"],
+     "p = 1e+308 needs a grid band of 5e+307 * 4, which overflows"),
+], ids=["oversample-nan", "oversample-inf", "oversample-0", "oversample-negative", "sweep-p",
+        "strichartz-p"])
+def test_unformable_grid_flag_exit_1_before_any_transform(argv, message, monkeypatch, capsys):
+    # the value is named, and the run stops before it builds a grid or a witness
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("grid_for", "make_family", "sobolev_norm"):
+        monkeypatch.setattr(f"sphere_strichartz.experiments.{name}", no_work)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_out_of_memory_exit_1(monkeypatch, capsys):
     def refuse(self):
         raise MemoryError("Unable to allocate 3.0 GiB for an array with shape (1024, 180602) "

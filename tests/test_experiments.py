@@ -183,14 +183,20 @@ def test_field_lp_norm_profile_matches_full_grid():
 
 @pytest.mark.parametrize("p", [4.0, 6.0, INF])
 def test_field_lp_norm_single_degree_path_equals_table_path(p, monkeypatch):
-    # the one-Legendre-row synthesis gives the same floats as the full-table inverse_sht
+    # |H_n f| from one Legendre row gives the same floats as |inverse_sht| on the full table
     rng = np.random.default_rng(7)
     fields = [make_family("random-eigenspace", n, 2, rng=rng) for n in (1, 17, 64)]
     fields += [project(random_field(40, 2, rng), n) for n in (2, 33)]
     fast = [field_lp_norm(f, p) for f in fields]
-    monkeypatch.setattr(experiments, "_degree_synthesis",
-                        lambda a, grid, n: inverse_sht(CoefficientTable(len(a) - 1, 2, a), grid))
+    degrees = []
+
+    def table_path(a, grid, n):
+        degrees.append(n)
+        return np.abs(inverse_sht(CoefficientTable(len(a) - 1, 2, a), grid))
+
+    monkeypatch.setattr(experiments, "_degree_abs", table_path)
     assert fast == [field_lp_norm(f, p) for f in fields]
+    assert degrees == [1, 17, 64, 2, 33]  # every field took the one-degree path
 
 
 def _reference_colatitude_lp_norm(f, p, oversample=2.0):

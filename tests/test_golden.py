@@ -45,6 +45,10 @@ COMMANDS = {
     "solve-potential-d3": ["solve-potential", "--potential", "{potential}", "--d", "3",
                            "--N", "4", "--format", "json"],
 }
+# JSON variants: a CSV output holds no summary, so these pin the fitted slope, intercept and
+# stderr of the sweeps and of sharpness, and identity-check's max_rel_error
+COMMANDS.update({f"{name}-json": COMMANDS[name] + ["--format", "json"]
+                 for name in ("identity-check", "sharpness", "sweep-d2", "sweep-d3")})
 
 
 def environment() -> dict:

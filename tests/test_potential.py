@@ -6,7 +6,7 @@ import pytest
 
 from sphere_strichartz import potential
 from sphere_strichartz.experiments import kappa_pq
-from sphere_strichartz.grids import CoefficientTable, grid_for
+from sphere_strichartz.grids import CoefficientTable, grid_for, inverse_sht
 from sphere_strichartz.harmonics import eigenvalues_upto, surface_area
 from sphere_strichartz.norms import _sobolev_norms, lp_norm, mixed_norm
 from sphere_strichartz.potential import (
@@ -379,14 +379,19 @@ def test_sup_t_profile_equals_whole_array_max(d, rows, monkeypatch):
                           random_field(3, d, rng)),
         ]),
     ]
+    synthesized = []
+    monkeypatch.setattr(potential, "inverse_sht",
+                        lambda tab, g: synthesized.append(tab) or inverse_sht(tab, g))
     for V in cases:
         max_freq = max((int(np.max(np.abs(t.time_freqs))) for t in V.terms), default=0)
         M = max(512, 16 * (max_freq + 1))
         # reference: V at all M sampled times as one array, then the max over time
         want = np.max(np.abs(V.values(2.0 * np.pi * np.arange(M) / M, grid)), axis=0)
+        synthesized.clear()
         got = V.sup_t_profile(grid)
         assert got.shape == grid.shape
         assert got.tobytes() == want.tobytes()
+        assert len(synthesized) == len(V.terms)  # each term's samples once, not once per block
 
 
 def _random_history(N, d, M, grid, rng):
