@@ -94,10 +94,9 @@ class PotentialSpec:
         amps = [np.exp(1j * np.outer(times, t.time_freqs)) @ t.time_coeffs for t in self.terms]
         return np.array(amps, dtype=complex).reshape(len(self.terms), len(times))
 
-    def values(self, times: np.ndarray, grid, samples: np.ndarray | None = None) -> np.ndarray:
-        """V(t_j, z) for every requested time, shape (len(times), *grid.shape); `samples`, when
-        given, is spatial_samples(grid), synthesized once by a caller that asks for many times."""
-        samples = self.spatial_samples(grid) if samples is None else samples
+    def values(self, times: np.ndarray, samples: np.ndarray) -> np.ndarray:
+        """V(t_j, z) for every requested time from samples = spatial_samples(grid), shape
+        (len(times), *grid.shape)."""
         return np.tensordot(self.amplitudes(times).T, samples, axes=1)
 
     def sup_t_profile(self, grid) -> np.ndarray:
@@ -116,7 +115,7 @@ class PotentialSpec:
         prof = np.zeros(grid.shape)
         samples = self.spatial_samples(grid)
         for j0, j1 in _row_blocks(M, _TIME_BLOCK):
-            vals = self.values(times[j0:j1], grid, samples)
+            vals = self.values(times[j0:j1], samples)
             np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
         return prof
 

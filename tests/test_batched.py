@@ -109,7 +109,7 @@ def ref_apply_phi(w, f, V):
     """Phi(w) from all-M samples of V, one slice at a time."""
     grid = w.grid
     we = w.materialize()
-    Vvals = V.values(w.tg.times, grid)
+    Vvals = V.values(w.tg.times, V.spatial_samples(grid))
     G = np.empty_like(we.tables)
     for j in range(w.tg.M):
         tab = CoefficientTable(w.N, w.d, we.tables[j])

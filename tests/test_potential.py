@@ -324,7 +324,8 @@ def test_potential_json_round_trip():
     assert V2.band == 2  # rebuilt table trims to the highest active degree
     g = grid_for(4, 2, 2.0)
     times = np.linspace(0, TWO_PI, 7)
-    np.testing.assert_allclose(V.values(times, g), V2.values(times, g), atol=1e-14)
+    np.testing.assert_allclose(V.values(times, V.spatial_samples(g)),
+                               V2.values(times, V2.spatial_samples(g)), atol=1e-14)
 
 
 def test_potential_json_round_trip_zonal_d3():
@@ -336,7 +337,8 @@ def test_potential_json_round_trip_zonal_d3():
     np.testing.assert_array_equal(term.spatial.a, B.a)
     g = grid_for(4, 3, 2.0)
     times = np.linspace(0, TWO_PI, 5)
-    np.testing.assert_array_equal(V.values(times, g), V2.values(times, g))
+    np.testing.assert_array_equal(V.values(times, V.spatial_samples(g)),
+                                  V2.values(times, V2.spatial_samples(g)))
 
 
 def test_potential_json_d3_rejects_nonzero_order():
@@ -386,7 +388,8 @@ def test_sup_t_profile_equals_whole_array_max(d, rows, monkeypatch):
         max_freq = max((int(np.max(np.abs(t.time_freqs))) for t in V.terms), default=0)
         M = max(512, 16 * (max_freq + 1))
         # reference: V at all M sampled times as one array, then the max over time
-        want = np.max(np.abs(V.values(2.0 * np.pi * np.arange(M) / M, grid)), axis=0)
+        times = 2.0 * np.pi * np.arange(M) / M
+        want = np.max(np.abs(V.values(times, V.spatial_samples(grid))), axis=0)
         synthesized.clear()
         got = V.sup_t_profile(grid)
         assert got.shape == grid.shape
