@@ -26,6 +26,7 @@ from .grids import (
     build_zonal_grid,
     grid_for,
     inverse_sht,
+    max_band_limit,
     pole_values,
 )
 from .harmonics import legendre_column
@@ -172,11 +173,10 @@ def _colatitude_profile(f: CoefficientTable, band: int):
 
 
 def _lp_oversample(p: float, N: int, oversample: float = 2.0) -> float:
-    """Grid oversampling for |f|^p of a band-N field: max(oversample, p/2), or oversample at
-    p = inf.  ValueError naming p when the grid band, this times N, overflows."""
-    nu = oversample if p == math.inf else max(oversample, p / 2.0)
-    if not math.isfinite(nu * N):
-        raise ValueError(f"p = {p:g} needs a grid band of {nu:g} * {N}, which overflows")
+    """Grid oversampling for |f|^p at band N: max(oversample, p/2), oversample at p = inf."""
+    nu, cap = oversample if p == math.inf else max(oversample, p / 2.0), max_band_limit()
+    if not nu * N <= cap:  # the grid band, or its overflow to inf, is above the band cap
+        raise ValueError(f"p = {p:g} needs a grid band of {nu:g} * {N}, above the cap {cap}")
     return nu
 
 

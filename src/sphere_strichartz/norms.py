@@ -39,7 +39,7 @@ class TimeResolutionError(RuntimeError):
 
 def _finite_or_fail(norms, x: np.ndarray, what: str):
     """`norms`, a float or one per leading index of x; FloatingPointError if one is not finite,
-    or is 0 where x has a nonzero entry.  A Picard op makes about 70 checks: floats skip numpy,
+    or is 0 where x has a nonzero entry.  A Picard op makes about 150 checks: floats skip numpy,
     and x is read only at zero norms (a Picard increment's first node is exactly 0)."""
     if np.ndim(norms) == 0:
         bad = not 0.0 < norms < math.inf and (norms != 0.0 or np.any(x))
@@ -120,7 +120,7 @@ def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
     """sum_j |u(t_j, z)|^q over all M nodes; FloatingPointError if |u|^q leaves float range."""
     S = np.zeros(u.grid.shape)
     flat = S.reshape(-1)
-    vacuous = False
+    what = f"time power sums of |u|^{q:g}"
     mag = None
     for key, x in u.iter_space_chunks() if u.free else u.iter_time_blocks({}):
         if mag is None:  # the first chunk or block is the largest
@@ -130,12 +130,10 @@ def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
         m **= q  # the same dispatch as `** q`, which squares for q = 2
         if u.free:  # key: a flat z slice; x: one period of P nodes, counted M/P times
             flat[key] = (u.tg.M // x.shape[-1]) * np.sum(m, axis=-1)
-            vacuous = vacuous or np.any(x[flat[key] == 0])
-        else:  # x: the samples of one block of time nodes
+            _finite_or_fail(flat[key], x, what)
+        else:  # x: the samples of one block of time nodes; a sum once non-finite stays so
             S += np.sum(m, axis=0)
-            vacuous = vacuous or np.any(x[:, S == 0])
-    if vacuous or not np.all(np.isfinite(S)):
-        raise FloatingPointError(f"non-finite or vacuous time power sums of |u|^{q:g}")
+            _finite_or_fail(S, x.reshape(len(x), -1).T, what)
     return S
 
 

@@ -30,7 +30,6 @@ from .grids import CoefficientTable, _analyze, grid_for, inverse_sht
 from .harmonics import eigenvalues_upto
 from .norms import _sobolev_norms, lp_norm, mixed_norm
 from .spectral import (
-    _SERIES_CHUNK_BYTES,
     _TIME_BLOCK,
     SpaceTimeField,
     TimeGrid,
@@ -175,14 +174,8 @@ class PicardReport:
 
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
-    """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t).
-
-    Neither part reads the whole history at once: the sup part takes chunks of about
-    _SERIES_CHUNK_BYTES of it, the mixed norm one block of time nodes at a time.
-    """
-    rows = max(1, _SERIES_CHUNK_BYTES // (16 * u.base.a.size))
-    sup_part = float(np.max([np.max(_sobolev_norms(u.history(j0, j0 + rows), s, u.base.zonal))
-                             for j0 in range(0, u.tg.M, rows)]))
+    """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t)."""
+    sup_part = float(np.max(_sobolev_norms(u.history(), s, u.base.zonal)))
     return sup_part + mixed_norm(u, p, 2.0)
 
 
@@ -299,8 +292,8 @@ def picard_solve(
     """Fixed-point solution of the potential-perturbed flow, with diagnostics.
 
     Iterates u_0 = free evolution, u_{k+1} = Phi(u_k); stops when the X-norm
-    increment falls below tol.  One map Phi is built per solve, and the
-    increment u_{k+1} - u_k is formed one block of time nodes at a time, so
+    increment falls below tol.  One map Phi is built per solve, and each
+    increment u_{k+1} - u_k is written over u_k, which is not read again, so
     at most three histories are alive.  The smallness gate compares
     (C + C^2) ||V||_{L^q_x(L^inf_t)} against 1/2 with C = 2 * (empirical
     free-evolution constant); its outcome is reported, not enforced.
@@ -329,7 +322,8 @@ def picard_solve(
     bad_streak = 0
     for _ in range(max_iter):
         u_next = phi(u)
-        delta = x_norm(u_next - u, p, s)
+        np.subtract(u_next.tables, u.tables, out=u.tables)  # u now holds the increment
+        delta = x_norm(u, p, s)
         if increments:
             ratio = delta / increments[-1] if increments[-1] > 0 else 0.0
             ratios.append(ratio)
@@ -349,7 +343,9 @@ def picard_solve(
             f"no convergence to tol={tol} within {max_iter} iterations "
             f"(last increment {increments[-1]:.3g})"
         )
-    residual = x_norm(phi(u) - u, p, s)
+    r = phi(u)
+    np.subtract(r.tables, u.tables, out=r.tables)  # r now holds the residual Phi(u) - u
+    residual = x_norm(r, p, s)
     report = PicardReport(
         iterations=len(increments),
         increments=increments,

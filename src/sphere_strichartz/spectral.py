@@ -12,8 +12,7 @@ the explicit spectral history (one coefficient table per time node, the form
 the Picard solver manipulates), it stores that; without it the field is the
 free evolution of its initial table, and samples are synthesized on demand
 by an exact phase-table product over one time period (not an FFT).  Both
-produce identical sample values.  A difference `u - v` stores no history
-either: its history is formed from the operands' on demand, a block at a time.
+produce identical sample values.  A difference `u - v` is an explicit history.
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# Bytes of complex series per space chunk of a free field (and of history per chunk of
-# potential.x_norm's sup part), about one core's L2 cache: smaller chunks pay more per-call
-# overhead, larger ones spill to main memory.
+# Bytes of complex series per space chunk of a free field, about one core's L2 cache: smaller
+# chunks pay more per-call overhead, larger ones spill to main memory.
 _SERIES_CHUNK_BYTES = 2 * 2**20
 # Time nodes per batched transform of an explicit history (iter_time_blocks, the Picard map).
 _TIME_BLOCK = 64
@@ -135,8 +133,8 @@ class SpaceTimeField:
     `tables`, when given, is the explicit spectral history, shape
     (M, *coefficient shape).  Without it the field is the free evolution of
     `base`, and histories/samples are generated on demand (memory-light even
-    when M * table size would be huge).  `u - v` is a `_Difference`, which is
-    not free and stores no tables; `materialize()` gives its explicit history.
+    when M * table size would be huge).  `u - v` is the explicit history of the
+    difference.
     """
 
     tg: TimeGrid
@@ -215,35 +213,15 @@ class SpaceTimeField:
             np.matmul(E[:, z0:z1].T, W, out=series[:z1 - z0])
             yield slice(z0, z1), series[:z1 - z0]
 
-    def _check_same_grids(self, other: "SpaceTimeField") -> None:
-        """ValueError unless `other` lives on the same time grid and the same spatial grid."""
+    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
+        """Explicit history of self - other; ValueError unless both share their grids."""
         if self.tg.M != other.tg.M:
             raise ValueError("mismatched time grids")
         keys = [(type(g).__name__, g.band, g.d, g.shape) for g in (self.grid, other.grid)]
         if keys[0] != keys[1]:
             raise ValueError(f"mismatched spatial grids (type, band, d, shape): {keys}")
-
-    def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        return _Difference(self, other)
-
-
-class _Difference(SpaceTimeField):
-    """a - b, with no history of its own: a block of its history is the difference of the
-    operands' blocks, formed on demand, so a blockwise pass never holds the whole difference.
-    It reads the operands when asked, so it sees later writes to their tables."""
-
-    def __init__(self, a: SpaceTimeField, b: SpaceTimeField):
-        a._check_same_grids(b)
-        super().__init__(a.tg, a.grid, a.base - b.base)
-        self._operands = (a, b)
-
-    @property
-    def free(self) -> bool:
-        return False
-
-    def history(self, j0: int = 0, j1: int | None = None) -> np.ndarray:
-        a, b = self._operands
-        return a.history(j0, j1) - b.history(j0, j1)
+        return SpaceTimeField(self.tg, self.grid, self.base - other.base,
+                              tables=self.history() - other.history())
 
 
 def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeField:

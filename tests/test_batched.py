@@ -735,20 +735,14 @@ def test_apply_phi_peak_allocation_below_2_5_histories(N):
     assert peak < 2.5 * w.tables.nbytes
 
 
-@pytest.mark.parametrize("N", [
-    pytest.param(8, marks=pytest.mark.xfail(strict=True, reason=(
-        "3.7 histories at N = 8, in x_norm's sup part: a history there is smaller than its "
-        "2 MiB chunk, so it forms the whole increment and its magnitudes beside both "
-        "iterates; the power sums reach about 3.4, since a 64-node block of samples is "
-        "half a history"))),
-    12,
-    14,
-])
+@pytest.mark.parametrize("N", [8, 12, 14])
 def test_picard_solve_peak_allocation_below_3_5_histories(N):
-    # Three histories: the iterate, the next one and, inside each application of the map,
-    # its buffer G (then the integral is the next iterate).  The increment is formed one
-    # block of time nodes at a time; a whole difference u_next - u, or H and its
-    # cumulative sum next to G, would take it above 4.
+    # Three histories: the iterate, the next one, whose difference from the iterate is
+    # written over the iterate, and, inside each application of the map, its buffer G (then
+    # the integral is the next iterate).  The peak is in the map, about 3.46 histories at
+    # N = 8, where a 64-node block of samples is half a history; x_norm of the increment
+    # reaches about 3.4.  The difference u_next - u in a history of its own takes x_norm to
+    # 4.4, and H and its cumulative sum next to G would take the map above 4.
     f, V, grid, tg = _readme_picard_problem(N)
     s = kappa_pq(4.0, 2.0, 2)
     picard_solve(f, V, p=4.0, s=s, tg=tg)  # builds the cached Legendre tables

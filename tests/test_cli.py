@@ -274,11 +274,15 @@ _OVERSAMPLE = "oversample must be a finite number > 0, got "
     (["sweep", "--p", "4", "--oversample", "inf"], _OVERSAMPLE + "inf"),
     (["sweep", "--p", "4", "--oversample", "0"], _OVERSAMPLE + "0.0"),
     (["sweep", "--p", "4", "--oversample", "-1"], _OVERSAMPLE + "-1.0"),
-    (["sweep", "--p", "1e308"], "p = 1e+308 needs a grid band of 5e+307 * 256, which overflows"),
+    (["sweep", "--p", "1e308"], "p = 1e+308 needs a grid band of 5e+307 * 256, above the cap 1024"),
     (["strichartz", "--N", "4", "--p", "1e308"],
-     "p = 1e+308 needs a grid band of 5e+307 * 4, which overflows"),
+     "p = 1e+308 needs a grid band of 5e+307 * 4, above the cap 1024"),
+    # finite grid bands above the cap, named by p and the cap, not by a 301-digit band
+    (["sweep", "--p", "1e300"], "p = 1e+300 needs a grid band of 5e+299 * 256, above the cap 1024"),
+    (["sweep", "--p", "4", "--n", "600:1100:3"],
+     "p = 4 needs a grid band of 2 * 1100, above the cap 1024"),
 ], ids=["oversample-nan", "oversample-inf", "oversample-0", "oversample-negative", "sweep-p",
-        "strichartz-p"])
+        "strichartz-p", "sweep-p-above-cap", "sweep-n-above-cap"])
 def test_unformable_grid_flag_exit_1_before_any_transform(argv, message, monkeypatch, capsys):
     # the value is named, and the run stops before it builds a grid or a witness
     def no_work(*args, **kwargs):

@@ -44,6 +44,9 @@ COMMANDS = {
     # the zonal Picard path: README's potential on S^3
     "solve-potential-d3": ["solve-potential", "--potential", "{potential}", "--d", "3",
                            "--N", "4", "--format", "json"],
+    # a 6.5 MB history (M = 1256, 13 x 25 tables): larger than one _SERIES_CHUNK_BYTES chunk
+    "solve-potential-n12": ["solve-potential", "--potential", "{potential}", "--N", "12",
+                            "--format", "json"],
 }
 # JSON variants: a CSV output holds no summary, so these pin the fitted slope, intercept and
 # stderr of the sweeps and of sharpness, and identity-check's max_rel_error

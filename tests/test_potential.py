@@ -3,10 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from sphere_strichartz import potential
 from sphere_strichartz.experiments import kappa_pq
-from sphere_strichartz.grids import CoefficientTable, grid_for, inverse_sht
+from sphere_strichartz.grids import (
+    CoefficientTable,
+    _analyze,
+    _synthesize,
+    grid_for,
+    inverse_sht,
+)
 from sphere_strichartz.harmonics import eigenvalues_upto, surface_area
 from sphere_strichartz.norms import _sobolev_norms, lp_norm, mixed_norm
 from sphere_strichartz.potential import (
@@ -406,32 +413,56 @@ def _random_history(N, d, M, grid, rng):
 
 
 def ref_x_norm(u, p, s):
-    """x_norm with the Sobolev sup over the whole history at once."""
+    """x_norm written out: the Sobolev sup over the whole history, plus the mixed norm."""
     return float(np.max(_sobolev_norms(u.history(), s, u.base.zonal))) + mixed_norm(u, p, 2.0)
 
 
-@pytest.mark.parametrize("rows", [None, 1, 7])
 @pytest.mark.parametrize("d", [2, 3])
-def test_difference_is_formed_blockwise(d, rows, monkeypatch):
+def test_difference_is_an_explicit_history(d):
     rng = np.random.default_rng(24 + d)
     N = 3
     g = grid_for(N + 1, d, 2.0)
-    if rows is not None:  # the sup part in chunks of `rows` time nodes
-        nbytes = 16 * CoefficientTable.zeros(N, d).a.size
-        monkeypatch.setattr(potential, "_SERIES_CHUNK_BYTES", rows * nbytes)
     for M in (16, 64, 150):
         w, v = _random_history(N, d, M, g, rng), _random_history(N, d, M, g, rng)
         diff = w - v
-        assert not diff.free and diff.tables is None
-        whole = diff.materialize()
-        assert not whole.free
-        assert np.array_equal(whole.tables, w.tables - v.tables)
+        assert not diff.free
+        assert diff.tables.tobytes() == (w.tables - v.tables).tobytes()
         for p in (4.0, math.inf):
-            assert x_norm(diff, p, 0.3) == x_norm(whole, p, 0.3) == ref_x_norm(whole, p, 0.3)
+            assert x_norm(diff, p, 0.3) == ref_x_norm(diff, p, 0.3)
     u = synthesize_history(random_field(N, d, rng), TimeGrid(16), g)  # free, no tables
     v = _random_history(N, d, 16, g, rng)
-    assert x_norm(u - v, 4.0, 0.3) == x_norm(u.materialize() - v, 4.0, 0.3)
-    assert np.array_equal((u - v).materialize().tables, u.materialize().tables - v.tables)
+    diff = u - v
+    assert diff.tables.tobytes() == (u.materialize().tables - v.tables).tobytes()
+    assert x_norm(diff, 4.0, 0.3) == ref_x_norm(diff, 4.0, 0.3)
+
+
+def _two_term_zonal_potential(d):
+    """README's 0.03 cos(t) Y_{1,0} on S^d plus (0.01 + 0.005i e^{2it}) Y_{2,0}."""
+    return PotentialSpec([
+        PotentialTerm([1, -1], [0.015, 0.015], CoefficientTable.unit_mode(1, 1, 0, d=d)),
+        PotentialTerm([0, 2], [0.01, 0.005j], CoefficientTable.unit_mode(2, 2, 0, d=d)),
+    ])
+
+
+@pytest.mark.parametrize("d, N", [(2, 12), (3, 6)])
+def test_picard_increments_equal_explicit_differences(d, N):
+    # picard_solve writes each increment over the iterate it replaces; the same iteration with
+    # the explicit difference `-` gives the same floats.  At d = 2, N = 12 (M = 1256) a history
+    # is 6.5 MB, larger than one chunk of the sup part that x_norm once cut.
+    f = random_field(N, d, np.random.default_rng(40 + d))
+    V = cos_t_potential(0.03) if d == 2 else _two_term_zonal_potential(d)
+    p, s = 4.0, kappa_pq(4.0, 2.0, d)
+    u, rep = picard_solve(f, V, p, s)
+    phi = potential._PicardMap(f, V, u.tg, u.grid)
+    w = synthesize_history(f, u.tg, u.grid).materialize()
+    increments = []
+    for _ in range(rep.iterations):
+        w_next = phi(w)
+        increments.append(ref_x_norm(w_next - w, p, s))
+        w = w_next
+    assert increments == rep.increments
+    assert ref_x_norm(phi(w) - w, p, s) == rep.residual
+    assert w.tables.tobytes() == u.tables.tobytes()
 
 
 # to_json_dict of the spec built in the test below, recorded from the nested-loop version
@@ -489,6 +520,50 @@ def test_picard_solve_is_second_order_against_a_closed_form(d, bound):
         phase = np.exp(-0.03j * np.sin(tg.times) / math.sqrt(surface_area(d)))
         exact = phase.reshape(-1, *[1] * f.a.ndim) * f.a * free_phases(tg.times, f)
         errors.append(np.max(np.abs(u.tables - exact)))
+    for coarse, fine in zip(errors, errors[1:]):
+        assert abs(coarse / fine - 4.0) <= 0.01, errors
+    assert errors[-1] <= bound
+
+
+def _galerkin_reference(f, V, times):
+    """Coefficients at `times` of the Galerkin system c' = i Lambda c - i sum_k a_k(t) P_N(B_k c)
+    from c(0) = f, integrated by DOP853.  Each P_N(B_k .) is a matrix, built from one batched
+    synthesis and analysis of the basis tables on the solve's grid, where the product is exact."""
+    N, d, shape, size = f.N, f.d, f.a.shape, f.a.size
+    grid = grid_for(N + V.band, d, 2.0)
+    basis = _synthesize(np.eye(size, dtype=complex).reshape(size, *shape), grid)
+    P = [_analyze(B * basis, grid, N).reshape(size, size).T for B in V.spatial_samples(grid)]
+    freqs = sorted({int(l) for term in V.terms for l in term.time_freqs})
+    Q = np.zeros((len(freqs), size, size), dtype=complex)  # a(t) P = sum_l e^{ilt} Q_l
+    for term, Pk in zip(V.terms, P):
+        for l, c in zip(term.time_freqs, term.time_coeffs):
+            Q[freqs.index(l)] += c * Pk
+    lam = np.broadcast_to(eigenvalues_upto(N, d).reshape(-1, *[1] * (f.a.ndim - 1)), shape)
+    lam, freqs = lam.reshape(-1), np.array(freqs)
+
+    def rhs(t, c):
+        return 1j * lam * c - 1j * (np.exp(1j * freqs * t) @ (Q @ c))
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), f.a.reshape(-1).astype(complex), method="DOP853",
+                    t_eval=times, rtol=1e-12, atol=1e-14)
+    assert sol.success
+    return sol.y.T.reshape(len(times), *shape)
+
+
+@pytest.mark.parametrize("d, bound", [(2, 2.95e-7), (3, 4.99e-7)])
+def test_picard_solve_is_second_order_against_the_galerkin_system(d, bound):
+    # V varies in space (README's Y_{1,0} term at d = 2, two zonal terms at d = 3), so the
+    # reference is the Galerkin system that the map truncates to: its only error is the
+    # trapezoid rule's O(dt^2), and each doubling of M divides it by 4.  The bound is 1.5 times
+    # the error measured at M = 1024.
+    N = 6
+    f = random_field(N, d, np.random.default_rng(d))
+    V = cos_t_potential(0.03) if d == 2 else _two_term_zonal_potential(d)
+    exact = _galerkin_reference(f, V, TimeGrid(1024).times)
+    errors = []
+    for M in (256, 512, 1024):
+        u, _ = picard_solve(f, V, 4.0, kappa_pq(4.0, 2.0, d), tol=1e-13, tg=TimeGrid(M))
+        errors.append(np.max(np.abs(u.tables - exact[::1024 // M])))
     for coarse, fine in zip(errors, errors[1:]):
         assert abs(coarse / fine - 4.0) <= 0.01, errors
     assert errors[-1] <= bound
