@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sphere_strichartz import potential
+from sphere_strichartz import potential, spectral
 from sphere_strichartz.experiments import kappa_pq
 from sphere_strichartz.grids import (
     CoefficientTable,
@@ -417,23 +417,31 @@ def ref_x_norm(u, p, s):
     return float(np.max(_sobolev_norms(u.history(), s, u.base.zonal))) + mixed_norm(u, p, 2.0)
 
 
+@pytest.mark.parametrize("rows", [None, 1, 7])
 @pytest.mark.parametrize("d", [2, 3])
-def test_difference_is_an_explicit_history(d):
+def test_difference_is_formed_blockwise(d, rows, monkeypatch):
+    # `w - v` is an explicit history; x_norm's mixed part reads it one block of `rows` time
+    # nodes at a time (iter_time_blocks), and the block moves its value by rounding only.
     rng = np.random.default_rng(24 + d)
     N = 3
     g = grid_for(N + 1, d, 2.0)
+    cases = []
     for M in (16, 64, 150):
         w, v = _random_history(N, d, M, g, rng), _random_history(N, d, M, g, rng)
-        diff = w - v
-        assert not diff.free
-        assert diff.tables.tobytes() == (w.tables - v.tables).tobytes()
-        for p in (4.0, math.inf):
-            assert x_norm(diff, p, 0.3) == ref_x_norm(diff, p, 0.3)
+        cases.append((w - v, w.tables - v.tables))
     u = synthesize_history(random_field(N, d, rng), TimeGrid(16), g)  # free, no tables
     v = _random_history(N, d, 16, g, rng)
-    diff = u - v
-    assert diff.tables.tobytes() == (u.materialize().tables - v.tables).tobytes()
-    assert x_norm(diff, 4.0, 0.3) == ref_x_norm(diff, 4.0, 0.3)
+    cases.append((u - v, u.materialize().tables - v.tables))
+    whole = [[x_norm(diff, p, 0.3) for p in (4.0, math.inf)] for diff, _ in cases]
+    if rows is not None:  # blocks of `rows` time nodes instead of _TIME_BLOCK = 64
+        monkeypatch.setattr(spectral, "_TIME_BLOCK", rows)
+    for (diff, want), norms in zip(cases, whole):
+        assert not diff.free
+        assert diff.tables.tobytes() == want.tobytes()
+        for p, norm in zip((4.0, math.inf), norms):
+            got = x_norm(diff, p, 0.3)
+            assert got == ref_x_norm(diff, p, 0.3)
+            assert math.isclose(got, norm, rel_tol=1e-15, abs_tol=0.0)
 
 
 def _two_term_zonal_potential(d):
