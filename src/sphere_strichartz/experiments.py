@@ -30,7 +30,7 @@ from .grids import (
     pole_values,
 )
 from .harmonics import legendre_column
-from .norms import lp_norm, mixed_norm, sobolev_norm
+from .norms import _abs_lp_norm, lp_norm, mixed_norm, sobolev_norm
 from .spectral import nyquist_time_grid, random_field, synthesize_history
 
 __all__ = [
@@ -190,13 +190,12 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> flo
     """
     grid = grid_for(f.N, f.d, _lp_oversample(p, f.N, oversample))
     prof = _colatitude_profile(f, grid.band)
-    if prof is None:  # a d = 2 table with more than one active order
-        degrees = np.nonzero(np.any(f.a != 0, axis=1))[0]
-        if degrees.size == 1:  # |H_n f| from one Legendre row, not the O(N^2 K) table
-            prof = _degree_abs(f.a, grid, int(degrees[0])), grid
-        else:
-            prof = inverse_sht(f, grid), grid
-    res = lp_norm(*prof, p)
+    if prof is not None:
+        res = lp_norm(*prof, p)
+    elif (degrees := np.nonzero(np.any(f.a != 0, axis=1))[0]).size == 1:  # |H_n f|, no copy
+        res = _abs_lp_norm(_degree_abs(f.a, grid, int(degrees[0])), grid, p, f.a)
+    else:  # a d = 2 table with more than one active order and degree
+        res = lp_norm(inverse_sht(f, grid), grid, p)
     if p == math.inf:
         res = max(res, float(np.max(np.abs(pole_values(f)))))
     return res

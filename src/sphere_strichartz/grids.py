@@ -18,7 +18,8 @@ The transform kernels read the S^2 Legendre functions Pbar_n^m(t_k) in order-blo
 slabs, so every matmul sees the same operands as with one full (N+1, N+1, K) table.  A
 small table is built once and cached whole; a larger one is never stored: each pass
 recomputes it in blocks of 8 orders, one recurrence step per degree, into one buffer.
-The magnitude |H_n f| of one degree reads only that degree's Legendre row.
+One degree's |H_n f| reads only its Legendre row; the samples (H_n f)(z) of every degree are
+made for any range of colatitude rows, with the bits of the whole grid's.
 """
 
 from __future__ import annotations
@@ -306,21 +307,21 @@ def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     return row
 
 
-def _legendre_blocks(grid: SphereGrid, N: int, width: int):
-    """Yield (m0, m1, block): Pbar_n^m at the grid nodes for m0 <= m < m1, entry [m - m0, n, k].
+def _legendre_blocks(grid: SphereGrid, N: int, width: int, ks: slice = slice(None)):
+    """Yield (m0, m1, block): Pbar_n^m at the nodes ks for m0 <= m < m1, entry [m - m0, n, k].
 
     Blocks of `width` orders, each written into one (width, N+1, K) buffer (so valid until the
     next) one degree row at a time; the rows n < m0 that the previous block wrote are set to
     +0.0.  A failed allocation of the buffer raises ResourceLimitError.
     """
-    shape = (width, N + 1, grid.t.size)
+    shape = (width, N + 1, grid.t[ks].size)
     try:
         out = np.empty(shape)
     except MemoryError:
         what = "table" if width == N + 1 else f"block of {width} orders"
         raise ResourceLimitError(f"Legendre {what} for grid band {grid.band}, N = {N} needs "
                                  f"{8 * math.prod(shape) / 1e9:.3g} GB") from None
-    for m0, n, row in _order_block_rows(grid.t, N, width):
+    for m0, n, row in _order_block_rows(grid.t[ks], N, width):
         if n == m0:
             block = out[: len(row)]
             block[:, max(m0 - width, 0) : m0] = 0.0
@@ -344,18 +345,19 @@ _CACHED_TABLE_BYTES = 8 << 20  # larger Legendre tables are streamed in order bl
 _BLOCK_ORDERS = 8  # orders per streamed block: 4.2 MB at N = 256, 67 MB at N = 1024
 
 
-def _legendre_slabs(grid: SphereGrid, N: int):
-    """Yield (m0, m1, slab): Pbar_n^m at all K grid nodes for the orders m0 <= m < m1.
+def _legendre_slabs(grid: SphereGrid, N: int, ks: slice = slice(None)):
+    """Yield (m0, m1, slab): Pbar_n^m at the K grid nodes ks (all) for the orders m0 <= m < m1.
 
-    Each slab is C-contiguous, shape (m1-m0, N+1, K), entry [m - m0, n, k], with +0.0 in
-    the rows n < m.  A table of at most _CACHED_TABLE_BYTES is one slab, built once and
-    cached; a larger one is recomputed on every pass in blocks of _BLOCK_ORDERS orders that
-    share one buffer, so a slab is valid until the next.
+    Each slab has shape (m1-m0, N+1, K), entry [m - m0, n, k], +0.0 in the rows n < m, and is
+    C-contiguous for all nodes.  A table of at most _CACHED_TABLE_BYTES is one slab, built once
+    and cached; a larger one is recomputed at the nodes ks (the same bits: the recurrence is
+    elementwise in t) on every pass, in blocks of _BLOCK_ORDERS orders in one buffer: a slab
+    is valid until the next.
     """
     if 8 * (N + 1) ** 2 * grid.t.size <= _CACHED_TABLE_BYTES:
-        yield 0, N + 1, _legendre_tables(grid.band, N)
+        yield 0, N + 1, _legendre_tables(grid.band, N)[:, :, ks]
         return
-    yield from _legendre_blocks(grid, N, min(_BLOCK_ORDERS, N + 1))
+    yield from _legendre_blocks(grid, N, min(_BLOCK_ORDERS, N + 1), ks)
 
 
 @lru_cache(maxsize=8)
@@ -423,19 +425,20 @@ def _sht_synthesis(a: np.ndarray, grid: SphereGrid, work: dict | None = None) ->
     return _fft_into(np.fft.ifft, spec, spec).reshape(*a.shape[:-2], K, L)
 
 
-def _degree_synthesis(a: np.ndarray, grid) -> np.ndarray:
-    """Per-degree components of one table on a sphere or zonal grid: entry n = (H_n f)(z).
+def _degree_synthesis(a: np.ndarray, grid, ks: slice = slice(None)) -> np.ndarray:
+    """Per-degree components of one table, entry n = (H_n f)(z), at the grid colatitudes ks.
 
-    No Legendre sum: row n of the longitude spectrum is a_{n,m} Pbar_n^m(t), by broadcasting.
+    No Legendre sum: row n of the longitude spectrum is a_{n,m} Pbar_n^m(t), by broadcasting,
+    and each colatitude row is transformed alone, so any ks gives the bits of the whole grid.
     """
     N = a.shape[0] - 1
     if isinstance(grid, ZonalGrid):
-        return a[:, None] * _zonal_tables(grid.band, N, grid.d)
-    K, L = grid.shape
+        return a[:, None] * _zonal_tables(grid.band, N, grid.d)[:, ks]
+    K, L = grid.t[ks].size, grid.lon_count
     sign = np.where(np.arange(1, N + 1) % 2, -1.0, 1.0)  # (-1)^m for m = 1..N
     neg = (a[:, :N][:, ::-1] * sign)[:, None]  # [n, 1, m - 1]: the -m coefficients, signed
     spec = np.zeros((N + 1, K, L), dtype=complex)
-    for m0, m1, slab in _legendre_slabs(grid, N):
+    for m0, m1, slab in _legendre_slabs(grid, N, ks):
         P = slab.transpose(1, 2, 0)  # [n, k, m - m0]
         np.multiply(a[:, None, N + m0 : N + m1], P, out=spec[:, :, m0:m1])
         lo = max(m0, 1)  # column L - m holds order -m, for m = lo..m1-1

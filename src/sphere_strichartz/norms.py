@@ -54,15 +54,20 @@ def _finite_or_fail(norms, x: np.ndarray, what: str):
 def lp_norm(values: np.ndarray, grid, p: float) -> float:
     """Quadrature L^p norm of sampled values; p = inf is the max over the grid."""
     values = _as_samples(values, grid)
+    return _abs_lp_norm(np.abs(values).astype(float, copy=False), grid, p, values)
+
+
+def _abs_lp_norm(m: np.ndarray, grid, p: float, x) -> float:
+    """lp_norm from m = |values| as floats (int |v| cannot `**=`), which it overwrites with
+    w |v|^p at finite p.  `x` is read only at a zero norm: it is nonzero where the values are."""
     if p == math.inf:
-        return _finite_or_fail(float(np.max(np.abs(values))), values, "L^inf norm")
+        return _finite_or_fail(float(np.max(m)), x, "L^inf norm")
     if not p >= 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    m = np.abs(values).astype(float, copy=False)  # w |v|^p in one array; int |v| cannot `**=`
     with np.errstate(over="ignore"):  # an inf, which fails below
         m **= p
     m *= grid.weights()
-    return _finite_or_fail(float(np.sum(m) ** (1.0 / p)), values, f"L^{p:g} norm")
+    return _finite_or_fail(float(np.sum(m) ** (1.0 / p)), x, f"L^{p:g} norm")
 
 
 def sobolev_norm(f: CoefficientTable, s: float) -> float:

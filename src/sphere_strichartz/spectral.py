@@ -39,7 +39,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 # Bytes of complex series per space chunk of a free field, about one core's L2 cache: smaller
-# chunks pay more per-call overhead, larger ones spill to main memory.
+# chunks pay more per-call overhead, larger ones spill to main memory.  A quarter of it bounds
+# a block of the per-degree samples that the free path synthesizes.
 _SERIES_CHUNK_BYTES = 2 * 2**20
 # Time nodes per batched transform of an explicit history (iter_time_blocks, the Picard map).
 _TIME_BLOCK = 64
@@ -192,26 +193,33 @@ class SpaceTimeField:
         series[:, j] = u(t_j, z) = sum_n E_n(z) W[n, j] is an exact phase-table product with
         W[n, j] = e^{2 pi i ((lambda_n/g) j mod P)/P}, reduced in integers (needs lambda_N < M).
 
-        Every chunk is written into one buffer allocated per call, and the yielded series is a
-        view of it, valid until the next step.  A chunk holds as many points as fit in
-        _SERIES_CHUNK_BYTES of series (independent of N and M while two rows fit), cut by
-        _row_blocks: never fewer than 2 unless the grid has one point.
+        Only W is held whole.  A chunk is at most `rows` points, as many as fit in
+        _SERIES_CHUNK_BYTES of series (independent of N and M while two fit), cut by _row_blocks
+        from kr = max(1, rows // L) colatitude rows (a zonal grid's K points): never fewer than 2
+        unless the grid has one point, and the first is the largest, so one buffer holds every
+        series, a view valid until the next step.  E_n(z) is made a block of whole kr-row groups
+        at a time, at most _SERIES_CHUNK_BYTES / 4 (or one group), as each block has a fixed cost.
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")
+        _check_fit(self.grid, self.N, self.d)
         lam = eigenvalues_upto(self.N, self.d)
         if lam[-1] >= self.tg.M:
             raise ValueError(f"time grid too coarse: lambda_N={lam[-1]} >= M={self.tg.M}")
         g = math.gcd(self.tg.M, *lam.tolist())
         P = self.tg.M // g
         W = np.exp(2j * np.pi / P * (np.outer(lam // g, np.arange(P)) % P))
-        E = synthesize_by_degree(self.base, self.grid).reshape(self.N + 1, -1)
         rows = max(2, _SERIES_CHUNK_BYTES // (16 * P))
-        blocks = list(_row_blocks(E.shape[1], rows))
-        series = np.empty((blocks[0][1], P), dtype=complex)
-        for z0, z1 in blocks:
-            np.matmul(E[:, z0:z1].T, W, out=series[:z1 - z0])
-            yield slice(z0, z1), series[:z1 - z0]
+        K, L = self.grid.shape[0], math.prod(self.grid.shape[1:])  # L = 1 on a zonal grid
+        kr = K if L == 1 else max(1, rows // L)
+        kb = kr * max(1, _SERIES_CHUNK_BYTES // 4 // (16 * len(W) * kr * L))
+        series = np.empty((next(_row_blocks(min(kr, K) * L, rows))[1], P), dtype=complex)
+        for b0 in range(0, K, kb):
+            E = _degree_synthesis(self.base.a, self.grid, slice(b0, b0 + kb)).reshape(len(W), -1)
+            for k0 in range(0, E.shape[1], kr * L):
+                for z0, z1 in _row_blocks(min(kr * L, E.shape[1] - k0), rows):
+                    np.matmul(E[:, k0 + z0:k0 + z1].T, W, out=series[:z1 - z0])
+                    yield slice(b0 * L + k0 + z0, b0 * L + k0 + z1), series[:z1 - z0]
 
     def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
         """Explicit history of self - other; ValueError unless both share their grids."""

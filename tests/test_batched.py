@@ -640,6 +640,91 @@ def test_space_chunks_never_yield_one_row(chunk, d):
             assert np.array_equal(series, E[:, sl].T @ W)
 
 
+def ref_whole_e_series(u):
+    """One period of u's series at every grid point, shape (points, P): the whole per-degree
+    array E of the whole-grid reference kernel, times W in the chunks of the whole-E loop
+    (_row_blocks over all points), at the current _SERIES_CHUNK_BYTES."""
+    E = ref_degree_synthesis(u.base.a, u.grid).reshape(u.N + 1, -1)
+    W = ref_one_period_factors(u)[1]
+    rows = max(2, spectral._SERIES_CHUNK_BYTES // (16 * W.shape[1]))
+    series = np.empty((E.shape[1], W.shape[1]), dtype=complex)
+    for z0, z1 in spectral._row_blocks(E.shape[1], rows):
+        series[z0:z1] = E[:, z0:z1].T @ W
+    return series
+
+
+# d = 2, (N, grid band, chunk points, M, rows of each synthesized block of E): K x L grids of
+# 1 x 2, 3 x 6, 8 x 16 and 13 x 26 points, with P = M (P = 1 at N = 0).  Chunk budgets below L
+# (every row cut, with and without a one-point remainder: 26 = 6 + 5 * 4), between L and 2L
+# (one row per chunk) and of 3 rows (chunks of 3, 3, 3, 3 and 1 rows on 13 rows; 3, 3 and 2
+# on 8), and the default budget.  A block of E holds whole chunk rows, up to a quarter of
+# the budget: single rows, several, and a last block shorter than the others.
+@pytest.mark.parametrize("N, band, chunk, M, blocks", [
+    (0, 0, None, 7, [1]), (1, 2, None, 9, [3]), (1, 2, 2, 9, [1] * 3),
+    (6, 12, 5, 49, [1] * 13), (6, 12, 4, 49, [1] * 13), (6, 12, 40, 49, [2] * 6 + [1]),
+    (6, 12, 78, 49, [3] * 4 + [1]), (5, 7, 50, 37, [3, 3, 2]), (6, 12, 5, 443, [3] * 4 + [1]),
+    (6, 12, 78, 57, [6, 6, 1]), (6, 12, None, 49, [13])])
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("streamed", [False, True])
+def test_row_block_chunks_equal_whole_e_reference(N, band, chunk, M, blocks, q, streamed,
+                                                  monkeypatch, fresh_legendre_caches):
+    # every yielded series and the power sums have the bits of the whole-E path, with the
+    # Legendre table cached or recomputed at each block's colatitudes in blocks of 3 orders
+    if streamed:
+        _stream(monkeypatch, 3)
+    grid = build_sphere_grid(band)
+    K, L = grid.shape
+    u = synthesize_history(random_field(N, 2, np.random.default_rng([N, band, M])), TimeGrid(M),
+                           grid)
+    synthesized = []
+
+    def spy(a, grid, ks=slice(None)):
+        E = _degree_synthesis(a, grid, ks)
+        synthesized.append(E.shape[1])
+        return E
+
+    with chunk_budget(u, chunk):
+        ref = ref_whole_e_series(u)
+        monkeypatch.setattr(spectral, "_degree_synthesis", spy)
+        P = ref.shape[1]
+        rows = max(2, spectral._SERIES_CHUNK_BYTES // (16 * P))
+        slices = []
+        for sl, series in u.iter_space_chunks():
+            assert series.tobytes() == ref[sl].tobytes()
+            slices.append(sl)
+        got = _time_power_sums(u, q)
+    assert synthesized == blocks * 2  # one pass for the series, one for the power sums
+    kr = max(1, rows // L)
+    sizes = [sl.stop - sl.start for sl in slices]
+    assert [sl.start for sl in slices] == [0] + list(np.cumsum(sizes)[:-1])
+    assert sum(sizes) == K * L and min(sizes) >= 2 and sizes[0] == max(sizes)
+    if rows < L:  # chunks of at most `rows` points cut from each row alike
+        assert sizes == [z1 - z0 for z0, z1 in spectral._row_blocks(L, rows)] * K
+        assert max(sizes) <= rows + (L % rows == 1)
+    else:  # one chunk of kr whole rows each, and a shorter last one
+        assert sizes == [min(kr, K - k0) * L for k0 in range(0, K, kr)]
+    assert all(b % kr == 0 for b in blocks[:-1])
+    want = (u.tg.M // P) * np.sum(np.abs(ref) ** q, axis=-1)
+    assert got.tobytes() == want.reshape(grid.shape).tobytes()
+
+
+def test_free_power_sums_peak_below_half_of_whole_per_degree_samples():
+    # N = 32 on a band-128 grid: the whole E = (H_n f)(z), (N+1, K, L) complex, would be
+    # 33 * 129 * 258 * 16 bytes, 16.8 MiB.  M = lambda_N + 1 = 1057 is the period, so a chunk
+    # holds 124 points, fewer than the 258 longitudes: E is synthesized three colatitude rows
+    # (408 kB) at a time, and the peak is W, one series chunk, its |.|^q buffer and the sums.
+    N = 32
+    grid = build_sphere_grid(128)
+    u = synthesize_history(random_field(N, 2, np.random.default_rng(32)),
+                           TimeGrid(N * (N + 1) + 1), grid)
+    e_bytes = 16 * (N + 1) * math.prod(grid.shape)
+    assert e_bytes >= 16 * 2**20
+    _legendre_tables(grid.band, N)  # the cached Legendre table is built outside the trace
+    S, peak = _traced_peak(_time_power_sums, u, 4.0)
+    assert S.shape == grid.shape and np.all(S > 0)
+    assert peak < 0.5 * e_bytes
+
+
 FREE_PAIRS = ((4.0, 4.0), (math.inf, 2.0), (6.0, 2.0))
 
 

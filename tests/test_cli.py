@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sphere_strichartz
 from sphere_strichartz.cli import run
@@ -549,3 +555,106 @@ def test_out_of_memory_under_address_space_limit_exit_1():
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+# -- the exit contract over every subcommand's edge flag values ------------------------------
+
+_EDGE = ("-1", "0", "1", "nan", "inf", "-inf", "1e308", "1e-308")
+# a valid value per flag; each example gives up to two flags of its subcommand an edge value
+# and the others their valid one.  Band limits stay at N <= 8 and degrees within 1..16.
+_CONTRACT_FLAGS = {
+    "kappa": {"--d": "2", "--p": "4", "--q": "2"},
+    "identity-check": {"--d": "3", "--N": "6", "--trials": "1", "--p-list": "2,inf",
+                       "--tol": "1e-10"},
+    "sweep": {"--d": "2", "--p": "4", "--family": "random", "--n": "2:16:3", "--count": "3",
+              "--oversample": "2"},
+    "strichartz": {"--d": "2", "--N": "8", "--p": "6", "--q": "4", "--s": "auto",
+                   "--family": "highest-weight"},
+    "sharpness": {"--d": "3", "--p": "inf", "--s": "0.4", "--n": "2:16:3", "--count": "3"},
+    "solve-potential": {"--d": "2", "--N": "3", "--p": "4", "--s": "auto", "--tol": "1e-8",
+                        "--max-iter": "4", "--M": "64"},
+    "selftest": {"--N": "8"},
+}
+_README_POTENTIAL = {"terms": [{  # 0.03 cos(t) Y_{1,0}
+    "time_coeffs": [{"freq": 1, "re": 0.015, "im": 0.0}, {"freq": -1, "re": 0.015, "im": 0.0}],
+    "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0, "im": 0.0}]}]}
+_CHOICES = {"--family": ("random", "zonal", "highest-weight")}  # no edge values: argparse choices
+# result columns that must be nonzero on exit 0; `p` and `q` echo flags, where inf is valid
+_NONZERO = {"ratio", "sampled", "spectral"}
+_ECHOED = {"p", "q"}
+
+
+def _run_captured(argv):
+    """cli.run(argv) in process: (exit code, stdout, stderr), RuntimeWarnings included in stderr
+    as a CLI process would print them."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")
+        code = run(argv)
+    shown = "".join(f"{w.filename}:{w.lineno}: {w.category.__name__}: {w.message}\n"
+                    for w in caught)
+    return code, out.getvalue(), shown + err.getvalue()
+
+
+def _output_fields(path: Path, fmt: str) -> dict:
+    """{column: [values]} of an --output file, the JSON summary under its own keys."""
+    if fmt == "json":
+        payload = json.loads(path.read_text())
+        rows, columns = payload["rows"], payload["columns"]
+        fields = {k: [v] for k, v in payload.get("summary", {}).items()}
+    else:
+        columns, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        fields = {}
+    for i, name in enumerate(columns):
+        fields.setdefault(name, []).extend(row[i] for row in rows)
+    return fields
+
+
+@st.composite
+def _edge_argv(draw):
+    """A subcommand's argv with up to two flags at an edge value, the others valid."""
+    command = draw(st.sampled_from(sorted(_CONTRACT_FLAGS)))
+    flags = _CONTRACT_FLAGS[command]
+    edged = draw(st.sets(st.sampled_from(sorted(flags)), max_size=2))
+    argv = [command]
+    for flag, valid in flags.items():
+        argv += [flag, draw(st.sampled_from(_CHOICES.get(flag, _EDGE if flag in edged
+                                                          else (valid,))))]
+    return argv + ["--seed", draw(st.sampled_from(("5", "0", "-1")))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=_edge_argv(), fmt=st.sampled_from(("csv", "json")))
+# the three edge inputs that once ended in a ratio of 0, a traceback and a numpy message
+@example(argv=["strichartz", "--N", "40", "--p", "4", "--s", "300"], fmt="csv")
+@example(argv=["identity-check", "--N", "4", "--p-list", "1e308"], fmt="csv")
+@example(argv=["strichartz", "--N", "-1", "--p", "4"], fmt="csv")
+def test_every_exit_keeps_the_contract(argv, fmt):
+    # exit 0, 1 or 2 and no exception out of run; exit 1 with a first stderr line `error:` (or
+    # argparse's usage error for a flag it cannot parse), exit 2 with `numerical error:`,
+    # `divergence:` or a FAIL line; exit 0 with finite results and nonzero ratios and norms
+    with tempfile.TemporaryDirectory() as tmp:
+        potential = Path(tmp) / "potential.json"
+        potential.write_text(json.dumps(_README_POTENTIAL))
+        output = Path(tmp) / "out"
+        if argv[0] == "solve-potential":
+            argv = argv + ["--potential", str(potential)]
+        code, _, err = _run_captured(argv + ["--format", fmt, "--output", str(output)])
+        first = err.splitlines()[0] if err else ""
+        if code == 0:
+            for name, values in _output_fields(output, fmt).items():
+                for text in values:
+                    try:
+                        value = float(text)
+                    except ValueError:
+                        continue
+                    assert name in _ECHOED or math.isfinite(value), (argv, name, text)
+                    assert name not in _NONZERO or value != 0.0, (argv, name, text)
+        elif code == 1:
+            usage = first.startswith("usage: ") and ": error: argument " in err
+            assert first.startswith("error: ") or usage, (argv, err)
+        else:
+            assert code == 2, (argv, code, err)
+            assert first.startswith(("numerical error: ", "divergence: ")) or "FAIL" in first, \
+                (argv, err)

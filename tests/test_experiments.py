@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,30 @@ def test_field_lp_norm_single_degree_path_equals_table_path(p, monkeypatch):
     monkeypatch.setattr(experiments, "_degree_abs", table_path)
     assert fast == [field_lp_norm(f, p) for f in fields]
     assert degrees == [1, 17, 64, 2, 33]  # every field took the one-degree path
+
+
+def test_field_lp_norm_single_degree_path_makes_no_copy():
+    # |H_n f| is raised to p in place: the peak is the one-degree kernel's (1.36 float (K, L)
+    # outputs at grid band 2n, see test_batched); a copy of |H_n f| for lp_norm makes it 2.01
+    f = make_family("random-eigenspace", 256, 2, rng=np.random.default_rng(256))
+    out_bytes = 8 * math.prod(build_sphere_grid(512).shape)
+    tracemalloc.start()
+    try:
+        field_lp_norm(f, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out_bytes
+
+
+def test_field_lp_norm_single_degree_vacuous_norm_fails(monkeypatch):
+    # |H_1 f| < 0.5 everywhere, so |H_1 f|^1100 underflows to 0 at every node: the nonzero
+    # coefficients tell that 0 from the norm of a zero field
+    monkeypatch.setenv("SPHERE_STRICHARTZ_MAX_N", "2000")  # the grid band is 550
+    f = make_family("random-eigenspace", 1, 2, rng=np.random.default_rng(1))
+    with np.errstate(under="ignore"), pytest.raises(FloatingPointError, match="vacuous L"):
+        field_lp_norm(f, 1100.0)
+    assert field_lp_norm(f, 100.0) > 0.0
 
 
 def _reference_colatitude_lp_norm(f, p, oversample=2.0):

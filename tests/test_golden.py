@@ -39,6 +39,9 @@ COMMANDS = {
     "sharpness": ["sharpness", "--p", "inf", "--s", "0.4", "--n", "16:96:4"],
     "strichartz": ["strichartz", "--N", "16", "--p", "4"],
     "strichartz-d3": ["strichartz", "--d", "3", "--N", "10", "--p", "inf"],
+    # P = 1202 time nodes per period: a space chunk holds 109 points, fewer than the 146
+    # longitudes of one colatitude row, so every row is cut into two chunks
+    "strichartz-n24-p6q4": ["strichartz", "--N", "24", "--p", "6", "--q", "4"],
     "solve-potential": ["solve-potential", "--potential", "{potential}", "--N", "6",
                         "--format", "json"],
     # the zonal Picard path: README's potential on S^3
