@@ -296,6 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sphere-strichartz",
         description="Spectral experiments for the Schrodinger flow on the d-sphere",
+        exit_on_error=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -361,6 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=128)
     _add_common(sp)
     sp.set_defaults(func=_cmd_selftest)
+    for sp in sub.choices.values():  # a flag value argparse cannot parse: `error: ...`, exit 1
+        sp.exit_on_error = False
     return ap
 
 

@@ -18,8 +18,8 @@ The transform kernels read the S^2 Legendre functions Pbar_n^m(t_k) in order-blo
 slabs, so every matmul sees the same operands as with one full (N+1, N+1, K) table.  A
 small table is built once and cached whole; a larger one is never stored: each pass
 recomputes it in blocks of 8 orders, one recurrence step per degree, into one buffer.
-One degree's |H_n f| reads only its Legendre row; the samples (H_n f)(z) of every degree are
-made for any range of colatitude rows, with the bits of the whole grid's.
+One kernel makes the samples (H_n f)(z) for any range of colatitude rows, with the bits of
+the whole grid's: of every degree from the slabs, or of one degree n from its Legendre row.
 """
 
 from __future__ import annotations
@@ -287,9 +287,8 @@ def _order_block_rows(t: np.ndarray, N: int, width: int):
 def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     """Pbar_n^m(t) for m = 0..n at nodes symmetric about 0, shape (n+1, K), in O(nK) memory.
 
-    The recurrence runs on the first Kh = ceil(K/2) nodes; node k >= Kh is the mirror image
-    of node K-1-k, times (-1)^(n+m), except where that image holds a zero, whose sign need
-    not mirror (x - y is +0.0 at t and at -t when x == y): those nodes are computed directly.
+    The recurrence runs on the first Kh = ceil(K/2) nodes; node k >= Kh mirrors node K-1-k,
+    times (-1)^(n+m), so an exact zero there may carry the other sign: only |H_n f| reads it.
     """
     K = t.size
     Kh = (K + 1) // 2
@@ -299,11 +298,6 @@ def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:
     row[:, :Kh] = H
     sign = np.where((n + np.arange(n + 1)) % 2, -1.0, 1.0)[:, None]
     np.multiply(H[:, : K - Kh][:, ::-1], sign, out=row[:, Kh:])
-    polar = K - 1 - np.flatnonzero((H[:, : K - Kh] == 0).any(axis=0))
-    if polar.size:
-        for *_, exact in _order_block_rows(t[polar], n, n + 1):
-            pass
-        row[:, polar] = exact
     return row
 
 
@@ -425,20 +419,25 @@ def _sht_synthesis(a: np.ndarray, grid: SphereGrid, work: dict | None = None) ->
     return _fft_into(np.fft.ifft, spec, spec).reshape(*a.shape[:-2], K, L)
 
 
-def _degree_synthesis(a: np.ndarray, grid, ks: slice = slice(None)) -> np.ndarray:
+def _degree_synthesis(a: np.ndarray, grid, ks: slice = slice(None), row=None) -> np.ndarray:
     """Per-degree components of one table, entry n = (H_n f)(z), at the grid colatitudes ks.
 
     No Legendre sum: row n of the longitude spectrum is a_{n,m} Pbar_n^m(t), by broadcasting,
     and each colatitude row is transformed alone, so any ks gives the bits of the whole grid.
+    With row = (n, _legendre_row(grid.t, n)) only degree n is made, as entry 0, from that row.
     """
-    N = a.shape[0] - 1
     if isinstance(grid, ZonalGrid):
-        return a[:, None] * _zonal_tables(grid.band, N, grid.d)[:, ks]
+        return a[:, None] * _zonal_tables(grid.band, a.shape[0] - 1, grid.d)[:, ks]
+    N = a.shape[1] // 2
+    slabs = _legendre_slabs(grid, N, ks)
+    if row is not None:  # one slab of the orders 0..n, entry [m, 0, k]
+        n, P = row
+        a, slabs = a[n : n + 1], [(0, n + 1, P[:, None, ks])]
     K, L = grid.t[ks].size, grid.lon_count
     sign = np.where(np.arange(1, N + 1) % 2, -1.0, 1.0)  # (-1)^m for m = 1..N
     neg = (a[:, :N][:, ::-1] * sign)[:, None]  # [n, 1, m - 1]: the -m coefficients, signed
-    spec = np.zeros((N + 1, K, L), dtype=complex)
-    for m0, m1, slab in _legendre_slabs(grid, N, ks):
+    spec = np.zeros((len(a), K, L), dtype=complex)
+    for m0, m1, slab in slabs:
         P = slab.transpose(1, 2, 0)  # [n, k, m - m0]
         np.multiply(a[:, None, N + m0 : N + m1], P, out=spec[:, :, m0:m1])
         lo = max(m0, 1)  # column L - m holds order -m, for m = lo..m1-1
@@ -451,21 +450,13 @@ _DEGREE_ROWS = 16  # colatitude rows per longitude spectrum of _degree_abs
 
 
 def _degree_abs(a: np.ndarray, grid: SphereGrid, n: int) -> np.ndarray:
-    """np.abs(_degree_synthesis(a, grid)[n]), a float (K, L) array, from degree n's Legendre
-    row in O(nK) memory: the same products, _DEGREE_ROWS colatitudes at a time, each chunk's
-    spectrum transformed in place, so no complex (K, L) array is made."""
-    N = a.shape[0] - 1
-    K, L = grid.shape
-    P = _legendre_row(grid.t, n).T  # [k, m]
-    neg = a[n, N - n : N][::-1] * np.where(np.arange(1, n + 1) % 2, -1.0, 1.0)  # order -m, (-1)^m
-    out = np.empty((K, L))
-    spec = np.empty((min(_DEGREE_ROWS, K), L), dtype=complex)
-    for k0 in range(0, K, _DEGREE_ROWS):
-        rows, s = P[k0 : k0 + _DEGREE_ROWS], spec[: K - k0]
-        np.multiply(a[n, N : N + n + 1], rows, out=s[:, : n + 1])
-        s[:, n + 1 : L - n] = 0.0
-        np.multiply(neg, rows[:, 1:], out=s[:, L - 1 : L - n - 1 : -1])
-        np.abs(_fft_into(np.fft.ifft, s, s), out=out[k0 : k0 + len(s)])
+    """np.abs(_degree_synthesis(a, grid)[n]) as a float (K, L) array, in O(nK) memory: the
+    kernel on degree n's Legendre row, _DEGREE_ROWS colatitudes at a time."""
+    row = (n, _legendre_row(grid.t, n))
+    out = np.empty(grid.shape)
+    for k0 in range(0, grid.t.size, _DEGREE_ROWS):
+        ks = slice(k0, k0 + _DEGREE_ROWS)
+        np.abs(_degree_synthesis(a, grid, ks, row)[0], out=out[ks])
     return out
 
 

@@ -167,10 +167,10 @@ class PicardReport:
     ratios: list
     contraction_ratio: float
     residual: float
-    converged: bool
     smallness_ok: bool
     c0_estimate: float
     v_norm: float
+    converged = True  # a class attribute, not a field: picard_solve raises DivergenceError else
 
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
@@ -352,7 +352,6 @@ def picard_solve(
         ratios=ratios,
         contraction_ratio=max(ratios) if ratios else 0.0,
         residual=residual,
-        converged=True,
         smallness_ok=smallness_ok,
         c0_estimate=c0_est,
         v_norm=v_norm,

@@ -428,6 +428,18 @@ def test_degree_abs_equals_all_degree_synthesis(N, band):
     _assert_degree_abs_equals_all_degrees(a, grid, range(N + 1))
 
 
+def test_degree_abs_equals_all_degree_synthesis_at_mirrored_zeros():
+    # At n = 256 on the band-512 grid, _legendre_row's mirror gives nodes 505..512 an exact
+    # zero of the other sign than the recurrence there, which np.abs must erase.  The streamed
+    # all-degree kernel runs its recurrence at the last 12 rows themselves.
+    grid, n = build_sphere_grid(512), 256
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n + 1, 2 * n + 1)) + 1j * rng.standard_normal((n + 1, 2 * n + 1))
+    ks = slice(grid.t.size - 12, None)
+    want = np.abs(_degree_synthesis(a, grid, ks)[n])
+    assert _degree_abs(a, grid, n)[ks].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_per_degree_synthesis_zonal(d):
     grid = grid_for(9, d, 1.0)  # the S^2 grid at d = 2

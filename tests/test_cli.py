@@ -631,8 +631,8 @@ def _edge_argv(draw):
 @example(argv=["identity-check", "--N", "4", "--p-list", "1e308"], fmt="csv")
 @example(argv=["strichartz", "--N", "-1", "--p", "4"], fmt="csv")
 def test_every_exit_keeps_the_contract(argv, fmt):
-    # exit 0, 1 or 2 and no exception out of run; exit 1 with a first stderr line `error:` (or
-    # argparse's usage error for a flag it cannot parse), exit 2 with `numerical error:`,
+    # exit 0, 1 or 2 and no exception out of run; exit 1 with a first stderr line `error:`,
+    # also for a flag value argparse cannot parse; exit 2 with `numerical error:`,
     # `divergence:` or a FAIL line; exit 0 with finite results and nonzero ratios and norms
     with tempfile.TemporaryDirectory() as tmp:
         potential = Path(tmp) / "potential.json"
@@ -652,8 +652,7 @@ def test_every_exit_keeps_the_contract(argv, fmt):
                     assert name in _ECHOED or math.isfinite(value), (argv, name, text)
                     assert name not in _NONZERO or value != 0.0, (argv, name, text)
         elif code == 1:
-            usage = first.startswith("usage: ") and ": error: argument " in err
-            assert first.startswith("error: ") or usage, (argv, err)
+            assert first.startswith("error: "), (argv, err)
         else:
             assert code == 2, (argv, code, err)
             assert first.startswith(("numerical error: ", "divergence: ")) or "FAIL" in first, \

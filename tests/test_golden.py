@@ -35,6 +35,9 @@ COMMANDS = {
     # a streamed Legendre table: (N+1)^2 K floats above 8 MiB
     "selftest-128": ["selftest", "--N", "128"],
     "sweep-d2": ["sweep", "--d", "2", "--p", "4", "--family", "random", "--n", "16:96:4"],
+    # band-400 and band-512 grids: mirrored nodes where Pbar_n^m is an exact zero of either sign
+    "sweep-d2-polar": ["sweep", "--d", "2", "--p", "4", "--family", "random",
+                       "--n", "200:256:3"],
     "sweep-d3": ["sweep", "--d", "3", "--p", "inf", "--family", "zonal", "--n", "16:96:4"],
     "sharpness": ["sharpness", "--p", "inf", "--s", "0.4", "--n", "16:96:4"],
     "strichartz": ["strichartz", "--N", "16", "--p", "4"],
