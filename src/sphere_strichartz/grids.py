@@ -539,8 +539,8 @@ def forward_sht(values: np.ndarray, grid: SphereGrid, N: int) -> CoefficientTabl
     return CoefficientTable(N, 2, _sht_analysis(values, grid, N))
 
 
-def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid) -> np.ndarray:
-    """Synthesis on S^2: pointwise sum of coefficients times basis functions."""
+def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid | ZonalGrid) -> np.ndarray:
+    """Synthesis at the nodes of a table's grid: S^2 for a full table, zonal for d >= 3."""
     _check_fit(grid, coeffs.N, coeffs.d)
     return _synthesize(coeffs.a, grid)
 
@@ -555,10 +555,7 @@ def forward_zonal(values: np.ndarray, grid: ZonalGrid, N: int) -> CoefficientTab
     return CoefficientTable(N=N, d=grid.d, a=a)
 
 
-def inverse_zonal(coeffs: CoefficientTable, grid: ZonalGrid) -> np.ndarray:
-    """Synthesis of a zonal table at the grid nodes."""
-    _check_fit(grid, coeffs.N, coeffs.d)
-    return _synthesize(coeffs.a, grid)
+inverse_zonal = inverse_sht
 
 
 def integrate(values: np.ndarray, grid) -> complex | float:

@@ -175,7 +175,8 @@ class PicardReport:
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
     """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t)."""
-    sup_part = float(np.max(_sobolev_norms(u.history(), s, u.base.zonal)))
+    sup_part = max(float(np.max(_sobolev_norms(u.history(j0, j1), s, u.base.zonal)))
+                   for j0, j1 in _row_blocks(u.tg.M, _TIME_BLOCK))  # a running max is exact
     return sup_part + mixed_norm(u, p, 2.0)
 
 
@@ -190,19 +191,22 @@ def _duhamel_phases(tg: TimeGrid, f: CoefficientTable):
     return phases.conj(), tg.dt * phases
 
 
-def _duhamel(G: np.ndarray, conj: np.ndarray, scaled: np.ndarray,
-             H: np.ndarray | None = None) -> np.ndarray:
-    """dt e^{i lambda t_j} (sum_{k<=j} H_k - (H_0 + H_j)/2) with H = e^{-i lambda t} G.
+def _duhamel(G: np.ndarray, conj: np.ndarray, scaled: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dt e^{i lambda t_j} (sum_{k<=j} H_k - (H_0 + H_j)/2) with H = e^{-i lambda t} G, into out.
 
-    H is written into `H` when given (G itself, to reuse its buffer), else into a new array;
-    G is read only.
+    Blocks of _TIME_BLOCK nodes, out may be G: each writes its H into out and adds the previous
+    block's last partial sum to its first row, so each partial sum is a whole-H cumsum's, bitwise.
     """
-    H = np.multiply(conj, G, out=H)
-    out = np.cumsum(H, axis=0)
-    H *= 0.5
-    out -= H
-    out -= H[0]
-    out *= scaled
+    h0 = conj[0] * G[0] * 0.5  # H_0 / 2, read before out (which may be G) is written
+    for j0, j1 in _row_blocks(len(G), _TIME_BLOCK):
+        S = np.multiply(conj[j0:j1], G[j0:j1], out=out[j0:j1])
+        h = S * 0.5
+        if j0:
+            S[0] += last
+        last = np.cumsum(S, axis=0, out=S)[-1].copy()
+        S -= h
+        S -= h0
+        S *= scaled[j0:j1]
     return out
 
 
@@ -212,9 +216,10 @@ def duhamel_apply(G: SpaceTimeField) -> SpaceTimeField:
     Composite trapezoid in tau through the propagated spectral coefficients,
     in the exact cumulative-sum form I_j = e^{i lambda t_j} dt (sum_{k<=j} H_k
     - (H_0 + H_j)/2) with H_k = e^{-i lambda t_k} G_k; spectral in space,
-    O(dt^2) in time.  G is not written.
+    O(dt^2) in time.  The integral is written into a new history; G is not written.
     """
-    out = _duhamel(G.history(), *_duhamel_phases(G.tg, G.base))
+    h = G.history()
+    out = _duhamel(h, *_duhamel_phases(G.tg, G.base), out=np.empty_like(h))
     return SpaceTimeField(G.tg, G.grid, G.base * 0.0, tables=out)
 
 
@@ -223,12 +228,11 @@ class _PicardMap:
 
     What does not depend on w is built once: V's spatial samples B, its amplitudes
     a_k(t_j) at all M nodes, the Duhamel phase tables and the free-evolution phases
-    e^{i lambda t_j}.  Each application forms V w one block of time nodes at a time (the
-    blocks of `w.iter_time_blocks`, with V = sum_k a_k(t_j) B_k(z) built per block, so V is
-    never sampled at all M nodes at once) and re-analyzes it into its own history buffer G;
-    the blocks share the transforms' buffers.  e^{-i lambda t} G is written over G, and the
-    free part is added into the integral one block at a time.  So w, G and the integral are
-    the only histories alive.
+    e^{i lambda t_j}.  Each application forms V w one block of time nodes at a time, with
+    V = sum_k a_k(t_j) B_k(z) built per block, and re-analyzes it into its own history
+    buffer G; the blocks share the transforms' buffers.  The Duhamel integral and then
+    Phi(w) are written over G, so w and G are the only histories alive.  G is made after the
+    first block's buffers, so freeing them trims no heap top that later passes fault back in.
     """
 
     def __init__(self, f: CoefficientTable, V: PotentialSpec, tg: TimeGrid, grid):
@@ -245,10 +249,10 @@ class _PicardMap:
             )
         if w.base.a.shape != self.f.a.shape:
             raise ValueError(f"history of band {w.N} but initial data of band {self.f.N}")
-        G = np.empty((self.tg.M, *self.f.a.shape), dtype=complex)
         work = {}
         V = np.empty((_V_ROWS + 1, self.B.shape[1]), dtype=complex)
         for j0, samples in w.iter_time_blocks(work):
+            G = G if j0 else np.empty((self.tg.M, *self.f.a.shape), dtype=complex)
             j1 = j0 + len(samples)
             flat = samples.reshape(j1 - j0, -1)
             for r0, r1 in _row_blocks(len(flat), _V_ROWS):  # V w, V built _V_ROWS nodes at a time
@@ -258,11 +262,10 @@ class _PicardMap:
             if not np.all(np.isfinite(G[j0:j1].view(float))):
                 raise ValueError("coefficients must be finite")
         del work, samples, flat, V
-        out = _duhamel(G, self.conj, self.scaled, H=G)
-        del G  # now H, which the integral no longer needs
+        _duhamel(G, self.conj, self.scaled, out=G)
         for j0, j1 in _row_blocks(self.tg.M, _TIME_BLOCK):
-            out[j0:j1] = self.f.a * self.free[j0:j1] - 1j * out[j0:j1]
-        return SpaceTimeField(self.tg, self.grid, self.f.copy(), tables=out)
+            G[j0:j1] = self.f.a * self.free[j0:j1] - 1j * G[j0:j1]
+        return SpaceTimeField(self.tg, self.grid, self.f.copy(), tables=G)
 
 
 def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> SpaceTimeField:
@@ -292,11 +295,11 @@ def picard_solve(
     """Fixed-point solution of the potential-perturbed flow, with diagnostics.
 
     Iterates u_0 = free evolution, u_{k+1} = Phi(u_k); stops when the X-norm
-    increment falls below tol.  One map Phi is built per solve, and each
-    increment u_{k+1} - u_k is written over u_k, which is not read again, so
-    at most three histories are alive.  The smallness gate compares
-    (C + C^2) ||V||_{L^q_x(L^inf_t)} against 1/2 with C = 2 * (empirical
-    free-evolution constant); its outcome is reported, not enforced.
+    increment falls below tol.  One map Phi is built per solve; u_{k+1} is
+    the map's one new history, and u_{k+1} - u_k is written over u_k, which
+    is not read again, so at most two histories are alive.  The smallness
+    gate compares (C + C^2) ||V||_{L^q_x(L^inf_t)} against 1/2 with C = 2 *
+    (empirical free-evolution constant); its outcome is reported, not enforced.
     Raises DivergenceError after three consecutive non-contracting steps.
     """
     d = f.d

@@ -444,6 +444,20 @@ def test_difference_is_formed_blockwise(d, rows, monkeypatch):
             assert math.isclose(got, norm, rel_tol=1e-15, abs_tol=0.0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("M", [1, 64, 65, 129, 344])
+def test_blockwise_x_norm_equals_whole_history_sup(M, d):
+    # x_norm takes the Sobolev sup one block of time nodes at a time; the largest node is put
+    # in the last block, so the running max has to carry it.
+    rng = np.random.default_rng([M, d])
+    N = 4
+    u = _random_history(N, d, M, grid_for(N + 1, d, 2.0), rng)
+    u.tables[-1] *= 3.0
+    s = kappa_pq(4.0, 2.0, d)
+    for p in (4.0, math.inf):
+        assert x_norm(u, p, s) == ref_x_norm(u, p, s)
+
+
 def _two_term_zonal_potential(d):
     """README's 0.03 cos(t) Y_{1,0} on S^d plus (0.01 + 0.005i e^{2it}) Y_{2,0}."""
     return PotentialSpec([
