@@ -116,18 +116,19 @@ def l2t_profile_exact(f: CoefficientTable, grid) -> np.ndarray:
     return np.sqrt(_TWO_PI * np.sum(np.abs(E) ** 2, axis=0))
 
 
-def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
-    prof = (_time_power_sums(u, q) * (_TWO_PI / u.tg.M)) ** (1.0 / q)
+def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float, blocks=None) -> float:
+    prof = (_time_power_sums(u, q, blocks) * (_TWO_PI / u.tg.M)) ** (1.0 / q)
     return lp_norm(prof, u.grid, p)
 
 
-def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
-    """sum_j |u(t_j, z)|^q over all M nodes; FloatingPointError if |u|^q leaves float range."""
+def _time_power_sums(u: SpaceTimeField, q: float, blocks=None) -> np.ndarray:
+    """sum_j |u(t_j, z)|^q over all M nodes; FloatingPointError if |u|^q leaves float range.
+    `blocks`, (key, samples) of a history on u's grids cut as iter_time_blocks, replaces u's."""
     S = np.zeros(u.grid.shape)
     flat = S.reshape(-1)
     what = f"time power sums of |u|^{q:g}"
     mag = None
-    for key, x in u.iter_space_chunks() if u.free else u.iter_time_blocks({}):
+    for key, x in blocks or (u.iter_space_chunks() if u.free else u.iter_time_blocks({})):
         if mag is None:  # the first chunk or block is the largest
             mag = np.empty(x.shape)
         m = mag[: len(x)]

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .experiments import estimate_strichartz_constant, kappa_pq
-from .grids import CoefficientTable, _analyze, grid_for, inverse_sht
+from .grids import CoefficientTable, _analyze, _synthesize, _work_buffer, grid_for, inverse_sht
 from .harmonics import eigenvalues_upto
-from .norms import _sobolev_norms, lp_norm, mixed_norm
+from .norms import _sampled_mixed_norm, _sobolev_norms, lp_norm, mixed_norm
 from .spectral import (
     _TIME_BLOCK,
     SpaceTimeField,
@@ -174,10 +174,27 @@ class PicardReport:
 
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
-    """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t)."""
+    """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t).
+
+    An explicit history is read in one pass of iter_time_blocks by _x_norm_of, as in a Picard
+    solve; a free field keeps the free path, whose mixed part runs over space chunks."""
+    if not u.free:
+        blocks = u.iter_time_blocks({})
+        return _x_norm_of(u, p, s, ((u.history(j0, j0 + len(x)), x) for j0, x in blocks))
     sup_part = max(float(np.max(_sobolev_norms(u.history(j0, j1), s, u.base.zonal)))
                    for j0, j1 in _row_blocks(u.tg.M, _TIME_BLOCK))  # a running max is exact
     return sup_part + mixed_norm(u, p, 2.0)
+
+
+def _x_norm_of(u: SpaceTimeField, p: float, s: float, blocks) -> float:
+    """x_norm of an explicit history on u's grids from `blocks`, the (coefficients, samples) of
+    its blocks of iter_time_blocks in time order: the largest Sobolev norm of each block, and
+    the time power sums of |samples|^2, which add one block's sum at a time as mixed_norm's do."""
+    sup = []  # each block's largest Sobolev norm, taken before its samples are summed
+    samples = ((sup.append(float(np.max(_sobolev_norms(a, s, u.base.zonal)))), x)
+               for a, x in blocks)
+    mixed = _sampled_mixed_norm(u, p, 2.0, samples)
+    return max(sup) + mixed
 
 
 def _duhamel_phases(tg: TimeGrid, f: CoefficientTable):
@@ -191,22 +208,33 @@ def _duhamel_phases(tg: TimeGrid, f: CoefficientTable):
     return phases.conj(), tg.dt * phases
 
 
-def _duhamel(G: np.ndarray, conj: np.ndarray, scaled: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """dt e^{i lambda t_j} (sum_{k<=j} H_k - (H_0 + H_j)/2) with H = e^{-i lambda t} G, into out.
+def _duhamel_step(G: np.ndarray, j0: int, conj: np.ndarray, scaled: np.ndarray, carry,
+                  out: np.ndarray, work: dict | None = None):
+    """_duhamel on the nodes j0..j0+len(G)-1 from G there, into out (which may be G), with H in
+    work["X"] if given.  `carry`, None at j0 = 0, is the previous block's return: H_0/2 and the
+    last partial sum, added to this block's first row, so each partial sum is a whole-H cumsum's."""
+    H = np.multiply(conj[j0:j0 + len(G)], G, out=_work_buffer(work, "X", G.shape))
+    first = H[0] * 0.5
+    h0 = first if carry is None else carry[0]
+    if carry is not None:
+        H[0] += carry[1]
+    S = np.cumsum(H, axis=0, out=out)
+    last = S[-1].copy()
+    H *= 0.5
+    H[0] = first  # H_j / 2, with no carry in it
+    S -= H
+    S -= h0
+    S *= scaled[j0:j0 + len(G)]
+    return h0, last
 
-    Blocks of _TIME_BLOCK nodes, out may be G: each writes its H into out and adds the previous
-    block's last partial sum to its first row, so each partial sum is a whole-H cumsum's, bitwise.
-    """
-    h0 = conj[0] * G[0] * 0.5  # H_0 / 2, read before out (which may be G) is written
-    for j0, j1 in _row_blocks(len(G), _TIME_BLOCK):
-        S = np.multiply(conj[j0:j1], G[j0:j1], out=out[j0:j1])
-        h = S * 0.5
-        if j0:
-            S[0] += last
-        last = np.cumsum(S, axis=0, out=S)[-1].copy()
-        S -= h
-        S -= h0
-        S *= scaled[j0:j1]
+
+def _duhamel(G: np.ndarray, conj: np.ndarray, scaled: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """dt e^{i lambda t_j} (sum_{k<=j} H_k - (H_0 + H_j)/2) with H = e^{-i lambda t} G, into out
+    (which may be G), by _duhamel_step on blocks of _TIME_BLOCK nodes."""
+    carry = None
+    for j0 in range(0, len(G), _TIME_BLOCK):
+        rows = slice(j0, j0 + _TIME_BLOCK)
+        carry = _duhamel_step(G[rows], j0, conj, scaled, carry, out[rows])
     return out
 
 
@@ -227,12 +255,13 @@ class _PicardMap:
     """Phi(w) = e^{i t Delta} f - i Duhamel(V w) on one time grid and one spatial grid.
 
     What does not depend on w is built once: V's spatial samples B, its amplitudes
-    a_k(t_j) at all M nodes, the Duhamel phase tables and the free-evolution phases
-    e^{i lambda t_j}.  Each application forms V w one block of time nodes at a time, with
-    V = sum_k a_k(t_j) B_k(z) built per block, and re-analyzes it into its own history
-    buffer G; the blocks share the transforms' buffers.  The Duhamel integral and then
-    Phi(w) are written over G, so w and G are the only histories alive.  G is made after the
-    first block's buffers, so freeing them trims no heap top that later passes fault back in.
+    a_k(t_j) at all M nodes, the Duhamel phase tables, the free-evolution phases
+    e^{i lambda t_j} and the `work` dict whose buffers every pass shares.  A pass (`blocks`)
+    reads w one block of iter_time_blocks at a time: it forms V w there, with V = sum_k
+    a_k(t_j) B_k(z) built _V_ROWS nodes at a time, re-analyzes it into a block buffer,
+    advances the Duhamel sum and adds the free evolution, which gives Phi(w) on the block.
+    A pass makes no history: a call collects its blocks into a new one, and `increment`
+    writes them over w.
     """
 
     def __init__(self, f: CoefficientTable, V: PotentialSpec, tg: TimeGrid, grid):
@@ -241,31 +270,56 @@ class _PicardMap:
         self.amps = V.amplitudes(tg.times)
         self.conj, self.scaled = _duhamel_phases(tg, f)
         self.free = free_phases(tg.times, f)
+        self.work = {}
 
-    def __call__(self, w: SpaceTimeField) -> SpaceTimeField:
+    def blocks(self, w: SpaceTimeField, out: np.ndarray | None = None):
+        """Yield (j0, Phi(w) on w's time block at j0), written into the same rows of the history
+        `out` when given, else valid until the next step.  w's block at j0 is read before it is
+        yielded and never after, so it may then be written."""
         if self.band + w.N > self.grid.band:
             raise ValueError(
                 f"product band {self.band + w.N} overflows grid band {self.grid.band}"
             )
         if w.base.a.shape != self.f.a.shape:
             raise ValueError(f"history of band {w.N} but initial data of band {self.f.N}")
-        work = {}
-        V = np.empty((_V_ROWS + 1, self.B.shape[1]), dtype=complex)
-        for j0, samples in w.iter_time_blocks(work):
-            G = G if j0 else np.empty((self.tg.M, *self.f.a.shape), dtype=complex)
+        V = _work_buffer(self.work, "V", (_V_ROWS + 1, self.B.shape[1]))
+        carry = None
+        for j0, samples in w.iter_time_blocks(self.work):
             j1 = j0 + len(samples)
             flat = samples.reshape(j1 - j0, -1)
             for r0, r1 in _row_blocks(len(flat), _V_ROWS):  # V w, V built _V_ROWS nodes at a time
                 np.dot(self.amps[:, j0 + r0:j0 + r1].T, self.B, out=V[:r1 - r0])
                 np.multiply(V[:r1 - r0], flat[r0:r1], out=flat[r0:r1])
-            _analyze(samples, self.grid, w.N, work, out=G[j0:j1])
-            if not np.all(np.isfinite(G[j0:j1].view(float))):
+            G = out[j0:j1] if out is not None else \
+                _work_buffer(self.work, "G", (j1 - j0, *self.f.a.shape))
+            _analyze(samples, self.grid, w.N, self.work, out=G)
+            if not np.all(np.isfinite(G.view(float))):
                 raise ValueError("coefficients must be finite")
-        del work, samples, flat, V
-        _duhamel(G, self.conj, self.scaled, out=G)
-        for j0, j1 in _row_blocks(self.tg.M, _TIME_BLOCK):
-            G[j0:j1] = self.f.a * self.free[j0:j1] - 1j * G[j0:j1]
-        return SpaceTimeField(self.tg, self.grid, self.f.copy(), tables=G)
+            carry = _duhamel_step(G, j0, self.conj, self.scaled, carry, G, self.work)
+            free = _work_buffer(self.work, "X", G.shape)  # f evolved: one operand broadcasts
+            free[...] = self.f.a
+            np.multiply(free, self.free[j0:j1], out=free)
+            np.subtract(free, np.multiply(G, 1j, out=G), out=G)  # 1j * G: exact products
+            yield j0, G
+
+    def __call__(self, w: SpaceTimeField) -> SpaceTimeField:
+        out = np.empty((self.tg.M, *self.f.a.shape), dtype=complex)
+        for _ in self.blocks(w, out):
+            pass
+        return SpaceTimeField(self.tg, self.grid, self.f.copy(), tables=out)
+
+    def increment(self, u: SpaceTimeField, p: float, s: float, write: bool = True) -> float:
+        """x_norm(Phi(u) - u) from one pass; with `write`, Phi(u) is written over u, a block at
+        a time once its increment is summed.  The increment is synthesized in `work`."""
+        def deltas():
+            for j0, G in self.blocks(u):
+                ub = u.tables[j0:j0 + len(G)]
+                delta = np.subtract(G, ub, out=ub if write else G)
+                yield delta, _synthesize(delta, u.grid, self.work)
+                if write:
+                    ub[...] = G
+
+        return _x_norm_of(u, p, s, deltas())
 
 
 def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> SpaceTimeField:
@@ -295,9 +349,10 @@ def picard_solve(
     """Fixed-point solution of the potential-perturbed flow, with diagnostics.
 
     Iterates u_0 = free evolution, u_{k+1} = Phi(u_k); stops when the X-norm
-    increment falls below tol.  One map Phi is built per solve; u_{k+1} is
-    the map's one new history, and u_{k+1} - u_k is written over u_k, which
-    is not read again, so at most two histories are alive.  The smallness
+    increment falls below tol.  One map Phi is built per solve, and each
+    iterate is one pass of it over u's time blocks: a block of Phi(u) is
+    formed, the X-norm of Phi(u) - u there is summed, and Phi(u) is written
+    over u's block, so one history is alive beside block buffers.  The smallness
     gate compares (C + C^2) ||V||_{L^q_x(L^inf_t)} against 1/2 with C = 2 *
     (empirical free-evolution constant); its outcome is reported, not enforced.
     Raises DivergenceError after three consecutive non-contracting steps.
@@ -324,9 +379,7 @@ def picard_solve(
     ratios: list[float] = []
     bad_streak = 0
     for _ in range(max_iter):
-        u_next = phi(u)
-        np.subtract(u_next.tables, u.tables, out=u.tables)  # u now holds the increment
-        delta = x_norm(u, p, s)
+        delta = phi.increment(u, p, s)  # u now holds Phi(u)
         if increments:
             ratio = delta / increments[-1] if increments[-1] > 0 else 0.0
             ratios.append(ratio)
@@ -338,7 +391,6 @@ def picard_solve(
                     f"(gate value {(c_eff + c_eff**2) * v_norm:.3g})"
                 )
         increments.append(delta)
-        u = u_next
         if delta <= tol:
             break
     else:
@@ -346,9 +398,7 @@ def picard_solve(
             f"no convergence to tol={tol} within {max_iter} iterations "
             f"(last increment {increments[-1]:.3g})"
         )
-    r = phi(u)
-    np.subtract(r.tables, u.tables, out=r.tables)  # r now holds the residual Phi(u) - u
-    residual = x_norm(r, p, s)
+    residual = phi.increment(u, p, s, write=False)  # Phi(u) - u, with u left as it is
     report = PicardReport(
         iterations=len(increments),
         increments=increments,
@@ -374,6 +424,7 @@ def contraction_check(V: PotentialSpec, w: SpaceTimeField, v: SpaceTimeField,
 
 
 def l2_drift(u: SpaceTimeField) -> float:
-    """Max deviation of ||u(t_j)||_2 from its initial value across the history."""
-    norms = np.linalg.norm(u.history().reshape(u.tg.M, -1), axis=1)
+    """Max deviation of ||u(t_j)||_2 from its initial value; norms _TIME_BLOCK nodes at a time."""
+    blocks = (u.history(j0, j0 + _TIME_BLOCK) for j0 in range(0, u.tg.M, _TIME_BLOCK))
+    norms = np.concatenate([np.linalg.norm(h.reshape(len(h), -1), axis=1) for h in blocks])
     return float(np.max(np.abs(norms - norms[0])))

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from sphere_strichartz import potential, spectral
-from sphere_strichartz.experiments import kappa_pq
+from sphere_strichartz.experiments import estimate_strichartz_constant, kappa_pq
 from sphere_strichartz.grids import (
     CoefficientTable,
     _analyze,
@@ -32,6 +32,7 @@ from sphere_strichartz.potential import (
 from sphere_strichartz.spectral import (
     SpaceTimeField,
     TimeGrid,
+    _row_blocks,
     free_phases,
     random_field,
     synthesize_history,
@@ -232,15 +233,15 @@ def test_picard_divergence_error():
 
 def test_picard_no_convergence_applies_the_map_max_iter_times(monkeypatch):
     # README's potential contracts, but not to 1e-30 in two steps: the solve gives up
-    # after exactly max_iter applications of the map, with no residual step after them
+    # after exactly max_iter passes of the map, with no residual pass after them
     calls = []
-    call = potential._PicardMap.__call__
+    blocks = potential._PicardMap.blocks
 
     def counted(self, w):
         calls.append(w.tg.M)
-        return call(self, w)
+        return blocks(self, w)
 
-    monkeypatch.setattr(potential._PicardMap, "__call__", counted)
+    monkeypatch.setattr(potential._PicardMap, "blocks", counted)
     f = random_field(6, 2, np.random.default_rng(5))
     with pytest.raises(DivergenceError, match="no convergence to tol=1e-30 within 2 iterations"):
         picard_solve(f, cos_t_potential(0.03), p=4.0, s=0.125, tol=1e-30, max_iter=2)
@@ -485,6 +486,124 @@ def test_picard_increments_equal_explicit_differences(d, N):
     assert increments == rep.increments
     assert ref_x_norm(phi(w) - w, p, s) == rep.residual
     assert w.tables.tobytes() == u.tables.tobytes()
+
+
+def two_history_phi(w, f, V):
+    """The Picard map as one whole history: V w re-analyzed into G for all M nodes, the Duhamel
+    integral from one cumulative sum over all of H = e^{-i lambda t} G, then the free
+    evolution minus 1j times it."""
+    B = V.spatial_samples(w.grid).reshape(len(V.terms), -1)
+    amps = V.amplitudes(w.tg.times)
+    G = np.empty_like(w.tables)
+    work = {}
+    for j0, samples in w.iter_time_blocks(work):
+        flat = samples.reshape(len(samples), -1)
+        for r0, r1 in _row_blocks(len(flat), potential._V_ROWS):
+            np.multiply(amps[:, j0 + r0:j0 + r1].T @ B, flat[r0:r1], out=flat[r0:r1])
+        potential._analyze(samples, w.grid, w.N, work, out=G[j0:j0 + len(samples)])
+    conj, scaled = potential._duhamel_phases(w.tg, f)
+    H = conj * G
+    integral = np.cumsum(H, axis=0)
+    H *= 0.5
+    integral -= H
+    integral -= H[0]
+    integral *= scaled
+    return SpaceTimeField(w.tg, w.grid, f.copy(),
+                          tables=f.a * free_phases(w.tg.times, f) - 1j * integral)
+
+
+def two_history_picard_solve(f, V, p, s, tol=1e-8, max_iter=30, tg=None, seed=0):
+    """picard_solve as it was before each iterate became one pass: Phi(u) in a history of its
+    own, the increment written over u, and x_norm of the increment read after the map."""
+    grid = grid_for(f.N + V.band, f.d, 2.0)
+    tg = tg or TimeGrid(max(64, 8 * (int(eigenvalues_upto(f.N, f.d)[-1]) + 1)))
+    v_norm = lp_norm(V.sup_t_profile(grid), grid, holder_conjugate(p))
+    c_eff = 2.0 * estimate_strichartz_constant(p, s, f.N, f.d, np.random.default_rng(seed))
+    u = synthesize_history(f, tg, grid).materialize()
+    increments, ratios, bad_streak = [], [], 0
+    for _ in range(max_iter):
+        u_next = two_history_phi(u, f, V)
+        np.subtract(u_next.tables, u.tables, out=u.tables)
+        delta = ref_x_norm(u, p, s)
+        if increments:
+            ratios.append(delta / increments[-1] if increments[-1] > 0 else 0.0)
+            bad_streak = bad_streak + 1 if ratios[-1] >= 1.0 else 0
+            if bad_streak >= 3:
+                raise DivergenceError(
+                    "no contraction for 3 consecutive iterates; the smallness "
+                    f"condition (C+C^2)||V|| <= 1/2 is violated "
+                    f"(gate value {(c_eff + c_eff**2) * v_norm:.3g})")
+        increments.append(delta)
+        u = u_next
+        if delta <= tol:
+            break
+    else:
+        raise DivergenceError(f"no convergence to tol={tol} within {max_iter} iterations "
+                              f"(last increment {increments[-1]:.3g})")
+    residual = ref_x_norm(two_history_phi(u, f, V) - u, p, s)
+    return u, increments, ratios, residual, max(ratios) if ratios else 0.0
+
+
+def _one_term_potential(d):
+    """README's 0.03 cos(t) Y_{1,0}, on S^d."""
+    return PotentialSpec([PotentialTerm([1, -1], [0.015, 0.015],
+                                        CoefficientTable.unit_mode(1, 1, 0, d=d))])
+
+
+@pytest.mark.parametrize("terms", [1, 2])
+@pytest.mark.parametrize("M", [64, 65, 129, 344, None])
+@pytest.mark.parametrize("d", [2, 3])
+def test_streamed_picard_solve_equals_two_history_loop(d, M, terms):
+    # Each iterate is one pass over u's time blocks that writes Phi(u) over u and sums the
+    # increment's X-norm; the two-history loop gives the same floats.  65 and 129 leave a
+    # one-node last block; None is picard_solve's default grid (168 nodes at d = 2, 232 at 3).
+    f = random_field(4, d, np.random.default_rng([d, terms]))
+    V = _one_term_potential(d) if terms == 1 else _two_term_zonal_potential(d)
+    p, s = 4.0, kappa_pq(4.0, 2.0, d)
+    tg = None if M is None else TimeGrid(M)
+    u, rep = picard_solve(f, V, p, s, tg=tg)
+    want_u, increments, ratios, residual, contraction = two_history_picard_solve(f, V, p, s,
+                                                                                 tg=tg)
+    assert u.tables.tobytes() == want_u.tables.tobytes()
+    assert rep.increments == increments and rep.ratios == ratios
+    assert rep.residual == residual and rep.contraction_ratio == contraction
+    assert rep.iterations == len(increments) > 2
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("case", ["no contraction", "max_iter"])
+def test_streamed_picard_solve_keeps_both_divergence_messages(case, d):
+    f = random_field(4, d, np.random.default_rng(9 + d))
+    if case == "no contraction":  # too large a potential: three non-contracting steps
+        V = PotentialSpec([PotentialTerm([1, -1], [40.0, 40.0],
+                                         CoefficientTable.unit_mode(1, 1, 0, d=d))])
+        kwargs = dict(tol=1e-10, max_iter=12, seed=1)
+    else:  # README's potential cannot reach 1e-30 in two iterates
+        V, kwargs = _one_term_potential(d), dict(tol=1e-30, max_iter=2)
+    p, s = 4.0, kappa_pq(4.0, 2.0, d)
+    with pytest.raises(DivergenceError) as want:
+        two_history_picard_solve(f, V, p, s, **kwargs)
+    with pytest.raises(DivergenceError) as got:
+        picard_solve(f, V, p, s, **kwargs)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(case.replace("max_iter", "no convergence"))
+
+
+@pytest.mark.parametrize("M", [64, 65, 344])
+@pytest.mark.parametrize("d", [2, 3])
+def test_blockwise_l2_drift_equals_whole_history_norms(d, M):
+    # l2_drift takes the row norms _TIME_BLOCK nodes at a time; each row's norm is its own, so
+    # the drift is the whole-history expression's, bitwise, for explicit and free fields.
+    rng = np.random.default_rng([M, d, 7])
+    N = 4
+    grid = grid_for(N + 1, d, 2.0)
+    explicit = _random_history(N, d, M, grid, rng)
+    explicit.tables[M // 2] *= 1.5
+    for u in (explicit, synthesize_history(random_field(N, d, rng), TimeGrid(M), grid)):
+        norms = np.linalg.norm(u.history().reshape(M, -1), axis=1)
+        want = float(np.max(np.abs(norms - norms[0])))
+        assert np.float64(l2_drift(u)).tobytes() == np.float64(want).tobytes()
+    assert l2_drift(explicit) > 0.0
 
 
 # to_json_dict of the spec built in the test below, recorded from the nested-loop version
