@@ -10,8 +10,8 @@ nodes (a free field's one period, counted M/P times); its agreement with
 `l2t_profile_exact` at q=2 is a verification target, not a shortcut.  For a
 free field the time power sums run over `SpaceTimeField.iter_space_chunks`,
 for any other over `iter_time_blocks`: |u|^q of each chunk or block goes into
-one buffer reused across them, with the same operations per point as on whole
-arrays, so the sums do not depend on the chunk size.
+one buffer reused across them, a quarter of its rows at a time, with the same
+operations per point as on whole arrays, so the sums keep the whole's bits.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .grids import CoefficientTable, _as_samples
+from .grids import CoefficientTable, _as_samples, _work_buffer
 from .spectral import _TWO_PI, SpaceTimeField, TimeGrid, synthesize_by_degree
 
 __all__ = [
@@ -123,24 +123,29 @@ def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float, blocks=None) -> f
 
 def _time_power_sums(u: SpaceTimeField, q: float, blocks=None) -> np.ndarray:
     """sum_j |u(t_j, z)|^q over all M nodes; FloatingPointError if |u|^q leaves float range.
-    `blocks`, (key, samples) of a history on u's grids cut as iter_time_blocks, replaces u's."""
-    S = np.zeros(u.grid.shape)
-    flat = S.reshape(-1)
+    `blocks`, (key, samples) of a history on u's grids cut as iter_time_blocks, replaces u's.
+    |x|^q is formed a quarter chunk or block at a time; numpy adds a block's rows in order, so a
+    later piece is summed with the running sum as row 0 (one-point rows: pairwise, never cut)."""
+    S = np.zeros(math.prod(u.grid.shape))  # flat: a free chunk's key is a slice of points
     what = f"time power sums of |u|^{q:g}"
-    mag = None
-    for key, x in blocks or (u.iter_space_chunks() if u.free else u.iter_time_blocks({})):
-        if mag is None:  # the first chunk or block is the largest
-            mag = np.empty(x.shape)
-        m = mag[: len(x)]
-        np.abs(x, out=m)
-        m **= q  # the same dispatch as `** q`, which squares for q = 2
-        if u.free:  # key: a flat z slice; x: one period of P nodes, counted M/P times
-            flat[key] = (u.tg.M // x.shape[-1]) * np.sum(m, axis=-1)
-            _finite_or_fail(flat[key], x, what)
-        else:  # x: the samples of one block of time nodes; a sum once non-finite stays so
-            S += np.sum(m, axis=0)
+    work = {}  # the first chunk or block is the largest, so one buffer holds every |x|^q
+    for key, x in blocks or (u.iter_space_chunks() if u.free else u.iter_time_blocks(work)):
+        n = len(x) if x[0].size == 1 else -(-len(x) // 4)
+        mag = _work_buffer(work, "mag", (n + 1, *x.shape[1:]), float)
+        for i0 in range(0, len(x), n):
+            m = np.abs(x[i0:i0 + n], out=mag[1:1 + min(n, len(x) - i0)])
+            m **= q  # the same dispatch as `** q`, which squares for q = 2
+            if u.free:  # x: one period of P nodes
+                np.sum(m, axis=-1, out=S[key][i0:i0 + len(m)])
+            else:  # x: the samples of one block of time nodes; row 0: their running sum
+                mag[0] = np.sum(mag[0 if i0 else 1:1 + len(m)], axis=0)
+        if u.free:  # the period counted M/P times
+            S[key] *= u.tg.M // x.shape[-1]
+            _finite_or_fail(S[key], x, what)
+        else:  # a sum once non-finite stays so
+            S += mag[0].reshape(-1)
             _finite_or_fail(S, x.reshape(len(x), -1).T, what)
-    return S
+    return S.reshape(u.grid.shape)
 
 
 def mixed_norm(u: SpaceTimeField, p: float, q: float, *,

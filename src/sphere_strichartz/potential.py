@@ -210,7 +210,7 @@ def _duhamel_phases(tg: TimeGrid, f: CoefficientTable):
 
 def _duhamel_step(G: np.ndarray, j0: int, conj: np.ndarray, scaled: np.ndarray, carry,
                   out: np.ndarray, work: dict | None = None):
-    """_duhamel on the nodes j0..j0+len(G)-1 from G there, into out (which may be G), with H in
+    """duhamel_apply on nodes j0..j0+len(G)-1 from G there, into out (which may be G), H in
     work["X"] if given.  `carry`, None at j0 = 0, is the previous block's return: H_0/2 and the
     last partial sum, added to this block's first row, so each partial sum is a whole-H cumsum's."""
     H = np.multiply(conj[j0:j0 + len(G)], G, out=_work_buffer(work, "X", G.shape))
@@ -228,16 +228,6 @@ def _duhamel_step(G: np.ndarray, j0: int, conj: np.ndarray, scaled: np.ndarray, 
     return h0, last
 
 
-def _duhamel(G: np.ndarray, conj: np.ndarray, scaled: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """dt e^{i lambda t_j} (sum_{k<=j} H_k - (H_0 + H_j)/2) with H = e^{-i lambda t} G, into out
-    (which may be G), by _duhamel_step on blocks of _TIME_BLOCK nodes."""
-    carry = None
-    for j0 in range(0, len(G), _TIME_BLOCK):
-        rows = slice(j0, j0 + _TIME_BLOCK)
-        carry = _duhamel_step(G[rows], j0, conj, scaled, carry, out[rows])
-    return out
-
-
 def duhamel_apply(G: SpaceTimeField) -> SpaceTimeField:
     """Time-ordered integral int_0^{t_j} e^{i (t_j - tau) Delta} G(tau) dtau on G's time grid.
 
@@ -246,8 +236,11 @@ def duhamel_apply(G: SpaceTimeField) -> SpaceTimeField:
     - (H_0 + H_j)/2) with H_k = e^{-i lambda t_k} G_k; spectral in space,
     O(dt^2) in time.  The integral is written into a new history; G is not written.
     """
-    h = G.history()
-    out = _duhamel(h, *_duhamel_phases(G.tg, G.base), out=np.empty_like(h))
+    conj, scaled = _duhamel_phases(G.tg, G.base)
+    h, carry = G.history(), None
+    out = np.empty_like(h)
+    for j0, j1 in _row_blocks(len(h), _TIME_BLOCK):  # any cut: the carry keeps the bits
+        carry = _duhamel_step(h[j0:j1], j0, conj, scaled, carry, out[j0:j1])
     return SpaceTimeField(G.tg, G.grid, G.base * 0.0, tables=out)
 
 
@@ -419,8 +412,10 @@ def contraction_check(V: PotentialSpec, w: SpaceTimeField, v: SpaceTimeField,
     if denom == 0.0:
         raise ValueError("w and v coincide")
     zero = CoefficientTable.zeros(w.N, w.d)
-    phi = _PicardMap(zero, V, w.tg, w.grid)  # one map for both: w and v share their grids
-    return x_norm(phi(w) - phi(v), p, s) / denom
+    diff = apply_phi(w, zero, V)  # one history, from which Phi(v) is subtracted block by block
+    for j0, G in _PicardMap(zero, V, w.tg, w.grid).blocks(v):  # v shares w's grids
+        diff.tables[j0:j0 + len(G)] -= G
+    return x_norm(diff, p, s) / denom  # each map's block buffers are freed by now
 
 
 def l2_drift(u: SpaceTimeField) -> float:

@@ -43,11 +43,14 @@ from sphere_strichartz.norms import _time_power_sums, lp_norm
 from sphere_strichartz.potential import (
     PotentialSpec,
     PotentialTerm,
-    _duhamel,
     _duhamel_phases,
+    _duhamel_step,
+    _PicardMap,
     apply_phi,
+    contraction_check,
     duhamel_apply,
     picard_solve,
+    x_norm,
 )
 from sphere_strichartz.spectral import (
     SpaceTimeField,
@@ -727,7 +730,9 @@ def test_free_power_sums_peak_below_half_of_whole_per_degree_samples():
     # N = 32 on a band-128 grid: the whole E = (H_n f)(z), (N+1, K, L) complex, would be
     # 33 * 129 * 258 * 16 bytes, 16.8 MiB.  M = lambda_N + 1 = 1057 is the period, so a chunk
     # holds 124 points, fewer than the 258 longitudes: E is synthesized three colatitude rows
-    # (408 kB) at a time, and the peak is W, one series chunk, its |.|^q buffer and the sums.
+    # (408 kB) at a time, and the peak is W, one series chunk, the |.|^q buffer of a quarter
+    # chunk plus one row (32 x 1057 floats) and the sums: 0.245 of the whole E.  A |.|^q buffer
+    # of the whole chunk reads 0.290; the bound leaves 0.025 (0.42 MiB) of margin.
     N = 32
     grid = build_sphere_grid(128)
     u = synthesize_history(random_field(N, 2, np.random.default_rng(32)),
@@ -737,7 +742,7 @@ def test_free_power_sums_peak_below_half_of_whole_per_degree_samples():
     _legendre_tables(grid.band, N)  # the cached Legendre table is built outside the trace
     S, peak = _traced_peak(_time_power_sums, u, 4.0)
     assert S.shape == grid.shape and np.all(S > 0)
-    assert peak < 0.5 * e_bytes
+    assert peak < 0.27 * e_bytes
 
 
 FREE_PAIRS = ((4.0, 4.0), (math.inf, 2.0), (6.0, 2.0))
@@ -759,6 +764,46 @@ def test_sampled_strichartz_ratio_unchanged_by_chunk_buffers(N, p, q, time_grid)
     with mock.patch.object(norms, "_time_power_sums", ref_allocating_power_sums):
         want = strichartz_ratio(f, p, q, s, grid=grid, tg=tg, method="sampled")
     assert got == want
+
+
+def whole_block_power_sums(u, q):
+    """Time power sums of an explicit history as computed before the quarter pieces: |x|^q of
+    each whole block of iter_time_blocks, summed over the block and added to the sums."""
+    S = np.zeros(u.grid.shape)
+    for _, x in u.iter_time_blocks():
+        S += np.sum(np.abs(x) ** q, axis=0)
+    return S
+
+
+@pytest.mark.parametrize("M", [1, 2, 65, 66, 69, 127, 344])
+@pytest.mark.parametrize("q", [2.0, 4.0, 6.0])
+@pytest.mark.parametrize("d, N", [(2, 3), (3, 3), (3, 0)])
+def test_quarter_block_power_sums_equal_whole_block_sums(d, N, q, M):
+    # last blocks of 1, 2, 1, 2, 5, 63 and 24 nodes; (3, 0) is a grid of one point, whose
+    # blocks numpy sums pairwise, so they are not cut
+    rng = np.random.default_rng([d, N, M])
+    grid = grid_for(N, d, 2.0)
+    u = synthesize_history(random_field(N, d, rng), TimeGrid(M), grid).materialize()
+    u.tables[1:] += 0.3 * u.tables[:-1]  # not a free evolution
+    got = _time_power_sums(u, q)
+    assert got.tobytes() == whole_block_power_sums(u, q).tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, 8, 9, 10, 11])
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0, 6.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_quarter_chunk_power_sums_equal_allocating_loop(d, q, rows):
+    # first chunks of 8, 9, 10 and 11 rows (0, 1, 2 and 3 mod 4) on 26 longitudes or 13 zonal
+    # points, cut into pieces of 2 or 3 rows with a last piece of 2, 3, 1 and 2, and the
+    # default budget's one chunk
+    rng = np.random.default_rng([d, int(q)])
+    N = 6
+    u = synthesize_history(random_field(N, d, rng), nyquist_time_grid(N, d), grid_for(N, d, 2.0))
+    if rows is not None:
+        assert chunk_rows(u, rows)[0] == rows
+    with chunk_budget(u, rows):
+        got = _time_power_sums(u, q)
+    assert got.tobytes() == ref_allocating_power_sums(u, q).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -801,8 +846,11 @@ def whole_history_duhamel(G, conj, scaled):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("M", [64, 65, 129, 344, 584])
 def test_blockwise_duhamel_equals_whole_history_cumsum(M, d, in_place):
-    # 65 and 129 leave a one-node remainder, which the first block absorbs; 344 and 584 are
-    # the Picard grids at N = 6 and 8.  Signed zeros and exact zeros are in G.
+    # 65 and 129 leave a one-node remainder, which duhamel_apply's first block absorbs and the
+    # Picard map's cut keeps as a last block; 344 and 584 are the Picard grids at N = 6 and 8.
+    # Signed zeros and exact zeros are in G.  duhamel_apply writes a new history; in place, as
+    # the Picard map runs it, each 64-node block's step is written over G with H in a work
+    # buffer.
     rng = np.random.default_rng([M, d])
     zero = CoefficientTable.zeros(5, d)
     shape = (M, *zero.a.shape)
@@ -811,13 +859,16 @@ def test_blockwise_duhamel_equals_whole_history_cumsum(M, d, in_place):
     G[::7, 1] = -0.0
     conj, scaled = _duhamel_phases(TimeGrid(M), zero)
     want = whole_history_duhamel(G, conj, scaled)
-    out = G if in_place else np.empty_like(G)
     before = G.copy()
-    got = _duhamel(G, conj, scaled, out)
-    assert got is out
-    assert got.tobytes() == want.tobytes()
-    if not in_place:
+    if in_place:
+        carry, work = None, {}
+        for j0 in range(0, M, 64):
+            carry = _duhamel_step(G[j0:j0 + 64], j0, conj, scaled, carry, G[j0:j0 + 64], work)
+        got = G
+    else:
+        got = duhamel_apply(SpaceTimeField(TimeGrid(M), grid_for(5, d), zero, tables=G)).tables
         assert G.tobytes() == before.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("N", [8, 12])
@@ -876,10 +927,11 @@ def test_picard_solve_peak_allocation_below_3_5_histories(N):
     # One history: each iterate is one pass of the map over u's time blocks, which writes
     # Phi(u) over u's block once the increment's block is summed into the X-norm.  Beside u, the
     # pass holds one block of samples, in which the increment is synthesized too, the |u|^2
-    # buffer, V at 16 nodes, a block of Phi(u), the Legendre sums' buffers and the map's phase
-    # tables: about 2.83 histories at N = 8, where a 64-node block of samples is half a
-    # history, 1.86 at N = 12, 1.65 at N = 14 and 1.49 at N = 16.  Phi(u) in a history of its
-    # own beside u takes the solve to 2.69, 2.52 and 2.41 there.
+    # buffer of a quarter block plus one node, V at 16 nodes, a block of Phi(u), the Legendre
+    # sums' buffers and the map's phase tables: 2.64 histories at N = 8, where a 64-node block
+    # of samples is half a history, 1.77 at N = 12, 1.58 at N = 14 and 1.45 at N = 16.  Each
+    # bound is 0.03-0.06 above that; a |u|^2 buffer of the whole block reads 2.83, 1.86, 1.65
+    # and 1.49, and Phi(u) in a history of its own beside u 2.69 at N = 12.
     f, V, grid, tg = _readme_picard_problem(N)
     s = kappa_pq(4.0, 2.0, 2)
     picard_solve(f, V, p=4.0, s=s, tg=tg)  # builds the cached Legendre tables
@@ -890,7 +942,42 @@ def test_picard_solve_peak_allocation_below_3_5_histories(N):
     finally:
         tracemalloc.stop()
     assert u.grid is grid
-    assert peak < {8: 3.5, 12: 2.3, 14: 2.3, 16: 1.8}[N] * u.tables.nbytes
+    assert peak < {8: 2.7, 12: 1.8, 14: 1.62, 16: 1.48}[N] * u.tables.nbytes
+
+
+@pytest.mark.parametrize("d, M", [(2, 64), (2, 129), (3, 65), (3, 150)])
+def test_contraction_check_equals_three_history_expression(d, M):
+    # Phi(v) is subtracted from Phi(w) a block at a time; the ratio is the same float as with
+    # both images and their difference held whole
+    rng = np.random.default_rng([d, M])
+    N = 4
+    V = _potential(d, rng)
+    grid = grid_for(N + V.band, d, 2.0)
+    w, v = (synthesize_history(random_field(N, d, rng), TimeGrid(M), grid).materialize()
+            for _ in range(2))
+    w.tables[1:] += 0.1 * w.tables[:-1]  # not a free evolution
+    s = kappa_pq(4.0, 2.0, d)
+    phi = _PicardMap(CoefficientTable.zeros(N, d), V, w.tg, grid)
+    want = x_norm(phi(w) - phi(v), 4.0, s) / x_norm(w - v, 4.0, s)
+    assert contraction_check(V, w, v, 4.0, s) == want
+
+
+@pytest.mark.parametrize("N", [8, 12])
+def test_contraction_check_peak_allocation_below_2_7_histories(N):
+    # One new history, Phi(w), from which Phi(v) is subtracted a block at a time; each map's
+    # block buffers are freed before x_norm allocates its own: 2.57 histories at N = 8, where
+    # the map's own peak is 2.46, and 1.74 at N = 12; each bound is 0.06-0.08 above that.
+    # Phi(w), Phi(v) and their difference held whole read 4.35 and 3.64, and the first map's
+    # buffers kept alive through x_norm 3.51 and 2.16.
+    f, V, grid, tg = _readme_picard_problem(N)
+    w = synthesize_history(f, tg, grid).materialize()
+    v = synthesize_history(random_field(N, 2, np.random.default_rng(N + 100)), tg,
+                           grid).materialize()
+    s = kappa_pq(4.0, 2.0, 2)
+    contraction_check(V, w, v, 4.0, s)  # builds the cached Legendre tables
+    ratio, peak = _traced_peak(contraction_check, V, w, v, 4.0, s)
+    assert 0.0 < ratio < 0.5
+    assert peak < {8: 2.65, 12: 1.8}[N] * w.tables.nbytes
 
 
 def _traced_peak(fn, *args):
