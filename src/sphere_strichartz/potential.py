@@ -253,7 +253,7 @@ class _PicardMap:
     reads w one block of iter_time_blocks at a time: it forms V w there, with V = sum_k
     a_k(t_j) B_k(z) built _V_ROWS nodes at a time, re-analyzes it into a block buffer,
     advances the Duhamel sum and adds the free evolution, which gives Phi(w) on the block.
-    A pass makes no history: a call collects its blocks into a new one, and `increment`
+    A pass makes no history: apply_phi collects its blocks into a new one, and `increment`
     writes them over w.
     """
 
@@ -295,12 +295,6 @@ class _PicardMap:
             np.subtract(free, np.multiply(G, 1j, out=G), out=G)  # 1j * G: exact products
             yield j0, G
 
-    def __call__(self, w: SpaceTimeField) -> SpaceTimeField:
-        out = np.empty((self.tg.M, *self.f.a.shape), dtype=complex)
-        for _ in self.blocks(w, out):
-            pass
-        return SpaceTimeField(self.tg, self.grid, self.f.copy(), tables=out)
-
     def increment(self, u: SpaceTimeField, p: float, s: float, write: bool = True) -> float:
         """x_norm(Phi(u) - u) from one pass; with `write`, Phi(u) is written over u, a block at
         a time once its increment is summed.  The increment is synthesized in `work`."""
@@ -316,8 +310,11 @@ class _PicardMap:
 
 
 def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> SpaceTimeField:
-    """One fixed-point map application: free evolution of f minus i * Duhamel(V w)."""
-    return _PicardMap(f, V, w.tg, w.grid)(w)
+    """Phi(w): f's free evolution minus i * Duhamel(V w), one pass written into a new history."""
+    out = np.empty((w.tg.M, *f.a.shape), dtype=complex)
+    for _ in _PicardMap(f, V, w.tg, w.grid).blocks(w, out):
+        pass
+    return SpaceTimeField(w.tg, w.grid, f.copy(), tables=out)
 
 
 def holder_conjugate(p: float) -> float:

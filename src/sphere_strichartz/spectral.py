@@ -222,14 +222,18 @@ class SpaceTimeField:
                     yield slice(b0 * L + k0 + z0, b0 * L + k0 + z1), series[:z1 - z0]
 
     def __sub__(self, other: "SpaceTimeField") -> "SpaceTimeField":
-        """Explicit history of self - other; ValueError unless both share their grids."""
+        """Explicit history of self - other, written a time block at a time (a free operand's
+        history is never whole); ValueError unless both share their grids."""
         if self.tg.M != other.tg.M:
             raise ValueError("mismatched time grids")
         keys = [(type(g).__name__, g.band, g.d, g.shape) for g in (self.grid, other.grid)]
         if keys[0] != keys[1]:
             raise ValueError(f"mismatched spatial grids (type, band, d, shape): {keys}")
-        return SpaceTimeField(self.tg, self.grid, self.base - other.base,
-                              tables=self.history() - other.history())
+        base = self.base - other.base
+        out = np.empty((self.tg.M, *base.a.shape), dtype=complex)
+        for j0, j1 in _row_blocks(self.tg.M, _TIME_BLOCK):
+            np.subtract(self.history(j0, j1), other.history(j0, j1), out=out[j0:j1])
+        return SpaceTimeField(self.tg, self.grid, base, tables=out)
 
 
 def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeField:
