@@ -68,10 +68,16 @@ class PotentialTerm:
     spatial: CoefficientTable
 
     def __post_init__(self):
-        self.time_freqs = np.asarray(self.time_freqs, dtype=int)
+        freqs = np.asarray(self.time_freqs, dtype=float)
+        with np.errstate(invalid="ignore"):  # casts of nan, inf and huge values: rejected below
+            self.time_freqs = freqs.astype(int)
         self.time_coeffs = np.asarray(self.time_coeffs, dtype=complex)
         if self.time_freqs.shape != self.time_coeffs.shape:
             raise ValueError("time_freqs and time_coeffs must have matching shapes")
+        bad = np.flatnonzero((self.time_freqs != freqs) | ~np.isfinite(self.time_coeffs))
+        if bad.size:
+            raise ValueError(f"time entry {bad[0]}: freq = {freqs[bad[0]]:g} must be an integer "
+                             f"and the coefficient {self.time_coeffs[bad[0]]} finite")
 
 
 @dataclass
@@ -113,9 +119,10 @@ class PotentialSpec:
         times = 2.0 * np.pi * np.arange(M) / M
         prof = np.zeros(grid.shape)
         samples = self.spatial_samples(grid)
-        for j0, j1 in _row_blocks(M, _TIME_BLOCK):
-            vals = self.values(times[j0:j1], samples)
-            np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf V fails the gate's lp_norm
+            for j0, j1 in _row_blocks(M, _TIME_BLOCK):
+                vals = self.values(times[j0:j1], samples)
+                np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
         return prof
 
     def to_json_dict(self) -> dict:
@@ -136,28 +143,48 @@ class PotentialSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict, d: int = 2) -> "PotentialSpec":
+        """Potential of parsed JSON; ValueError, naming the term and entry, for a missing key, an
+        object or list that is not one, or a value that is not a finite number (freq, n, m: int)."""
         terms = []
-        for i, raw in enumerate(data.get("terms", [])):
+        data = _json(data, dict, "a potential file")
+        for i, raw in enumerate(_json(data.get("terms", []), list, "potential terms")):
+            _json(raw, dict, f"potential term {i}")
             try:
-                freqs = [int(e["freq"]) for e in raw["time_coeffs"]]
-                coeffs = [complex(e["re"], e.get("im", 0.0)) for e in raw["time_coeffs"]]
-                entries = raw["spatial_coeffs"]
+                tc, sc = (_json(raw[key], list, key) for key in ("time_coeffs", "spatial_coeffs"))
+                time = [_fields(e, "freq re im", f"time entry {j}") for j, e in enumerate(tc)]
+                entries = [_fields(e, "n m re im", f"entry {j}") for j, e in enumerate(sc)]
                 if not entries:
-                    raise ValueError("potential term with empty spatial_coeffs")
-                N = max(int(e["n"]) for e in entries)
+                    raise ValueError("spatial_coeffs is empty")
+                for j, (n, m, _, _) in enumerate(entries):
+                    if not (float(n).is_integer() and float(m).is_integer() and abs(m) <= n):
+                        raise ValueError(f"entry {j}: n = {n}, m = {m}: not integers with |m| <= n")
+                N = int(max(e[0] for e in entries))
                 tab = CoefficientTable.zeros(N, d)  # S^d, d >= 3: zonal terms
-                for j, e in enumerate(entries):
-                    n, m = int(e["n"]), int(e["m"])
-                    if abs(m) > n:
-                        raise ValueError(f"|m| <= n violated in potential file: n={n}, m={m}")
+                for j, (n, m, re, im) in enumerate(entries):
                     if tab.zonal and m != 0:
-                        raise ValueError(f"potential term {i}, entry {j}: m = {m}, but d = {d} "
-                                         f"potentials are zonal and need m = 0")
-                    tab.a[(n,) if tab.zonal else (n, m + N)] = complex(e["re"], e.get("im", 0.0))
+                        raise ValueError(f"entry {j}: m = {m:g}, but d = {d} potentials are zonal")
+                    tab.a[(int(n),) if tab.zonal else (int(n), int(m) + N)] = complex(re, im)
+                terms.append(PotentialTerm([t[0] for t in time], [complex(*t[1:]) for t in time],
+                                           CoefficientTable(N, d, tab.a)))  # checks the filled a
             except KeyError as exc:
                 raise ValueError(f"potential term {i} is missing key {exc.args[0]!r}") from None
-            terms.append(PotentialTerm(np.array(freqs), np.array(coeffs), tab))
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
+                raise ValueError(f"potential term {i}, {exc}") from None
         return cls(terms)
+
+
+def _json(value, kind: type, what: str):
+    """value if it is a JSON object (kind dict), list (list) or number (float), else ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        name = {dict: "object", list: "list", float: "number"}[kind]
+        raise ValueError(f"{what} must be a JSON {name}, got {type(value).__name__}")
+    return value
+
+
+def _fields(entry, keys: str, where: str) -> list:
+    """The JSON numbers entry[key] for the keys of a JSON object entry; "im" is 0 if absent."""
+    entry = {"im": 0, **_json(entry, dict, where)}
+    return [_json(entry[key], float, f"{where}: {key}") for key in keys.split()]
 
 
 @dataclass
@@ -174,27 +201,11 @@ class PicardReport:
 
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
-    """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t).
-
-    An explicit history is read in one pass of iter_time_blocks by _x_norm_of, as in a Picard
-    solve; a free field keeps the free path, whose mixed part runs over space chunks."""
-    if not u.free:
-        blocks = u.iter_time_blocks({})
-        return _x_norm_of(u, p, s, ((u.history(j0, j0 + len(x)), x) for j0, x in blocks))
+    """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t), for any
+    field: the max runs over blocks of _TIME_BLOCK nodes (exact), and mixed_norm streams u."""
     sup_part = max(float(np.max(_sobolev_norms(u.history(j0, j1), s, u.base.zonal)))
-                   for j0, j1 in _row_blocks(u.tg.M, _TIME_BLOCK))  # a running max is exact
+                   for j0, j1 in _row_blocks(u.tg.M, _TIME_BLOCK))
     return sup_part + mixed_norm(u, p, 2.0)
-
-
-def _x_norm_of(u: SpaceTimeField, p: float, s: float, blocks) -> float:
-    """x_norm of an explicit history on u's grids from `blocks`, the (coefficients, samples) of
-    its blocks of iter_time_blocks in time order: the largest Sobolev norm of each block, and
-    the time power sums of |samples|^2, which add one block's sum at a time as mixed_norm's do."""
-    sup = []  # each block's largest Sobolev norm, taken before its samples are summed
-    samples = ((sup.append(float(np.max(_sobolev_norms(a, s, u.base.zonal)))), x)
-               for a, x in blocks)
-    mixed = _sampled_mixed_norm(u, p, 2.0, samples)
-    return max(sup) + mixed
 
 
 def _duhamel_phases(tg: TimeGrid, f: CoefficientTable):
@@ -297,16 +308,20 @@ class _PicardMap:
 
     def increment(self, u: SpaceTimeField, p: float, s: float, write: bool = True) -> float:
         """x_norm(Phi(u) - u) from one pass; with `write`, Phi(u) is written over u, a block at
-        a time once its increment is summed.  The increment is synthesized in `work`."""
+        a time once its increment is summed.  The increment is synthesized in `work`, and each
+        block's largest Sobolev norm is taken before its samples are summed as mixed_norm's."""
+        sup = []
+
         def deltas():
             for j0, G in self.blocks(u):
                 ub = u.tables[j0:j0 + len(G)]
                 delta = np.subtract(G, ub, out=ub if write else G)
-                yield delta, _synthesize(delta, u.grid, self.work)
+                sup.append(float(np.max(_sobolev_norms(delta, s, u.base.zonal))))
+                yield j0, _synthesize(delta, u.grid, self.work)
                 if write:
                     ub[...] = G
 
-        return _x_norm_of(u, p, s, deltas())
+        return _sampled_mixed_norm(u, p, 2.0, deltas()) + max(sup)  # the sum fills `sup`
 
 
 def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> SpaceTimeField:

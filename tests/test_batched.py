@@ -503,8 +503,9 @@ def test_apply_phi_rejects_non_finite_products():
     N = 2
     grid = grid_for(N + 1, 2, 2.0)
     w = synthesize_history(random_field(N, 2, np.random.default_rng(0)), TimeGrid(8), grid)
-    V = PotentialSpec([PotentialTerm(np.array([0]), np.array([np.inf]),
-                                     CoefficientTable.unit_mode(1, 1, 0))])
+    # finite inputs (a PotentialTerm rejects an inf coefficient) whose product V overflows
+    V = PotentialSpec([PotentialTerm(np.array([0]), np.array([1e308]),
+                                     CoefficientTable.unit_mode(1, 1, 0) * 1e308)])
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError):
         apply_phi(w, random_field(N, 2, np.random.default_rng(1)), V)
 

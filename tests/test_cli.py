@@ -412,6 +412,53 @@ def test_solve_potential_missing_key_exit_1(term, key, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _entry_with(key, **fields):
+    """_TERM with fields replaced in its first `key` entry."""
+    return {**_TERM, key: [{**_TERM[key][0], **fields}]}
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"terms": [1]}',
+    '{"terms": {"a": 1}}',
+    json.dumps({"terms": [{**_TERM, "time_coeffs": {"a": 1}}]}),
+    json.dumps({"terms": [{**_TERM, "spatial_coeffs": [3]}]}),
+    json.dumps({"terms": [_entry_with("time_coeffs", re=None)]}),
+    json.dumps({"terms": [_entry_with("spatial_coeffs", im=None)]}),
+    json.dumps({"terms": [_entry_with("time_coeffs", freq=1.5)]}),
+    json.dumps({"terms": [_entry_with("time_coeffs", freq=True)]}),
+    json.dumps({"terms": [_entry_with("time_coeffs", freq="1")]}),
+    json.dumps({"terms": [_entry_with("time_coeffs", freq=1e300)]}),
+    json.dumps({"terms": [_entry_with("spatial_coeffs", n=1.7)]}),
+    json.dumps({"terms": [_entry_with("spatial_coeffs", m=0.5)]}),
+    json.dumps({"terms": [_entry_with("spatial_coeffs", n=float("nan"))]}),
+    json.dumps({"terms": [_entry_with("spatial_coeffs", re=float("inf"))]}),
+    json.dumps({"terms": [_entry_with("time_coeffs", re=float("nan"))]}),
+    json.dumps({"terms": [_entry_with("time_coeffs", im=float("-inf"))]}),
+])
+def test_solve_potential_malformed_file_exit_1(text, tmp_path):
+    # a value of the wrong JSON type, a number that is not finite and a freq, n or m that is
+    # not an integer exit 1 with `error: ` first (naming the term inside one) and no traceback
+    pot_file = tmp_path / "pot.json"
+    pot_file.write_text(text)
+    code, out, err = _run_captured(["solve-potential", "--potential", str(pot_file), "--N", "4"])
+    assert code == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err and "converged" not in out
+    if text.startswith('{"terms": [{'):
+        assert err.startswith("error: potential term 0, "), err
+
+
+def test_solve_potential_overflowing_product_prints_no_warning(tmp_path):
+    # finite inputs whose product V = a(t) B(x) overflows: the sup-in-time profile is inf, and
+    # the gate's L^q norm fails with `numerical error:` as the first stderr line
+    pot_file = tmp_path / "pot.json"
+    term = {**_entry_with("spatial_coeffs", re=1e308), "time_coeffs": [{"freq": 0, "re": 1e308}]}
+    pot_file.write_text(json.dumps({"terms": [term]}))
+    code, out, err = _run_captured(["solve-potential", "--potential", str(pot_file), "--N", "4"])
+    assert code == 2 and err.startswith("numerical error: "), err
+    assert "Warning" not in err and "converged" not in out
+
+
 @pytest.mark.parametrize("max_iter", ["0", "-3"])
 def test_solve_potential_max_iter_below_1_exit_1(max_iter, tmp_path, capsys):
     pot_file = tmp_path / "pot.json"

@@ -253,6 +253,16 @@ def test_potential_term_rejects_mismatched_shapes():
         PotentialTerm(np.array([1, -1]), np.array([0.5]), CoefficientTable.unit_mode(1, 1, 0))
 
 
+@pytest.mark.parametrize("freqs, coeffs", [([1, 2.5], [0.5, 0.5]), ([1, np.nan], [0.5, 0.5]),
+                                           ([1, 2], [0.5, np.inf]), ([1, 2], [0.5, np.nan * 1j])])
+def test_potential_term_rejects_non_integral_freqs_and_non_finite_coeffs(freqs, coeffs):
+    # a frequency is not truncated to an integer, and the entry that fails is named
+    with pytest.raises(ValueError, match="^time entry 1: "):
+        PotentialTerm(freqs, coeffs, CoefficientTable.unit_mode(1, 1, 0))
+    term = PotentialTerm([1.0, -2.0], [0.5, 0.5], CoefficientTable.unit_mode(1, 1, 0))
+    assert term.time_freqs.tolist() == [1, -2] and term.time_freqs.dtype == int
+
+
 def test_contraction_check_zero_potential():
     rng = np.random.default_rng(10)
     g = grid_for(4, 2, 2.0)
@@ -449,14 +459,18 @@ def test_difference_is_formed_blockwise(d, rows, monkeypatch):
 @pytest.mark.parametrize("M", [1, 64, 65, 129, 344])
 def test_blockwise_x_norm_equals_whole_history_sup(M, d):
     # x_norm takes the Sobolev sup one block of time nodes at a time; the largest node is put
-    # in the last block, so the running max has to carry it.
+    # in the last block, so the running max has to carry it.  A free field takes the same path.
     rng = np.random.default_rng([M, d])
     N = 4
     u = _random_history(N, d, M, grid_for(N + 1, d, 2.0), rng)
     u.tables[-1] *= 3.0
+    fields = [u]
+    if M > eigenvalues_upto(N, d)[-1]:  # a free field, whose time grid resolves lambda_N
+        fields.append(synthesize_history(random_field(N, d, rng), TimeGrid(M), u.grid))
     s = kappa_pq(4.0, 2.0, d)
-    for p in (4.0, math.inf):
-        assert x_norm(u, p, s) == ref_x_norm(u, p, s)
+    for field in fields:
+        for p in (4.0, math.inf):
+            assert x_norm(field, p, s) == ref_x_norm(field, p, s)
 
 
 def _two_term_zonal_potential(d):
