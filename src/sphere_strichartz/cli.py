@@ -29,7 +29,6 @@ from . import potential as pot
 from .grids import (
     ResourceLimitError,
     forward_sht,
-    forward_zonal,
     grid_for,
     integrate,
     inverse_sht,
@@ -262,7 +261,7 @@ def _cmd_selftest(args) -> int:
         grid = grid_for(N, d, 1.0)  # band N: exact for |f|^2 of a band-N field
         f = random_field(N, d, rng)
         vals = inverse_sht(f, grid)  # a zonal table is synthesized on its zonal grid
-        back = (forward_sht if d == 2 else forward_zonal)(vals, grid, N)
+        back = forward_sht(vals, grid, N)
         check(f"{name} round-trip N={N}", float(np.max(np.abs(back.a - f.a))), 1e-12)
         check(f"{name} Parseval N={N}",
               abs(integrate(np.abs(vals) ** 2, grid) - np.sum(np.abs(f.a) ** 2)), 1e-12)
@@ -402,13 +401,9 @@ def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    except (OSError, json.JSONDecodeError, ValueError, argparse.ArgumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
     except pot.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
@@ -418,7 +413,7 @@ def run(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
-    except (ResourceLimitError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ResourceLimitError, ValueError, OverflowError, OSError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

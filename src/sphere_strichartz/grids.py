@@ -529,14 +529,16 @@ def _as_samples(values, grid) -> np.ndarray:
     return values
 
 
-def forward_sht(values: np.ndarray, grid: SphereGrid, N: int) -> CoefficientTable:
-    """Analysis on S^2: coefficients a_{n,m} of `values` against the orthonormal basis.
-
-    Exact for band-limited input when the grid band is >= the input band.
-    """
-    _check_fit(grid, N, 2)
+def forward_sht(values: np.ndarray, grid: SphereGrid | ZonalGrid, N: int) -> CoefficientTable:
+    """Band-N analysis at a grid's nodes: a full S^2 table on a sphere grid, a zonal S^d table on
+    a zonal grid. Exact for band-limited input when the grid band is >= the input band."""
+    _check_fit(grid, N, grid.d)
     values = _as_samples(values, grid).astype(complex, copy=False)
-    return CoefficientTable(N, 2, _sht_analysis(values, grid, N))
+    if isinstance(grid, ZonalGrid):  # T @ (w v), not _analyze's (w v) @ T.T: other rounding
+        a = _zonal_tables(grid.band, N, grid.d) @ (grid.weights() * values)
+    else:
+        a = _sht_analysis(values, grid, N)
+    return CoefficientTable(N, grid.d, a)
 
 
 def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid | ZonalGrid) -> np.ndarray:
@@ -545,17 +547,8 @@ def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid | ZonalGrid) -> np.nd
     return _synthesize(coeffs.a, grid)
 
 
-def forward_zonal(values: np.ndarray, grid: ZonalGrid, N: int) -> CoefficientTable:
-    """Analysis of a zonal field on S^d, d >= 3, against the orthonormal zonal basis."""
-    if not isinstance(grid, ZonalGrid):
-        raise ValueError("a zonal table does not fit a sphere S^2 grid")
-    _check_fit(grid, N, grid.d)
-    values = _as_samples(values, grid).astype(complex, copy=False)
-    a = _zonal_tables(grid.band, N, grid.d) @ (grid.weights() * values)
-    return CoefficientTable(N=N, d=grid.d, a=a)
-
-
-inverse_zonal = inverse_sht
+# Aliases kept only because perfbench/tracer.py wraps these names; ROADMAP item 15 deletes them.
+forward_zonal, inverse_zonal = forward_sht, inverse_sht
 
 
 def integrate(values: np.ndarray, grid) -> complex | float:

@@ -90,6 +90,11 @@ class PotentialSpec:
     def band(self) -> int:
         return max((t.spatial.N for t in self.terms), default=0)
 
+    @property
+    def max_freq(self) -> int:
+        """Largest |time frequency| over all terms; 0 for a potential without any."""
+        return max((abs(int(freq)) for t in self.terms for freq in t.time_freqs), default=0)
+
     def spatial_samples(self, grid) -> np.ndarray:
         out = [inverse_sht(term.spatial, grid) for term in self.terms]  # zonal: its zonal grid
         return np.array(out) if out else np.zeros((0, *grid.shape))
@@ -110,12 +115,7 @@ class PotentialSpec:
         V is sampled _TIME_BLOCK nodes at a time, from one synthesis of its spatial samples; the
         running max is exact, so the profile equals the max over all nodes at once.
         """
-        max_freq = max(
-            (int(np.max(np.abs(t.time_freqs))) if t.time_freqs.size else 0
-             for t in self.terms),
-            default=0,
-        )
-        M = max(512, 16 * (max_freq + 1))
+        M = max(512, 16 * (self.max_freq + 1))
         times = 2.0 * np.pi * np.arange(M) / M
         prof = np.zeros(grid.shape)
         samples = self.spatial_samples(grid)
@@ -360,7 +360,8 @@ def picard_solve(
     over u's block, so one history is alive beside block buffers.  The smallness
     gate compares (C + C^2) ||V||_{L^q_x(L^inf_t)} against 1/2 with C = 2 *
     (empirical free-evolution constant); its outcome is reported, not enforced.
-    Raises DivergenceError after three consecutive non-contracting steps.
+    Raises DivergenceError after three consecutive non-contracting steps, and ValueError
+    before any work when tg has M <= 2 max|freq| nodes, on which V's time frequencies alias.
     """
     d = f.d
     q = holder_conjugate(p)
@@ -372,6 +373,9 @@ def picard_solve(
     grid = grid_for(f.N + V.band, d, 2.0)
     if tg is None:
         tg = TimeGrid(max(64, 8 * (int(eigenvalues_upto(f.N, d)[-1]) + 1)))
+    if 2 * V.max_freq >= tg.M:  # e^{i l t} on M nodes is e^{i (l - M) t}: V would alias
+        raise ValueError(f"potential time frequency {V.max_freq} needs more than "
+                         f"{2 * V.max_freq} time nodes, got M = {tg.M}")
 
     v_norm = lp_norm(V.sup_t_profile(grid), grid, q)  # ||V||_{L^q_x(L^inf_t)}
     c0_est = estimate_strichartz_constant(p, s, f.N, d, np.random.default_rng(seed))

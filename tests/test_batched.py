@@ -871,27 +871,6 @@ def test_blockwise_duhamel_equals_whole_history_cumsum(M, d, in_place):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("N", [8, 12])
-def test_apply_phi_peak_allocation_below_4_5_histories(N):
-    # A call of the map allocates one history and writes Phi(w) into it a block of time nodes
-    # at a time.  A whole free history, a whole 1j * integral and a whole H = e^{-i lambda t} G
-    # beside it would take it above 4.5.
-    f = random_field(N, 2, np.random.default_rng(N))
-    V = PotentialSpec([PotentialTerm(np.array([1, -1]), np.array([0.015, 0.015]),
-                                     CoefficientTable.unit_mode(1, 1, 0))])  # README's example
-    grid = grid_for(N + V.band, 2, 2.0)
-    tg = TimeGrid(8 * (N * (N + 1) + 1))  # picard_solve's default grids
-    w = synthesize_history(f, tg, grid).materialize()
-    apply_phi(w, f, V)  # builds the cached Legendre tables
-    tracemalloc.start()
-    try:
-        apply_phi(w, f, V)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4.5 * w.tables.nbytes
-
-
 def _readme_picard_problem(N):
     """README's potential 0.03 cos(t) Y_{1,0}, a random band-N field and picard_solve's grids."""
     f = random_field(N, 2, np.random.default_rng(N))

@@ -15,7 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sphere_strichartz
+from sphere_strichartz import cli, experiments
 from sphere_strichartz.cli import run
+from sphere_strichartz.grids import CoefficientTable
 from sphere_strichartz.spectral import SpaceTimeField
 
 
@@ -39,6 +41,11 @@ def test_validation_errors_exit_1(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["kappa", "--p", "4", "--bogus-flag", "1"]) == 1
     capsys.readouterr()
+
+
+def test_missing_required_flag_exit_1():
+    code, out, err = _run_captured(["sweep", "--n", "4:8:3"])
+    assert (code, out) == (1, "") and err == "error: --p is required\n", err
 
 
 def test_resource_cap_exit_1(monkeypatch, capsys):
@@ -220,6 +227,16 @@ def test_non_finite_computed_ratio_exit_2(tmp_path, capsys):
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_non_finite_row_exit_2_before_writing(monkeypatch, tmp_path):
+    # a NaN result never reaches --output: the row check raises before the file is opened
+    monkeypatch.setattr(experiments, "strichartz_ratio", lambda *args: math.nan)
+    out = tmp_path / "r.csv"
+    code, stdout, err = _run_captured(["strichartz", "--N", "4", "--p", "4",
+                                       "--output", str(out)])
+    assert code == 2 and err.startswith("numerical error: non-finite result nan"), err
+    assert not out.exists() and "ratio =" not in stdout
 
 
 def test_vacuous_power_sum_exit_2(tmp_path, capsys):
@@ -489,11 +506,33 @@ def test_solve_potential_d3_zonal_file(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_solve_potential_aliasing_time_frequency_exit_1(tmp_path):
+    # at N = 4 the default grid has M = 168 nodes, on which freq 169 is freq 1
+    pot_file = tmp_path / "pot.json"
+    term = {"time_coeffs": [{"freq": 169, "re": 0.015}, {"freq": -169, "re": 0.015}],
+            "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0}]}
+    pot_file.write_text(json.dumps({"terms": [term]}))
+    code, out, err = _run_captured(["solve-potential", "--potential", str(pot_file), "--N", "4",
+                                    "--seed", "1"])
+    assert code == 1 and err.startswith("error: potential time frequency 169 "), err
+    assert "M = 168" in err and "converged" not in out
+
+
 def test_selftest_small(capsys):
     assert run(["selftest", "--N", "24"]) == 0
     out = capsys.readouterr().out
     assert "round-trip" in out
     assert "FAIL" not in out
+
+
+def test_selftest_failure_exit_2(monkeypatch):
+    # a forward transform off by 1e-9 fails both round trips: FAIL lines, then exit 2
+    forward = cli.forward_sht
+    monkeypatch.setattr(cli, "forward_sht", lambda vals, grid, N: CoefficientTable(
+        N, grid.d, forward(vals, grid, N).a + 1e-9))
+    code, out, err = _run_captured(["selftest", "--N", "8"])
+    assert code == 2 and err == "selftest: FAILURES present\n", err
+    assert out.count("FAIL  ") == 2 and "round-trip" in out
 
 
 def test_console_entry_point():

@@ -248,6 +248,27 @@ def test_picard_no_convergence_applies_the_map_max_iter_times(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_picard_solve_refuses_time_frequencies_that_alias(d):
+    # On M time nodes e^{i l t} is e^{i (l - M) t}, so V needs M > 2 max|freq|.  The check comes
+    # before V is sampled: on the default grid (168 nodes at d = 2, 232 at 3) a frequency of
+    # 10^9 would otherwise sample V at 1.6e10 times.
+    f = random_field(4, d, np.random.default_rng(d))
+    s = kappa_pq(4.0, 2.0, d)
+
+    def V(freq):
+        return PotentialSpec([PotentialTerm([freq, -freq], [0.015, 0.015],
+                                            CoefficientTable.unit_mode(1, 1, 0, d=d))])
+
+    with pytest.raises(ValueError, match="^potential time frequency 32 needs more than 64 time "
+                                         "nodes, got M = 64$"):
+        picard_solve(f, V(32), 4.0, s, tg=TimeGrid(64))
+    with pytest.raises(ValueError, match="^potential time frequency 1000000000 "):
+        picard_solve(f, V(10**9), 4.0, s)
+    u, rep = picard_solve(f, V(31), 4.0, s, tg=TimeGrid(64))
+    assert u.tg.M == 64 and rep.residual <= 1e-6
+
+
 def test_potential_term_rejects_mismatched_shapes():
     with pytest.raises(ValueError, match="time_freqs and time_coeffs must have matching shapes"):
         PotentialTerm(np.array([1, -1]), np.array([0.5]), CoefficientTable.unit_mode(1, 1, 0))
