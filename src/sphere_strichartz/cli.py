@@ -170,16 +170,10 @@ _FAMILY_ALIASES = {
 
 def _cmd_sweep(args) -> int:
     degrees = _parse_degrees(args.n, args.count)
-    cfg = xp.SweepConfig(
-        d=args.d,
-        p=_parse_p(_require(args, "p")),
-        family=_FAMILY_ALIASES[args.family],
-        degrees=degrees,
-        oversample=args.oversample,
-        seed=args.seed,
-    )
-    rows, fit = xp.projection_ratio_sweep(cfg)
-    out = [[n, r, args.p, 2.0, 0.0, cfg.d, cfg.family] for n, r in rows]
+    p = _parse_p(_require(args, "p"))
+    family = _FAMILY_ALIASES[args.family]
+    rows, fit = xp.projection_ratio_sweep(args.d, p, family, degrees, args.oversample, args.seed)
+    out = [[n, r, args.p, 2.0, 0.0, args.d, family] for n, r in rows]
     _write_rows(args, ["n", "ratio", "p", "q", "s", "d", "family"], out,
                 {"slope": fit.slope, "intercept": fit.intercept, "stderr": fit.stderr})
     print(f"fitted slope over n in [{fit.n_min}, {fit.n_max}]: {fit.slope:.6f} "

@@ -35,7 +35,6 @@ from .spectral import nyquist_time_grid, random_field, synthesize_history
 
 __all__ = [
     "ExponentFit",
-    "SweepConfig",
     "p_critical",
     "kappa_p",
     "kappa_pq",
@@ -43,7 +42,6 @@ __all__ = [
     "field_lp_norm",
     "projection_ratio_sweep",
     "strichartz_ratio",
-    "sharpness_sweep",
     "sharpness_rows",
     "steepest_fit",
     "fit_loglog",
@@ -76,29 +74,6 @@ def geometric_degrees(lo: int, hi: int, count: int = 11) -> tuple:
 
 # default fit window: small degrees pollute the asymptotics
 DEFAULT_DEGREES = geometric_degrees(16, 256, 12)
-
-
-@dataclass
-class SweepConfig:
-    d: int
-    p: float
-    family: str = "zonal-kernel"
-    degrees: tuple = DEFAULT_DEGREES
-    oversample: float = 2.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        degs = tuple(int(n) for n in self.degrees)
-        if list(degs) != sorted(set(degs)) or (degs and degs[0] < 1):
-            raise ValueError("degrees must be strictly ascending and >= 1")
-        self.degrees = degs
-        if not (self.p >= 2):
-            raise ValueError(f"p must be >= 2, got {self.p}")
-        if not 0 < self.oversample < math.inf:
-            raise ValueError(f"oversample must be a finite number > 0, got {self.oversample}")
-        _lp_oversample(self.p, max(degs, default=0), self.oversample)  # before any work
 
 
 def p_critical(d: int) -> float:
@@ -201,13 +176,24 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> flo
     return res
 
 
-def projection_ratio_sweep(cfg: SweepConfig):
+def projection_ratio_sweep(d: int, p: float, family: str = "zonal-kernel",
+                           degrees=DEFAULT_DEGREES, oversample: float = 2.0, seed: int = 0):
     """Per-degree ratios ||H_n f_n||_p / ||f_n||_2 and their log-log fit."""
-    rng = np.random.default_rng(cfg.seed)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    degrees = tuple(int(n) for n in degrees)
+    if list(degrees) != sorted(set(degrees)) or (degrees and degrees[0] < 1):
+        raise ValueError("degrees must be strictly ascending and >= 1")
+    if not (p >= 2):
+        raise ValueError(f"p must be >= 2, got {p}")
+    if not 0 < oversample < math.inf:
+        raise ValueError(f"oversample must be a finite number > 0, got {oversample}")
+    _lp_oversample(p, max(degrees, default=0), oversample)  # before any work
+    rng = np.random.default_rng(seed)
     rows = []
-    for n in cfg.degrees:
-        f = make_family(cfg.family, n, cfg.d, rng=rng)  # a degree-n table: its own projection
-        ratio = field_lp_norm(f, cfg.p, cfg.oversample) / f.l2_norm()
+    for n in degrees:
+        f = make_family(family, n, d, rng=rng)  # a degree-n table: its own projection
+        ratio = field_lp_norm(f, p, oversample) / f.l2_norm()
         rows.append((n, ratio))
     return rows, fit_loglog(rows)
 
@@ -240,17 +226,6 @@ def strichartz_ratio(f: CoefficientTable, p: float, q: float, s: float,
         u = synthesize_history(f, tg, grid)
         num = mixed_norm(u, p, q)
     return num / denom
-
-
-def sharpness_sweep(p: float, s: float, d: int, degrees) -> ExponentFit:
-    """Growth fit of the q=2 ratio over the witness families; max slope wins.
-
-    Below the threshold regularity the ratio grows like n^(kappa_{p,2} - s);
-    at the threshold the fit slope is ~0.  On S^2 both witness families are
-    swept and the steeper fit is returned; for d >= 3 only the zonal family
-    is available.
-    """
-    return steepest_fit(sharpness_rows(p, s, d, degrees))
 
 
 def sharpness_rows(p: float, s: float, d: int, degrees) -> dict:

@@ -213,7 +213,9 @@ class CoefficientTable:
     def unit_mode(cls, N: int, n: int, m: int = 0, d: int = 2) -> "CoefficientTable":
         """Table holding a single unit coefficient at (n, m) (or degree n, zonal)."""
         out = cls.zeros(N, d)
-        if not out.zonal and abs(m) > n:
+        if not 0 <= n <= N or (out.zonal and m != 0):
+            raise ValueError(f"no mode n={n}, m={m} in a band-{N} {'zonal ' * out.zonal}table")
+        if abs(m) > n:
             raise ValueError(f"|m| <= n violated: n={n}, m={m}")
         out.a[(n,) if out.zonal else (n, m + N)] = 1.0
         return out

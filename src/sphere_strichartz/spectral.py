@@ -53,6 +53,8 @@ class TimeGrid:
     M: int
 
     def __post_init__(self):
+        if not isinstance(self.M, (int, np.integer)):
+            raise ValueError(f"the number of time nodes must be an integer, got M={self.M!r}")
         if self.M < 1:
             raise ValueError(f"need at least one time node, got M={self.M}")
 

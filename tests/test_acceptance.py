@@ -11,13 +11,13 @@ import pytest
 from scipy.fft import next_fast_len
 
 from sphere_strichartz.experiments import (
-    SweepConfig,
     geometric_degrees,
     kappa_p,
     kappa_pq,
     p_critical,
     projection_ratio_sweep,
-    sharpness_sweep,
+    sharpness_rows,
+    steepest_fit,
     strichartz_ratio,
 )
 from sphere_strichartz.grids import (
@@ -93,12 +93,8 @@ def test_criterion_2_propagator_properties(criterion_report):
 def test_criterion_3_supercritical_slopes(criterion_report):
     """Zonal sweep slopes: p=inf -> 0.50 +/- 0.02 and p=8 -> 0.25 +/- 0.05."""
     degrees = geometric_degrees(16, 256, 12)
-    _, fit_inf = projection_ratio_sweep(
-        SweepConfig(d=2, p=INF, family="zonal-kernel", degrees=degrees)
-    )
-    _, fit_8 = projection_ratio_sweep(
-        SweepConfig(d=2, p=8.0, family="zonal-kernel", degrees=degrees)
-    )
+    _, fit_inf = projection_ratio_sweep(2, INF, "zonal-kernel", degrees)
+    _, fit_8 = projection_ratio_sweep(2, 8.0, "zonal-kernel", degrees)
     closed = [(n, math.sqrt((2 * n + 1) / (4 * math.pi))) for n in degrees]
     from sphere_strichartz.experiments import fit_loglog
 
@@ -115,9 +111,7 @@ def test_criterion_3_supercritical_slopes(criterion_report):
 def test_criterion_4_subcritical_slope(criterion_report):
     """Highest-weight sweep at p=4: slope 0.125 +/- 0.02."""
     degrees = geometric_degrees(16, 256, 12)
-    _, fit = projection_ratio_sweep(
-        SweepConfig(d=2, p=4.0, family="highest-weight", degrees=degrees)
-    )
+    _, fit = projection_ratio_sweep(2, 4.0, "highest-weight", degrees)
     ok = abs(fit.slope - 0.125) <= 0.02
     criterion_report("criterion 4 (subcritical exponent)", ok,
                      f"p=4 highest-weight slope {fit.slope:.4f} (0.125±0.02)")
@@ -127,9 +121,7 @@ def test_criterion_4_subcritical_slope(criterion_report):
 def test_criterion_5_general_dimension(criterion_report):
     """d=3 zonal pipeline at p=inf: slope 1.00 +/- 0.05 over n in [16, 128]."""
     degrees = geometric_degrees(16, 128, 10)
-    _, fit = projection_ratio_sweep(
-        SweepConfig(d=3, p=INF, family="zonal-kernel", degrees=degrees)
-    )
+    _, fit = projection_ratio_sweep(3, INF, "zonal-kernel", degrees)
     ok = abs(fit.slope - 1.00) <= 0.05
     criterion_report("criterion 5 (d=3 zonal exponent)", ok,
                      f"slope {fit.slope:.4f} (1.00±0.05)")
@@ -155,8 +147,8 @@ def test_criterion_6_kappa_continuity(criterion_report):
 def test_criterion_7_sharpness_below_threshold(criterion_report):
     """Growth slope 0.10 +/- 0.03 at s = kappa - 0.1 and 0.00 +/- 0.03 at s = kappa."""
     degrees = geometric_degrees(16, 256, 12)
-    below = sharpness_sweep(INF, 0.4, 2, degrees)
-    at = sharpness_sweep(INF, 0.5, 2, degrees)
+    below = steepest_fit(sharpness_rows(INF, 0.4, 2, degrees))
+    at = steepest_fit(sharpness_rows(INF, 0.5, 2, degrees))
     ok = abs(below.slope - 0.10) <= 0.03 and abs(at.slope) <= 0.03
     criterion_report("criterion 7 (q=2 sharpness)", ok,
                      f"slope(s=0.4) {below.slope:.4f} (0.10±0.03); "

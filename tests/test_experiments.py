@@ -8,7 +8,6 @@ import pytest
 from sphere_strichartz import experiments
 from sphere_strichartz.experiments import (
     ExponentFit,
-    SweepConfig,
     field_lp_norm,
     fit_loglog,
     geometric_degrees,
@@ -18,7 +17,6 @@ from sphere_strichartz.experiments import (
     p_critical,
     projection_ratio_sweep,
     sharpness_rows,
-    sharpness_sweep,
     steepest_fit,
     strichartz_ratio,
 )
@@ -280,16 +278,13 @@ def test_field_lp_norm_full_synthesis_path_equals_reference(p, N):
 
 
 def test_sweep_p2_is_flat():
-    cfg = SweepConfig(d=2, p=2.0, family="zonal-kernel", degrees=(8, 16, 32, 64))
-    rows, fit = projection_ratio_sweep(cfg)
+    rows, fit = projection_ratio_sweep(2, 2.0, "zonal-kernel", (8, 16, 32, 64))
     assert all(r == pytest.approx(1.0, rel=1e-10) for _, r in rows)
     assert fit.slope == pytest.approx(0.0, abs=1e-10)
 
 
 def test_sweep_p_inf_zonal_slope_short():
-    cfg = SweepConfig(d=2, p=INF, family="zonal-kernel",
-                      degrees=geometric_degrees(16, 128, 8))
-    rows, fit = projection_ratio_sweep(cfg)
+    rows, fit = projection_ratio_sweep(2, INF, "zonal-kernel", geometric_degrees(16, 128, 8))
     for n, r in rows:
         assert r == pytest.approx(math.sqrt((2 * n + 1) / (4 * math.pi)), rel=1e-11)
     assert fit.slope == pytest.approx(0.5, abs=0.02)
@@ -301,22 +296,27 @@ def test_sweep_p4_highest_weight_beta_oracle():
     def log_I(k):
         return 0.5 * math.log(math.pi) + math.lgamma(k + 1) - math.lgamma(k + 1.5)
 
-    cfg = SweepConfig(d=2, p=4.0, family="highest-weight",
-                      degrees=geometric_degrees(16, 128, 8))
-    rows, fit = projection_ratio_sweep(cfg)
+    rows, fit = projection_ratio_sweep(2, 4.0, "highest-weight", geometric_degrees(16, 128, 8))
     for n, r in rows:
         want = math.exp(0.25 * (log_I(2 * n) - 2 * log_I(n) - math.log(2 * math.pi)))
         assert r == pytest.approx(want, rel=1e-11)
     assert fit.slope == pytest.approx(0.125, abs=0.02)
 
 
-def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        SweepConfig(d=2, p=1.0)
-    with pytest.raises(ValueError):
-        SweepConfig(d=2, p=4.0, degrees=(8, 4))
-    with pytest.raises(ValueError):
-        SweepConfig(d=2, p=4.0, family="bogus")
+def test_sweep_config_validation(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("make_family called before the sweep's checks")
+
+    monkeypatch.setattr(experiments, "make_family", no_work)  # every check fails before any work
+    for kwargs, message in [
+        (dict(p=1.0), "p must be >= 2, got 1.0"),
+        (dict(p=4.0, degrees=(8, 4)), "degrees must be strictly ascending and >= 1"),
+        (dict(p=4.0, family="bogus"), "unknown family 'bogus'"),
+        (dict(p=4.0, oversample=math.nan), "oversample must be a finite number > 0, got nan"),
+        (dict(p=1e308), "p = 1e+308 needs a grid band of 5e+307 * 256"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            projection_ratio_sweep(2, **kwargs)
 
 
 def test_strichartz_ratio_constant_mode():
@@ -384,22 +384,22 @@ def test_strichartz_ratio_method_validation(f, method, message):
 
 def test_sharpness_sweep_slopes():
     degs = geometric_degrees(16, 128, 8)
-    below = sharpness_sweep(INF, 0.3, 2, degs)
+    below = steepest_fit(sharpness_rows(INF, 0.3, 2, degs))
     assert below.slope == pytest.approx(0.2, abs=0.03)
-    at = sharpness_sweep(INF, 0.5, 2, degs)
+    at = steepest_fit(sharpness_rows(INF, 0.5, 2, degs))
     assert at.slope == pytest.approx(0.0, abs=0.03)
 
 
 def test_sharpness_sweep_picks_steeper_family():
     # at p=4 (subcritical) the highest-weight family dominates the zonal one
     degs = geometric_degrees(16, 128, 8)
-    fit = sharpness_sweep(4.0, 0.0, 2, degs)
+    fit = steepest_fit(sharpness_rows(4.0, 0.0, 2, degs))
     assert fit.slope == pytest.approx(kappa_pq(4.0, 2.0, 2), abs=0.03)
 
 
 def test_sharpness_sweep_d3():
     degs = geometric_degrees(8, 64, 6)
-    fit = sharpness_sweep(INF, 0.5, 3, degs)
+    fit = steepest_fit(sharpness_rows(INF, 0.5, 3, degs))
     assert fit.slope == pytest.approx(kappa_pq(INF, 2.0, 3) - 0.5, abs=0.05)
 
 
@@ -412,5 +412,5 @@ def test_sharpness_rows_feed_the_sweep_fit():
         n, r = rows[-1]
         assert r == strichartz_ratio(make_family(fam, n, 2), INF, 2.0, 0.4)
     fit = steepest_fit(per_family)
-    assert fit == sharpness_sweep(INF, 0.4, 2, degs)
+    assert fit in [fit_loglog(rows) for rows in per_family.values()]
     assert fit.slope == max(fit_loglog(rows).slope for rows in per_family.values())

@@ -426,6 +426,13 @@ def test_sphere_grid_dimension_is_not_a_field():
 def test_unit_mode_rejects_order_above_degree():
     with pytest.raises(ValueError, match=re.escape("|m| <= n violated: n=2, m=-3")):
         CoefficientTable.unit_mode(4, 2, -3)
+    for args, kwargs, message in [
+        ((4, 2, 3), dict(d=3), "no mode n=2, m=3 in a band-4 zonal table"),
+        ((4, -1), dict(d=3), "no mode n=-1, m=0 in a band-4 zonal table"),
+        ((4, 5), {}, "no mode n=5, m=0 in a band-4 table"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CoefficientTable.unit_mode(*args, **kwargs)
 
 
 def test_pole_values():

@@ -353,10 +353,13 @@ def test_one_node_time_block_equals_node_of_whole_synthesis():
                             tables=np.zeros((8, 4, 5), complex)),
      "history shape (8, 4, 5) != (8, 4, 7)"),
     (lambda: TimeGrid(0), "need at least one time node, got M=0"),
+    (lambda: TimeGrid(2.5), "the number of time nodes must be an integer, got M=2.5"),
+    (lambda: TimeGrid(64.0), "the number of time nodes must be an integer, got M=64.0"),
     (lambda: nyquist_time_grid(-1, 2), "degree must be >= 0, got -1"),
     (lambda: nyquist_time_grid(4, 0), "sphere dimension must be >= 1, got 0"),
 ], ids=["space-chunks-of-explicit-history", "space-chunks-lambda-N-at-M",
-        "history-shape", "no-time-node", "nyquist-negative-band", "nyquist-dimension-0"])
+        "history-shape", "no-time-node", "non-integer-time-nodes", "float-time-nodes",
+        "nyquist-negative-band", "nyquist-dimension-0"])
 def test_validation_errors(make, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
