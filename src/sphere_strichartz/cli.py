@@ -48,10 +48,6 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-class NonFiniteResultError(ArithmeticError):
-    """A computed result (ratio, error, fit, diagnostic) is NaN or infinite."""
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
@@ -84,7 +80,7 @@ def _write_rows(args, columns, rows, summary=None) -> None:
     """Write result rows to --output; any non-finite float result raises first."""
     for value in [v for row in rows for v in row] + list((summary or {}).values()):
         if isinstance(value, float) and not math.isfinite(value):
-            raise NonFiniteResultError(f"non-finite result {value!r}")
+            raise FloatingPointError(f"non-finite result {value!r}")
     if not args.output:
         return
     if args.format == "json":
@@ -278,6 +274,7 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_common(sp):
+    sp.exit_on_error = False  # a flag value argparse cannot parse: `error: ...`, exit 1
     sp.add_argument("--config", help="JSON config file supplying flag defaults")
     sp.add_argument("--output", help="result file path")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -355,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, default=128)
     _add_common(sp)
     sp.set_defaults(func=_cmd_selftest)
-    for sp in sub.choices.values():  # a flag value argparse cannot parse: `error: ...`, exit 1
-        sp.exit_on_error = False
     return ap
 
 
@@ -401,7 +396,7 @@ def run(argv=None) -> int:
     except pot.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
-    except (TimeResolutionError, NonFiniteResultError, FloatingPointError) as exc:
+    except (TimeResolutionError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

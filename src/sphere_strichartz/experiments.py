@@ -184,8 +184,7 @@ def projection_ratio_sweep(d: int, p: float, family: str = "zonal-kernel",
     degrees = tuple(int(n) for n in degrees)
     if list(degrees) != sorted(set(degrees)) or (degrees and degrees[0] < 1):
         raise ValueError("degrees must be strictly ascending and >= 1")
-    if not (p >= 2):
-        raise ValueError(f"p must be >= 2, got {p}")
+    kappa_p(p, d)  # ValueError unless d >= 2 and p >= 2
     if not 0 < oversample < math.inf:
         raise ValueError(f"oversample must be a finite number > 0, got {oversample}")
     _lp_oversample(p, max(degrees, default=0), oversample)  # before any work

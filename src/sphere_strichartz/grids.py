@@ -14,12 +14,13 @@ exactly: B+1 Gauss colatitudes (exact through polynomial degree 2B+1) and
 2B+2 longitudes (alias-free for azimuthal frequencies through 2B+1).
 Grids are immutable and cached by their (band, d) key.
 
-The transform kernels read the S^2 Legendre functions Pbar_n^m(t_k) in order-block
-slabs, so every matmul sees the same operands as with one full (N+1, N+1, K) table.  A
-small table is built once and cached whole; a larger one is never stored: each pass
-recomputes it in blocks of 8 orders, one recurrence step per degree, into one buffer.
-One kernel makes the samples (H_n f)(z) for any range of colatitude rows, with the bits of
-the whole grid's: of every degree from the slabs, or of one degree n from its Legendre row.
+One batched kernel per direction, _synthesize and _analyze, serves both grid kinds: a zonal
+table is one matmul against its basis table.  On S^2 they read Pbar_n^m(t_k) in order-block
+slabs, so every matmul sees the same operands as with one full (N+1, N+1, K) table.  A small
+table is built once and cached whole; a larger one is never stored: each pass recomputes it
+in blocks of 8 orders, one recurrence step per degree, into one buffer.  One kernel makes the
+samples (H_n f)(z) for any range of colatitude rows, with the bits of the whole grid's: of
+every degree from the slabs, or of one degree n from its Legendre row.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ __all__ = [
     "grid_for",
     "forward_sht",
     "inverse_sht",
-    "forward_zonal",
-    "inverse_zonal",
     "integrate",
     "pole_values",
 ]
@@ -392,15 +391,17 @@ def _fft_into(fft, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sht_synthesis(a: np.ndarray, grid: SphereGrid, work: dict | None = None) -> np.ndarray:
-    """Batched inverse transform: a[..., N+1, 2N+1] -> values[..., K, L].
+def _synthesize(a: np.ndarray, grid, work: dict | None = None) -> np.ndarray:
+    """Batched synthesis on a sphere or zonal grid: a[..., *table] -> values[..., *grid].
 
-    One Legendre pass for every leading batch index: per order m the real
-    table Pbar^m(t)^T multiplies a real, contiguous, m-major block that holds
-    the +m and -m columns of all batch entries as float pairs.  The longitude
-    FFT runs in place, so with a `work` dict (see _work_buffer) the values are
-    work["spec"], valid until its next use.
+    A zonal table is a @ T.  On S^2, a[..., N+1, 2N+1] -> values[..., K, L] in one Legendre
+    pass for every leading batch index: per order m the real table Pbar^m(t)^T multiplies a
+    real, contiguous, m-major block that holds the +m and -m columns of all batch entries as
+    float pairs.  The longitude FFT runs in place, so with a `work` dict (see _work_buffer)
+    the values are work["spec"], valid until its next use.
     """
+    if isinstance(grid, ZonalGrid):
+        return a @ _zonal_tables(grid.band, a.shape[-1] - 1, grid.d)
     N = a.shape[-1] // 2
     K, L = grid.shape
     flat = a.reshape(-1, N + 1, 2 * N + 1)
@@ -462,17 +463,19 @@ def _degree_abs(a: np.ndarray, grid: SphereGrid, n: int) -> np.ndarray:
     return out
 
 
-def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int, work: dict | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Batched forward transform: values[..., K, L] -> a[..., N+1, 2N+1], written into `out`
-    when given.
+def _analyze(values: np.ndarray, grid, N: int, work: dict | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Batched band-N analysis: values[..., *grid] -> a[..., *table], written into `out` if given.
 
-    One pass for the whole batch: callers cut long histories into blocks of time nodes.  With
-    a `work` dict its buffers come from it, and the longitude spectrum goes into work["spec"]:
-    values held there (a synthesis' output) are overwritten, others are not.  Without one,
-    the spectrum is freed once X holds it, and a missing `out` is allocated after the first
+    A zonal grid gives (w v) @ T.T.  On S^2, values[..., K, L] -> a[..., N+1, 2N+1] in one pass
+    for the whole batch: callers cut long histories into blocks of time nodes.  With a `work`
+    dict its buffers come from it, and the longitude spectrum goes into work["spec"]: values
+    held there (a synthesis' output) are overwritten, others are not.  Without one, the
+    spectrum is freed once X holds it, and a missing `out` is allocated after the first
     Legendre pass has freed its block.
     """
+    if isinstance(grid, ZonalGrid):
+        return np.matmul(grid.weights() * values, _zonal_tables(grid.band, N, grid.d).T, out=out)
     K, L = grid.shape
     flat = values.reshape(-1, K, L)
     # longitude analysis: F[k, m mod L] = (1 / L) sum_j values e^{-i m phi_j}
@@ -496,21 +499,6 @@ def _sht_analysis(values: np.ndarray, grid: SphereGrid, N: int, work: dict | Non
     ab[:, :, N::-1] = Y[..., 1].T
     ab[:, :, N:] = Y[..., 0].T  # overwrites the m = 0 column written above
     return out
-
-
-def _synthesize(a: np.ndarray, grid, work: dict | None = None) -> np.ndarray:
-    """Batched synthesis on a sphere or zonal grid: a[..., *table] -> values[..., *grid]."""
-    if isinstance(grid, ZonalGrid):
-        return a @ _zonal_tables(grid.band, a.shape[-1] - 1, grid.d)
-    return _sht_synthesis(a, grid, work)
-
-
-def _analyze(values: np.ndarray, grid, N: int, work: dict | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Batched band-N analysis on a sphere or zonal grid: values[..., *grid] -> a[..., *table]."""
-    if isinstance(grid, ZonalGrid):
-        return np.matmul(grid.weights() * values, _zonal_tables(grid.band, N, grid.d).T, out=out)
-    return _sht_analysis(values, grid, N, work, out)
 
 
 def _check_fit(grid, N: int, d: int) -> None:
@@ -539,7 +527,7 @@ def forward_sht(values: np.ndarray, grid: SphereGrid | ZonalGrid, N: int) -> Coe
     if isinstance(grid, ZonalGrid):  # T @ (w v), not _analyze's (w v) @ T.T: other rounding
         a = _zonal_tables(grid.band, N, grid.d) @ (grid.weights() * values)
     else:
-        a = _sht_analysis(values, grid, N)
+        a = _analyze(values, grid, N)
     return CoefficientTable(N, grid.d, a)
 
 

@@ -5,17 +5,19 @@ from sphere_strichartz import grids
 
 @pytest.fixture
 def criterion_report(request):
-    """Emit one pass/fail line per acceptance criterion.
+    """Emit one pass/fail line per acceptance criterion, once.
 
-    Lines go through the terminal reporter so they stay visible in captured
-    runs (plain `pytest -v`), and through print for unbuffered runs.
+    Lines go through the terminal reporter, or are printed without one
+    (`-p no:terminal`).  Run pytest with `-s` to see them: in a captured run
+    they are part of each test's captured output.
     """
     reporter = request.config.pluginmanager.get_plugin("terminalreporter")
 
     def report(criterion: str, ok: bool, detail: str) -> None:
         line = f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} — {detail}"
-        print(line)
-        if reporter is not None:
+        if reporter is None:
+            print(line)
+        else:
             reporter.write_line("\n" + line)
 
     return report

@@ -26,17 +26,13 @@ from sphere_strichartz.grids import (
     _legendre_slabs,
     _legendre_tables,
     _order_block_rows,
-    _sht_analysis,
-    _sht_synthesis,
     _synthesize,
     build_sphere_grid,
     build_zonal_grid,
     forward_sht,
-    forward_zonal,
     grid_for,
     integrate,
     inverse_sht,
-    inverse_zonal,
 )
 from sphere_strichartz.harmonics import eigenvalues_upto, legendre_column
 from sphere_strichartz.norms import _time_power_sums, lp_norm
@@ -118,7 +114,7 @@ def ref_apply_phi(w, f, V):
     for j in range(w.tg.M):
         tab = CoefficientTable(w.N, w.d, we.tables[j])
         if tab.zonal:
-            G[j] = forward_zonal(Vvals[j] * inverse_zonal(tab, grid), grid, w.N).a
+            G[j] = forward_sht(Vvals[j] * inverse_sht(tab, grid), grid, w.N).a
         else:
             G[j] = forward_sht(Vvals[j] * inverse_sht(tab, grid), grid, w.N).a
     integral = ref_duhamel(SpaceTimeField(w.tg, grid, w.base * 0.0, tables=G), w.tg)
@@ -322,8 +318,8 @@ def _assert_kernels_equal_full_node_kernels(a, vals, n, grid):
     one = a.reshape(-1, N + 1, 2 * N + 1)[0]
     single = np.zeros_like(one)
     single[n] = one[n]
-    assert grids._sht_synthesis(a, grid).tobytes() == ref_sht_synthesis(a, grid).tobytes()
-    assert grids._sht_analysis(vals, grid, N).tobytes() == ref_sht_analysis(vals, grid, N).tobytes()
+    assert grids._synthesize(a, grid).tobytes() == ref_sht_synthesis(a, grid).tobytes()
+    assert grids._analyze(vals, grid, N).tobytes() == ref_sht_analysis(vals, grid, N).tobytes()
     assert grids._degree_synthesis(one, grid).tobytes() == ref_degree_synthesis(one, grid).tobytes()
     assert (grids._degree_abs(single, grid, n).tobytes()
             == np.abs(ref_single_degree_synthesis(single, n, grid)).tobytes())
@@ -453,7 +449,7 @@ def test_per_degree_synthesis_zonal(d):
         f.a[:, 7] = column
     E = synthesize_by_degree(f, grid)
     for n in range(8):
-        np.testing.assert_allclose(E[n], inverse_zonal(project(f, n), grid), atol=1e-15)
+        np.testing.assert_allclose(E[n], inverse_sht(project(f, n), grid), atol=1e-15)
 
 
 @SETTINGS
@@ -1047,8 +1043,8 @@ def test_fft_fallback_equals_out_path(monkeypatch):
         got = []
         for grid, a in cases:
             N = a.shape[-2] - 1
-            values = _sht_synthesis(a, grid)
-            got += [values, _sht_analysis(values, grid, N), _degree_synthesis(a[0], grid),
+            values = _synthesize(a, grid)
+            got += [values, _analyze(values, grid, N), _degree_synthesis(a[0], grid),
                     _degree_abs(a[0], grid, N // 2)]
         return got
 

@@ -304,8 +304,9 @@ _OVERSAMPLE = "oversample must be a finite number > 0, got "
     (["sweep", "--p", "1e300"], "p = 1e+300 needs a grid band of 5e+299 * 256, above the cap 1024"),
     (["sweep", "--p", "4", "--n", "600:1100:3"],
      "p = 4 needs a grid band of 2 * 1100, above the cap 1024"),
+    (["sweep", "--d", "1", "--p", "4"], "need d >= 2, got 1"),
 ], ids=["oversample-nan", "oversample-inf", "oversample-0", "oversample-negative", "sweep-p",
-        "strichartz-p", "sweep-p-above-cap", "sweep-n-above-cap"])
+        "strichartz-p", "sweep-p-above-cap", "sweep-n-above-cap", "sweep-d1"])
 def test_unformable_grid_flag_exit_1_before_any_transform(argv, message, monkeypatch, capsys):
     # the value is named, and the run stops before it builds a grid or a witness
     def no_work(*args, **kwargs):

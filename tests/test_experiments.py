@@ -26,7 +26,6 @@ from sphere_strichartz.grids import (
     build_zonal_grid,
     grid_for,
     inverse_sht,
-    inverse_zonal,
     pole_values,
 )
 from sphere_strichartz.harmonics import legendre_column
@@ -229,7 +228,7 @@ def _reference_colatitude_lp_norm(f, p, oversample=2.0):
     band = max(f.N, math.ceil(nu * f.N))
     if f.zonal:
         g = build_zonal_grid(band, f.d)
-        w, absg = g.weights(), np.abs(inverse_zonal(f, g))
+        w, absg = g.weights(), np.abs(inverse_sht(f, g))
     else:
         (col,) = np.nonzero(np.any(f.a != 0, axis=0))[0]
         g = build_sphere_grid(band)
@@ -314,9 +313,10 @@ def test_sweep_config_validation(monkeypatch):
         (dict(p=4.0, family="bogus"), "unknown family 'bogus'"),
         (dict(p=4.0, oversample=math.nan), "oversample must be a finite number > 0, got nan"),
         (dict(p=1e308), "p = 1e+308 needs a grid band of 5e+307 * 256"),
+        (dict(d=1, p=4.0), "need d >= 2, got 1"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
-            projection_ratio_sweep(2, **kwargs)
+            projection_ratio_sweep(**{"d": 2, **kwargs})
 
 
 def test_strichartz_ratio_constant_mode():

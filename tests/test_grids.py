@@ -21,11 +21,9 @@ from sphere_strichartz.grids import (
     build_sphere_grid,
     build_zonal_grid,
     forward_sht,
-    forward_zonal,
     grid_for,
     integrate,
     inverse_sht,
-    inverse_zonal,
     max_band_limit,
     pole_values,
 )
@@ -294,14 +292,14 @@ def test_zonal_round_trip_and_parseval_large_band(d, N):
     rng = np.random.default_rng(10 * N + d)
     f = random_field(N, d, rng)
     zg = build_zonal_grid(N, d)
-    vals = inverse_zonal(f, zg)
-    assert np.max(np.abs(forward_zonal(vals, zg, N).a - f.a)) <= 1e-12
+    vals = inverse_sht(f, zg)
+    assert np.max(np.abs(forward_sht(vals, zg, N).a - f.a)) <= 1e-12
     assert abs(integrate(np.abs(vals) ** 2, zg) - np.sum(np.abs(f.a) ** 2)) <= 1e-12
 
 
 def test_zonal_constant_has_single_coefficient():
     zg = build_zonal_grid(6, 3)
-    tab = forward_zonal(np.ones(zg.shape), zg, 6)
+    tab = forward_sht(np.ones(zg.shape), zg, 6)
     assert abs(tab.a[0]) == pytest.approx(math.sqrt(surface_area(3)), rel=1e-13)
     assert np.max(np.abs(tab.a[1:])) < 1e-13
 
@@ -311,7 +309,7 @@ def test_zonal_kernel_purity():
     n, d, N = 5, 3, 10
     zg = build_zonal_grid(N, d)
     vals = zonal_kernel(n, d, zg.t)
-    tab = forward_zonal(vals, zg, N)
+    tab = forward_sht(vals, zg, N)
     others = tab.a.copy()
     others[n] = 0
     assert np.max(np.abs(others)) < 1e-12
@@ -339,7 +337,7 @@ def test_parseval_both_pipelines():
     )
     zf = random_field(16, 3, rng)
     zg = build_zonal_grid(16, 3)
-    zvals = inverse_zonal(zf, zg)
+    zvals = inverse_sht(zf, zg)
     assert integrate(np.abs(zvals) ** 2, zg) == pytest.approx(
         float(np.sum(np.abs(zf.a) ** 2)), abs=1e-12
     )
@@ -377,9 +375,9 @@ def test_shape_and_band_errors():
         inverse_sht(CoefficientTable.zeros(9, 2), g)
     zg = build_zonal_grid(4, 3)
     with pytest.raises(ValueError):
-        inverse_zonal(CoefficientTable.zeros(9, 3), zg)
+        inverse_sht(CoefficientTable.zeros(9, 3), zg)
     with pytest.raises(ValueError):
-        inverse_zonal(CoefficientTable.zeros(2, 4), zg)  # wrong d
+        inverse_sht(CoefficientTable.zeros(2, 4), zg)  # wrong d
 
 
 def test_coefficient_table_validation():
@@ -498,7 +496,7 @@ def _mismatches():
                      id="l2t_profile_exact"),
         pytest.param(lambda: mixed_norm(synthesize_history(z3, TimeGrid(160), zg2), 4.0, 2.0),
                      "zonal S^3", "zonal S^2", id="synthesize_history"),
-        pytest.param(lambda: inverse_zonal(z3, sg), "zonal S^3", "sphere S^2",
+        pytest.param(lambda: inverse_sht(z3, sg), "zonal S^3", "sphere S^2",
                      id="inverse_zonal"),
         pytest.param(lambda: inverse_sht(full, zg2), "full S^2", "zonal S^2", id="inverse_sht"),
         pytest.param(lambda: forward_sht(np.ones(zg2.shape), zg2, 4), "full S^2", "zonal S^2",
