@@ -26,14 +26,8 @@ import numpy as np
 
 from . import experiments as xp
 from . import potential as pot
-from .grids import (
-    ResourceLimitError,
-    forward_sht,
-    grid_for,
-    integrate,
-    inverse_sht,
-)
-from .norms import TimeResolutionError, l2t_profile_exact, lp_norm, mixed_norm
+from .grids import ResourceLimitError, forward_sht, grid_for, integrate, inverse_sht
+from .norms import TimeResolutionError, _check_p, l2t_profile_exact, lp_norm, mixed_norm
 from .spectral import (
     nyquist_time_grid,
     propagate,
@@ -131,7 +125,7 @@ def _cmd_identity_check(args) -> int:
     rng = _rng(args.seed)
     grid = grid_for(args.N, args.d, 2.0)
     tg = nyquist_time_grid(args.N, args.d)
-    ps = [_parse_p(tok) for tok in args.p_list.split(",")]
+    ps = [_check_p(_parse_p(tok)) for tok in args.p_list.split(",")]
     rows = []
     worst = 0.0
     for trial in range(args.trials):
@@ -198,6 +192,7 @@ def _cmd_sharpness(args) -> int:
     degrees = _parse_degrees(args.n, args.count)
     p = _parse_p(_require(args, "p"))
     s = xp.kappa_pq(p, 2.0, args.d) if args.s == "auto" else _finite("s", float(args.s))
+    xp._check_points(len(degrees))  # the fit's count, before any witness
     per_family = xp.sharpness_rows(p, s, args.d, degrees)
     rows = [[n, r, args.p, 2.0, s, args.d, fam]
             for fam, fam_rows in per_family.items() for n, r in fam_rows]

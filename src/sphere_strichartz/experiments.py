@@ -20,17 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (
-    CoefficientTable,
-    _degree_abs,
-    build_zonal_grid,
-    grid_for,
-    inverse_sht,
-    max_band_limit,
-    pole_values,
-)
+from .grids import (CoefficientTable, _per_point, build_zonal_grid, grid_for, inverse_sht,
+                    max_band_limit, pole_values)
 from .harmonics import legendre_column
-from .norms import _abs_lp_norm, lp_norm, mixed_norm, sobolev_norm
+from .norms import _abs_lp_norm, _check_p, lp_norm, mixed_norm, sobolev_norm
 from .spectral import nyquist_time_grid, random_field, synthesize_history
 
 __all__ = [
@@ -149,6 +142,7 @@ def _colatitude_profile(f: CoefficientTable, band: int):
 
 def _lp_oversample(p: float, N: int, oversample: float = 2.0) -> float:
     """Grid oversampling for |f|^p at band N: max(oversample, p/2), oversample at p = inf."""
+    _check_p(p)  # before any work: p < 1 or nan would fail only once |f| is sampled
     nu, cap = oversample if p == math.inf else max(oversample, p / 2.0), max_band_limit()
     if not nu * N <= cap:  # the grid band, or its overflow to inf, is above the band cap
         raise ValueError(f"p = {p:g} needs a grid band of {nu:g} * {N}, above the cap {cap}")
@@ -168,7 +162,8 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> flo
     if prof is not None:
         res = lp_norm(*prof, p)
     elif (degrees := np.nonzero(np.any(f.a != 0, axis=1))[0]).size == 1:  # |H_n f|, no copy
-        res = _abs_lp_norm(_degree_abs(f.a, grid, int(degrees[0])), grid, p, f.a)
+        m = _per_point(f.a, grid, lambda E, out: np.abs(E[0], out=out), int(degrees[0]))
+        res = _abs_lp_norm(m, grid, p, f.a)
     else:  # a d = 2 table with more than one active order and degree
         res = lp_norm(inverse_sht(f, grid), grid, p)
     if p == math.inf:
@@ -184,6 +179,7 @@ def projection_ratio_sweep(d: int, p: float, family: str = "zonal-kernel",
     degrees = tuple(int(n) for n in degrees)
     if list(degrees) != sorted(set(degrees)) or (degrees and degrees[0] < 1):
         raise ValueError("degrees must be strictly ascending and >= 1")
+    _check_points(len(degrees))
     kappa_p(p, d)  # ValueError unless d >= 2 and p >= 2
     if not 0 < oversample < math.inf:
         raise ValueError(f"oversample must be a finite number > 0, got {oversample}")
@@ -239,32 +235,28 @@ def steepest_fit(per_family: dict) -> ExponentFit:
     return max((fit_loglog(rows) for rows in per_family.values()), key=lambda fit: fit.slope)
 
 
+def _check_points(count: int) -> None:
+    """ValueError unless a log-log fit gets at least 3 points."""
+    if count < 3:
+        raise ValueError(f"need at least 3 points, got {count}")
+
+
 def fit_loglog(points) -> ExponentFit:
     """Ordinary least squares of log(ratio) on log(n), with slope stderr."""
     pts = [(float(n), float(r)) for n, r in points]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points, got {len(pts)}")
-    ns = np.array([n for n, _ in pts])
-    rs = np.array([r for _, r in pts])
+    _check_points(len(pts))
+    ns, rs = np.array(pts).T
     if np.any(ns <= 0) or np.any(rs <= 0):
         raise ValueError("log-log fit needs strictly positive inputs")
-    x = np.log(ns)
-    y = np.log(rs)
-    k = x.size
+    x, y, k = np.log(ns), np.log(rs), len(pts)
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xbar)
     resid = y - (intercept + slope * x)
     sigma2 = float(np.sum(resid ** 2)) / max(k - 2, 1)
-    return ExponentFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=math.sqrt(sigma2 / sxx),
-        n_min=int(ns.min()),
-        n_max=int(ns.max()),
-        count=k,
-    )
+    return ExponentFit(slope=slope, intercept=intercept, stderr=math.sqrt(sigma2 / sxx),
+                       n_min=int(ns.min()), n_max=int(ns.max()), count=k)
 
 
 def estimate_strichartz_constant(p: float, s: float, N: int, d: int,

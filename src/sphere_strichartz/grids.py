@@ -18,9 +18,9 @@ One batched kernel per direction, _synthesize and _analyze, serves both grid kin
 table is one matmul against its basis table.  On S^2 they read Pbar_n^m(t_k) in order-block
 slabs, so every matmul sees the same operands as with one full (N+1, N+1, K) table.  A small
 table is built once and cached whole; a larger one is never stored: each pass recomputes it
-in blocks of 8 orders, one recurrence step per degree, into one buffer.  One kernel makes the
-samples (H_n f)(z) for any range of colatitude rows, with the bits of the whole grid's: of
-every degree from the slabs, or of one degree n from its Legendre row.
+in blocks the size of 8 orders at all nodes, one recurrence step per degree, in one buffer.
+One kernel makes the samples (H_n f)(z) at any colatitude rows with the whole grid's bits, of
+every degree or of one degree n from its Legendre row; _per_point reduces them 16 rows at a time.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def _legendre_blocks(grid: SphereGrid, N: int, width: int, ks: slice = slice(Non
     try:
         out = np.empty(shape)
     except MemoryError:
-        what = "table" if width == N + 1 else f"block of {width} orders"
+        what = "table" if shape == (N + 1, N + 1, grid.t.size) else f"block of {width} orders"
         raise ResourceLimitError(f"Legendre {what} for grid band {grid.band}, N = {N} needs "
                                  f"{8 * math.prod(shape) / 1e9:.3g} GB") from None
     for m0, n, row in _order_block_rows(grid.t[ks], N, width):
@@ -337,7 +337,7 @@ def _legendre_tables(grid_band: int, N: int) -> np.ndarray:
 
 
 _CACHED_TABLE_BYTES = 8 << 20  # larger Legendre tables are streamed in order blocks
-_BLOCK_ORDERS = 8  # orders per streamed block: 4.2 MB at N = 256, 67 MB at N = 1024
+_BLOCK_ORDERS = 8  # orders per full-grid streamed block: 4.2 MB at N = 256, 67 MB at N = 1024
 
 
 def _legendre_slabs(grid: SphereGrid, N: int, ks: slice = slice(None)):
@@ -346,13 +346,14 @@ def _legendre_slabs(grid: SphereGrid, N: int, ks: slice = slice(None)):
     Each slab has shape (m1-m0, N+1, K), entry [m - m0, n, k], +0.0 in the rows n < m, and is
     C-contiguous for all nodes.  A table of at most _CACHED_TABLE_BYTES is one slab, built once
     and cached; a larger one is recomputed at the nodes ks (the same bits: the recurrence is
-    elementwise in t) on every pass, in blocks of _BLOCK_ORDERS orders in one buffer: a slab
-    is valid until the next.
+    elementwise in t) on every pass, in one buffer of a full-grid block's bytes: _BLOCK_ORDERS
+    orders over all K nodes, _BLOCK_ORDERS * K // k over k < K.  A slab is valid until the next.
     """
-    if 8 * (N + 1) ** 2 * grid.t.size <= _CACHED_TABLE_BYTES:
+    K = grid.t.size
+    if 8 * (N + 1) ** 2 * K <= _CACHED_TABLE_BYTES:
         yield 0, N + 1, _legendre_tables(grid.band, N)[:, :, ks]
         return
-    yield from _legendre_blocks(grid, N, min(_BLOCK_ORDERS, N + 1), ks)
+    yield from _legendre_blocks(grid, N, min(N + 1, _BLOCK_ORDERS * K // grid.t[ks].size), ks)
 
 
 @lru_cache(maxsize=8)
@@ -449,17 +450,19 @@ def _degree_synthesis(a: np.ndarray, grid, ks: slice = slice(None), row=None) ->
     return _fft_into(np.fft.ifft, spec, spec)
 
 
-_DEGREE_ROWS = 16  # colatitude rows per longitude spectrum of _degree_abs
+_DEGREE_ROWS = 16  # colatitude rows per block of per-degree samples in _per_point
 
 
-def _degree_abs(a: np.ndarray, grid: SphereGrid, n: int) -> np.ndarray:
-    """np.abs(_degree_synthesis(a, grid)[n]) as a float (K, L) array, in O(nK) memory: the
-    kernel on degree n's Legendre row, _DEGREE_ROWS colatitudes at a time."""
-    row = (n, _legendre_row(grid.t, n))
+def _per_point(a: np.ndarray, grid, fn, n: int | None = None) -> np.ndarray:
+    """out, a float array of grid.shape: fn(E, out[ks]) writes each block ks of _DEGREE_ROWS
+    colatitudes from E = _degree_synthesis(a, grid, ks), or with n from degree n alone (its
+    Legendre row).  A zonal E, (N+1, K), is one block: one point alone would sum n pairwise."""
+    row = None if n is None else (n, _legendre_row(grid.t, n))
     out = np.empty(grid.shape)
-    for k0 in range(0, grid.t.size, _DEGREE_ROWS):
-        ks = slice(k0, k0 + _DEGREE_ROWS)
-        np.abs(_degree_synthesis(a, grid, ks, row)[0], out=out[ks])
+    rows = grid.t.size if isinstance(grid, ZonalGrid) else _DEGREE_ROWS
+    for k0 in range(0, grid.t.size, rows):
+        ks = slice(k0, k0 + rows)
+        fn(_degree_synthesis(a, grid, ks, row), out[ks])
     return out
 
 

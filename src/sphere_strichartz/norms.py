@@ -20,8 +20,8 @@ import math
 
 import numpy as np
 
-from .grids import CoefficientTable, _as_samples, _work_buffer
-from .spectral import _TWO_PI, SpaceTimeField, TimeGrid, synthesize_by_degree
+from .grids import CoefficientTable, _as_samples, _check_fit, _per_point, _work_buffer
+from .spectral import _TWO_PI, SpaceTimeField, TimeGrid
 
 __all__ = [
     "TimeResolutionError",
@@ -57,13 +57,18 @@ def lp_norm(values: np.ndarray, grid, p: float) -> float:
     return _abs_lp_norm(np.abs(values).astype(float, copy=False), grid, p, values)
 
 
+def _check_p(p: float) -> float:
+    """p, the outer exponent of an L^p norm; ValueError unless p >= 1 (p = inf passes)."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1 or inf, got {p}")
+    return p
+
+
 def _abs_lp_norm(m: np.ndarray, grid, p: float, x) -> float:
     """lp_norm from m = |values| as floats (int |v| cannot `**=`), which it overwrites with
     w |v|^p at finite p.  `x` is read only at a zero norm: it is nonzero where the values are."""
-    if p == math.inf:
+    if _check_p(p) == math.inf:
         return _finite_or_fail(float(np.max(m)), x, "L^inf norm")
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1 or inf, got {p}")
     with np.errstate(over="ignore"):  # an inf, which fails below
         m **= p
     m *= grid.weights()
@@ -90,19 +95,21 @@ def triebel_lizorkin_norm(f: CoefficientTable, grid, p: float, q: float,
 
     ||f|| = || ( sum_n (1+n)^{rq} |H_n f(z)|^q )^{1/q} ||_{L^p}; the inner sum
     becomes sup_n (1+n)^r |H_n f(z)| for q = inf.  Matches the L^2 norm at
-    (p, q, r) = (2, 2, 0).
+    (p, q, r) = (2, 2, 0).  The inner sum is formed _DEGREE_ROWS colatitudes at a time.
     """
-    E = synthesize_by_degree(f, grid)  # (N+1, *grid.shape)
-    w = (1.0 + np.arange(f.N + 1)) ** float(r)
-    w = w.reshape((-1,) + (1,) * (E.ndim - 1))
-    weighted = w * np.abs(E)
-    if q == math.inf:
-        inner = np.max(weighted, axis=0)
-    else:
-        if not q > 0:
-            raise ValueError(f"q must be > 0 or inf, got {q}")
-        inner = np.sum(weighted ** q, axis=0) ** (1.0 / q)
-    return lp_norm(inner, grid, p)
+    _check_fit(grid, f.N, f.d)
+    if not q > 0:
+        raise ValueError(f"q must be > 0 or inf, got {q}")
+    w = ((1.0 + np.arange(f.N + 1)) ** float(r)).reshape((-1,) + (1,) * len(grid.shape))
+
+    def inner(E, out):  # the inner sum at E's points, with (1+n)^r |H_n f|^q formed in place
+        x = np.abs(E)
+        x *= w
+        if q != math.inf:
+            x **= q  # the same dispatch as `** q`, which squares for q = 2
+        out[...] = np.max(x, axis=0) if q == math.inf else np.sum(x, axis=0) ** (1.0 / q)
+
+    return lp_norm(_per_point(f.a, grid, inner), grid, p)
 
 
 def l2t_profile_exact(f: CoefficientTable, grid) -> np.ndarray:
@@ -110,10 +117,11 @@ def l2t_profile_exact(f: CoefficientTable, grid) -> np.ndarray:
 
     Returns z -> (sum_n 2 pi |H_n f(z)|^2)^{1/2} with no time sampling: the
     cross terms of |u(t,z)|^2 integrate to zero over the period because the
-    eigenvalues n(n+d-1) are pairwise distinct.
+    eigenvalues n(n+d-1) are pairwise distinct.  Summed _DEGREE_ROWS colatitudes at a time.
     """
-    E = synthesize_by_degree(f, grid)
-    return np.sqrt(_TWO_PI * np.sum(np.abs(E) ** 2, axis=0))
+    _check_fit(grid, f.N, f.d)
+    return _per_point(f.a, grid,
+                      lambda E, out: np.sqrt(_TWO_PI * np.sum(np.abs(E) ** 2, axis=0), out=out))
 
 
 def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float, blocks=None) -> float:
@@ -159,6 +167,7 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float, *,
     """
     if not q >= 1 or q == math.inf:
         raise ValueError(f"inner exponent must satisfy 1 <= q < inf, got {q}")
+    _check_p(p)
     result = _sampled_mixed_norm(u, p, q)
     if check_resolution:
         if not u.free:

@@ -21,7 +21,6 @@ from sphere_strichartz.experiments import kappa_pq, strichartz_ratio
 from sphere_strichartz.grids import (
     CoefficientTable,
     _analyze,
-    _degree_abs,
     _degree_synthesis,
     _legendre_slabs,
     _legendre_tables,
@@ -59,6 +58,11 @@ from sphere_strichartz.spectral import (
 
 BATCH_SHAPES = [(), (1,), (7,), (3, 5)]
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _degree_abs(a, grid, n):
+    """|H_n f| as field_lp_norm forms it: the per-point loop on degree n's Legendre row."""
+    return grids._per_point(a, grid, lambda E, out: np.abs(E[0], out=out), n)
 
 
 def _sign(m):
@@ -321,7 +325,7 @@ def _assert_kernels_equal_full_node_kernels(a, vals, n, grid):
     assert grids._synthesize(a, grid).tobytes() == ref_sht_synthesis(a, grid).tobytes()
     assert grids._analyze(vals, grid, N).tobytes() == ref_sht_analysis(vals, grid, N).tobytes()
     assert grids._degree_synthesis(one, grid).tobytes() == ref_degree_synthesis(one, grid).tobytes()
-    assert (grids._degree_abs(single, grid, n).tobytes()
+    assert (_degree_abs(single, grid, n).tobytes()
             == np.abs(ref_single_degree_synthesis(single, n, grid)).tobytes())
 
 
@@ -1018,6 +1022,56 @@ def test_degree_synthesis_peak_allocation_below_1_5_outputs(kernel):
         out, peak = _traced_peak(_degree_synthesis, a, grid)
         assert out.shape == (21, 61, 122)
     assert peak < 1.5 * out.nbytes
+
+
+@pytest.mark.parametrize("norm", ["l2t_profile_exact", "triebel_lizorkin_norm"])
+def test_per_point_norms_peak_below_one_row_block(norm):
+    # N = 96 on grid_for(96, 2, 2.0), 193 x 386 points, a streamed table: all per-degree
+    # samples would be 116 MB (a 166 MB peak).  Streamed, the peak is one _DEGREE_ROWS-row
+    # block of them, two float temporaries of its shape and the float output.
+    N = 96
+    grid = grid_for(N, 2, 2.0)
+    assert 8 * (N + 1) ** 2 * grid.t.size > grids._CACHED_TABLE_BYTES
+    f = random_field(N, 2, np.random.default_rng(N))
+    if norm == "l2t_profile_exact":
+        _, peak = _traced_peak(norms.l2t_profile_exact, f, grid)
+    else:
+        _, peak = _traced_peak(norms.triebel_lizorkin_norm, f, grid, 4.0, 2.0, 0.5)
+    block = 16 * (N + 1) * grids._DEGREE_ROWS * grid.shape[1]
+    assert peak < block + 2 * (block // 2) + 8 * math.prod(grid.shape)
+
+
+def _streamed_block_orders(grid, N, ks=slice(None)):
+    return [(m0, m1) for m0, m1, _ in _legendre_slabs(grid, N, ks)]
+
+
+def test_streamed_block_orders_cover_a_full_grid_blocks_bytes(monkeypatch):
+    # N = 80 on band 160 (K = 161, a streamed table): 8 orders over all K nodes, and as many
+    # orders over k nodes as 8 K // k, so a one-row block runs the recurrence once, not 11 times
+    grid, N = build_sphere_grid(160), 80
+    assert 8 * (N + 1) ** 2 * grid.t.size > grids._CACHED_TABLE_BYTES
+    assert _streamed_block_orders(grid, N) == [(m, min(m + 8, N + 1)) for m in range(0, N + 1, 8)]
+    assert _streamed_block_orders(grid, N, slice(16, 32)) == [(0, 80), (80, 81)]
+    passes, blocks = [], grids._legendre_blocks
+
+    def counted(*args):
+        passes.append(args[2])  # the block width
+        yield from blocks(*args)
+
+    monkeypatch.setattr(grids, "_legendre_blocks", counted)
+    a = _tables(np.random.default_rng(80), N, ())
+    _degree_synthesis(a, grid, slice(7, 8))
+    assert passes == [N + 1]
+
+
+def test_one_row_degree_blocks_equal_whole_grid():
+    # N = 80 on band 160, a streamed table: each row is one block of all N + 1 orders, and
+    # gives the bits of the whole grid's 8-order blocks
+    grid, N = build_sphere_grid(160), 80
+    a = _tables(np.random.default_rng(N), N, ())
+    E = _degree_synthesis(a, grid)
+    for k in range(grid.t.size):
+        assert _degree_synthesis(a, grid, slice(k, k + 1)).tobytes() == E[:, k:k + 1].tobytes()
 
 
 def test_lp_norm_peak_allocation_below_0_75_inputs():

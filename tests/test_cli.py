@@ -305,8 +305,12 @@ _OVERSAMPLE = "oversample must be a finite number > 0, got "
     (["sweep", "--p", "4", "--n", "600:1100:3"],
      "p = 4 needs a grid band of 2 * 1100, above the cap 1024"),
     (["sweep", "--d", "1", "--p", "4"], "need d >= 2, got 1"),
+    # the log-log fit's count, before the first witness
+    (["sweep", "--p", "4", "--family", "random", "--n", "400,512"], "need at least 3 points, got 2"),
+    (["sharpness", "--p", "4", "--n", "384,512"], "need at least 3 points, got 2"),
 ], ids=["oversample-nan", "oversample-inf", "oversample-0", "oversample-negative", "sweep-p",
-        "strichartz-p", "sweep-p-above-cap", "sweep-n-above-cap", "sweep-d1"])
+        "strichartz-p", "sweep-p-above-cap", "sweep-n-above-cap", "sweep-d1", "sweep-2-degrees",
+        "sharpness-2-degrees"])
 def test_unformable_grid_flag_exit_1_before_any_transform(argv, message, monkeypatch, capsys):
     # the value is named, and the run stops before it builds a grid or a witness
     def no_work(*args, **kwargs):
@@ -317,6 +321,25 @@ def test_unformable_grid_flag_exit_1_before_any_transform(argv, message, monkeyp
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, p", [
+    (["strichartz", "--N", "40", "--p", "0.5", "--s", "0.3"], "0.5"),
+    (["strichartz", "--N", "40", "--p", "nan", "--s", "0.3"], "nan"),
+    (["identity-check", "--N", "40", "--trials", "3", "--p-list", "4,0.5"], "0.5"),
+], ids=["strichartz-p-0.5", "strichartz-p-nan", "identity-check-p-list"])
+def test_p_below_1_exit_1_before_any_synthesis(argv, p, monkeypatch, capsys):
+    # the outer exponent's rule is checked before the first sample is made
+    def no_work(*args, **kwargs):
+        raise AssertionError("synthesis started")
+
+    for name in ("grids._synthesize", "grids._degree_synthesis", "spectral._synthesize",
+                 "spectral._degree_synthesis"):
+        monkeypatch.setattr(f"sphere_strichartz.{name}", no_work)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: p must be >= 1 or inf, got {p}\n"
     assert captured.out == ""
 
 

@@ -188,11 +188,13 @@ def test_field_lp_norm_single_degree_path_equals_table_path(p, monkeypatch):
     fast = [field_lp_norm(f, p) for f in fields]
     degrees = []
 
-    def table_path(a, grid, n):
+    def table_path(a, grid, fn, n):  # the per-point function on all samples at once
         degrees.append(n)
-        return np.abs(inverse_sht(CoefficientTable(len(a) - 1, 2, a), grid))
+        out = np.empty(grid.shape)
+        fn(inverse_sht(CoefficientTable(len(a) - 1, 2, a), grid)[None], out)
+        return out
 
-    monkeypatch.setattr(experiments, "_degree_abs", table_path)
+    monkeypatch.setattr(experiments, "_per_point", table_path)
     assert fast == [field_lp_norm(f, p) for f in fields]
     assert degrees == [1, 17, 64, 2, 33]  # every field took the one-degree path
 
@@ -314,6 +316,8 @@ def test_sweep_config_validation(monkeypatch):
         (dict(p=4.0, oversample=math.nan), "oversample must be a finite number > 0, got nan"),
         (dict(p=1e308), "p = 1e+308 needs a grid band of 5e+307 * 256"),
         (dict(d=1, p=4.0), "need d >= 2, got 1"),
+        (dict(p=4.0, family="random-eigenspace", degrees=(400, 512)),
+         "need at least 3 points, got 2"),
     ]:
         with pytest.raises(ValueError, match=re.escape(message)):
             projection_ratio_sweep(**{"d": 2, **kwargs})

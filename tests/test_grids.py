@@ -13,7 +13,6 @@ from sphere_strichartz.grids import (
     CoefficientTable,
     ResourceLimitError,
     _build_zonal_grid,
-    _degree_abs,
     _legendre_row,
     _legendre_slabs,
     _legendre_tables,
@@ -235,7 +234,8 @@ def test_single_degree_synthesis_equals_inverse_sht(n, oversample):
     for f in (make_family("random-eigenspace", n, 2, rng=rng),
               project(random_field(n + 5, 2, rng), n)):
         grid = grid_for(f.N, 2, oversample)
-        assert np.array_equal(_degree_abs(f.a, grid, n), np.abs(inverse_sht(f, grid)))
+        got = grids._per_point(f.a, grid, lambda E, out: np.abs(E[0], out=out), n)
+        assert np.array_equal(got, np.abs(inverse_sht(f, grid)))
 
 
 def test_legendre_table_map_failure_is_resource_limit(monkeypatch, capsys):
@@ -264,6 +264,19 @@ def test_legendre_table_map_failure_is_resource_limit(monkeypatch, capsys):
             next(_legendre_slabs(build_sphere_grid(40), 40))
     finally:
         _legendre_tables.cache_clear()
+
+
+def test_streamed_one_node_block_failure_names_a_block(monkeypatch):
+    # a streamed block over one node holds all N + 1 orders, and is not the whole table
+    def refuse(shape, *args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    grid = build_sphere_grid(80)
+    monkeypatch.setattr(grids, "_CACHED_TABLE_BYTES", 0)
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(ResourceLimitError, match=r"^Legendre block of 41 orders for grid band 80, "
+                                                 r"N = 40 needs 1.34e-05 GB$"):
+        next(_legendre_slabs(grid, 40, slice(3, 4)))
 
 
 @pytest.mark.parametrize("value", ["abc", "1.5", "-5"])

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from sphere_strichartz import grids, spectral
 from sphere_strichartz.grids import (
     CoefficientTable,
     build_sphere_grid,
@@ -285,6 +287,55 @@ def test_mixed_norm_accepts_q_equal_1():
     assert mixed_norm(u, 2.0, 1.0) == pytest.approx(TWO_PI, rel=1e-12)
     with pytest.raises(ValueError, match="inner exponent must satisfy 1 <= q < inf, got 0.5"):
         mixed_norm(u, 2.0, 0.5)
+
+
+# K = 81 (sphere, a last block of one row), 33 = 2 * 16 + 1 (S^3) and 49 nodes (S^4); the S^2
+# table is streamed.  A zonal grid is one block: a one-node block sums over n pairwise, and
+# moves the S^3 profile's last entry.
+@pytest.mark.parametrize("N,d", [(40, 2), (16, 3), (24, 4)])
+def test_per_point_norms_equal_whole_per_degree_arrays(N, d, monkeypatch):
+    # the expressions of both norms on all per-degree samples at once, as before they streamed
+    g = grid_for(N, d, 2.0)
+    f = random_field(N, d, np.random.default_rng(N))
+    E = synthesize_by_degree(f, g)
+    want = np.sqrt(TWO_PI * np.sum(np.abs(E) ** 2, axis=0))
+    weighted = ((1.0 + np.arange(N + 1)) ** 0.5).reshape((-1,) + (1,) * len(g.shape)) * np.abs(E)
+    inner = {q: np.sum(weighted ** q, axis=0) ** (1.0 / q) for q in (2.0, 3.0)}
+    inner[math.inf] = np.max(weighted, axis=0)
+    monkeypatch.setattr(grids, "_CACHED_TABLE_BYTES", 0)
+    assert l2t_profile_exact(f, g).tobytes() == want.tobytes()
+    for q, values in inner.items():
+        assert triebel_lizorkin_norm(f, g, 4.0, q, 0.5) == lp_norm(values, g, 4.0)
+
+
+def test_per_point_norms_check_before_any_synthesis(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("synthesis started")
+
+    for module in (grids, spectral):
+        monkeypatch.setattr(module, "_degree_synthesis", no_work)
+    rng = np.random.default_rng(4)
+    f, zonal = random_field(5, 2, rng), random_field(5, 3, rng)
+    for q in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"q must be > 0 or inf, got {q}"):
+            triebel_lizorkin_norm(f, grid_for(5, 2, 2.0), 2.0, q, 0.0)
+    for norm in (l2t_profile_exact, lambda f, g: triebel_lizorkin_norm(f, g, 2.0, 2.0, 0.0)):
+        with pytest.raises(ValueError, match="zonal S\\^3 table does not fit a sphere S\\^2 grid"):
+            norm(zonal, grid_for(5, 2, 2.0))
+
+
+@pytest.mark.parametrize("p", [0.5, math.nan])
+def test_mixed_norm_checks_p_before_any_synthesis(p, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("synthesis started")
+
+    f = random_field(4, 2, np.random.default_rng(5))
+    u = synthesize_history(f, nyquist_time_grid(4, 2), grid_for(4, 2, 2.0))
+    for name in ("_synthesize", "_degree_synthesis"):
+        monkeypatch.setattr(spectral, name, no_work)
+    for field in (u, SpaceTimeField(u.tg, u.grid, f, tables=np.zeros((u.tg.M, *f.a.shape)))):
+        with pytest.raises(ValueError, match=re.escape(f"p must be >= 1 or inf, got {p}")):
+            mixed_norm(field, p, 2.0)
 
 
 def test_triebel_lizorkin_q_boundaries():
