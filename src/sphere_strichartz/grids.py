@@ -365,16 +365,16 @@ def _zonal_tables(grid_band: int, N: int, d: int) -> np.ndarray:
 def _work_buffer(work: dict | None, name: str, shape: tuple, dtype=complex) -> np.ndarray:
     """An uninitialized array of `shape`: a new one without `work`, else a view of work[name].
 
-    work[name] is reallocated only when it is too small, so the blocks of one pass that share
-    a `work` dict share its buffers.
+    work[name] holds bytes and is reallocated only when it is too small, so the blocks of one
+    pass that share a `work` dict share its buffers, whatever their dtypes.
     """
     if work is None:
         return np.empty(shape, dtype)
-    size = math.prod(shape)
+    size = math.prod(shape) * np.dtype(dtype).itemsize
     buf = work.get(name)
-    if buf is None or buf.size < size or buf.dtype != dtype:
-        buf = work[name] = np.empty(size, dtype)
-    return buf[:size].reshape(shape)
+    if buf is None or buf.size < size:
+        buf = work[name] = np.empty(size, np.uint8)
+    return buf[:size].view(dtype).reshape(shape)
 
 
 _FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"  # numpy.fft takes `out=` from 2.0
@@ -392,31 +392,34 @@ def _fft_into(fft, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _synthesize(a: np.ndarray, grid, work: dict | None = None) -> np.ndarray:
-    """Batched synthesis on a sphere or zonal grid: a[..., *table] -> values[..., *grid].
-
-    A zonal table is a @ T.  On S^2, a[..., N+1, 2N+1] -> values[..., K, L] in one Legendre
-    pass for every leading batch index: per order m the real table Pbar^m(t)^T multiplies a
-    real, contiguous, m-major block that holds the +m and -m columns of all batch entries as
-    float pairs.  The longitude FFT runs in place, so with a `work` dict (see _work_buffer)
-    the values are work["spec"], valid until its next use.
-    """
+def _legendre_stage(a: np.ndarray, grid, work: dict | None = None) -> np.ndarray:
+    """Longitude coefficients c[m, k, b, +/-] = sum_n a[b]_{n,+/-m} Pbar_n^m(t_k), Y_{n,-m}'s sign
+    included ([0, k, b, 1] repeats m = 0), in work["Y"], one real matmul per order; zonal: a @ T."""
     if isinstance(grid, ZonalGrid):
-        return a @ _zonal_tables(grid.band, a.shape[-1] - 1, grid.d)
+        return (a @ _zonal_tables(grid.band, a.shape[-1] - 1, grid.d)).T[None, :, :, None]
     N = a.shape[-1] // 2
-    K, L = grid.shape
     flat = a.reshape(-1, N + 1, 2 * N + 1)
     X = _work_buffer(work, "X", (N + 1, N + 1, len(flat), 2))  # [m, n, b, +/-]
     X[..., 0] = flat[:, :, N:].T
     X[..., 1] = flat[:, :, N::-1].T
     X[1::2, :, :, 1] *= -1.0  # basis convention Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
     Xf = X.view(float).reshape(N + 1, N + 1, -1)
-    Y = _work_buffer(work, "Y", (N + 1, K, Xf.shape[-1]), float)
+    Y = _work_buffer(work, "Y", (N + 1, grid.t.size, Xf.shape[-1]), float)
     for m0, m1, slab in _legendre_slabs(grid, N):
         np.matmul(slab.transpose(0, 2, 1), Xf[m0:m1], out=Y[m0:m1])
-    del slab  # a streamed block is freed before `spec` is allocated
-    Y = Y.reshape(N + 1, K, -1, 4).view(complex)  # [m, k, b, +/-]
-    spec = _work_buffer(work, "spec", (len(flat), K, L))
+    return Y.reshape(N + 1, grid.t.size, -1, 4).view(complex)  # a streamed block is freed
+
+
+def _synthesize(a: np.ndarray, grid, work: dict | None = None) -> np.ndarray:
+    """Batched synthesis on a sphere or zonal grid: a[..., *table] -> values[..., *grid], a @ T
+    on a zonal one.  On S^2, _legendre_stage for the whole batch, then the longitude FFT in place:
+    with a `work` dict (see _work_buffer) the values are work["spec"]."""
+    if isinstance(grid, ZonalGrid):
+        return a @ _zonal_tables(grid.band, a.shape[-1] - 1, grid.d)
+    N = a.shape[-1] // 2
+    K, L = grid.shape
+    Y = _legendre_stage(a, grid, work)  # [m, k, b, +/-]
+    spec = _work_buffer(work, "spec", (Y.shape[2], K, L))
     spec[:, :, N + 1 : L - N] = 0.0
     spec[:, :, : N + 1] = Y[..., 0].T
     spec[:, :, L - N :] = Y[:0:-1, :, :, 1].T
@@ -466,19 +469,13 @@ def _per_point(a: np.ndarray, grid, fn, n: int | None = None) -> np.ndarray:
     return out
 
 
-def _analyze(values: np.ndarray, grid, N: int, work: dict | None = None,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Batched band-N analysis: values[..., *grid] -> a[..., *table], written into `out` if given.
-
-    A zonal grid gives (w v) @ T.T.  On S^2, values[..., K, L] -> a[..., N+1, 2N+1] in one pass
-    for the whole batch: callers cut long histories into blocks of time nodes.  With a `work`
-    dict its buffers come from it, and the longitude spectrum goes into work["spec"]: values
-    held there (a synthesis' output) are overwritten, others are not.  Without one, the
-    spectrum is freed once X holds it, and a missing `out` is allocated after the first
-    Legendre pass has freed its block.
-    """
+def _analyze(values: np.ndarray, grid, N: int, work: dict | None = None) -> np.ndarray:
+    """Batched band-N analysis: values[..., *grid] -> a[..., *table], (w v) @ T.T on a zonal grid.
+    On S^2 one pass serves the whole batch.  With a `work` dict its buffers come from it, and the
+    longitude spectrum goes into work["spec"] (over a synthesis' output held there); without one
+    it is freed once X holds it, and the output is allocated after the first Legendre pass."""
     if isinstance(grid, ZonalGrid):
-        return np.matmul(grid.weights() * values, _zonal_tables(grid.band, N, grid.d).T, out=out)
+        return (grid.weights() * values) @ _zonal_tables(grid.band, N, grid.d).T
     K, L = grid.shape
     flat = values.reshape(-1, K, L)
     # longitude analysis: F[k, m mod L] = (1 / L) sum_j values e^{-i m phi_j}
@@ -494,8 +491,7 @@ def _analyze(values: np.ndarray, grid, N: int, work: dict | None = None,
     for m0, m1, slab in _legendre_slabs(grid, N):
         np.matmul(slab, Xf[m0:m1], out=Y[m0:m1])
     del slab
-    if out is None:
-        out = np.empty((*values.shape[:-2], N + 1, 2 * N + 1), dtype=complex)
+    out = np.empty((*values.shape[:-2], N + 1, 2 * N + 1), dtype=complex)
     Y = Y.reshape(N + 1, N + 1, -1, 4).view(complex)  # [m, n, b, +/-]
     Y[1::2, :, :, 1] *= -1.0  # Y_{n,-m} = (-1)^m Pbar_n^m e^{-i m phi}
     ab = out.reshape(len(flat), N + 1, 2 * N + 1)

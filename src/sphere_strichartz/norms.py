@@ -12,6 +12,7 @@ free field the time power sums run over `SpaceTimeField.iter_space_chunks`,
 for any other over `iter_time_blocks`: |u|^q of each chunk or block goes into
 one buffer reused across them, a quarter of its rows at a time, with the same
 operations per point as on whole arrays, so the sums keep the whole's bits.
+An explicit history at q = 2 is summed from per-ring Gram matrices, unsampled.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import math
 
 import numpy as np
 
-from .grids import CoefficientTable, _as_samples, _check_fit, _per_point, _work_buffer
-from .spectral import _TWO_PI, SpaceTimeField, TimeGrid
+from .grids import (CoefficientTable, _as_samples, _check_fit, _legendre_stage, _per_point,
+                    _work_buffer)
+from .spectral import _SERIES_CHUNK_BYTES, _TIME_BLOCK, _TWO_PI, SpaceTimeField, TimeGrid
 
 __all__ = [
     "TimeResolutionError",
@@ -124,20 +126,21 @@ def l2t_profile_exact(f: CoefficientTable, grid) -> np.ndarray:
                       lambda E, out: np.sqrt(_TWO_PI * np.sum(np.abs(E) ** 2, axis=0), out=out))
 
 
-def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float, blocks=None) -> float:
-    prof = (_time_power_sums(u, q, blocks) * (_TWO_PI / u.tg.M)) ** (1.0 / q)
+def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float, blocks=None, work=None) -> float:
+    prof = (_time_power_sums(u, q, blocks, work) * (_TWO_PI / u.tg.M)) ** (1.0 / q)
     return lp_norm(prof, u.grid, p)
 
 
-def _time_power_sums(u: SpaceTimeField, q: float, blocks=None) -> np.ndarray:
+def _time_power_sums(u: SpaceTimeField, q: float, blocks=None, work=None) -> np.ndarray:
     """sum_j |u(t_j, z)|^q over all M nodes; FloatingPointError if |u|^q leaves float range.
-    `blocks`, (key, samples) of a history on u's grids cut as iter_time_blocks, replaces u's.
     |x|^q is formed a quarter chunk or block at a time; numpy adds a block's rows in order, so a
     later piece is summed with the running sum as row 0 (one-point rows: pairwise, never cut)."""
-    S = np.zeros(math.prod(u.grid.shape))  # flat: a free chunk's key is a slice of points
     what = f"time power sums of |u|^{q:g}"
+    if q == 2 and not u.free:
+        return _gram_power_sums(u, blocks, {} if work is None else work, what)
+    S = np.zeros(math.prod(u.grid.shape))  # flat: a free chunk's key is a slice of points
     work = {}  # the first chunk or block is the largest, so one buffer holds every |x|^q
-    for key, x in blocks or (u.iter_space_chunks() if u.free else u.iter_time_blocks(work)):
+    for key, x in u.iter_space_chunks() if u.free else u.iter_time_blocks(work):
         n = len(x) if x[0].size == 1 else -(-len(x) // 4)
         mag = _work_buffer(work, "mag", (n + 1, *x.shape[1:]), float)
         for i0 in range(0, len(x), n):
@@ -154,6 +157,37 @@ def _time_power_sums(u: SpaceTimeField, q: float, blocks=None) -> np.ndarray:
             S += mag[0].reshape(-1)
             _finite_or_fail(S, x.reshape(len(x), -1).T, what)
     return S.reshape(u.grid.shape)
+
+
+def _gram_power_sums(u: SpaceTimeField, blocks, work: dict, what: str) -> np.ndarray:
+    """sum_j |u(t_j, z)|^2 of an explicit history (or of its `blocks`) with no samples: per ring,
+    the Gram matrix H_k = sum_j c c^H of its longitude coefficients c (_legendre_stage), kr rings
+    at a time, gives S(t_k, phi) = sum_{m,m'} H_k[m, m'] e^{i (m - m') phi}, clamped at 0."""
+    K, D, nonzero = u.grid.t.size, (1 if u.base.zonal else 2 * u.N + 2), False  # D: c's +/-, m
+    H, kr = np.zeros((3, K, D, D)), max(1, _SERIES_CHUNK_BYTES // (64 * D * (2 * D + _TIME_BLOCK)))
+    for h in blocks or (u.history(j0, j0 + _TIME_BLOCK) for j0 in range(0, u.tg.M, _TIME_BLOCK)):
+        c = _legendre_stage(h, u.grid, work)  # [m, k, j, +/-]
+        c = c.view(float).reshape(*c.shape, 2).transpose(1, 4, 3, 0, 2)  # [k, re/im, +/-, m, j]
+        for k0 in range(0, K, kr):
+            g = _work_buffer(work, "gram", c[k0:k0 + kr].shape, float)
+            g[...] = c[k0:k0 + kr]
+            g = g.reshape(len(g), 2 * D, len(h))  # the real Gram of (Re c, Im c), by syrk
+            G = np.matmul(g, g.transpose(0, 2, 1),
+                          out=_work_buffer(work, "H", (len(g), 2 * D, 2 * D), float))
+            H[:, k0:k0 + kr] += G.reshape(len(g), 2, D, 2, D)[:, [0, 1, 1], :, [0, 1, 0]]  # re re,
+            # im im and im re: G is symmetric, so re im is im re transposed
+        nonzero = nonzero or bool(np.any(h))
+    L = math.prod(u.grid.shape[1:])  # L = 1 on a zonal grid
+    m = np.outer([1, -1][:c.shape[2]], np.arange(c.shape[3])).ravel()  # the order of c[+/-, m]
+    e = np.exp(2j * np.pi / L * (np.outer(np.arange(L), m) % L))
+    e[:, c.shape[3]:c.shape[3] + 1] = 0.0  # c[-, 0] repeats m = 0
+    S = np.empty((K, L))
+    for k0 in range(0, K, kr):
+        Hk = H[:, k0:k0 + kr]
+        Hc = Hk[0] + Hk[1] + 1j * (Hk[2] - Hk[2].transpose(0, 2, 1))  # sum_j c c^H
+        S[k0:k0 + kr] = np.sum(np.multiply(EH := e @ Hc, e.conj(), out=EH), axis=-1).real
+    _finite_or_fail(float(np.max(S)), nonzero, what)
+    return np.maximum(S, 0.0, out=S).reshape(u.grid.shape)
 
 
 def mixed_norm(u: SpaceTimeField, p: float, q: float, *,

@@ -8,14 +8,13 @@ V(x, t) = sum_k a_k(t) B_k(x) is solved as the fixed point of
 on a uniform time grid.  The -i prefactor makes the fixed point solve the
 stated equation (for real V the continuum flow is then L^2-unitary, which
 is what the mass-drift diagnostic checks).  The time integral is composite
-trapezoid (second order); the spatial product V*w is formed in sample space
-on an oversampled grid and re-analyzed band-exactly, so the iteration is a
-Galerkin truncation with no aliasing in the retained coefficients.
+trapezoid (second order); the spatial product is the Galerkin projection
+P_N(V w), applied by coefficient operators built once from band-exact
+transforms, so the iteration has no aliasing in the retained coefficients.
 
 Iteration stops when the X-norm increment (sup-in-time Sobolev part plus
 the L^p_x(L^2_t) part) drops below tol; three consecutive non-contracting
-increments raise DivergenceError, pointing at the potential-smallness
-requirement.
+increments raise DivergenceError, which names the smallness gate's outcome.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .experiments import estimate_strichartz_constant, kappa_pq
 from .grids import CoefficientTable, _analyze, _synthesize, _work_buffer, grid_for, inverse_sht
@@ -50,10 +50,6 @@ __all__ = [
     "contraction_check",
     "l2_drift",
 ]
-
-# Time nodes per product V(t_j) of the Picard map, cut by spectral._row_blocks.
-_V_ROWS = 16
-
 
 class DivergenceError(RuntimeError):
     """Picard iteration failed to contract (potential too large)."""
@@ -256,47 +252,40 @@ def duhamel_apply(G: SpaceTimeField) -> SpaceTimeField:
 
 
 class _PicardMap:
-    """Phi(w) = e^{i t Delta} f - i Duhamel(V w) on one time grid and one spatial grid.
-
-    What does not depend on w is built once: V's spatial samples B, its amplitudes
-    a_k(t_j) at all M nodes, the Duhamel phase tables, the free-evolution phases
-    e^{i lambda t_j} and the `work` dict whose buffers every pass shares.  A pass (`blocks`)
-    reads w one block of iter_time_blocks at a time: it forms V w there, with V = sum_k
-    a_k(t_j) B_k(z) built _V_ROWS nodes at a time, re-analyzes it into a block buffer,
-    advances the Duhamel sum and adds the free evolution, which gives Phi(w) on the block.
-    A pass makes no history: apply_phi collects its blocks into a new one, and `increment`
-    writes them over w.
+    """Phi(w) = e^{i t Delta} f - i Duhamel(V w) on one time grid, in coefficient space: built
+    once are P_N(B_k .) (`ops`, _couplings), a_k(t_j), the phase tables and the `work` dict of
+    every pass.  A pass (`blocks`) reads w _TIME_BLOCK nodes at a time: one batched matmul forms
+    P_N(V w) = sum_k a_k(t_j) P_N(B_k w), the Duhamel sum advances and the free evolution is
+    added.  It makes no history: apply_phi collects its blocks, `increment` writes them over w.
     """
 
     def __init__(self, f: CoefficientTable, V: PotentialSpec, tg: TimeGrid, grid):
-        self.f, self.tg, self.grid, self.band = f, tg, grid, V.band
-        self.B = V.spatial_samples(grid).reshape(len(V.terms), math.prod(grid.shape))  # [k, z]
-        self.amps = V.amplitudes(tg.times)
+        if V.band + f.N > grid.band:
+            raise ValueError(f"product band {V.band + f.N} overflows grid band {grid.band}")
+        self.f, self.shift = f, 0 if f.zonal else V.band
+        self.ops = _couplings(V, f, grid, self.shift)
+        self.amps, self.free, self.work = V.amplitudes(tg.times), free_phases(tg.times, f), {}
         self.conj, self.scaled = _duhamel_phases(tg, f)
-        self.free = free_phases(tg.times, f)
-        self.work = {}
 
     def blocks(self, w: SpaceTimeField, out: np.ndarray | None = None):
         """Yield (j0, Phi(w) on w's time block at j0), written into the same rows of the history
         `out` when given, else valid until the next step.  w's block at j0 is read before it is
         yielded and never after, so it may then be written."""
-        if self.band + w.N > self.grid.band:
-            raise ValueError(
-                f"product band {self.band + w.N} overflows grid band {self.grid.band}"
-            )
         if w.base.a.shape != self.f.a.shape:
             raise ValueError(f"history of band {w.N} but initial data of band {self.f.N}")
-        V = _work_buffer(self.work, "V", (_V_ROWS + 1, self.B.shape[1]))
-        carry = None
-        for j0, samples in w.iter_time_blocks(self.work):
-            j1 = j0 + len(samples)
-            flat = samples.reshape(j1 - j0, -1)
-            for r0, r1 in _row_blocks(len(flat), _V_ROWS):  # V w, V built _V_ROWS nodes at a time
-                np.dot(self.amps[:, j0 + r0:j0 + r1].T, self.B, out=V[:r1 - r0])
-                np.multiply(V[:r1 - r0], flat[r0:r1], out=flat[r0:r1])
-            G = out[j0:j1] if out is not None else \
-                _work_buffer(self.work, "G", (j1 - j0, *self.f.a.shape))
-            _analyze(samples, self.grid, w.N, self.work, out=G)
+        orders, rows, s, carry = self.ops.shape[0], self.f.N + 1, self.shift, None
+        for j0 in range(0, w.tg.M, _TIME_BLOCK):
+            h, j1 = w.history(j0, j0 + _TIME_BLOCK), min(j0 + _TIME_BLOCK, w.tg.M)
+            # X[s + m, k, n, j] = a_k(t_j) w_j[n, m] between s zero orders: order m' of P_N(V w)
+            # reads X's contiguous rows m'..m' + 2s (slots shared with increment's Gram sums)
+            X = _work_buffer(self.work, "gram", (orders + 2 * s, len(self.amps), rows, len(h)))
+            X[:s], X[orders + s:] = 0.0, 0.0
+            np.multiply(h.reshape(len(h), rows, orders).T[:, None],
+                        self.amps[None, :, None, j0:j1], out=X[s:orders + s])
+            X = as_strided(X, (orders, self.ops.shape[2], len(h)), (X.strides[0], *X.strides[2:]))
+            Gt = np.matmul(self.ops, X, out=_work_buffer(self.work, "Y", (orders, rows, len(h))))
+            G = out[j0:j1] if out is not None else _work_buffer(self.work, "G", h.shape)
+            G.reshape(len(h), rows, orders)[...] = Gt.T
             if not np.all(np.isfinite(G.view(float))):
                 raise ValueError("coefficients must be finite")
             carry = _duhamel_step(G, j0, self.conj, self.scaled, carry, G, self.work)
@@ -304,12 +293,12 @@ class _PicardMap:
             free[...] = self.f.a
             np.multiply(free, self.free[j0:j1], out=free)
             np.subtract(free, np.multiply(G, 1j, out=G), out=G)  # 1j * G: exact products
+            del X, Gt, free  # their slots are free for the caller's buffers
             yield j0, G
 
     def increment(self, u: SpaceTimeField, p: float, s: float, write: bool = True) -> float:
-        """x_norm(Phi(u) - u) from one pass; with `write`, Phi(u) is written over u, a block at
-        a time once its increment is summed.  The increment is synthesized in `work`, and each
-        block's largest Sobolev norm is taken before its samples are summed as mixed_norm's."""
+        """x_norm(Phi(u) - u) from one pass, as x_norm sums it: each block's largest Sobolev norm
+        and its Gram sums; with `write`, Phi(u) is written over u's block once it is summed."""
         sup = []
 
         def deltas():
@@ -317,11 +306,32 @@ class _PicardMap:
                 ub = u.tables[j0:j0 + len(G)]
                 delta = np.subtract(G, ub, out=ub if write else G)
                 sup.append(float(np.max(_sobolev_norms(delta, s, u.base.zonal))))
-                yield j0, _synthesize(delta, u.grid, self.work)
+                yield delta
                 if write:
                     ub[...] = G
 
-        return _sampled_mixed_norm(u, p, 2.0, deltas()) + max(sup)  # the sum fills `sup`
+        return _sampled_mixed_norm(u, p, 2.0, deltas(), self.work) + max(sup)  # fills `sup`
+
+
+def _couplings(V: PotentialSpec, f: CoefficientTable, grid, s: int) -> np.ndarray:
+    """ops[m', n', (i, k, n)] = coefficient (n', m') of P_N(B_k Y_{n,m}), column m = m' + i - s:
+    band-exact transforms on `grid` of unit tables, _TIME_BLOCK at a time; only |i - s| <= B_k's
+    band b is kept (Gaunt: B_k moves orders by at most b)."""
+    orders = 1 if f.zonal else 2 * f.N + 1
+    ops = np.zeros((orders, f.N + 1, 2 * s + 1, len(V.terms), f.N + 1), dtype=complex)
+    n, m = np.divmod(np.arange(f.a.size), orders)
+    units, work = np.flatnonzero(np.abs(m - orders // 2) <= n), {}  # the (n, m) with |m| <= n
+    for k, (term, B) in enumerate(zip(V.terms, V.spatial_samples(grid))):
+        i = s + np.arange(-min(s, term.spatial.N), min(s, term.spatial.N) + 1)
+        for c in np.split(units, range(_TIME_BLOCK, len(units), _TIME_BLOCK)):
+            Y = np.equal.outer(c, np.arange(f.a.size)).astype(complex)
+            samples = _synthesize(Y.reshape(len(c), *f.a.shape), grid, work)
+            samples *= B
+            R = _analyze(samples, grid, f.N, work).reshape(len(c), f.N + 1, orders)
+            t = m[c, None] + s - i  # the target columns, [unit, i]
+            iu, ii = np.nonzero((t >= 0) & (t < orders))
+            ops[t[iu, ii], :, i[ii], k, n[c][iu]] = R[iu, :, t[iu, ii]]
+    return ops.reshape(orders, f.N + 1, -1)
 
 
 def apply_phi(w: SpaceTimeField, f: CoefficientTable, V: PotentialSpec) -> SpaceTimeField:
@@ -368,8 +378,8 @@ def picard_solve(
     threshold = kappa_pq(p, 2.0, d)
     if s < threshold - 1e-12:
         raise ValueError(f"regularity s={s} below threshold {threshold}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if max_iter < 1 or not tol >= 0:
+        raise ValueError(f"max_iter must be >= 1 and tol >= 0, got {max_iter} and tol = {tol}")
     grid = grid_for(f.N + V.band, d, 2.0)
     if tg is None:
         tg = TimeGrid(max(64, 8 * (int(eigenvalues_upto(f.N, d)[-1]) + 1)))
@@ -394,11 +404,11 @@ def picard_solve(
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
             if bad_streak >= 3:
-                raise DivergenceError(
-                    "no contraction for 3 consecutive iterates; the smallness "
-                    f"condition (C+C^2)||V|| <= 1/2 is violated "
-                    f"(gate value {(c_eff + c_eff**2) * v_norm:.3g})"
-                )
+                why = (f"the increment stalled at {delta:.3g}, though (C+C^2)||V|| <= 1/2"
+                       if smallness_ok else
+                       "the smallness condition (C+C^2)||V|| <= 1/2 is violated")
+                raise DivergenceError(f"no contraction for 3 consecutive iterates; {why} "
+                                      f"(gate value {(c_eff + c_eff**2) * v_norm:.3g})")
         increments.append(delta)
         if delta <= tol:
             break

@@ -42,7 +42,7 @@ _TWO_PI = 2.0 * math.pi
 # chunks pay more per-call overhead, larger ones spill to main memory.  A quarter of it bounds
 # a block of the per-degree samples that the free path synthesizes.
 _SERIES_CHUNK_BYTES = 2 * 2**20
-# Time nodes per batched transform of an explicit history (iter_time_blocks, the Picard map).
+# Time nodes per block of an explicit history (iter_time_blocks, the Picard map, Gram sums).
 _TIME_BLOCK = 64
 
 

@@ -511,6 +511,27 @@ def test_solve_potential_max_iter_below_1_exit_1(max_iter, tmp_path, capsys):
     assert "converged" not in captured.out
 
 
+@pytest.mark.parametrize("tol", ["-1", "-0.5"])
+def test_solve_potential_unreachable_tol_exit_1_before_any_transform(tol, tmp_path, monkeypatch,
+                                                                     capsys):
+    # a tol below 0 cannot be reached (increments stall at rounding level): exit 1 at once, not
+    # exit 2 after the increments stall, with a message that blamed the potential
+    def no_work(*args, **kwargs):
+        raise AssertionError("transform started")
+
+    for name in ("grids._synthesize", "grids._analyze", "grids._degree_synthesis",
+                 "potential._synthesize", "potential._analyze", "spectral._synthesize",
+                 "spectral._degree_synthesis", "norms._legendre_stage"):
+        monkeypatch.setattr(f"sphere_strichartz.{name}", no_work)
+    pot_file = tmp_path / "pot.json"
+    pot_file.write_text(json.dumps({"terms": [_TERM]}))
+    assert run(["solve-potential", "--potential", str(pot_file), "--N", "4", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    want = f"error: max_iter must be >= 1 and tol >= 0, got 30 and tol = {float(tol)}\n"
+    assert captured.err == want
+    assert captured.out == ""
+
+
 def test_solve_potential_d3_zonal_file(tmp_path, capsys):
     # d >= 3 potential files hold zonal terms, written as m = 0 entries
     pot_file = tmp_path / "pot.json"

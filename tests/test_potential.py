@@ -523,18 +523,18 @@ def test_picard_increments_equal_explicit_differences(d, N):
 
 
 def two_history_phi(w, f, V):
-    """The Picard map as one whole history: V w re-analyzed into G for all M nodes, the Duhamel
-    integral from one cumulative sum over all of H = e^{-i lambda t} G, then the free
-    evolution minus 1j times it."""
+    """The Picard map by transforms, as one whole history: w's samples times V, built 16 nodes at
+    a time, re-analyzed into G for all M nodes, the Duhamel integral from one cumulative sum over
+    all of H = e^{-i lambda t} G, then the free evolution minus 1j times it."""
     B = V.spatial_samples(w.grid).reshape(len(V.terms), -1)
     amps = V.amplitudes(w.tg.times)
     G = np.empty_like(w.tables)
     work = {}
     for j0, samples in w.iter_time_blocks(work):
         flat = samples.reshape(len(samples), -1)
-        for r0, r1 in _row_blocks(len(flat), potential._V_ROWS):
+        for r0, r1 in _row_blocks(len(flat), 16):
             np.multiply(amps[:, j0 + r0:j0 + r1].T @ B, flat[r0:r1], out=flat[r0:r1])
-        potential._analyze(samples, w.grid, w.N, work, out=G[j0:j0 + len(samples)])
+        G[j0:j0 + len(samples)] = potential._analyze(samples, w.grid, w.N, work)
     conj, scaled = potential._duhamel_phases(w.tg, f)
     H = conj * G
     integral = np.cumsum(H, axis=0)
@@ -546,9 +546,16 @@ def two_history_phi(w, f, V):
                           tables=f.a * free_phases(w.tg.times, f) - 1j * integral)
 
 
+def sampled_x_norm(u, p, s):
+    """ref_x_norm with the L^2_t part summed from samples: |u|^2 of each time block."""
+    S = sum(np.sum(np.abs(x) ** 2, axis=0) for _, x in u.iter_time_blocks())
+    return (float(np.max(_sobolev_norms(u.history(), s, u.base.zonal)))
+            + lp_norm(np.sqrt(S * (TWO_PI / u.tg.M)), u.grid, p))
+
+
 def two_history_picard_solve(f, V, p, s, tol=1e-8, max_iter=30, tg=None, seed=0):
     """picard_solve as it was before each iterate became one pass: Phi(u) in a history of its
-    own, the increment written over u, and x_norm of the increment read after the map."""
+    own by transforms, the increment written over u, and its x_norm from samples."""
     grid = grid_for(f.N + V.band, f.d, 2.0)
     tg = tg or TimeGrid(max(64, 8 * (int(eigenvalues_upto(f.N, f.d)[-1]) + 1)))
     v_norm = lp_norm(V.sup_t_profile(grid), grid, holder_conjugate(p))
@@ -558,7 +565,7 @@ def two_history_picard_solve(f, V, p, s, tol=1e-8, max_iter=30, tg=None, seed=0)
     for _ in range(max_iter):
         u_next = two_history_phi(u, f, V)
         np.subtract(u_next.tables, u.tables, out=u.tables)
-        delta = ref_x_norm(u, p, s)
+        delta = sampled_x_norm(u, p, s)
         if increments:
             ratios.append(delta / increments[-1] if increments[-1] > 0 else 0.0)
             bad_streak = bad_streak + 1 if ratios[-1] >= 1.0 else 0
@@ -574,7 +581,7 @@ def two_history_picard_solve(f, V, p, s, tol=1e-8, max_iter=30, tg=None, seed=0)
     else:
         raise DivergenceError(f"no convergence to tol={tol} within {max_iter} iterations "
                               f"(last increment {increments[-1]:.3g})")
-    residual = ref_x_norm(two_history_phi(u, f, V) - u, p, s)
+    residual = sampled_x_norm(two_history_phi(u, f, V) - u, p, s)
     return u, increments, ratios, residual, max(ratios) if ratios else 0.0
 
 
@@ -589,18 +596,19 @@ def _one_term_potential(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_streamed_picard_solve_equals_two_history_loop(d, M, terms):
     # Each iterate is one pass over u's time blocks that writes Phi(u) over u and sums the
-    # increment's X-norm; the two-history loop gives the same floats.  65 and 129 leave a
-    # one-node last block; None is picard_solve's default grid (168 nodes at d = 2, 232 at 3).
+    # increment's X-norm, in coefficient space; the two-history loop by transforms and samples
+    # takes as many iterates to the same iterate, up to rounding.  Increments near tol are
+    # rounding noise, so they are compared absolutely.  65 and 129 leave a one-node last block;
+    # None is picard_solve's default grid (168 nodes at d = 2, 232 at 3).
     f = random_field(4, d, np.random.default_rng([d, terms]))
     V = _one_term_potential(d) if terms == 1 else _two_term_zonal_potential(d)
     p, s = 4.0, kappa_pq(4.0, 2.0, d)
     tg = None if M is None else TimeGrid(M)
     u, rep = picard_solve(f, V, p, s, tg=tg)
-    want_u, increments, ratios, residual, contraction = two_history_picard_solve(f, V, p, s,
-                                                                                 tg=tg)
-    assert u.tables.tobytes() == want_u.tables.tobytes()
-    assert rep.increments == increments and rep.ratios == ratios
-    assert rep.residual == residual and rep.contraction_ratio == contraction
+    want_u, increments, _, residual, _ = two_history_picard_solve(f, V, p, s, tg=tg)
+    assert np.max(np.abs(u.tables - want_u.tables)) <= 1e-13 * np.max(np.abs(want_u.tables))
+    assert np.max(np.abs(np.subtract(rep.increments, increments))) <= 1e-14
+    assert abs(rep.residual - residual) <= 1e-14
     assert rep.iterations == len(increments) > 2
 
 
@@ -621,6 +629,51 @@ def test_streamed_picard_solve_keeps_both_divergence_messages(case, d):
         picard_solve(f, V, p, s, **kwargs)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(case.replace("max_iter", "no convergence"))
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, -math.inf])
+def test_picard_solve_refuses_unreachable_tol_before_any_work(tol, monkeypatch):
+    # increments stall at rounding level, so a tol below 0 (or nan) could only end in the
+    # no-contraction error, which blamed the potential
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(potential, "grid_for", no_work)
+    monkeypatch.setattr(potential, "estimate_strichartz_constant", no_work)
+    f = random_field(4, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="tol >= 0"):
+        picard_solve(f, cos_t_potential(0.03), 4.0, 0.125, tol=tol)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_picard_solve_tol_0_converges_with_a_zero_potential(d):
+    f = random_field(5, d, np.random.default_rng(d))
+    u, rep = picard_solve(f, PotentialSpec([]), 4.0, kappa_pq(4.0, 2.0, d), tol=0.0)
+    assert rep.iterations == 1 and rep.increments == [0.0] and rep.residual == 0.0
+
+
+@pytest.mark.parametrize("eps, violated", [(80.0, True), (0.03, False)])
+def test_no_contraction_message_names_the_gate_outcome(eps, violated, monkeypatch):
+    # 80 cos(t) Y_{1,0} fails the gate; README's 0.03 passes it, so three non-contracting
+    # increments (forced here) mean a stalled increment, not a violated condition
+    f = random_field(4, 2, np.random.default_rng(9))
+    if not violated:
+        increment = potential._PicardMap.increment
+        calls = []
+
+        def stalled(self, u, p, s, write=True):
+            calls.append(increment(self, u, p, s, write))
+            return 1e-16 * (1 + len(calls))  # never contracts
+
+        monkeypatch.setattr(potential._PicardMap, "increment", stalled)
+    with pytest.raises(DivergenceError) as exc:
+        picard_solve(f, cos_t_potential(eps), 4.0, 0.125, tol=1e-30, max_iter=12, seed=1)
+    msg = str(exc.value)
+    assert msg.startswith("no contraction for 3 consecutive iterates; ")
+    gate = float(msg.rsplit("gate value ", 1)[1].rstrip(")"))
+    assert (gate > 0.5) == violated
+    assert ("is violated" in msg) == violated
+    assert ("stalled at" in msg) != violated
 
 
 @pytest.mark.parametrize("M", [64, 65, 344])
