@@ -199,8 +199,9 @@ def strichartz_ratio(f: CoefficientTable, p: float, q: float, s: float,
 
     method="auto" uses the exact single-degree reduction when f lives in
     one eigenspace (|u(t,z)| = |f(z)| for all t, so the inner time norm is
-    (2 pi)^{1/q} |f(z)|); otherwise the mixed norm is time-sampled on tg
-    (default: the Nyquist grid with margin 4).
+    (2 pi)^{1/q} |f(z)|); otherwise, and always with method="sampled", the
+    mixed norm is the rectangle rule on tg (default: the Nyquist grid with
+    margin 4), summed without samples where it is exact (q = 4, M > 2 lambda_N).
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")

@@ -5,14 +5,18 @@ Degree weights are (1+n)^s throughout (the n=0 mode would otherwise be
 annihilated), and the Sobolev norm is the square-summed convention
 (sum over n of (1+n)^{2s} ||H_n f||_2^2)^{1/2}.
 
-`mixed_norm` is an honest rectangle-rule time quadrature of samples on all M
-nodes (a free field's one period, counted M/P times); its agreement with
+`mixed_norm` is an honest rectangle-rule time quadrature on all M nodes (a
+free field's one period, counted M/P times); its agreement with
 `l2t_profile_exact` at q=2 is a verification target, not a shortcut.  For a
 free field the time power sums run over `SpaceTimeField.iter_space_chunks`,
 for any other over `iter_time_blocks`: |u|^q of each chunk or block goes into
 one buffer reused across them, a quarter of its rows at a time, with the same
 operations per point as on whole arrays, so the sums keep the whole's bits.
-An explicit history at q = 2 is summed from per-ring Gram matrices, unsampled.
+Two rules sum the same rectangle rule without samples where it is exact: an
+explicit history at q = 2 from per-ring Gram matrices, and a free field at
+q = 4 on M > 2 lambda_N nodes from resonant degree pairs,
+lambda_a + lambda_b = lambda_c + lambda_e (the resonance counting of
+Bourgain, GAFA 1993, and of Burq, Gerard & Tzvetkov, Invent. Math. 2005).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import numpy as np
 
 from .grids import (CoefficientTable, _as_samples, _check_fit, _legendre_stage, _per_point,
                     _work_buffer)
+from .harmonics import eigenvalues_upto
 from .spectral import _SERIES_CHUNK_BYTES, _TIME_BLOCK, _TWO_PI, SpaceTimeField, TimeGrid
 
 __all__ = [
@@ -127,8 +132,62 @@ def l2t_profile_exact(f: CoefficientTable, grid) -> np.ndarray:
 
 
 def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float, blocks=None, work=None) -> float:
-    prof = (_time_power_sums(u, q, blocks, work) * (_TWO_PI / u.tg.M)) ** (1.0 / q)
-    return lp_norm(prof, u.grid, p)
+    return _norm_of_sums(_time_power_sums(u, q, blocks, work), u, p, q)
+
+
+def _norm_of_sums(S: np.ndarray, u: SpaceTimeField, p: float, q: float) -> float:
+    """The L^p norm of the time profile (2 pi / M sum_j |u(t_j, z)|^q)^{1/q} from the sums S."""
+    return lp_norm((S * (_TWO_PI / u.tg.M)) ** (1.0 / q), u.grid, p)
+
+
+def _resonances(N: int, d: int):
+    """(a, b, c, e, w) arrays over the pairs of degree pairs a <= b, c <= e, (a, b) != (c, e),
+    with lambda_a + lambda_b = lambda_c + lambda_e, each once; w = (1 + (a != b)) (1 + (c != e))
+    counts the ordered pairs.  The pair sums are sorted in integers: equal sums k places apart
+    are also k - 1 apart, so the search ends at the first k with none."""
+    a, b, lam = *np.triu_indices(N + 1), eigenvalues_upto(N, d)
+    sums = lam[a] + lam[b]
+    order = np.argsort(sums, kind="stable")
+    sums, i, j, k = sums[order], [np.zeros(0, int)], [np.zeros(0, int)], 1
+    while (hit := np.flatnonzero(sums[k:] == sums[:-k])).size:
+        i.append(order[hit])
+        j.append(order[hit + k])
+        k += 1
+    i, j = np.concatenate(i), np.concatenate(j)
+    return a[i], b[i], a[j], b[j], (1.0 + (a[i] != b[i])) * (1.0 + (a[j] != b[j]))
+
+
+def _resonant_l4_sums(u: SpaceTimeField) -> np.ndarray:
+    """sum_j |u(t_j, z)|^4 of a free field on M > 2 lambda_N nodes, with no time sample: there
+    the rectangle rule is exact for the frequencies lambda_a + lambda_b - lambda_c - lambda_e of
+    |u|^4, so with E_n = H_n f the sums are M (2 (sum_a |E_a|^2)^2 - sum_a |E_a|^4
+    + 2 Re sum w E_a E_b conj(E_c E_e)) over the _resonances.  E comes from _per_point; the
+    collision products go through three buffers of a quarter of _SERIES_CHUNK_BYTES."""
+    _check_fit(u.grid, u.N, u.d)
+    a, b, c, e, w = _resonances(u.N, u.d)
+
+    def sums(E, out):
+        E = E.reshape(len(E), -1)
+        n = max(1, min(len(w), _SERIES_CHUNK_BYTES // (4 * 3 * 16 * E.shape[1])))
+        x, y, z = np.empty((3, n, E.shape[1]), dtype=complex)
+        cross = np.zeros(E.shape[1], dtype=complex)
+        for k0 in range(0, len(w), n):  # take's "clip": "raise" would copy through a buffer
+            ks, m = slice(k0, k0 + n), min(n, len(w) - k0)
+            ab = np.multiply(E.take(a[ks], 0, x[:m], "clip"), E.take(b[ks], 0, y[:m], "clip"),
+                             out=x[:m])
+            cd = np.multiply(E.take(c[ks], 0, y[:m], "clip"), E.take(e[ks], 0, z[:m], "clip"),
+                             out=y[:m])
+            cross += w[ks] @ np.multiply(ab, np.conjugate(cd, out=cd), out=ab)
+        e2 = np.abs(E)
+        e2 *= e2
+        s2 = np.sum(e2, axis=0)
+        total = 2.0 * s2 * s2 - np.sum(np.multiply(e2, e2, out=e2), axis=0) + 2.0 * cross.real
+        np.multiply(total.reshape(out.shape), u.tg.M, out=out)
+        _finite_or_fail(out, np.moveaxis(E.reshape(len(E), *out.shape), 0, -1),
+                        "time power sums of |u|^4")
+
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or a nan, which fails in sums
+        return _per_point(u.base.a, u.grid, sums)
 
 
 def _time_power_sums(u: SpaceTimeField, q: float, blocks=None, work=None) -> np.ndarray:
@@ -195,14 +254,20 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float, *,
     """Mixed norm || z -> ||u(., z)||_{L^q_t} ||_{L^p_z}, inner time norm first.
 
     The inner integral is the rectangle rule on u's time grid (exact for
-    trigonometric polynomials resolved by M).  With check_resolution=True
-    (free-evolution fields only) the result is recomputed on a doubled time
-    grid and a TimeResolutionError is raised if it moves by more than rtol.
+    trigonometric polynomials resolved by M).  For a free field at q = 4 on
+    M > 2 lambda_N nodes, where the rule is exact, its sums come from resonant
+    degree pairs with no time sample.  With check_resolution=True
+    (free-evolution fields only) the result is recomputed from samples on a
+    doubled time grid and a TimeResolutionError is raised if it moves by more
+    than rtol.
     """
     if not q >= 1 or q == math.inf:
         raise ValueError(f"inner exponent must satisfy 1 <= q < inf, got {q}")
     _check_p(p)
-    result = _sampled_mixed_norm(u, p, q)
+    if q == 4 and u.free and u.tg.M > 2 * eigenvalues_upto(u.N, u.d)[-1]:
+        result = _norm_of_sums(_resonant_l4_sums(u), u, p, q)
+    else:
+        result = _sampled_mixed_norm(u, p, q)
     if check_resolution:
         if not u.free:
             raise ValueError("resolution check requires a free-evolution field")

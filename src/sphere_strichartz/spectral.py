@@ -85,7 +85,8 @@ def nyquist_time_grid(N: int, d: int) -> TimeGrid:
 
     The rectangle rule on this grid integrates |u|^q exactly for band-N free
     evolutions and even q up to 4 (the top time frequency of |u|^4 is
-    2*lambda_N < M).
+    2*lambda_N < M).  At q = 4 mixed_norm sums that rule without samples
+    (resonant degree pairs), so there its value does not depend on M.
     """
     return TimeGrid(4 * (int(eigenvalues_upto(N, d)[-1]) + 1))
 
@@ -201,6 +202,7 @@ class SpaceTimeField:
         unless the grid has one point, and the first is the largest, so one buffer holds every
         series, a view valid until the next step.  E_n(z) is made a block of whole kr-row groups
         at a time, at most _SERIES_CHUNK_BYTES / 4 (or one group), as each block has a fixed cost.
+        mixed_norm samples through it at q != 4, and at q = 4 only where M <= 2 lambda_N.
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sphere_strichartz
-from sphere_strichartz import cli, experiments
+from sphere_strichartz import cli, experiments, norms, spectral
 from sphere_strichartz.cli import run
 from sphere_strichartz.grids import CoefficientTable
 from sphere_strichartz.spectral import SpaceTimeField
@@ -343,16 +344,45 @@ def test_p_below_1_exit_1_before_any_synthesis(argv, p, monkeypatch, capsys):
     assert captured.out == ""
 
 
-def test_out_of_memory_exit_1(monkeypatch, capsys):
-    def refuse(self):
-        raise MemoryError("Unable to allocate 3.0 GiB for an array with shape (1024, 180602) "
-                          "and data type complex128")
+def _refuse_memory(self):
+    raise MemoryError("Unable to allocate 3.0 GiB for an array with shape (1024, 180602) "
+                      "and data type complex128")
 
-    monkeypatch.setattr(SpaceTimeField, "iter_space_chunks", refuse)
+
+def test_out_of_memory_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(SpaceTimeField, "iter_space_chunks", _refuse_memory)
     assert run(["strichartz", "--N", "6", "--p", "4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate 3.0 GiB ")
     assert "Traceback" not in err
+
+
+def test_strichartz_q4_builds_no_phase_table(monkeypatch):
+    # on the default grid (M > 2 lambda_N) a q = 4 ratio comes from resonant degree pairs: it
+    # needs no iter_space_chunks, where the phase table W is built, and equals the sampled ratio
+    argv = ["strichartz", "--N", "6", "--p", "4", "--q", "4", "--seed", "5"]
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_resonant_l4_sums", lambda u: norms._time_power_sums(u, 4.0))
+        code, sampled, _ = _run_captured(argv)
+    assert code == 0
+    monkeypatch.setattr(SpaceTimeField, "iter_space_chunks", _refuse_memory)
+    code, out, err = _run_captured(argv)
+    assert code == 0 and err == "", err
+    got, want = (float(re.search(r"ratio = (\S+)", text).group(1)) for text in (out, sampled))
+    assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-90])
+def test_q4_power_sums_out_of_float_range_exit_2(scale, monkeypatch, tmp_path):
+    # |u|^4 overflows at 1e80 and underflows to a vacuous 0 at 1e-90: exit 2, no warning, no row
+    monkeypatch.setattr(cli, "random_field",
+                        lambda N, d, rng: spectral.random_field(N, d, rng) * scale)
+    out = tmp_path / "r.csv"
+    code, stdout, err = _run_captured(["strichartz", "--N", "6", "--p", "4", "--q", "4",
+                                       "--output", str(out)])
+    assert code == 2, err
+    assert err == "numerical error: non-finite or vacuous time power sums of |u|^4\n", err
+    assert "ratio =" not in stdout and not out.exists()
 
 
 def test_strichartz_command(capsys):

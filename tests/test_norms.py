@@ -1,10 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
-from sphere_strichartz import grids, spectral
+from sphere_strichartz import grids, norms, spectral
 from sphere_strichartz.grids import (
     CoefficientTable,
     build_sphere_grid,
@@ -14,7 +16,9 @@ from sphere_strichartz.grids import (
 )
 from sphere_strichartz.norms import (
     TimeResolutionError,
+    _resonant_l4_sums,
     _sobolev_norms,
+    _time_power_sums,
     l2t_profile_exact,
     lp_norm,
     mixed_norm,
@@ -476,3 +480,76 @@ def test_norms_are_finite_or_fail():
         _sobolev_norms(batch.reshape(3, 2, 2), 0.5, False)  # |a|^2 underflows in the row sums
     with pytest.raises(FloatingPointError, match="Sobolev norm at s = 400"):
         sobolev_norm(CoefficientTable.unit_mode(8, 8, 0), 400.0)
+
+
+# -- q = 4 on a free field: the rectangle rule from resonant degree pairs, no samples ---------
+
+def _q4_field(d, N, M, scale=1.0):
+    f = random_field(N, d, np.random.default_rng([41, d, N])) * scale
+    return synthesize_history(f, TimeGrid(M), grid_for(N, d, 2.0))
+
+
+def _refuse(*args):
+    raise AssertionError("this path must not run")
+
+
+@pytest.mark.parametrize("d, N", [(2, 0), (2, 1), (2, 12), (2, 32), (3, 5), (3, 48), (4, 31),
+                                  (4, 48)])
+@pytest.mark.parametrize("time_grid", ["nyquist", "smooth", "least"])
+def test_resonant_l4_sums_equal_sampled_sums(d, N, time_grid):
+    # the Nyquist grid 4 (lambda_N + 1), the 5-smooth next_fast_len(2 lambda_N + 2) of
+    # criterion 8 and the benchmark, and the least grid without aliasing, 2 lambda_N + 1
+    lam = N * (N + d - 1)
+    M = {"nyquist": nyquist_time_grid(N, d).M, "smooth": next_fast_len(2 * lam + 2),
+         "least": 2 * lam + 1}[time_grid]
+    u = _q4_field(d, N, M)
+    np.testing.assert_allclose(_resonant_l4_sums(u), _time_power_sums(u, 4.0), rtol=1e-13)
+
+
+@pytest.mark.parametrize("d, N", [(2, 6), (3, 8)])
+def test_mixed_norm_takes_resonant_sums_at_q4_above_2_lambda_N_only(d, N, monkeypatch):
+    # M = 2 lambda_N aliases the frequency 2 lambda_N of |u|^4, where the identity fails: the
+    # samples are summed there, and on M = 2 lambda_N + 1 the resonant pairs are
+    lam = N * (N + d - 1)
+    for M, resonant in ((2 * lam, False), (2 * lam + 1, True)):
+        u = _q4_field(d, N, M)
+        want = lp_norm((_time_power_sums(u, 4.0) * (TWO_PI / M)) ** 0.25, u.grid, 4.0)
+        with monkeypatch.context() as m:
+            m.setattr(norms, "_time_power_sums" if resonant else "_resonant_l4_sums", _refuse)
+            got = mixed_norm(u, 4.0, 4.0)
+        assert abs(got - want) <= 1e-14 * want
+    # other q and explicit histories are always sampled
+    monkeypatch.setattr(norms, "_resonant_l4_sums", _refuse)
+    u = _q4_field(d, N, nyquist_time_grid(N, d).M)
+    assert all(mixed_norm(u, 4.0, q) > 0 for q in (1.0, 2.0, 3.0, 6.0))
+    assert mixed_norm(u.materialize(), 4.0, 4.0) > 0
+
+
+def _without_cross_term(u):
+    """Resonant sums that drop the colliding pairs: M (2 (sum |E_a|^2)^2 - sum |E_a|^4)."""
+    e2 = np.abs(synthesize_by_degree(u.base, u.grid)) ** 2
+    return u.tg.M * (2.0 * np.sum(e2, axis=0) ** 2 - np.sum(e2 ** 2, axis=0))
+
+
+def test_resolution_check_at_q4_compares_resonant_sums_with_doubled_samples(monkeypatch):
+    # the resonant value does not depend on M, so the check must sample the doubled grid: it
+    # passes the right sums at rtol 1e-13 and catches sums without the cross term (a 1.7e-4 move)
+    u = _q4_field(2, 6, nyquist_time_grid(6, 2).M)
+    base = mixed_norm(u, 4.0, 4.0, check_resolution=True, rtol=1e-13)
+    monkeypatch.setattr(norms, "_resonant_l4_sums", _without_cross_term)
+    assert abs(mixed_norm(u, 4.0, 4.0) - base) > 1e-4 * base
+    with pytest.raises(TimeResolutionError):
+        mixed_norm(u, 4.0, 4.0, check_resolution=True)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-90])
+@pytest.mark.parametrize("resonant", [True, False])
+def test_q4_power_sums_out_of_float_range_raise(scale, resonant):
+    # |u|^4 overflows at 1e80 and underflows to a vacuous 0 at 1e-90, on both paths; the
+    # resonant path prints no RuntimeWarning either
+    u = _q4_field(2, 6, 2 * 42 + resonant, scale)  # lambda_6 = 42
+    with warnings.catch_warnings(), np.errstate(over="warn" if resonant else "ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite or vacuous time power sums of \|u\|\^4$"):
+            mixed_norm(u, 4.0, 4.0)

@@ -10,8 +10,8 @@ residuals, drifts, defects and errors (a defect of 0 against 1e-16 has no useful
 move).  The whole comparison goes to one JSON report (--report).
 
 The command list is tests/test_golden.py's COMMANDS, imported from this tree, plus the
-Picard solves of EXTRA.  Needs only the standard library and numpy (which the imported test
-module loads).
+Picard solves and q = 4 free-path ratios of EXTRA.  Needs only the standard library and numpy
+(which the imported test module loads).
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ EXTRA = {
     **{f"picard-n{N}": _SOLVE + ["--N", str(N)] for N in (6, 8, 12, 20)},
     **{f"picard-m{M}": _SOLVE + ["--N", "6", "--M", str(M)] for M in (65, 69, 129)},
     **{f"picard-d3-n{N}": _SOLVE + ["--d", "3", "--N", str(N)] for N in (0, 4, 8)},
+    # q = 4 on the free path beyond the golden N = 24: the resonant-pair sums
+    "strichartz-n64-p4q4": ["strichartz", "--N", "64", "--p", "4", "--q", "4"],
+    "strichartz-d3-n48-p4q4": ["strichartz", "--d", "3", "--N", "48", "--p", "4", "--q", "4"],
+    "strichartz-d4-n32-p6q4": ["strichartz", "--d", "4", "--N", "32", "--p", "6", "--q", "4"],
 }
 COMMANDS = {**test_golden.COMMANDS, **EXTRA}
 
