@@ -201,7 +201,7 @@ def strichartz_ratio(f: CoefficientTable, p: float, q: float, s: float,
     one eigenspace (|u(t,z)| = |f(z)| for all t, so the inner time norm is
     (2 pi)^{1/q} |f(z)|); otherwise, and always with method="sampled", the
     mixed norm is the rectangle rule on tg (default: the Nyquist grid with
-    margin 4), summed without samples where it is exact (q = 4, M > 2 lambda_N).
+    margin 4), summed by the kernel that norms._time_sums' route table picks.
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")

@@ -7,16 +7,10 @@ annihilated), and the Sobolev norm is the square-summed convention
 
 `mixed_norm` is an honest rectangle-rule time quadrature on all M nodes (a
 free field's one period, counted M/P times); its agreement with
-`l2t_profile_exact` at q=2 is a verification target, not a shortcut.  For a
-free field the time power sums run over `SpaceTimeField.iter_space_chunks`,
-for any other over `iter_time_blocks`: |u|^q of each chunk or block goes into
-one buffer reused across them, a quarter of its rows at a time, with the same
-operations per point as on whole arrays, so the sums keep the whole's bits.
-Two rules sum the same rectangle rule without samples where it is exact: an
-explicit history at q = 2 from per-ring Gram matrices, and a free field at
-q = 4 on M > 2 lambda_N nodes from resonant degree pairs,
-lambda_a + lambda_b = lambda_c + lambda_e (the resonance counting of
-Bourgain, GAFA 1993, and of Burq, Gerard & Tzvetkov, Invent. Math. 2005).
+`l2t_profile_exact` at q=2 is a verification target, not a shortcut.  Its
+inner time sums come from one of three kernels (samples, per-ring Gram
+matrices, resonant degree pairs), and `_time_sums` alone picks which: its
+docstring is the route table.
 """
 
 from __future__ import annotations
@@ -131,10 +125,6 @@ def l2t_profile_exact(f: CoefficientTable, grid) -> np.ndarray:
                       lambda E, out: np.sqrt(_TWO_PI * np.sum(np.abs(E) ** 2, axis=0), out=out))
 
 
-def _sampled_mixed_norm(u: SpaceTimeField, p: float, q: float, blocks=None, work=None) -> float:
-    return _norm_of_sums(_time_power_sums(u, q, blocks, work), u, p, q)
-
-
 def _norm_of_sums(S: np.ndarray, u: SpaceTimeField, p: float, q: float) -> float:
     """The L^p norm of the time profile (2 pi / M sum_j |u(t_j, z)|^q)^{1/q} from the sums S."""
     return lp_norm((S * (_TWO_PI / u.tg.M)) ** (1.0 / q), u.grid, p)
@@ -190,13 +180,27 @@ def _resonant_l4_sums(u: SpaceTimeField) -> np.ndarray:
         return _per_point(u.base.a, u.grid, sums)
 
 
-def _time_power_sums(u: SpaceTimeField, q: float, blocks=None, work=None) -> np.ndarray:
-    """sum_j |u(t_j, z)|^q over all M nodes; FloatingPointError if |u|^q leaves float range.
+def _time_sums(u: SpaceTimeField, q: float, blocks=None, work=None) -> np.ndarray:
+    """sum_j |u(t_j, z)|^q over all M nodes, from the one kernel that this route table picks:
+    - a free field at q = 4 on M > 2 lambda_N nodes: _resonant_l4_sums, from the resonant degree
+      pairs lambda_a + lambda_b = lambda_c + lambda_e (Bourgain, GAFA 1993; Burq, Gerard &
+      Tzvetkov, Invent. Math. 2005);
+    - an explicit history at q = 2: _gram_power_sums, from per-ring Gram matrices, over `blocks`
+      (when given, they stand in for u's history_blocks) with `work`'s buffers;
+    - anything else: _time_power_sums, from samples of free space chunks or explicit blocks.
+    The first two sum the same rectangle rule with no time sample, where it is exact."""
+    if q == 4 and u.free and u.tg.M > 2 * eigenvalues_upto(u.N, u.d)[-1]:
+        return _resonant_l4_sums(u)
+    if q == 2 and not u.free:
+        return _gram_power_sums(u, blocks, {} if work is None else work)
+    return _time_power_sums(u, q)
+
+
+def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
+    """sum_j |u(t_j, z)|^q over all M samples; FloatingPointError if |u|^q leaves float range.
     |x|^q is formed a quarter chunk or block at a time; numpy adds a block's rows in order, so a
     later piece is summed with the running sum as row 0 (one-point rows: pairwise, never cut)."""
     what = f"time power sums of |u|^{q:g}"
-    if q == 2 and not u.free:
-        return _gram_power_sums(u, blocks, {} if work is None else work, what)
     S = np.zeros(math.prod(u.grid.shape))  # flat: a free chunk's key is a slice of points
     work = {}  # the first chunk or block is the largest, so one buffer holds every |x|^q
     for key, x in u.iter_space_chunks() if u.free else u.iter_time_blocks(work):
@@ -218,13 +222,13 @@ def _time_power_sums(u: SpaceTimeField, q: float, blocks=None, work=None) -> np.
     return S.reshape(u.grid.shape)
 
 
-def _gram_power_sums(u: SpaceTimeField, blocks, work: dict, what: str) -> np.ndarray:
+def _gram_power_sums(u: SpaceTimeField, blocks, work: dict) -> np.ndarray:
     """sum_j |u(t_j, z)|^2 of an explicit history (or of its `blocks`) with no samples: per ring,
     the Gram matrix H_k = sum_j c c^H of its longitude coefficients c (_legendre_stage), kr rings
     at a time, gives S(t_k, phi) = sum_{m,m'} H_k[m, m'] e^{i (m - m') phi}, clamped at 0."""
     K, D, nonzero = u.grid.t.size, (1 if u.base.zonal else 2 * u.N + 2), False  # D: c's +/-, m
     H, kr = np.zeros((3, K, D, D)), max(1, _SERIES_CHUNK_BYTES // (64 * D * (2 * D + _TIME_BLOCK)))
-    for h in blocks or (u.history(j0, j0 + _TIME_BLOCK) for j0 in range(0, u.tg.M, _TIME_BLOCK)):
+    for h in blocks or (h for _, h in u.history_blocks()):
         c = _legendre_stage(h, u.grid, work)  # [m, k, j, +/-]
         c = c.view(float).reshape(*c.shape, 2).transpose(1, 4, 3, 0, 2)  # [k, re/im, +/-, m, j]
         for k0 in range(0, K, kr):
@@ -245,7 +249,7 @@ def _gram_power_sums(u: SpaceTimeField, blocks, work: dict, what: str) -> np.nda
         Hk = H[:, k0:k0 + kr]
         Hc = Hk[0] + Hk[1] + 1j * (Hk[2] - Hk[2].transpose(0, 2, 1))  # sum_j c c^H
         S[k0:k0 + kr] = np.sum(np.multiply(EH := e @ Hc, e.conj(), out=EH), axis=-1).real
-    _finite_or_fail(float(np.max(S)), nonzero, what)
+    _finite_or_fail(float(np.max(S)), nonzero, "time power sums of |u|^2")
     return np.maximum(S, 0.0, out=S).reshape(u.grid.shape)
 
 
@@ -253,26 +257,20 @@ def mixed_norm(u: SpaceTimeField, p: float, q: float, *,
                check_resolution: bool = False, rtol: float = 1e-8) -> float:
     """Mixed norm || z -> ||u(., z)||_{L^q_t} ||_{L^p_z}, inner time norm first.
 
-    The inner integral is the rectangle rule on u's time grid (exact for
-    trigonometric polynomials resolved by M).  For a free field at q = 4 on
-    M > 2 lambda_N nodes, where the rule is exact, its sums come from resonant
-    degree pairs with no time sample.  With check_resolution=True
-    (free-evolution fields only) the result is recomputed from samples on a
-    doubled time grid and a TimeResolutionError is raised if it moves by more
-    than rtol.
+    The inner integral is the rectangle rule on u's time grid (exact for trigonometric
+    polynomials resolved by M), summed by the kernel that _time_sums' route table picks.  With
+    check_resolution=True (free-evolution fields only, refused before any work) the result is
+    recomputed from samples on a doubled time grid: TimeResolutionError if it moves beyond rtol.
     """
     if not q >= 1 or q == math.inf:
         raise ValueError(f"inner exponent must satisfy 1 <= q < inf, got {q}")
     _check_p(p)
-    if q == 4 and u.free and u.tg.M > 2 * eigenvalues_upto(u.N, u.d)[-1]:
-        result = _norm_of_sums(_resonant_l4_sums(u), u, p, q)
-    else:
-        result = _sampled_mixed_norm(u, p, q)
+    if check_resolution and not u.free:
+        raise ValueError("resolution check requires a free-evolution field")
+    result = _norm_of_sums(_time_sums(u, q), u, p, q)
     if check_resolution:
-        if not u.free:
-            raise ValueError("resolution check requires a free-evolution field")
         finer = SpaceTimeField(TimeGrid(2 * u.tg.M), u.grid, u.base)
-        refined = _sampled_mixed_norm(finer, p, q)
+        refined = _norm_of_sums(_time_power_sums(finer, q), finer, p, q)
         if abs(refined - result) > rtol * max(abs(result), 1e-300):
             raise TimeResolutionError(
                 f"mixed norm moved from {result!r} to {refined!r} under time-grid doubling"

@@ -28,7 +28,7 @@ from numpy.lib.stride_tricks import as_strided
 from .experiments import estimate_strichartz_constant, kappa_pq
 from .grids import CoefficientTable, _analyze, _synthesize, _work_buffer, grid_for, inverse_sht
 from .harmonics import eigenvalues_upto
-from .norms import _sampled_mixed_norm, _sobolev_norms, lp_norm, mixed_norm
+from .norms import _norm_of_sums, _sobolev_norms, _time_sums, lp_norm, mixed_norm
 from .spectral import (
     _TIME_BLOCK,
     SpaceTimeField,
@@ -198,9 +198,9 @@ class PicardReport:
 
 def x_norm(u: SpaceTimeField, p: float, s: float) -> float:
     """Solution-space norm: max over time nodes of the W^s norm, plus L^p_x(L^2_t), for any
-    field: the max runs over blocks of _TIME_BLOCK nodes (exact), and mixed_norm streams u."""
-    sup_part = max(float(np.max(_sobolev_norms(u.history(j0, j1), s, u.base.zonal)))
-                   for j0, j1 in _row_blocks(u.tg.M, _TIME_BLOCK))
+    field: the max runs over u's history_blocks (exact), and mixed_norm streams u."""
+    sup_part = max(float(np.max(_sobolev_norms(h, s, u.base.zonal)))
+                   for _, h in u.history_blocks())
     return sup_part + mixed_norm(u, p, 2.0)
 
 
@@ -244,10 +244,9 @@ def duhamel_apply(G: SpaceTimeField) -> SpaceTimeField:
     O(dt^2) in time.  The integral is written into a new history; G is not written.
     """
     conj, scaled = _duhamel_phases(G.tg, G.base)
-    h, carry = G.history(), None
-    out = np.empty_like(h)
-    for j0, j1 in _row_blocks(len(h), _TIME_BLOCK):  # any cut: the carry keeps the bits
-        carry = _duhamel_step(h[j0:j1], j0, conj, scaled, carry, out[j0:j1])
+    out, carry = np.empty((G.tg.M, *G.base.a.shape), dtype=complex), None
+    for j0, h in G.history_blocks():  # any cut: the carry keeps the bits
+        carry = _duhamel_step(h, j0, conj, scaled, carry, out[j0:j0 + len(h)])
     return SpaceTimeField(G.tg, G.grid, G.base * 0.0, tables=out)
 
 
@@ -274,8 +273,8 @@ class _PicardMap:
         if w.base.a.shape != self.f.a.shape:
             raise ValueError(f"history of band {w.N} but initial data of band {self.f.N}")
         orders, rows, s, carry = self.ops.shape[0], self.f.N + 1, self.shift, None
-        for j0 in range(0, w.tg.M, _TIME_BLOCK):
-            h, j1 = w.history(j0, j0 + _TIME_BLOCK), min(j0 + _TIME_BLOCK, w.tg.M)
+        for j0, h in w.history_blocks():
+            j1 = j0 + len(h)
             # X[s + m, k, n, j] = a_k(t_j) w_j[n, m] between s zero orders: order m' of P_N(V w)
             # reads X's contiguous rows m'..m' + 2s (slots shared with increment's Gram sums)
             X = _work_buffer(self.work, "gram", (orders + 2 * s, len(self.amps), rows, len(h)))
@@ -299,7 +298,7 @@ class _PicardMap:
     def increment(self, u: SpaceTimeField, p: float, s: float, write: bool = True) -> float:
         """x_norm(Phi(u) - u) from one pass, as x_norm sums it: each block's largest Sobolev norm
         and its Gram sums; with `write`, Phi(u) is written over u's block once it is summed."""
-        sup = []
+        sup = []  # filled as _time_sums draws the deltas, before max(sup) reads it
 
         def deltas():
             for j0, G in self.blocks(u):
@@ -310,7 +309,7 @@ class _PicardMap:
                 if write:
                     ub[...] = G
 
-        return _sampled_mixed_norm(u, p, 2.0, deltas(), self.work) + max(sup)  # fills `sup`
+        return _norm_of_sums(_time_sums(u, 2.0, deltas(), self.work), u, p, 2.0) + max(sup)
 
 
 def _couplings(V: PotentialSpec, f: CoefficientTable, grid, s: int) -> np.ndarray:
@@ -445,7 +444,7 @@ def contraction_check(V: PotentialSpec, w: SpaceTimeField, v: SpaceTimeField,
 
 
 def l2_drift(u: SpaceTimeField) -> float:
-    """Max deviation of ||u(t_j)||_2 from its initial value; norms _TIME_BLOCK nodes at a time."""
-    blocks = (u.history(j0, j0 + _TIME_BLOCK) for j0 in range(0, u.tg.M, _TIME_BLOCK))
-    norms = np.concatenate([np.linalg.norm(h.reshape(len(h), -1), axis=1) for h in blocks])
+    """Max deviation of ||u(t_j)||_2 from its initial value; norms u's history_blocks."""
+    norms = np.concatenate([np.linalg.norm(h.reshape(len(h), -1), axis=1)
+                            for _, h in u.history_blocks()])
     return float(np.max(np.abs(norms - norms[0])))

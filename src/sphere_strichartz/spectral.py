@@ -42,7 +42,7 @@ _TWO_PI = 2.0 * math.pi
 # chunks pay more per-call overhead, larger ones spill to main memory.  A quarter of it bounds
 # a block of the per-degree samples that the free path synthesizes.
 _SERIES_CHUNK_BYTES = 2 * 2**20
-# Time nodes per block of an explicit history (iter_time_blocks, the Picard map, Gram sums).
+# Time nodes per block of a history: the one cut, SpaceTimeField.history_blocks.
 _TIME_BLOCK = 64
 
 
@@ -85,8 +85,7 @@ def nyquist_time_grid(N: int, d: int) -> TimeGrid:
 
     The rectangle rule on this grid integrates |u|^q exactly for band-N free
     evolutions and even q up to 4 (the top time frequency of |u|^4 is
-    2*lambda_N < M).  At q = 4 mixed_norm sums that rule without samples
-    (resonant degree pairs), so there its value does not depend on M.
+    2*lambda_N < M); norms._time_sums' route table says which kernel sums it.
     """
     return TimeGrid(4 * (int(eigenvalues_upto(N, d)[-1]) + 1))
 
@@ -180,14 +179,18 @@ class SpaceTimeField:
     def samples_at(self, j: int) -> np.ndarray:
         return _synthesize(self.history(j, j + 1)[0], self.grid)
 
+    def history_blocks(self):
+        """Yield (j0, history(j0, j0 + _TIME_BLOCK)) for j0 in range(0, M, _TIME_BLOCK)."""
+        for j0 in range(0, self.tg.M, _TIME_BLOCK):
+            yield j0, self.history(j0, j0 + _TIME_BLOCK)
+
     def iter_time_blocks(self, work: dict | None = None):
         """Yield (j0, samples of shape (b, *grid.shape)), one batched transform per block.
 
         With a `work` dict the transforms reuse its buffers from block to block (see
         grids._work_buffer), and the yielded samples are valid until the next step.
         """
-        for j0 in range(0, self.tg.M, _TIME_BLOCK):
-            yield j0, _synthesize(self.history(j0, j0 + _TIME_BLOCK), self.grid, work)
+        yield from ((j0, _synthesize(h, self.grid, work)) for j0, h in self.history_blocks())
 
     def iter_space_chunks(self):
         """Yield (flat z slice, series of shape (rows, P)) for free fields: one time period.
@@ -202,7 +205,7 @@ class SpaceTimeField:
         unless the grid has one point, and the first is the largest, so one buffer holds every
         series, a view valid until the next step.  E_n(z) is made a block of whole kr-row groups
         at a time, at most _SERIES_CHUNK_BYTES / 4 (or one group), as each block has a fixed cost.
-        mixed_norm samples through it at q != 4, and at q = 4 only where M <= 2 lambda_N.
+        norms._time_sums' route table says where mixed_norm samples through it.
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")
@@ -235,8 +238,8 @@ class SpaceTimeField:
             raise ValueError(f"mismatched spatial grids (type, band, d, shape): {keys}")
         base = self.base - other.base
         out = np.empty((self.tg.M, *base.a.shape), dtype=complex)
-        for j0, j1 in _row_blocks(self.tg.M, _TIME_BLOCK):
-            np.subtract(self.history(j0, j1), other.history(j0, j1), out=out[j0:j1])
+        for j0, h in self.history_blocks():
+            np.subtract(h, other.history(j0, j0 + len(h)), out=out[j0:j0 + len(h)])
         return SpaceTimeField(self.tg, self.grid, base, tables=out)
 
 

@@ -34,7 +34,7 @@ from sphere_strichartz.grids import (
     inverse_sht,
 )
 from sphere_strichartz.harmonics import eigenvalues_upto, legendre_column
-from sphere_strichartz.norms import _time_power_sums, lp_norm
+from sphere_strichartz.norms import _time_power_sums, _time_sums, lp_norm
 from sphere_strichartz.potential import (
     PotentialSpec,
     PotentialTerm,
@@ -544,7 +544,7 @@ def test_gram_power_sums_equal_sampled_sums(d, N, M):
     u.tables[1:] += 0.3 * u.tables[:-1]
     u.tables *= 10.0 ** rng.uniform(-6, 6, (M,) + (1,) * u.base.a.ndim)
     u.tables *= 10.0 ** rng.uniform(-3, 3, (N + 1,) + (1,) * (u.base.a.ndim - 1))
-    got, want = _time_power_sums(u, 2.0), whole_block_power_sums(u, 2.0)
+    got, want = _time_sums(u, 2.0), whole_block_power_sums(u, 2.0)  # the Gram route
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
     for p in (2.0, 4.0, 6.0, math.inf):
         ref = lp_norm(np.sqrt(want * (2.0 * np.pi / M)), grid, p)
@@ -859,9 +859,10 @@ def test_quarter_block_power_sums_equal_whole_block_sums(d, N, q, M):
     grid = grid_for(N, d, 2.0)
     u = synthesize_history(random_field(N, d, rng), TimeGrid(M), grid).materialize()
     u.tables[1:] += 0.3 * u.tables[:-1]  # not a free evolution
-    got, want = _time_power_sums(u, q), whole_block_power_sums(u, q)
-    if q == 2.0:  # the Gram sums: no samples, so rounding only
+    got, want = _time_sums(u, q), whole_block_power_sums(u, q)
+    if q == 2.0:  # the Gram sums: no samples, so rounding only; the samples' sums keep the bits
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
+        assert _time_power_sums(u, q).tobytes() == want.tobytes()
     else:
         assert got.tobytes() == want.tobytes()
 

@@ -426,11 +426,15 @@ def test_resolution_check_floors_the_norm_at_1e_300():
         mixed_norm(u, math.inf, 1.0, check_resolution=True, rtol=move / 2e-300)
 
 
-def test_resolution_check_requires_a_free_field():
+def test_resolution_check_requires_a_free_field(monkeypatch):
+    # refused before any work: no kernel of _time_sums runs
     f = random_field(3, 2, np.random.default_rng(1))
     u = synthesize_history(f, TimeGrid(16), grid_for(3, 2, 2.0)).materialize()
-    with pytest.raises(ValueError, match="resolution check requires a free-evolution field"):
-        mixed_norm(u, 4.0, 2.0, check_resolution=True)
+    for kernel in _KERNELS:
+        monkeypatch.setattr(norms, kernel, _refuse)
+    for q in (2.0, 3.0, 4.0):
+        with pytest.raises(ValueError, match="resolution check requires a free-evolution field"):
+            mixed_norm(u, 4.0, q, check_resolution=True)
 
 
 @pytest.mark.parametrize("explicit", [False, True])
@@ -491,6 +495,29 @@ def _q4_field(d, N, M, scale=1.0):
 
 def _refuse(*args):
     raise AssertionError("this path must not run")
+
+
+_KERNELS = ("_resonant_l4_sums", "_gram_power_sums", "_time_power_sums")
+
+
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("free", [True, False])
+@pytest.mark.parametrize("d, N", [(2, 3), (3, 3)])
+def test_time_sums_route_table(d, N, free, q, above, monkeypatch):
+    # one cell of _time_sums' route table on M = 2 lambda_N (+ 1 above): exactly one kernel
+    # runs, with the other two patched to raise, and its sums agree with the samples'
+    M = 2 * N * (N + d - 1) + above
+    u = _q4_field(d, N, M) if free else _q4_field(d, N, M).materialize()
+    want = ("_resonant_l4_sums" if free and q == 4 and above else
+            "_gram_power_sums" if not free and q == 2 else "_time_power_sums")
+    sampled, kernel, calls = _time_power_sums(u, q), getattr(norms, want), []
+    for name in _KERNELS:
+        monkeypatch.setattr(norms, name, _refuse)
+    monkeypatch.setattr(norms, want, lambda *args: calls.append(want) or kernel(*args))
+    S = norms._time_sums(u, q)
+    assert calls == [want]
+    np.testing.assert_allclose(S, sampled, rtol=1e-13)
 
 
 @pytest.mark.parametrize("d, N", [(2, 0), (2, 1), (2, 12), (2, 32), (3, 5), (3, 48), (4, 31),

@@ -21,6 +21,7 @@ from sphere_strichartz.potential import (
     PicardReport,
     PotentialSpec,
     PotentialTerm,
+    _duhamel_phases,
     apply_phi,
     contraction_check,
     duhamel_apply,
@@ -674,6 +675,34 @@ def test_no_contraction_message_names_the_gate_outcome(eps, violated, monkeypatc
     assert (gate > 0.5) == violated
     assert ("is violated" in msg) == violated
     assert ("stalled at" in msg) != violated
+
+
+@pytest.mark.parametrize("M", [1, 63, 64, 65, 129])
+@pytest.mark.parametrize("d", [2, 3])
+def test_history_block_passes_equal_node_by_node_references(d, M):
+    # x_norm's sup, l2_drift, u - v and duhamel_apply read u's history_blocks; each works per
+    # node or elementwise, so the cut leaves every bit of a node-by-node reference
+    rng = np.random.default_rng([M, d, 41])
+    N = 3
+    grid = grid_for(N + 1, d, 2.0)
+    free = synthesize_history(random_field(N, d, rng), TimeGrid(M), grid)
+    explicit = _random_history(N, d, M, grid, rng)
+    for u, v in ((explicit, free), (free, explicit), (free, free)):
+        node = [u.history(j, j + 1) for j in range(M)]  # one node each
+        sup = max(float(np.max(_sobolev_norms(h, 0.3, u.base.zonal))) for h in node)
+        if not u.free or M > N * (N + d - 1):  # a free field's mixed norm needs M > lambda_N
+            assert x_norm(u, 4.0, 0.3) == sup + mixed_norm(u, 4.0, 2.0)
+        norms = np.concatenate([np.linalg.norm(h.reshape(1, -1), axis=1) for h in node])
+        assert l2_drift(u) == float(np.max(np.abs(norms - norms[0])))
+        want = np.concatenate([h - v.history(j, j + 1) for j, h in enumerate(node)])
+        assert (u - v).tables.tobytes() == want.tobytes()
+        conj, scaled = _duhamel_phases(u.tg, u.base)
+        H = [conj[j] * h[0] for j, h in enumerate(node)]
+        run, want = 0.0, np.empty((M, *u.base.a.shape), dtype=complex)
+        for j in range(M):  # the trapezoid's partial sums, one node at a time
+            run = H[j] if j == 0 else run + H[j]
+            want[j] = (run - H[j] * 0.5 - H[0] * 0.5) * scaled[j]
+        assert duhamel_apply(u).tables.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("M", [64, 65, 344])
