@@ -63,10 +63,10 @@ def _finite(name: str, value: float) -> float:
 def _parse_degrees(spec: str, count: int) -> tuple:
     """Degree list: 'a:b' (log-spaced), 'a:b:k' (k points), or 'n1,n2,...'."""
     if ":" in spec:
-        parts = spec.split(":")
-        lo, hi = int(parts[0]), int(parts[1])
-        k = int(parts[2]) if len(parts) > 2 else count
-        return xp.geometric_degrees(lo, hi, k)
+        lo, hi, *k = spec.split(":")
+        if len(k) > 1:
+            raise ValueError(f"degree spec {spec!r} has more than three ':' fields")
+        return xp.geometric_degrees(int(lo), int(hi), int(k[0]) if k else count)
     return tuple(sorted({int(tok) for tok in spec.split(",") if tok}))
 
 

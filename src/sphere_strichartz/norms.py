@@ -185,35 +185,40 @@ def _time_sums(u: SpaceTimeField, q: float, blocks=None, work=None) -> np.ndarra
     - a free field at q = 4 on M > 2 lambda_N nodes: _resonant_l4_sums, from the resonant degree
       pairs lambda_a + lambda_b = lambda_c + lambda_e (Bourgain, GAFA 1993; Burq, Gerard &
       Tzvetkov, Invent. Math. 2005);
-    - an explicit history at q = 2: _gram_power_sums, from per-ring Gram matrices, over `blocks`
-      (when given, they stand in for u's history_blocks) with `work`'s buffers;
+    - q = 2 on an explicit history or a free field that is not _periodic: _gram_power_sums, from
+      per-ring Gram matrices, over `blocks` (standing in for u's history_blocks) with `work`;
     - anything else: _time_power_sums, from samples of free space chunks or explicit blocks.
     The first two sum the same rectangle rule with no time sample, where it is exact."""
     if q == 4 and u.free and u.tg.M > 2 * eigenvalues_upto(u.N, u.d)[-1]:
         return _resonant_l4_sums(u)
-    if q == 2 and not u.free:
+    if q == 2 and not _periodic(u):
         return _gram_power_sums(u, blocks, {} if work is None else work)
     return _time_power_sums(u, q)
+
+
+def _periodic(u: SpaceTimeField) -> bool:
+    """A free field on M > lambda_N nodes: its samples come a period at a time (space chunks)."""
+    return u.free and u.tg.M > eigenvalues_upto(u.N, u.d)[-1]
 
 
 def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
     """sum_j |u(t_j, z)|^q over all M samples; FloatingPointError if |u|^q leaves float range.
     |x|^q is formed a quarter chunk or block at a time; numpy adds a block's rows in order, so a
     later piece is summed with the running sum as row 0 (one-point rows: pairwise, never cut)."""
-    what = f"time power sums of |u|^{q:g}"
+    what, periodic = f"time power sums of |u|^{q:g}", _periodic(u)
     S = np.zeros(math.prod(u.grid.shape))  # flat: a free chunk's key is a slice of points
     work = {}  # the first chunk or block is the largest, so one buffer holds every |x|^q
-    for key, x in u.iter_space_chunks() if u.free else u.iter_time_blocks(work):
+    for key, x in u.iter_space_chunks() if periodic else u.iter_time_blocks(work):
         n = len(x) if x[0].size == 1 else -(-len(x) // 4)
         mag = _work_buffer(work, "mag", (n + 1, *x.shape[1:]), float)
         for i0 in range(0, len(x), n):
             m = np.abs(x[i0:i0 + n], out=mag[1:1 + min(n, len(x) - i0)])
             m **= q  # the same dispatch as `** q`, which squares for q = 2
-            if u.free:  # x: one period of P nodes
+            if periodic:  # x: one period of P nodes
                 np.sum(m, axis=-1, out=S[key][i0:i0 + len(m)])
             else:  # x: the samples of one block of time nodes; row 0: their running sum
                 mag[0] = np.sum(mag[0 if i0 else 1:1 + len(m)], axis=0)
-        if u.free:  # the period counted M/P times
+        if periodic:  # the period counted M/P times
             S[key] *= u.tg.M // x.shape[-1]
             _finite_or_fail(S[key], x, what)
         else:  # a sum once non-finite stays so

@@ -433,14 +433,14 @@ def picard_solve(
 def contraction_check(V: PotentialSpec, w: SpaceTimeField, v: SpaceTimeField,
                       p: float, s: float) -> float:
     """||Phi(w) - Phi(v)||_X / ||w - v||_X; Phi is affine so f drops out."""
-    denom = x_norm(w - v, p, s)
-    if denom == 0.0:
+    if (denom := x_norm(w - v, p, s)) == 0.0:
         raise ValueError("w and v coincide")
-    zero = CoefficientTable.zeros(w.N, w.d)
-    diff = apply_phi(w, zero, V)  # one history, from which Phi(v) is subtracted block by block
-    for j0, G in _PicardMap(zero, V, w.tg, w.grid).blocks(v):  # v shares w's grids
-        diff.tables[j0:j0 + len(G)] -= G
-    return x_norm(diff, p, s) / denom  # each map's block buffers are freed by now
+    phi = _PicardMap(CoefficientTable.zeros(w.N, w.d), V, w.tg, w.grid)  # v shares w's grids
+    diff = SpaceTimeField(w.tg, w.grid, phi.f, np.empty((w.tg.M, *phi.f.a.shape), dtype=complex))
+    for (_, Gw), (_, Gv) in zip(phi.blocks(w, diff.tables), phi.blocks(v)):  # one map, in step:
+        Gw -= Gv  # a step rewrites every buffer it reads, so the two passes can share them
+    del phi  # its block buffers are freed before x_norm allocates its own
+    return x_norm(diff, p, s) / denom
 
 
 def l2_drift(u: SpaceTimeField) -> float:

@@ -309,9 +309,14 @@ _OVERSAMPLE = "oversample must be a finite number > 0, got "
     # the log-log fit's count, before the first witness
     (["sweep", "--p", "4", "--family", "random", "--n", "400,512"], "need at least 3 points, got 2"),
     (["sharpness", "--p", "4", "--n", "384,512"], "need at least 3 points, got 2"),
+    # a degree spec is a:b or a:b:k; a fourth field is refused, not ignored
+    (["sweep", "--p", "4", "--n", "16:64:4:junk"],
+     "degree spec '16:64:4:junk' has more than three ':' fields"),
+    (["sharpness", "--p", "4", "--n", "16:64:4:5"],
+     "degree spec '16:64:4:5' has more than three ':' fields"),
 ], ids=["oversample-nan", "oversample-inf", "oversample-0", "oversample-negative", "sweep-p",
         "strichartz-p", "sweep-p-above-cap", "sweep-n-above-cap", "sweep-d1", "sweep-2-degrees",
-        "sharpness-2-degrees"])
+        "sharpness-2-degrees", "sweep-n-four-fields", "sharpness-n-four-fields"])
 def test_unformable_grid_flag_exit_1_before_any_transform(argv, message, monkeypatch, capsys):
     # the value is named, and the run stops before it builds a grid or a witness
     def no_work(*args, **kwargs):

@@ -15,7 +15,7 @@ from sphere_strichartz.grids import (
     inverse_sht,
 )
 from sphere_strichartz.harmonics import eigenvalues_upto, surface_area
-from sphere_strichartz.norms import _sobolev_norms, lp_norm, mixed_norm
+from sphere_strichartz.norms import _sobolev_norms, _time_sums, lp_norm, mixed_norm
 from sphere_strichartz.potential import (
     DivergenceError,
     PicardReport,
@@ -301,6 +301,19 @@ def test_contraction_check_scales_with_potential():
     r1 = contraction_check(cos_t_potential(0.01), w, v, 4.0, 0.2)
     r2 = contraction_check(cos_t_potential(0.02), w, v, 4.0, 0.2)
     assert r2 / r1 == pytest.approx(2.0, rel=0.10)
+
+
+def test_contraction_check_builds_one_map(monkeypatch):
+    # Phi(w) and Phi(v) are two passes of one map, so its operators (_couplings, O(N^5) in a
+    # Picard setup) are built once
+    rng = np.random.default_rng(13)
+    g = grid_for(5, 2, 2.0)
+    w = explicit_field(CoefficientTable.zeros(4, 2), 80, g, rng)
+    v = explicit_field(CoefficientTable.zeros(4, 2), 80, g, rng)
+    couplings, calls = potential._couplings, []
+    monkeypatch.setattr(potential, "_couplings", lambda *args: calls.append(1) or couplings(*args))
+    assert contraction_check(cos_t_potential(0.03), w, v, 4.0, 0.2) <= 0.5
+    assert len(calls) == 1
 
 
 def test_contraction_check_small_regime():
@@ -681,7 +694,8 @@ def test_no_contraction_message_names_the_gate_outcome(eps, violated, monkeypatc
 @pytest.mark.parametrize("d", [2, 3])
 def test_history_block_passes_equal_node_by_node_references(d, M):
     # x_norm's sup, l2_drift, u - v and duhamel_apply read u's history_blocks; each works per
-    # node or elementwise, so the cut leaves every bit of a node-by-node reference
+    # node or elementwise, so the cut leaves every bit of a node-by-node reference (a free
+    # field on M <= lambda_N nodes included: its mixed norm is summed as its history's)
     rng = np.random.default_rng([M, d, 41])
     N = 3
     grid = grid_for(N + 1, d, 2.0)
@@ -690,8 +704,7 @@ def test_history_block_passes_equal_node_by_node_references(d, M):
     for u, v in ((explicit, free), (free, explicit), (free, free)):
         node = [u.history(j, j + 1) for j in range(M)]  # one node each
         sup = max(float(np.max(_sobolev_norms(h, 0.3, u.base.zonal))) for h in node)
-        if not u.free or M > N * (N + d - 1):  # a free field's mixed norm needs M > lambda_N
-            assert x_norm(u, 4.0, 0.3) == sup + mixed_norm(u, 4.0, 2.0)
+        assert x_norm(u, 4.0, 0.3) == sup + mixed_norm(u, 4.0, 2.0)
         norms = np.concatenate([np.linalg.norm(h.reshape(1, -1), axis=1) for h in node])
         assert l2_drift(u) == float(np.max(np.abs(norms - norms[0])))
         want = np.concatenate([h - v.history(j, j + 1) for j, h in enumerate(node)])
@@ -703,6 +716,23 @@ def test_history_block_passes_equal_node_by_node_references(d, M):
             run = H[j] if j == 0 else run + H[j]
             want[j] = (run - H[j] * 0.5 - H[0] * 0.5) * scaled[j]
         assert duhamel_apply(u).tables.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("M", ["1", "5", "lambda_N"])
+@pytest.mark.parametrize("N", [3, 6])
+@pytest.mark.parametrize("d", [2, 3])
+def test_free_field_on_coarse_time_grid_sums_as_its_history(d, N, M):
+    # on M <= lambda_N nodes a free field's samples have no period of space chunks to come in,
+    # so its time sums take its explicit history's kernels (Gram at q = 2, block samples at
+    # q = 3): the norms of the free field and of its materialize() agree bit for bit
+    M = N * (N + d - 1) if M == "lambda_N" else int(M)
+    f = random_field(N, d, np.random.default_rng([d, N, M]))
+    free = synthesize_history(f, TimeGrid(M), grid_for(N + 1, d, 2.0))
+    explicit = free.materialize()
+    for q in (2.0, 3.0):
+        assert _time_sums(free, q).tobytes() == _time_sums(explicit, q).tobytes()
+        assert mixed_norm(free, 4.0, q) == mixed_norm(explicit, 4.0, q) > 0.0
+    assert x_norm(free, 4.0, 0.3) == x_norm(explicit, 4.0, 0.3)
 
 
 @pytest.mark.parametrize("M", [64, 65, 344])

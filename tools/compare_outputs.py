@@ -1,17 +1,21 @@
-"""Moved-output report: run the same CLI commands on two source trees and say what moved.
+"""Moved-output report and byte-identity verdict: run the same CLI commands on two source trees,
+say what moved, and exit 1 where the change may not move it.
 
     python3 tools/compare_outputs.py --base DIR --head DIR [--threads 1] [--report FILE]
 
 Each command runs in a child process per tree (PYTHONPATH=TREE/src, the BLAS thread count
-fixed by --threads) at --seed 5 with an --output file.  The output file, stdout and the exit
-code are compared.  For every command whose output file or stdout differs, the table gives
-the largest move of each numeric field: relative for values, absolute for increments,
-residuals, drifts, defects and errors (a defect of 0 against 1e-16 has no useful relative
-move).  The whole comparison goes to one JSON report (--report).
+fixed by --threads) at --seed 5 with an --output file; its output file, stdout, stderr and exit
+code are compared, as are the exit code and the sorted, de-duplicated `[acceptance]` lines of
+each tree's own tests/test_acceptance.py.  For every entry that differs, the table gives the
+largest move of each numeric field: relative for values, absolute for increments, residuals,
+drifts, defects and errors (a defect of 0 against 1e-16 has no useful relative move).  The whole
+comparison goes to one JSON report (--report).
+
+The exit status is 1 when anything differs and no golden digest is re-recorded, or when a
+golden command differs whose digest is not (see `rerecorded`); else 0.
 
 The command list is tests/test_golden.py's COMMANDS, imported from this tree, plus the
-Picard solves and q = 4 free-path ratios of EXTRA.  Needs only the standard library and numpy
-(which the imported test module loads).
+Picard solves and q = 4 free-path ratios of EXTRA.  Needs the standard library, numpy and pytest.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ EXTRA = {
     "strichartz-d4-n32-p6q4": ["strichartz", "--d", "4", "--N", "32", "--p", "6", "--q", "4"],
 }
 COMMANDS = {**test_golden.COMMANDS, **EXTRA}
+ACCEPTANCE = "[acceptance]"  # the acceptance lines' prefix, and the name of their entry
 
 # fields whose moves are absolute: near zero by design, so a relative move says nothing
 _ABSOLUTE = re.compile(r"increment|residual|drift|defect|error|round-trip|parseval|unitarity|"
@@ -48,20 +53,34 @@ _ABSOLUTE = re.compile(r"increment|residual|drift|defect|error|round-trip|parsev
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan")
 
 
+def _child(tree: Path, argv: list, cwd: Path, threads: str):
+    """python `argv` in a child process on `tree`'s package, at `threads` BLAS threads."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": threads,
+           "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+    return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True)
+
+
 def run(tree: Path, name: str, tmp: Path, threads: str) -> dict:
-    """COMMANDS[name] on `tree` in a child process: its exit code, stdout and output bytes."""
+    """COMMANDS[name] on `tree`: its exit code, stdout, stderr and output bytes."""
     potential = tmp / "potential.json"
     potential.write_text(json.dumps(test_golden.POTENTIAL), encoding="utf-8")
     output = tmp / f"{name}.out"
     output.unlink(missing_ok=True)
     argv = [arg.format(potential=potential) for arg in COMMANDS[name]]
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": threads,
-           "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-    proc = subprocess.run([sys.executable, "-m", "sphere_strichartz.cli", *argv, "--seed", "5",
-                           "--output", str(output)], env=env, cwd=tmp, capture_output=True,
-                          text=True)
+    proc = _child(tree, ["-m", "sphere_strichartz.cli", *argv, "--seed", "5", "--output",
+                         str(output)], tmp, threads)
     data = output.read_text(encoding="utf-8") if output.exists() else None
-    return {"code": proc.returncode, "stdout": proc.stdout, "output": data}
+    return {"code": proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr, "output": data}
+
+
+def acceptance(tree: Path, threads: str) -> dict:
+    """`tree`'s own acceptance suite: its exit code and its sorted, de-duplicated lines."""
+    proc = _child(tree, ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+                         "tests/test_acceptance.py"], tree, threads)
+    lines = sorted({line for line in proc.stdout.splitlines() if line.startswith(ACCEPTANCE)})
+    if not lines:  # two empty sets would compare equal and say nothing
+        raise SystemExit(f"no {ACCEPTANCE} lines from {tree} (pytest exit {proc.returncode})")
+    return {"code": proc.returncode, "lines": "\n".join(lines)}
 
 
 def output_fields(text: str | None) -> dict:
@@ -81,15 +100,16 @@ def output_fields(text: str | None) -> dict:
     return {key: _floats(values) or values for key, values in fields.items()}
 
 
-def stdout_fields(text: str) -> dict:
-    """Numbers of stdout, one field per line template and position; a field is named by the
-    line with its numbers replaced by '#', and the words just before the number."""
+def stdout_fields(text: str, stream: str = "stdout") -> dict:
+    """Numbers of a text stream, one field per line template and position; a field is named by
+    the stream, the line with its numbers replaced by '#', and the two words of that template
+    just before the number (so a number before it, which may move, is '#' there too)."""
     fields = {}
     for line in text.splitlines():
         template = _NUMBER.sub("#", line)
         for k, match in enumerate(_NUMBER.finditer(line)):
-            before = " ".join(line[:match.start()].split()[-2:])
-            fields.setdefault(f"stdout: {template} [{k}: {before}]", []).append(match.group())
+            before = " ".join(_NUMBER.sub("#", line[:match.start()]).split()[-2:])
+            fields.setdefault(f"{stream}: {template} [{k}: {before}]", []).append(match.group())
     return {key: _floats(values) or values for key, values in fields.items()}
 
 
@@ -126,39 +146,64 @@ def moves(base: dict, head: dict) -> dict:
     return out
 
 
+def entry(base: dict, head: dict) -> dict:
+    """One run on both trees, each a dict of parts (exit code, text streams, output file): the
+    parts that differ and, where any does, the moves of their fields."""
+    differ = [part for part in base if base[part] != head[part]]
+    out = {"code": [base["code"], head["code"]], "differ": differ, "same": not differ}
+    if differ:
+        out["moves"] = {}
+        for part in [part for part in differ if part != "code"]:  # an exit code has no fields
+            parse = output_fields if part == "output" else lambda text: stdout_fields(text, part)
+            out["moves"].update(moves(parse(base[part]), parse(head[part])))
+    return out
+
+
 def compare(base_tree: Path, head_tree: Path, threads: str) -> dict:
-    report = {}
+    """An entry per command, and one for the acceptance lines."""
+    trees, report = (base_tree, head_tree), {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(COMMANDS):
-            b, h = (run(tree, name, Path(tmp), threads) for tree in (base_tree, head_tree))
-            entry = {"argv": COMMANDS[name], "code": [b["code"], h["code"]],
-                     "output_same": b["output"] == h["output"],
-                     "stdout_same": b["stdout"] == h["stdout"]}
-            entry["same"] = entry["output_same"] and entry["stdout_same"] and b["code"] == h["code"]
-            if not entry["same"]:
-                entry["moves"] = {**moves(output_fields(b["output"]), output_fields(h["output"])),
-                                  **moves(stdout_fields(b["stdout"]), stdout_fields(h["stdout"]))}
-            report[name] = entry
+            report[name] = entry(*(run(tree, name, Path(tmp), threads) for tree in trees))
+    report[ACCEPTANCE] = entry(*(acceptance(tree, threads) for tree in trees))
     return report
 
 
-def table(report: dict) -> str:
+def _digests(tree: Path) -> dict:
+    path = tree / "tests" / "golden_digests.json"
+    return json.loads(path.read_text(encoding="utf-8"))["digests"] if path.exists() else {}
+
+
+def rerecorded(base_tree: Path, head_tree: Path) -> list:
+    """The golden commands whose digests the head tree re-records: the base tree's names (none
+    without a golden_digests.json) with another digest, or none, in the head tree's."""
+    old, new = _digests(base_tree), _digests(head_tree)
+    return sorted(name for name in old if new.get(name) != old[name])
+
+
+def verdict(report: dict, moved: list) -> int:
+    """1 when an entry differs and no digest is re-recorded (`moved` is empty), or when a golden
+    command differs whose digest is not re-recorded; else 0."""
+    differ = {name for name, entry in report.items() if not entry["same"]}
+    if moved:
+        differ &= set(test_golden.COMMANDS) - set(moved)
+    return 1 if differ else 0
+
+
+def table(report: dict, moved: list) -> str:
     lines = []
     for name, entry in report.items():
         if entry["same"]:
             continue
-        what = [part for part, same in (("output", entry["output_same"]),
-                                        ("stdout", entry["stdout_same"]),
-                                        ("exit code", entry["code"][0] == entry["code"][1]))
-                if not same]
-        lines.append(f"{name}: {', '.join(what)} differ (exit {entry['code'][0]} -> "
-                     f"{entry['code'][1]})")
+        what = ", ".join("exit code" if part == "code" else part for part in entry["differ"])
+        lines.append(f"{name}: {what} differ (exit {entry['code'][0]} -> {entry['code'][1]})")
         for key, move in entry["moves"].items():
             value = f"{move['move']:.3g}" if move["move"] is not None else move["values"]
             lines.append(f"    {move['kind']:>7}  {value}  {key}")
-    same = sum(entry["same"] for entry in report.values())
-    lines.append(f"{same} of {len(report)} commands identical; "
-                 f"{len(report) - same} differ")
+    same = sum(entry["same"] for name, entry in report.items() if name != ACCEPTANCE)
+    lines.append(f"{same} of {len(COMMANDS)} commands identical; {len(COMMANDS) - same} differ; "
+                 f"{ACCEPTANCE} lines {'identical' if report[ACCEPTANCE]['same'] else 'differ'}; "
+                 f"digests re-recorded: {', '.join(moved) or 'none'}")
     return "\n".join(lines)
 
 
@@ -170,12 +215,15 @@ def main(argv=None) -> int:
     parser.add_argument("--report", type=Path, default=Path("compare_outputs.json"),
                         help="JSON report file")
     args = parser.parse_args(argv)
-    report = compare(args.base.resolve(), args.head.resolve(), args.threads)
+    base, head = args.base.resolve(), args.head.resolve()
+    report, moved = compare(base, head, args.threads), rerecorded(base, head)
+    code = verdict(report, moved)
     args.report.write_text(json.dumps({"threads": args.threads, "base": str(args.base),
-                                       "head": str(args.head), "commands": report},
+                                       "head": str(args.head), "rerecorded": moved,
+                                       "exit": code, "commands": report},
                                       indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(table(report))
-    return 0
+    print(table(report, moved), f"exit {code}", sep="\n")
+    return code
 
 
 if __name__ == "__main__":
