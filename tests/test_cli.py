@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -20,6 +21,11 @@ from sphere_strichartz import cli, experiments, norms, spectral
 from sphere_strichartz.cli import run
 from sphere_strichartz.grids import CoefficientTable
 from sphere_strichartz.spectral import SpaceTimeField
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+compare_outputs = importlib.util.module_from_spec(_spec)  # its --output parser
+_spec.loader.exec_module(compare_outputs)
 
 
 def test_kappa_prints_value_and_branch(capsys):
@@ -47,6 +53,18 @@ def test_validation_errors_exit_1(capsys):
 def test_missing_required_flag_exit_1():
     code, out, err = _run_captured(["sweep", "--n", "4:8:3"])
     assert (code, out) == (1, "") and err == "error: --p is required\n", err
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["kappa", "--d", "nan", "--p", "4"], "error: argument --d: invalid int value: 'nan'\n"),
+    (["strichartz", "--N", "6", "--p", "4", "--format", "xml"],
+     "error: argument --format: invalid choice"),
+], ids=["kappa-d-nan", "strichartz-format-xml"])
+def test_unparsable_flag_value_exit_1_with_error_first(argv, first):
+    # a subcommand's parser raises, not exits: `error: argument ...` first, no usage: line
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (1, "") and err.startswith(first), err
+    assert "Traceback" not in err
 
 
 def test_resource_cap_exit_1(monkeypatch, capsys):
@@ -160,8 +178,9 @@ def test_config_equals_form_is_honoured(tmp_path, capsys):
     (["kappa", "--p", "4"], {"seed": 1.5}),
     (["sweep", "--p", "4", "--n", "4,8,16"], {"family": "bogus"}),
     (["kappa", "--p", "4"], {"format": "xml"}),
+    (["strichartz", "--N", "6", "--p", "4"], {"format": "xml"}),
 ], ids=["null", "boolean", "list", "object", "config-key", "float-N", "float-seed",
-        "bad-family", "bad-format"])
+        "bad-family", "bad-format", "strichartz-bad-format"])
 def test_config_values_parsed_as_flags_or_exit_1(argv, values, tmp_path, capsys):
     # each value passes its flag's type= and choices=; null, booleans, lists, objects and
     # a "config" key are refused: exit 1 with an error line, no traceback and no output
@@ -177,13 +196,15 @@ def test_config_values_parsed_as_flags_or_exit_1(argv, values, tmp_path, capsys)
 
 def test_config_numbers_equal_the_same_flags(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"version": 1, "p": 4, "q": 4}))
     outs = [tmp_path / "flags.csv", tmp_path / "config.csv"]
-    assert run(["kappa", "--p", "4", "--q", "4", "--output", str(outs[0])]) == 0
-    flags = capsys.readouterr()
-    assert run(["kappa", "--config", str(cfg), "--output", str(outs[1])]) == 0
-    assert capsys.readouterr() == flags
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    for values in ({"p": 4, "q": 4}, {"p": 4}):
+        cfg.write_text(json.dumps({"version": 1, **values}))
+        flags = [arg for key, value in values.items() for arg in (f"--{key}", str(value))]
+        assert run(["kappa", *flags, "--output", str(outs[0])]) == 0
+        from_flags = capsys.readouterr()
+        assert run(["kappa", "--config", str(cfg), "--output", str(outs[1])]) == 0
+        assert capsys.readouterr() == from_flags
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_identity_check_zero_trials_exit_1(capsys):
@@ -208,7 +229,7 @@ def test_config_negative_trials_exit_1(tmp_path, capsys):
     ["sharpness", "--p", "inf", "--s", "nan", "--n", "4,8,16"],
     ["solve-potential", "--potential", "unused.json", "--s", "nan"],
     ["identity-check", "--N", "8", "--trials", "1", "--tol", "nan"],
-    ["solve-potential", "--potential", "unused.json", "--tol", "nan"],
+    ["solve-potential", "--potential", "unused.json", "--N", "4", "--tol", "nan"],
     ["solve-potential", "--potential", "unused.json", "--tol", "inf"],
 ])
 def test_non_finite_flag_exit_1(argv, capsys):
@@ -334,7 +355,8 @@ def test_unformable_grid_flag_exit_1_before_any_transform(argv, message, monkeyp
     (["strichartz", "--N", "40", "--p", "0.5", "--s", "0.3"], "0.5"),
     (["strichartz", "--N", "40", "--p", "nan", "--s", "0.3"], "nan"),
     (["identity-check", "--N", "40", "--trials", "3", "--p-list", "4,0.5"], "0.5"),
-], ids=["strichartz-p-0.5", "strichartz-p-nan", "identity-check-p-list"])
+    (["strichartz", "--N", "8", "--p", "0.5", "--s", "0.3"], "0.5"),
+], ids=["strichartz-p-0.5", "strichartz-p-nan", "identity-check-p-list", "strichartz-n8-p-0.5"])
 def test_p_below_1_exit_1_before_any_synthesis(argv, p, monkeypatch, capsys):
     # the outer exponent's rule is checked before the first sample is made
     def no_work(*args, **kwargs):
@@ -592,8 +614,7 @@ def test_solve_potential_aliasing_time_frequency_exit_1(tmp_path):
     term = {"time_coeffs": [{"freq": 169, "re": 0.015}, {"freq": -169, "re": 0.015}],
             "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0}]}
     pot_file.write_text(json.dumps({"terms": [term]}))
-    code, out, err = _run_captured(["solve-potential", "--potential", str(pot_file), "--N", "4",
-                                    "--seed", "1"])
+    code, out, err = _run_captured(["solve-potential", "--potential", str(pot_file), "--N", "4"])
     assert code == 1 and err.startswith("error: potential time frequency 169 "), err
     assert "M = 168" in err and "converged" not in out
 
@@ -613,6 +634,21 @@ def test_selftest_failure_exit_2(monkeypatch):
     code, out, err = _run_captured(["selftest", "--N", "8"])
     assert code == 2 and err == "selftest: FAILURES present\n", err
     assert out.count("FAIL  ") == 2 and "round-trip" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--N", "64"],
+    ["sweep", "--d", "3", "--p", "4", "--n", "16:64"],
+    ["sharpness", "--p", "4", "--s", "auto", "--n", "16:32:3"],
+    ["solve-potential", "--potential", "{potential}", "--N", "6"],
+], ids=["selftest-64", "sweep-d3-p4", "sharpness-s-auto", "solve-potential-n6"])
+def test_default_runs_exit_0_with_empty_stderr(argv, tmp_path):
+    # the golden digests skip off their recorded host; these pin the exit code everywhere
+    potential = tmp_path / "pot.json"
+    potential.write_text(json.dumps(_README_POTENTIAL))
+    code, out, err = _run_captured([arg.format(potential=potential) for arg in argv])
+    assert (code, err) == (0, ""), err
+    assert out
 
 
 def test_console_entry_point():
@@ -763,20 +799,6 @@ def _run_captured(argv):
     return code, out.getvalue(), shown + err.getvalue()
 
 
-def _output_fields(path: Path, fmt: str) -> dict:
-    """{column: [values]} of an --output file, the JSON summary under its own keys."""
-    if fmt == "json":
-        payload = json.loads(path.read_text())
-        rows, columns = payload["rows"], payload["columns"]
-        fields = {k: [v] for k, v in payload.get("summary", {}).items()}
-    else:
-        columns, *rows = [line.split(",") for line in path.read_text().splitlines()]
-        fields = {}
-    for i, name in enumerate(columns):
-        fields.setdefault(name, []).extend(row[i] for row in rows)
-    return fields
-
-
 @st.composite
 def _edge_argv(draw):
     """A subcommand's argv with up to two flags at an edge value, the others valid."""
@@ -809,7 +831,7 @@ def test_every_exit_keeps_the_contract(argv, fmt):
         code, _, err = _run_captured(argv + ["--format", fmt, "--output", str(output)])
         first = err.splitlines()[0] if err else ""
         if code == 0:
-            for name, values in _output_fields(output, fmt).items():
+            for name, values in compare_outputs.output_fields(output.read_text()).items():
                 for text in values:
                     try:
                         value = float(text)
