@@ -4,10 +4,10 @@ Subcommands: kappa, identity-check, sweep, strichartz, sharpness,
 solve-potential, selftest.  Results go to stdout plus an optional --output
 file as CSV (default) or JSON (--format json).  A --config JSON file (with a
 top-level "version" field) holds flag values, parsed as the same flags;
-explicit command-line flags override it.  Runs are deterministic: the random
-stream is a counter-based Philox generator keyed by --seed, and floats are
-emitted at 17 significant digits, so identical configurations produce
-byte-identical output files.
+explicit command-line flags override it.  Runs are deterministic: --seed keys the
+counter-based Philox stream of the fields drawn here (_rng) and numpy's PCG64
+default_rng(seed) of sweep's random witnesses and solve-potential's gate constant;
+floats have 17 significant digits, so identical configurations give byte-identical files.
 
 Exit codes: 0 success, 1 validation/configuration error (including
 non-finite numeric flags) or an exceeded resource limit (band cap, out of

@@ -124,18 +124,15 @@ def make_family(kind: str, n: int, d: int,
 
 
 def _colatitude_profile(f: CoefficientTable, band: int):
-    """(values, colatitude grid) when |f| depends on colatitude only, else None.
-
-    Holds for zonal tables and for d=2 tables supported on a single longitude frequency m;
-    the longitude average is then exact for any L, so the L^p quadrature collapses to the
-    colatitude rule, whose weights carry the circle's length 2 pi = surface_area(1).
+    """(values, colatitude grid) when the d = 2 table f has a single longitude frequency m, else
+    None.  |f| then depends on colatitude only, the longitude average is exact for any L, and the
+    L^p quadrature collapses to the colatitude rule, whose weights carry the circle's length
+    2 pi = surface_area(1).
     """
-    g = build_zonal_grid(band, f.d)  # for d = 2 tables, the S^2 grid's colatitude rule
-    if f.zonal:
-        return inverse_sht(f, g), g
     nz = np.nonzero(np.any(f.a != 0, axis=0))[0]
     if nz.size != 1:
         return None
+    g = build_zonal_grid(band, 2)  # the S^2 grid's colatitude rule
     m = int(nz[0]) - f.N
     return f.a[:, nz[0]] @ legendre_column(abs(m), f.N, g.t), g
 
@@ -158,13 +155,13 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> flo
     no node at t = +-1, where zonal witnesses peak).
     """
     grid = grid_for(f.N, f.d, _lp_oversample(p, f.N, oversample))
-    prof = _colatitude_profile(f, grid.band)
+    prof = None if f.zonal else _colatitude_profile(f, grid.band)
     if prof is not None:
         res = lp_norm(*prof, p)
-    elif (degrees := np.nonzero(np.any(f.a != 0, axis=1))[0]).size == 1:  # |H_n f|, no copy
-        m = _per_point(f.a, grid, lambda E, out: np.abs(E[0], out=out), int(degrees[0]))
+    elif not f.zonal and (n := np.nonzero(np.any(f.a != 0, axis=1))[0]).size == 1:  # |H_n f|
+        m = _per_point(f.a, grid, lambda E, out: np.abs(E[0], out=out), int(n[0]))  # no copy
         res = _abs_lp_norm(m, grid, p, f.a)
-    else:  # a d = 2 table with more than one active order and degree
+    else:  # a zonal table, or a d = 2 table with more than one active order and degree
         res = lp_norm(inverse_sht(f, grid), grid, p)
     if p == math.inf:
         res = max(res, float(np.max(np.abs(pole_values(f)))))

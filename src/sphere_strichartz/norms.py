@@ -153,7 +153,6 @@ def _resonant_l4_sums(u: SpaceTimeField) -> np.ndarray:
     |u|^4, so with E_n = H_n f the sums are M (2 (sum_a |E_a|^2)^2 - sum_a |E_a|^4
     + 2 Re sum w E_a E_b conj(E_c E_e)) over the _resonances.  E comes from _per_point; the
     collision products go through three buffers of a quarter of _SERIES_CHUNK_BYTES."""
-    _check_fit(u.grid, u.N, u.d)
     a, b, c, e, w = _resonances(u.N, u.d)
 
     def sums(E, out):

@@ -33,7 +33,6 @@ from .spectral import (
     _TIME_BLOCK,
     SpaceTimeField,
     TimeGrid,
-    _row_blocks,
     free_phases,
     synthesize_history,
 )
@@ -116,8 +115,8 @@ class PotentialSpec:
         prof = np.zeros(grid.shape)
         samples = self.spatial_samples(grid)
         with np.errstate(over="ignore", invalid="ignore"):  # an inf V fails the gate's lp_norm
-            for j0, j1 in _row_blocks(M, _TIME_BLOCK):
-                vals = self.values(times[j0:j1], samples)
+            for j0 in range(0, M, _TIME_BLOCK):  # as SpaceTimeField.history_blocks cuts M
+                vals = self.values(times[j0:j0 + _TIME_BLOCK], samples)
                 np.maximum(prof, np.max(np.abs(vals), axis=0), out=prof)
         return prof
 

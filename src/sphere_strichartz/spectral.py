@@ -42,7 +42,7 @@ _TWO_PI = 2.0 * math.pi
 # chunks pay more per-call overhead, larger ones spill to main memory.  A quarter of it bounds
 # a block of the per-degree samples that the free path synthesizes.
 _SERIES_CHUNK_BYTES = 2 * 2**20
-# Time nodes per block of a history: the one cut, SpaceTimeField.history_blocks.
+# Time nodes per block of a history (SpaceTimeField.history_blocks) and of V's samples.
 _TIME_BLOCK = 64
 
 
@@ -131,13 +131,13 @@ def synthesize_by_degree(f: CoefficientTable, grid) -> np.ndarray:
 
 @dataclass
 class SpaceTimeField:
-    """Solution samples/history on a time grid x spatial grid.
+    """Solution samples/history on a time grid x spatial grid; ValueError when it is built unless
+    `base` fits `grid` (grids._check_fit), so no route that reads the field checks it again.
 
-    `tables`, when given, is the explicit spectral history, shape
-    (M, *coefficient shape).  Without it the field is the free evolution of
-    `base`, and histories/samples are generated on demand (memory-light even
-    when M * table size would be huge).  `u - v` is the explicit history of the
-    difference.
+    `tables`, when given, is the explicit spectral history, shape (M, *coefficient shape).
+    Without it the field is the free evolution of `base`, and histories/samples are generated
+    on demand (memory-light even when M * table size would be huge).  `u - v` is the explicit
+    history of the difference.
     """
 
     tg: TimeGrid
@@ -146,6 +146,7 @@ class SpaceTimeField:
     tables: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        _check_fit(self.grid, self.N, self.d)
         if self.tables is not None:
             expected = (self.tg.M, *self.base.a.shape)
             if self.tables.shape != expected:
@@ -209,7 +210,6 @@ class SpaceTimeField:
         """
         if not self.free:
             raise ValueError("space-chunk iteration requires a free-evolution field")
-        _check_fit(self.grid, self.N, self.d)
         lam = eigenvalues_upto(self.N, self.d)
         if lam[-1] >= self.tg.M:
             raise ValueError(f"time grid too coarse: lambda_N={lam[-1]} >= M={self.tg.M}")
@@ -245,7 +245,6 @@ class SpaceTimeField:
 
 def synthesize_history(f: CoefficientTable, tg: TimeGrid, grid) -> SpaceTimeField:
     """Free evolution of f on the given time grid: history[j] = propagate(f, t_j)."""
-    _check_fit(grid, f.N, f.d)
     return SpaceTimeField(tg, grid, f.copy())
 
 

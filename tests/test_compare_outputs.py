@@ -73,11 +73,15 @@ def test_entry_lists_the_parts_that_differ_and_their_moves():
                             {"kind": "missing", "move": None, "values": [False, True]}}
 
 
-def _tree(root: Path, digests: dict | None) -> Path:
+def _tree(root: Path, digests: dict | None, src: dict | None = None) -> Path:
     (root / "tests").mkdir(parents=True)
     if digests is not None:
         (root / "tests" / "golden_digests.json").write_text(
             json.dumps({"digests": digests}), encoding="utf-8")
+    if src is not None:  # {file name: text} under src/sphere_strichartz
+        (root / "src" / "sphere_strichartz").mkdir(parents=True)
+        for name, text in src.items():
+            (root / "src" / "sphere_strichartz" / name).write_text(text, encoding="utf-8")
     return root
 
 
@@ -88,6 +92,20 @@ def test_rerecorded_digests(tmp_path):
     assert tool.rerecorded(base, head) == ["strichartz", "sweep-d2"]
     assert tool.rerecorded(base, base) == []
     assert tool.rerecorded(_tree(tmp_path / "bare", None), head) == []
+
+
+def test_src_lines_and_their_delta(tmp_path):
+    # newlines of src/sphere_strichartz/*.py, as wc -l counts them: a last line without one is
+    # not counted, and neither is a file of another suffix or directory
+    base = _tree(tmp_path / "base", {}, {"__init__.py": "x = 1\n", "grids.py": "a\nb\nc\n",
+                                         "notes.txt": "1\n2\n"})
+    head = _tree(tmp_path / "head", {}, {"__init__.py": "x = 1\n", "grids.py": "a\nb",
+                                         "norms.py": "\n\n\n"})
+    (head / "src" / "other.py").write_text("1\n2\n", encoding="utf-8")
+    src = {"base": tool.src_lines(base), "head": tool.src_lines(head)}
+    assert src == {"base": 4, "head": 5}
+    assert tool.src_lines(_tree(tmp_path / "bare", None)) == 0
+    assert tool.table(_report(), [], src).splitlines()[-1] == "src/ lines: 5 (base 4, delta 1)"
 
 
 def _report(*moved):

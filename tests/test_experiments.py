@@ -418,3 +418,24 @@ def test_sharpness_rows_feed_the_sweep_fit():
     fit = steepest_fit(per_family)
     assert fit in [fit_loglog(rows) for rows in per_family.values()]
     assert fit.slope == max(fit_loglog(rows).slope for rows in per_family.values())
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, INF])
+def test_field_lp_norm_zonal_tables_take_the_full_synthesis_path(p, d, monkeypatch):
+    # a zonal table is synthesized whole on grid_for's cached zonal grid: no colatitude profile,
+    # and a one-degree zonal witness does not take the one-degree path either
+    def refuse(*args):
+        raise AssertionError("_colatitude_profile called")
+
+    monkeypatch.setattr(experiments, "_colatitude_profile", refuse)
+    rng = np.random.default_rng(40 + d)
+    tables = [random_field(N, d, rng) for N in (1, 9, 24)]
+    tables += [make_family("zonal-kernel", n, d) for n in (5, 40)]
+    tables += [project(random_field(12, d, rng), 7)]
+    for f in tables:
+        grid = grid_for(f.N, d, 2.0 if p == INF else max(2.0, p / 2.0))
+        want = lp_norm(inverse_sht(f, grid), grid, p)
+        if p == INF:
+            want = max(want, float(np.max(np.abs(pole_values(f)))))
+        assert field_lp_norm(f, p) == want, (f.N, d)

@@ -44,8 +44,8 @@ COMMANDS = {
     "sharpness": ["sharpness", "--p", "inf", "--s", "0.4", "--n", "16:96:4"],
     "strichartz": ["strichartz", "--N", "16", "--p", "4"],
     "strichartz-d3": ["strichartz", "--d", "3", "--N", "10", "--p", "inf"],
-    # P = 1202 time nodes per period: a space chunk holds 109 points, fewer than the 146
-    # longitudes of one colatitude row, so every row is cut into two chunks
+    # the resonant q = 4 route: M = 2404 > 2 lambda_24 = 1200, so the time sums come from
+    # resonant degree pairs, with no space chunk and no time sample
     "strichartz-n24-p6q4": ["strichartz", "--N", "24", "--p", "6", "--q", "4"],
     "solve-potential": ["solve-potential", "--potential", "{potential}", "--N", "6",
                         "--format", "json"],

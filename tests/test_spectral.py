@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphere_strichartz import spectral
+from sphere_strichartz import norms, spectral
 from sphere_strichartz.grids import (
     CoefficientTable,
     _synthesize,
@@ -15,6 +15,7 @@ from sphere_strichartz.grids import (
     grid_for,
 )
 from sphere_strichartz.harmonics import associated_legendre, eigenvalues_upto
+from sphere_strichartz.norms import mixed_norm
 from sphere_strichartz.spectral import (
     SpaceTimeField,
     TimeGrid,
@@ -304,6 +305,44 @@ def test_spacetime_subtraction_needs_the_same_grids():
     assert z3.grid.shape == z4.grid.shape
     with pytest.raises(ValueError, match="spatial grids"):
         z3 - z4
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", ["explicit-history", "free-M-at-most-lambda-N",
+                                  "free-M-above-lambda-N"])
+def test_space_time_field_checks_its_fit_when_built(kind, d):
+    # a band-6 field on a band-2 grid, or on a grid of the other kind (zonal S^3 for a full
+    # table, S^2 for a zonal one), is refused when it is built, before any route reads it
+    f = random_field(6, d, np.random.default_rng(0))
+    M = 20 if kind == "free-M-at-most-lambda-N" else 200  # lambda_6 = 42 on S^2, 48 on S^3
+    assert (M <= eigenvalues_upto(6, d)[-1]) == (kind == "free-M-at-most-lambda-N")
+    tables = None if kind.startswith("free") else np.ones((M, *f.a.shape), complex)
+    table, grid_kind, other = (("full S^2", "zonal S^3", grid_for(6, 3)) if d == 2 else
+                               ("zonal S^3", "sphere S^2", grid_for(6, 2)))
+    for grid, message in [(grid_for(2, d, 1.0), "table band 6 exceeds grid band 2"),
+                          (other, f"a {table} table does not fit a {grid_kind} grid")]:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpaceTimeField(TimeGrid(M), grid, f, tables=tables)
+        if tables is None:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                synthesize_history(f, TimeGrid(M), grid)
+
+
+def test_fit_is_checked_once_when_built_and_by_no_route(monkeypatch):
+    # the field owns its fit check: the space-chunk, resonant, time-block and Gram routes of
+    # mixed_norm, and u - v, make none
+    calls = []
+    monkeypatch.setattr(spectral, "_check_fit", lambda *args: calls.append(args))
+    monkeypatch.setattr(norms, "_check_fit", lambda *args: calls.append(args))
+    f, grid = random_field(6, 2, np.random.default_rng(1)), grid_for(6, 2, 2.0)
+    u = synthesize_history(f, TimeGrid(200), grid)  # M > 2 lambda_6 = 84: resonant at q = 4
+    w = u.materialize()
+    assert calls == [(grid, 6, 2)] * 2
+    calls.clear()
+    for v, q in [(u, 3.0), (u, 4.0), (w, 3.0), (w, 2.0)]:
+        mixed_norm(v, 4.0, q)
+    u - w
+    assert calls == [(grid, 6, 2)]  # the difference's own construction
 
 
 @pytest.mark.parametrize("d, N", [(2, 0), (2, 7), (2, 40), (3, 1), (3, 12), (3, 64)])

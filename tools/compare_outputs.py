@@ -8,8 +8,9 @@ fixed by --threads) at --seed 5 with an --output file; its output file, stdout, 
 code are compared, as are the exit code and the sorted, de-duplicated `[acceptance]` lines of
 each tree's own tests/test_acceptance.py.  For every entry that differs, the table gives the
 largest move of each numeric field: relative for values, absolute for increments, residuals,
-drifts, defects and errors (a defect of 0 against 1e-16 has no useful relative move).  The whole
-comparison goes to one JSON report (--report).
+drifts, defects and errors (a defect of 0 against 1e-16 has no useful relative move).  The table
+ends with the line count of src/sphere_strichartz/*.py in each tree.  The whole comparison goes
+to one JSON report (--report).
 
 The exit status is 1 when anything differs and no golden digest is re-recorded, or when a
 golden command differs whose digest is not (see `rerecorded`); else 0.
@@ -43,6 +44,8 @@ EXTRA = {
     "strichartz-n64-p4q4": ["strichartz", "--N", "64", "--p", "4", "--q", "4"],
     "strichartz-d3-n48-p4q4": ["strichartz", "--d", "3", "--N", "48", "--p", "4", "--q", "4"],
     "strichartz-d4-n32-p6q4": ["strichartz", "--d", "4", "--N", "32", "--p", "6", "--q", "4"],
+    # q = 6 on the free path: every 146-longitude row cut into space chunks of 109 + 37 points
+    "strichartz-n24-p6q6": ["strichartz", "--N", "24", "--p", "6", "--q", "6"],
 }
 COMMANDS = {**test_golden.COMMANDS, **EXTRA}
 ACCEPTANCE = "[acceptance]"  # the acceptance lines' prefix, and the name of their entry
@@ -190,7 +193,13 @@ def verdict(report: dict, moved: list) -> int:
     return 1 if differ else 0
 
 
-def table(report: dict, moved: list) -> str:
+def src_lines(tree: Path) -> int:
+    """Lines of `tree`'s src/sphere_strichartz/*.py, counted as `wc -l` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "sphere_strichartz").glob("*.py"))
+
+
+def table(report: dict, moved: list, src: dict) -> str:
     lines = []
     for name, entry in report.items():
         if entry["same"]:
@@ -204,6 +213,8 @@ def table(report: dict, moved: list) -> str:
     lines.append(f"{same} of {len(COMMANDS)} commands identical; {len(COMMANDS) - same} differ; "
                  f"{ACCEPTANCE} lines {'identical' if report[ACCEPTANCE]['same'] else 'differ'}; "
                  f"digests re-recorded: {', '.join(moved) or 'none'}")
+    head, base = src["head"], src["base"]
+    lines.append(f"src/ lines: {head} (base {base}, delta {head - base})")
     return "\n".join(lines)
 
 
@@ -217,12 +228,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     base, head = args.base.resolve(), args.head.resolve()
     report, moved = compare(base, head, args.threads), rerecorded(base, head)
-    code = verdict(report, moved)
+    code, src = verdict(report, moved), {"base": src_lines(base), "head": src_lines(head)}
     args.report.write_text(json.dumps({"threads": args.threads, "base": str(args.base),
                                        "head": str(args.head), "rerecorded": moved,
-                                       "exit": code, "commands": report},
+                                       "exit": code, "src_lines": src, "commands": report},
                                       indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(table(report, moved), f"exit {code}", sep="\n")
+    print(table(report, moved, src), f"exit {code}", sep="\n")
     return code
 
 
