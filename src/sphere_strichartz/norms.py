@@ -184,27 +184,22 @@ def _time_sums(u: SpaceTimeField, q: float, blocks=None, work=None) -> np.ndarra
     - a free field at q = 4 on M > 2 lambda_N nodes: _resonant_l4_sums, from the resonant degree
       pairs lambda_a + lambda_b = lambda_c + lambda_e (Bourgain, GAFA 1993; Burq, Gerard &
       Tzvetkov, Invent. Math. 2005);
-    - q = 2 on an explicit history or a free field that is not _periodic: _gram_power_sums, from
-      per-ring Gram matrices, over `blocks` (standing in for u's history_blocks) with `work`;
-    - anything else: _time_power_sums, from samples of free space chunks or explicit blocks.
+    - q = 2 where not u.periodic (an explicit history, or a free field on M <= lambda_N nodes):
+      _gram_power_sums, from per-ring Gram matrices, over `blocks` (else u's history_blocks);
+    - anything else: _time_power_sums, from samples of space chunks (u.periodic) or time blocks.
     The first two sum the same rectangle rule with no time sample, where it is exact."""
     if q == 4 and u.free and u.tg.M > 2 * eigenvalues_upto(u.N, u.d)[-1]:
         return _resonant_l4_sums(u)
-    if q == 2 and not _periodic(u):
+    if q == 2 and not u.periodic:
         return _gram_power_sums(u, blocks, {} if work is None else work)
     return _time_power_sums(u, q)
-
-
-def _periodic(u: SpaceTimeField) -> bool:
-    """A free field on M > lambda_N nodes: its samples come a period at a time (space chunks)."""
-    return u.free and u.tg.M > eigenvalues_upto(u.N, u.d)[-1]
 
 
 def _time_power_sums(u: SpaceTimeField, q: float) -> np.ndarray:
     """sum_j |u(t_j, z)|^q over all M samples; FloatingPointError if |u|^q leaves float range.
     |x|^q is formed a quarter chunk or block at a time; numpy adds a block's rows in order, so a
     later piece is summed with the running sum as row 0 (one-point rows: pairwise, never cut)."""
-    what, periodic = f"time power sums of |u|^{q:g}", _periodic(u)
+    what, periodic = f"time power sums of |u|^{q:g}", u.periodic
     S = np.zeros(math.prod(u.grid.shape))  # flat: a free chunk's key is a slice of points
     work = {}  # the first chunk or block is the largest, so one buffer holds every |x|^q
     for key, x in u.iter_space_chunks() if periodic else u.iter_time_blocks(work):

@@ -129,15 +129,14 @@ def synthesize_by_degree(f: CoefficientTable, grid) -> np.ndarray:
     return _degree_synthesis(f.a, grid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpaceTimeField:
     """Solution samples/history on a time grid x spatial grid; ValueError when it is built unless
-    `base` fits `grid` (grids._check_fit), so no route that reads the field checks it again.
+    `base` fits `grid` (grids._check_fit), and frozen, so no route that reads it checks it again.
 
     `tables`, when given, is the explicit spectral history, shape (M, *coefficient shape).
     Without it the field is the free evolution of `base`, and histories/samples are generated
-    on demand (memory-light even when M * table size would be huge).  `u - v` is the explicit
-    history of the difference.
+    on demand (memory-light even when M * table size is huge); `u - v` is an explicit history.
     """
 
     tg: TimeGrid
@@ -156,6 +155,11 @@ class SpaceTimeField:
     def free(self) -> bool:
         """True for the free evolution of `base`, which stores no history."""
         return self.tables is None
+
+    @property
+    def periodic(self) -> bool:
+        """A free field on M > lambda_N nodes, whose samples come one period at a time."""
+        return self.free and self.tg.M > eigenvalues_upto(self.N, self.d)[-1]
 
     @property
     def N(self) -> int:
@@ -198,7 +202,7 @@ class SpaceTimeField:
 
         With g = gcd(M, lambda_1..lambda_N) and P = M/g, u(t_{j+P}, z) = u(t_j, z) exactly, and
         series[:, j] = u(t_j, z) = sum_n E_n(z) W[n, j] is an exact phase-table product with
-        W[n, j] = e^{2 pi i ((lambda_n/g) j mod P)/P}, reduced in integers (needs lambda_N < M).
+        W[n, j] = e^{2 pi i ((lambda_n/g) j mod P)/P}, reduced in integers (needs `periodic`).
 
         Only W is held whole.  A chunk is at most `rows` points, as many as fit in
         _SERIES_CHUNK_BYTES of series (independent of N and M while two fit), cut by _row_blocks
@@ -208,11 +212,11 @@ class SpaceTimeField:
         at a time, at most _SERIES_CHUNK_BYTES / 4 (or one group), as each block has a fixed cost.
         norms._time_sums' route table says where mixed_norm samples through it.
         """
-        if not self.free:
-            raise ValueError("space-chunk iteration requires a free-evolution field")
         lam = eigenvalues_upto(self.N, self.d)
-        if lam[-1] >= self.tg.M:
-            raise ValueError(f"time grid too coarse: lambda_N={lam[-1]} >= M={self.tg.M}")
+        if not self.periodic:
+            raise ValueError(f"time grid too coarse: lambda_N={lam[-1]} >= M={self.tg.M}"
+                             if self.free else
+                             "space-chunk iteration requires a free-evolution field")
         g = math.gcd(self.tg.M, *lam.tolist())
         P = self.tg.M // g
         W = np.exp(2j * np.pi / P * (np.outer(lam // g, np.arange(P)) % P))

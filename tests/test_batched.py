@@ -542,8 +542,8 @@ def test_gram_power_sums_equal_sampled_sums(d, N, M):
     grid = grid_for(N + 1, d, 2.0)
     u = synthesize_history(random_field(N, d, rng), TimeGrid(M), grid).materialize()
     u.tables[1:] += 0.3 * u.tables[:-1]
-    u.tables *= 10.0 ** rng.uniform(-6, 6, (M,) + (1,) * u.base.a.ndim)
-    u.tables *= 10.0 ** rng.uniform(-3, 3, (N + 1,) + (1,) * (u.base.a.ndim - 1))
+    u.tables[...] *= 10.0 ** rng.uniform(-6, 6, (M,) + (1,) * u.base.a.ndim)
+    u.tables[...] *= 10.0 ** rng.uniform(-3, 3, (N + 1,) + (1,) * (u.base.a.ndim - 1))
     got, want = _time_sums(u, 2.0), whole_block_power_sums(u, 2.0)  # the Gram route
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(want)
     for p in (2.0, 4.0, 6.0, math.inf):
@@ -611,10 +611,9 @@ def ref_one_period_factors(u):
     return synthesize_by_degree(u.base, u.grid).reshape(u.N + 1, -1), W
 
 
-def ref_allocating_power_sums(u, q, blocks=None, work=None):
+def ref_allocating_power_sums(u, q):
     """Free-field power sums as computed before the chunk buffers: 1024-point chunks, each
     with a fresh (chunk, P) series and fresh |series| and |series|^q arrays."""
-    assert blocks is None  # a free field brings no blocks of its own
     E, W = ref_one_period_factors(u)
     P = W.shape[1]
     S = np.zeros(u.grid.shape)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import sphere_strichartz
 from sphere_strichartz import cli, experiments, norms, spectral
 from sphere_strichartz.cli import run
-from sphere_strichartz.grids import CoefficientTable
+from sphere_strichartz.grids import CoefficientTable, grid_for
 from sphere_strichartz.spectral import SpaceTimeField
 
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
@@ -78,6 +78,34 @@ def test_identity_check_passes(capsys):
                 "--trials", "2"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def test_identity_check_sums_each_trial_once(tmp_path, monkeypatch, capsys):
+    # one set of sampled L^2_t sums per trial serves every p: 3 _time_sums calls for 3 trials
+    # where a per-p mixed_norm loop makes 12, with that loop's stdout and --output bytes
+    calls, time_sums = [], norms._time_sums
+    monkeypatch.setattr(norms, "_time_sums",
+                        lambda u, q, *args: calls.append(q) or time_sums(u, q, *args))
+    out = tmp_path / "identity.csv"
+    assert run(["identity-check", "--N", "12", "--trials", "3", "--p-list", "1,2,4,inf",
+                "--seed", "3", "--output", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert calls == [2.0] * 3
+    monkeypatch.undo()
+    rng, grid, tg = cli._rng(3), grid_for(12, 2, 2.0), spectral.nyquist_time_grid(12, 2)
+    lines, worst = ["trial,p,sampled,spectral,rel_error"], 0.0
+    for trial in range(3):
+        f = spectral.random_field(12, 2, rng)
+        u, prof = spectral.synthesize_history(f, tg, grid), norms.l2t_profile_exact(f, grid)
+        for p in (1.0, 2.0, 4.0, math.inf):
+            sampled, exact = norms.mixed_norm(u, p, 2.0), norms.lp_norm(prof, grid, p)
+            rel = abs(sampled - exact) / exact
+            worst = max(worst, rel)
+            row = [trial, "inf" if p == math.inf else p, sampled, exact, rel]
+            lines.append(",".join(cli._fmt(v) for v in row))
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert stdout == (f"max relative error over 3 trials x p in {{1,2,4,inf}}: "
+                      f"{cli._fmt(worst)}  (tolerance {cli._fmt(1e-10)})\n")
 
 
 def test_identity_check_tolerance_breach_exit_2(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -343,6 +344,52 @@ def test_fit_is_checked_once_when_built_and_by_no_route(monkeypatch):
         mixed_norm(v, 4.0, q)
     u - w
     assert calls == [(grid, 6, 2)]  # the difference's own construction
+
+
+@pytest.mark.parametrize("name", ["grid", "base", "tables", "tg"])
+@pytest.mark.parametrize("kind", ["explicit-history", "free"])
+def test_space_time_field_is_frozen(kind, name):
+    # a field that passed its fit and history-shape checks keeps them: `w.grid =
+    # grid_for(2, 2, 1.0)` on a band-6 history once gave an under-resolved mixed norm
+    f = random_field(6, 2, np.random.default_rng(0))
+    u = synthesize_history(f, TimeGrid(200), grid_for(6, 2, 2.0))
+    w = u.materialize() if kind == "explicit-history" else u
+    before = mixed_norm(w, 4.0, 2.0)
+    value = {"grid": grid_for(2, 2, 1.0), "base": random_field(2, 2, np.random.default_rng(1)),
+             "tables": np.ones((20, 3, 5), complex), "tg": TimeGrid(20)}[name]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(w, name, value)
+    assert w.grid is u.grid and w.tg == TimeGrid(200) and w.free == (kind == "free")
+    assert w.base.N == 6 and np.array_equal(w.base.a, f.a)
+    assert mixed_norm(w, 4.0, 2.0) == before
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("above", [0, 1], ids=["M-lambda-N", "M-lambda-N-plus-1"])
+@pytest.mark.parametrize("kind", ["explicit-history", "free"])
+def test_periodic_is_the_one_period_rule(kind, above, d, monkeypatch):
+    # u.periodic alone says whether a field's samples come a period at a time: iter_space_chunks
+    # serves exactly those fields, and _time_sums' q = 2 route samples exactly those
+    N = 4
+    lam = int(eigenvalues_upto(N, d)[-1])
+    grid = grid_for(N, d, 2.0)
+    u = synthesize_history(random_field(N, d, np.random.default_rng([d, above])),
+                           TimeGrid(lam + above), grid)
+    u = u.materialize() if kind == "explicit-history" else u
+    assert u.periodic == (u.free and u.tg.M > lam) == (kind == "free" and above == 1)
+    assert not hasattr(norms, "_periodic")
+    if u.periodic:
+        assert sum(len(x) for _, x in u.iter_space_chunks()) == math.prod(grid.shape)
+    else:
+        message = (f"time grid too coarse: lambda_N={lam} >= M={lam + above}" if u.free else
+                   "space-chunk iteration requires a free-evolution field")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(u.iter_space_chunks())
+    routes = []
+    monkeypatch.setattr(norms, "_gram_power_sums", lambda *args: routes.append("gram"))
+    monkeypatch.setattr(norms, "_time_power_sums", lambda *args: routes.append("samples"))
+    norms._time_sums(u, 2.0)
+    assert routes == ["samples" if u.periodic else "gram"]
 
 
 @pytest.mark.parametrize("d, N", [(2, 0), (2, 7), (2, 40), (3, 1), (3, 12), (3, 64)])

@@ -15,8 +15,9 @@ to one JSON report (--report).
 The exit status is 1 when anything differs and no golden digest is re-recorded, or when a
 golden command differs whose digest is not (see `rerecorded`); else 0.
 
-The command list is tests/test_golden.py's COMMANDS, imported from this tree, plus the
-Picard solves and q = 4 free-path ratios of EXTRA.  Needs the standard library, numpy and pytest.
+The command list is tests/test_golden.py's COMMANDS, imported from this tree, plus EXTRA's
+Picard solves, free-path ratios at q = 4 and 6 and identity checks at more values of p.
+Needs the standard library, numpy and pytest.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ EXTRA = {
     "strichartz-d4-n32-p6q4": ["strichartz", "--d", "4", "--N", "32", "--p", "6", "--q", "4"],
     # q = 6 on the free path: every 146-longitude row cut into space chunks of 109 + 37 points
     "strichartz-n24-p6q6": ["strichartz", "--N", "24", "--p", "6", "--q", "6"],
+    # identity-check at p beyond the golden {2, 4, inf}: each trial's one set of L^2_t sums
+    "identity-check-p-list": ["identity-check", "--N", "16", "--p-list", "1,2,3,4,6,inf"],
+    "identity-check-d3-p-list": ["identity-check", "--d", "3", "--N", "10", "--trials", "2",
+                                 "--p-list", "2,4,8,inf"],
 }
 COMMANDS = {**test_golden.COMMANDS, **EXTRA}
 ACCEPTANCE = "[acceptance]"  # the acceptance lines' prefix, and the name of their entry
