@@ -536,7 +536,7 @@ def inverse_sht(coeffs: CoefficientTable, grid: SphereGrid | ZonalGrid) -> np.nd
     return _synthesize(coeffs.a, grid)
 
 
-# Aliases kept only because perfbench/tracer.py wraps these names; ROADMAP item 15 deletes them.
+# Aliases perfbench/tracer.py wraps; ROADMAP item 25 stage B deletes them after item 1c.
 forward_zonal, inverse_zonal = forward_sht, inverse_sht
 
 

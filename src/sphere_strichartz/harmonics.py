@@ -1,9 +1,11 @@
 """Closed-form special functions on the d-sphere.
 
-Laplacian eigenvalues and eigenspace dimensions, orthonormalized associated
-Legendre functions (the colatitude factor of spherical harmonics on S^2),
-Gegenbauer polynomials, the orthonormal zonal basis for general dimension,
-and the degree-n zonal reproducing kernel.
+Laplacian eigenvalues, the surface area of S^d, and the columns the transforms
+read, every degree up to a band at once: orthonormalized associated Legendre
+functions (the colatitude factor of spherical harmonics on S^2), Gegenbauer
+polynomials and the orthonormal zonal basis for general dimension.  Eigenspace
+dimensions, single-degree values and the zonal reproducing kernel are test
+oracles (tests/oracles.py).
 
 Conventions (used consistently across the package):
   * harmonics are orthonormal: integral of |Y_{n,m}|^2 over S^d is 1,
@@ -25,16 +27,10 @@ import numpy as np
 
 __all__ = [
     "eigenvalues_upto",
-    "eigenspace_dim",
     "surface_area",
-    "associated_legendre",
     "legendre_column",
-    "gegenbauer",
     "gegenbauer_column",
-    "gegenbauer_at_one",
-    "zonal_basis",
     "zonal_basis_column",
-    "zonal_kernel",
 ]
 
 
@@ -46,23 +42,6 @@ def eigenvalues_upto(N: int, d: int) -> np.ndarray:
         raise ValueError(f"sphere dimension must be >= 1, got {d}")
     n = np.arange(N + 1)
     return n * (n + d - 1)
-
-
-def eigenspace_dim(n: int, d: int) -> int:
-    """Exact dimension of the space of degree-n spherical harmonics on S^d.
-
-    Counts harmonic homogeneous polynomials of degree n in d+1 variables:
-    C(n+d, d) - C(n+d-2, d).  Grows like n^(d-1); equals 2n+1 on S^2.
-    """
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if d < 1:
-        raise ValueError(f"sphere dimension must be >= 1, got {d}")
-    if n == 0:
-        return 1
-    if n == 1:
-        return d + 1
-    return math.comb(n + d, d) - math.comb(n + d - 2, d)
 
 
 def surface_area(d: int) -> float:
@@ -112,23 +91,6 @@ def legendre_column(m: int, n_max: int, t) -> np.ndarray:
     return out
 
 
-def _eval_shaped(column_fn, n: int, t):
-    """Evaluate row n of a column builder, preserving the input shape."""
-    arr = np.asarray(t, dtype=float)
-    vals = column_fn(arr.ravel())[n].reshape(arr.shape)
-    return float(vals) if arr.ndim == 0 else vals
-
-
-def associated_legendre(n: int, m: int, t):
-    """Orthonormalized associated Legendre function Pbar_n^m(t).
-
-    Requires 0 <= m <= n and |t| <= 1; accepts scalars or arrays.
-    """
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    return _eval_shaped(lambda x: legendre_column(m, n, x), n, t)
-
-
 def gegenbauer_column(n_max: int, alpha: float, t) -> np.ndarray:
     """Gegenbauer polynomials C_n^alpha(t) for n = 0..n_max, shape (n_max+1, len(t))."""
     if alpha <= 0:
@@ -143,21 +105,6 @@ def gegenbauer_column(n_max: int, alpha: float, t) -> np.ndarray:
         out[n] = (2.0 * (n + alpha - 1.0) * t * out[n - 1]
                   - (n + 2.0 * alpha - 2.0) * out[n - 2]) / n
     return out
-
-
-def gegenbauer(n: int, alpha: float, t):
-    """Gegenbauer polynomial C_n^alpha(t); C_0 = 1, C_1 = 2*alpha*t."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    return _eval_shaped(lambda x: gegenbauer_column(n, alpha, x), n, t)
-
-
-def gegenbauer_at_one(n: int, alpha: float) -> float:
-    """C_n^alpha(1) = Gamma(n+2*alpha) / (Gamma(2*alpha) n!), computed in logs."""
-    if n == 0:
-        return 1.0
-    return math.exp(math.lgamma(n + 2.0 * alpha) - math.lgamma(2.0 * alpha)
-                    - math.lgamma(n + 1.0))
 
 
 @lru_cache(maxsize=None)
@@ -188,23 +135,3 @@ def zonal_basis_column(n_max: int, d: int, t) -> np.ndarray:
     cols = gegenbauer_column(n_max, (d - 1) / 2.0, t)
     scale = np.array([_zonal_norm_const(n, d) for n in range(n_max + 1)])
     return cols * scale[:, None]
-
-
-def zonal_basis(n: int, d: int, t):
-    """Unit-L^2 zonal harmonic of degree n on S^d, as a function of t = cos(angle)."""
-    return _eval_shaped(lambda x: zonal_basis_column(n, d, x), n, t)
-
-
-def zonal_kernel(n: int, d: int, t):
-    """Reproducing kernel of the degree-n harmonic subspace.
-
-    Z_n^d(x . y) = (dim/area) * C_n^alpha(t)/C_n^alpha(1) with alpha = (d-1)/2;
-    integrating Z_n^d(x . y) f(y) over S^d projects band-limited f onto
-    degree n.  Uses the exact eigenspace dimension so the reproducing
-    identity holds without asymptotic slack.
-    """
-    if d < 2:
-        raise ValueError(f"zonal kernel needs d >= 2, got {d}")
-    alpha = (d - 1) / 2.0
-    scale = eigenspace_dim(n, d) / surface_area(d) / gegenbauer_at_one(n, alpha)
-    return scale * gegenbauer(n, alpha, t)

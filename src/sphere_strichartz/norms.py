@@ -1,5 +1,5 @@
-"""Norms: L^p on the sphere, spectral Sobolev, Triebel-Lizorkin-type,
-mixed space-time L^p_z(L^q_t), and the exact spectral L^2_t profile.
+"""Norms: L^p on the sphere, spectral Sobolev, mixed space-time
+L^p_z(L^q_t), and the exact spectral L^2_t profile.
 
 Degree weights are (1+n)^s throughout (the n=0 mode would otherwise be
 annihilated), and the Sobolev norm is the square-summed convention
@@ -28,7 +28,6 @@ __all__ = [
     "TimeResolutionError",
     "lp_norm",
     "sobolev_norm",
-    "triebel_lizorkin_norm",
     "l2t_profile_exact",
     "mixed_norm",
 ]
@@ -88,29 +87,6 @@ def _sobolev_norms(a: np.ndarray, s: float, zonal: bool) -> np.ndarray:
     w = (1.0 + np.arange(per_degree.shape[-1])) ** float(s)
     norms = np.linalg.norm(w * per_degree, axis=-1)
     return _finite_or_fail(norms, a, f"Sobolev norm at s = {s:g}")
-
-
-def triebel_lizorkin_norm(f: CoefficientTable, grid, p: float, q: float,
-                          r: float) -> float:
-    """Outer-L^p norm of the weighted inner ell^q sum of pointwise projections.
-
-    ||f|| = || ( sum_n (1+n)^{rq} |H_n f(z)|^q )^{1/q} ||_{L^p}; the inner sum
-    becomes sup_n (1+n)^r |H_n f(z)| for q = inf.  Matches the L^2 norm at
-    (p, q, r) = (2, 2, 0).  The inner sum is formed _DEGREE_ROWS colatitudes at a time.
-    """
-    _check_fit(grid, f.N, f.d)
-    if not q > 0:
-        raise ValueError(f"q must be > 0 or inf, got {q}")
-    w = ((1.0 + np.arange(f.N + 1)) ** float(r)).reshape((-1,) + (1,) * len(grid.shape))
-
-    def inner(E, out):  # the inner sum at E's points, with (1+n)^r |H_n f|^q formed in place
-        x = np.abs(E)
-        x *= w
-        if q != math.inf:
-            x **= q  # the same dispatch as `** q`, which squares for q = 2
-        out[...] = np.max(x, axis=0) if q == math.inf else np.sum(x, axis=0) ** (1.0 / q)
-
-    return lp_norm(_per_point(f.a, grid, inner), grid, p)
 
 
 def l2t_profile_exact(f: CoefficientTable, grid) -> np.ndarray:

@@ -54,9 +54,9 @@ class DivergenceError(RuntimeError):
     """Picard iteration failed to contract (potential too large)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialTerm:
-    """One separable term a(t) * B(x): trigonometric in t, band-limited in x."""
+    """One separable term a(t) * B(x): trigonometric in t, band-limited in x; frozen."""
 
     time_freqs: np.ndarray    # (F,) integer time frequencies
     time_coeffs: np.ndarray   # (F,) complex coefficients of a(t) = sum c e^{i l t}
@@ -65,8 +65,8 @@ class PotentialTerm:
     def __post_init__(self):
         freqs = np.asarray(self.time_freqs, dtype=float)
         with np.errstate(invalid="ignore"):  # casts of nan, inf and huge values: rejected below
-            self.time_freqs = freqs.astype(int)
-        self.time_coeffs = np.asarray(self.time_coeffs, dtype=complex)
+            object.__setattr__(self, "time_freqs", freqs.astype(int))
+        object.__setattr__(self, "time_coeffs", np.asarray(self.time_coeffs, dtype=complex))
         if self.time_freqs.shape != self.time_coeffs.shape:
             raise ValueError("time_freqs and time_coeffs must have matching shapes")
         bad = np.flatnonzero((self.time_freqs != freqs) | ~np.isfinite(self.time_coeffs))
@@ -75,11 +75,14 @@ class PotentialTerm:
                              f"and the coefficient {self.time_coeffs[bad[0]]} finite")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PotentialSpec:
-    """Separable potential sum_k a_k(t) B_k(x)."""
+    """Separable potential sum_k a_k(t) B_k(x); frozen, with its terms stored as a tuple."""
 
-    terms: list
+    terms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
 
     @property
     def band(self) -> int:

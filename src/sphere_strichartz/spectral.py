@@ -28,9 +28,7 @@ from .harmonics import eigenvalues_upto
 __all__ = [
     "TimeGrid",
     "SpaceTimeField",
-    "project",
     "propagate",
-    "fractional_weight",
     "synthesize_history",
     "synthesize_by_degree",
     "nyquist_time_grid",
@@ -90,15 +88,6 @@ def nyquist_time_grid(N: int, d: int) -> TimeGrid:
     return TimeGrid(4 * (int(eigenvalues_upto(N, d)[-1]) + 1))
 
 
-def project(f: CoefficientTable, n: int) -> CoefficientTable:
-    """Orthogonal projection onto the degree-n harmonic subspace."""
-    if not 0 <= n <= f.N:
-        raise ValueError(f"degree {n} outside band [0, {f.N}]")
-    out = CoefficientTable.zeros(f.N, f.d)
-    out.a[n] = f.a[n]
-    return out
-
-
 def reduce_time(t: float) -> float:
     """Reduce a time to [0, 2 pi) exactly (fmod is exact in IEEE arithmetic)."""
     tr = math.fmod(float(t), _TWO_PI)
@@ -115,12 +104,6 @@ def propagate(f: CoefficientTable, t: float) -> CoefficientTable:
     """Free Schrodinger evolution by time t: degree-n coefficients times e^{i lambda_n t}."""
     phases = free_phases([reduce_time(t)], f)[0]
     return CoefficientTable(f.N, f.d, f.a * phases)
-
-
-def fractional_weight(f: CoefficientTable, s: float) -> CoefficientTable:
-    """Smoothing/roughening multiplier (1+n)^s on degree-n coefficients."""
-    w = (1.0 + np.arange(f.N + 1)) ** float(s)
-    return CoefficientTable(f.N, f.d, f.a * (w if f.zonal else w[:, None]))
 
 
 def synthesize_by_degree(f: CoefficientTable, grid) -> np.ndarray:
@@ -180,9 +163,6 @@ class SpaceTimeField:
         if self.tables is not None:
             return self
         return SpaceTimeField(self.tg, self.grid, self.base.copy(), tables=self.history())
-
-    def samples_at(self, j: int) -> np.ndarray:
-        return _synthesize(self.history(j, j + 1)[0], self.grid)
 
     def history_blocks(self):
         """Yield (j0, history(j0, j0 + _TIME_BLOCK)) for j0 in range(0, M, _TIME_BLOCK)."""

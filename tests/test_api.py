@@ -1,6 +1,8 @@
 """The package's public API is its modules' __all__ lists, which __init__ republishes."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +31,46 @@ def test_star_import_binds_exactly_the_api():
     exec("from sphere_strichartz import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(sphere_strichartz.__all__)
+
+
+# Functions that nothing else in src/ refers to, and why each stays there.  ROADMAP item 25:
+# src/ keeps what a subcommand reaches or README names; reference paths live in tests/oracles.py.
+_STAGE_B = "perfbench names it; item 25 stage B moves it after item 1c"
+UNREACHED_BUT_KEPT = {
+    "potential.contraction_check": "README names it as API",
+    "spectral.synthesize_by_degree": _STAGE_B,
+    "potential.PotentialSpec.to_json_dict": _STAGE_B,
+    "potential.apply_phi": _STAGE_B,
+    "potential.duhamel_apply": _STAGE_B,
+}
+
+
+def _functions(node, prefix):
+    """(qualified name, def node) of every function and method under node, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from _functions(child, name)
+        else:
+            yield from _functions(child, prefix)
+
+
+def test_every_function_in_src_is_referenced_from_src():
+    # a name or attribute with the function's name, in src/ but outside its own body; dunder
+    # methods are called by Python itself
+    files = sorted(Path(sphere_strichartz.__file__).parent.glob("*.py"))
+    trees = {f.stem: ast.parse(f.read_text()) for f in files}
+    refs = [(module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unreached = set()
+    for module, tree in trees.items():
+        for name, fn in _functions(tree, module):
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            if not any(ref == fn.name and not (where == module and fn.lineno <= line
+                                               <= fn.end_lineno) for where, line, ref in refs):
+                unreached.add(name)
+    assert sorted(unreached) == sorted(UNREACHED_BUT_KEPT)

@@ -30,7 +30,9 @@ from sphere_strichartz.grids import (
 )
 from sphere_strichartz.harmonics import legendre_column
 from sphere_strichartz.norms import lp_norm
-from sphere_strichartz.spectral import project, random_field
+from sphere_strichartz.spectral import random_field
+
+from oracles import project
 
 INF = math.inf
 

@@ -26,24 +26,19 @@ from sphere_strichartz.grids import (
     max_band_limit,
     pole_values,
 )
-from sphere_strichartz.harmonics import (
-    associated_legendre,
-    gegenbauer_column,
-    legendre_column,
-    surface_area,
-    zonal_kernel,
-)
+from sphere_strichartz.harmonics import gegenbauer_column, legendre_column, surface_area
 from sphere_strichartz.cli import run
 from sphere_strichartz.experiments import kappa_pq
 from sphere_strichartz.norms import l2t_profile_exact, mixed_norm
 from sphere_strichartz.potential import PotentialSpec, PotentialTerm, picard_solve
 from sphere_strichartz.spectral import (
     TimeGrid,
-    project,
     random_field,
     synthesize_by_degree,
     synthesize_history,
 )
+
+from oracles import associated_legendre, project, zonal_kernel
 
 
 def test_trivial_grid():

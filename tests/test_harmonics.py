@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from sphere_strichartz.harmonics import (
+from sphere_strichartz.harmonics import eigenvalues_upto, legendre_column, surface_area
+
+from oracles import (
     associated_legendre,
     eigenspace_dim,
-    eigenvalues_upto,
     gegenbauer,
     gegenbauer_at_one,
-    legendre_column,
-    surface_area,
     zonal_basis,
     zonal_kernel,
 )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -283,6 +284,27 @@ def test_potential_term_rejects_non_integral_freqs_and_non_finite_coeffs(freqs, 
         PotentialTerm(freqs, coeffs, CoefficientTable.unit_mode(1, 1, 0))
     term = PotentialTerm([1.0, -2.0], [0.5, 0.5], CoefficientTable.unit_mode(1, 1, 0))
     assert term.time_freqs.tolist() == [1, -2] and term.time_freqs.dtype == int
+
+
+@pytest.mark.parametrize("owner, name", [("term", "time_freqs"), ("term", "time_coeffs"),
+                                         ("term", "spatial"), ("spec", "terms")])
+def test_potential_is_frozen(owner, name):
+    # a potential that passed its checks keeps them: `V.terms[0].time_freqs = [0.5, -0.5]` once
+    # let picard_solve converge on a V that is not 2 pi-periodic, with V.max_freq reading 0
+    V = cos_t_potential(0.03)
+    f = random_field(6, 2, np.random.default_rng(6))
+    before, rep = picard_solve(f, V, 4.0, 0.25)
+    target = V.terms[0] if owner == "term" else V
+    value = {"time_freqs": np.array([0.5, -0.5]), "time_coeffs": np.array([1.0, 1.0]),
+             "spatial": CoefficientTable.unit_mode(2, 2, 0), "terms": []}[name]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(target, name, value)
+    assert isinstance(V.terms, tuple) and len(V.terms) == 1
+    assert V.max_freq == 1 and V.band == 1
+    assert V.terms[0].time_freqs.tolist() == [1, -1]
+    after, rep_after = picard_solve(f, V, 4.0, 0.25)
+    assert np.array_equal(after.tables, before.tables)
+    assert rep_after.increments == rep.increments
 
 
 def test_contraction_check_zero_potential():
