@@ -152,7 +152,8 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> flo
     For finite even p the quadrature is exact once the grid band reaches
     p*N/2; the band used is max(oversample, p/2) * N.  For p = inf the grid
     maximum is augmented with the pole values (Gauss colatitude grids have
-    no node at t = +-1, where zonal witnesses peak).
+    no node at t = +-1, where zonal witnesses peak) when f has an m = 0 part:
+    only Y_{n,0} is nonzero at a pole.
     """
     grid = grid_for(f.N, f.d, _lp_oversample(p, f.N, oversample))
     prof = None if f.zonal else _colatitude_profile(f, grid.band)
@@ -163,7 +164,7 @@ def field_lp_norm(f: CoefficientTable, p: float, oversample: float = 2.0) -> flo
         res = _abs_lp_norm(m, grid, p, f.a)
     else:  # a zonal table, or a d = 2 table with more than one active order and degree
         res = lp_norm(inverse_sht(f, grid), grid, p)
-    if p == math.inf:
+    if p == math.inf and (f.zonal or f.a[:, f.N].any()):
         res = max(res, float(np.max(np.abs(pole_values(f)))))
     return res
 

@@ -18,7 +18,7 @@ One batched kernel per direction, _synthesize and _analyze, serves both grid kin
 table is one matmul against its basis table.  On S^2 they read Pbar_n^m(t_k) in order-block
 slabs, so every matmul sees the same operands as with one full (N+1, N+1, K) table.  A small
 table is built once and cached whole; a larger one is never stored: each pass recomputes it
-in blocks the size of 8 orders at all nodes, one recurrence step per degree, in one buffer.
+in blocks of 8 orders at all nodes, from harmonics._order_block_rows, in one buffer.
 One kernel makes the samples (H_n f)(z) at any colatitude rows with the whole grid's bits, of
 every degree or of one degree n from its Legendre row; _per_point reduces them 16 rows at a time.
 """
@@ -33,7 +33,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .harmonics import gegenbauer_column, legendre_column, surface_area, zonal_basis_column
+from .harmonics import (_order_block_rows, gegenbauer_column, legendre_column, surface_area,
+                        zonal_basis_column)
 
 __all__ = [
     "ResourceLimitError",
@@ -92,10 +93,6 @@ class SphereGrid:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.t.size, self.lon_count)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.lon_count) / self.lon_count
 
     def weights(self) -> np.ndarray:
         """Full surface-quadrature weights, shape (K, L)."""
@@ -241,48 +238,6 @@ class CoefficientTable:
     def _check_compatible(self, other: "CoefficientTable") -> None:
         if (self.N, self.d) != (other.N, other.d):
             raise ValueError("incompatible coefficient tables")
-
-
-def _order_block_rows(t: np.ndarray, N: int, width: int):
-    """Yield (m0, n, row) for the order blocks m0 = 0, width, 2*width, ... and n = m0..N.
-
-    row[m - m0] = Pbar_n^m(t) for the orders m0 <= m < min(m0 + width, N + 1), shape
-    (orders, K), +0.0 for m > n.
-    legendre_column's recurrence run for a block of orders at once, one degree n per step,
-    with the same operations in the same order, so each entry matches it bit for bit; the
-    diagonal Pbar_m^m is one running product carried from block to block.  Rows live in two
-    rolling (width, K) buffers: a yielded row is valid until the generator advances twice.
-    """
-    K = t.size
-    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-    n_ = np.arange(N + 1)[:, None]
-    buf, scratch = np.empty((2, width, K)), np.empty((width, K))
-    tt = np.broadcast_to(t, (width, K)).copy()  # same-shape operands: one inner loop
-    diag = np.full(K, 1.0 / math.sqrt(4.0 * math.pi))
-    for m0 in range(0, N + 1, width):
-        w = min(width, N + 1 - m0)
-        kk = np.arange(m0, m0 + w) ** 2  # the block's orders only: (N+1, w) coefficients
-        with np.errstate(divide="ignore", invalid="ignore"):  # entries m >= n - 1 are unread
-            a = np.sqrt((4.0 * n_ * n_ - 1.0) / (n_ * n_ - kk))[:, :, None]  # [n, m - m0, 1]
-            b = np.sqrt(((n_ - 1.0) ** 2 - kk) / (4.0 * (n_ - 1.0) ** 2 - 1.0))[:, :, None]
-        rows = buf[:, :w]
-        rows.fill(0.0)
-        for n in range(m0, N + 1):
-            prev, new = rows[(n - 1) % 2], rows[n % 2]  # new still holds row n - 2
-            k = min(n - 1 - m0, w)  # the orders m <= n - 2
-            if k > 0:
-                # a * (t * P[n-1] - b * P[n-2]), written over row n - 2
-                tp = np.multiply(tt[:k], prev[:k], out=scratch[:k])
-                np.multiply(b[n, :k], new[:k], out=new[:k])
-                np.subtract(tp, new[:k], out=new[:k])
-                np.multiply(a[n, :k], new[:k], out=new[:k])
-            if m0 < n <= m0 + w:  # order n - 1
-                np.multiply(np.sqrt(2 * n + 1.0) * t, prev[n - 1 - m0], out=new[n - 1 - m0])
-            if n < m0 + w:  # order n
-                if n:
-                    np.multiply(diag, -np.sqrt((2 * n + 1) / (2.0 * n)) * s, out=diag)
-                new[n - m0] = diag
-            yield m0, n, new
 
 
 def _legendre_row(t: np.ndarray, n: int) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 Laplacian eigenvalues, the surface area of S^d, and the columns the transforms
 read, every degree up to a band at once: orthonormalized associated Legendre
-functions (the colatitude factor of spherical harmonics on S^2), Gegenbauer
-polynomials and the orthonormal zonal basis for general dimension.  Eigenspace
-dimensions, single-degree values and the zonal reproducing kernel are test
-oracles (tests/oracles.py).
+functions (the colatitude factor of spherical harmonics on S^2) from the one
+Legendre recurrence, _order_block_rows, which grids reads in order blocks and
+legendre_column one order at a time, Gegenbauer polynomials and the orthonormal
+zonal basis for general dimension.  Eigenspace dimensions, the scalar one-order
+Legendre recurrence, single-degree values and the zonal reproducing kernel are
+test oracles (tests/oracles.py).
 
 Conventions (used consistently across the package):
   * harmonics are orthonormal: integral of |Y_{n,m}|^2 over S^d is 1,
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 __all__ = [
     "eigenvalues_upto",
     "surface_area",
-    "legendre_column",
     "gegenbauer_column",
     "zonal_basis_column",
 ]
@@ -56,38 +58,61 @@ def _check_domain(t: np.ndarray) -> None:
         raise ValueError("argument outside [-1, 1]")
 
 
-def legendre_column(m: int, n_max: int, t) -> np.ndarray:
-    """Orthonormalized associated Legendre values for one order m.
+def _order_block_rows(t: np.ndarray, N: int, width: int, first: int = 0):
+    """Yield (m0, n, row) for the order blocks m0 = first, first + width, ... and n = m0..N.
 
-    Returns an array of shape (n_max+1, len(t)); row n holds
-    Pbar_n^m(t), zero for n < m.  Pbar is normalized so that
-    Y_{n,m}(theta, phi) = Pbar_n^m(cos theta) * exp(i m phi) has unit
-    L^2 norm on S^2, i.e. 2*pi * integral of Pbar_n^m(t)^2 dt = 1.
-    Includes the Condon-Shortley sign.
+    row[m - m0] = Pbar_n^m(t) for the orders m0 <= m < min(m0 + width, N + 1), shape
+    (orders, K), +0.0 for m > n; Y_{n,m} = Pbar_n^m(cos theta) e^{i m phi} has unit L^2 norm on
+    S^2, with the Condon-Shortley sign.  The package's one Legendre recurrence, one degree per
+    step: the diagonal Pbar_m^m is a running product carried through the orders below `first`
+    and from block to block, then Pbar_{m+1}^m = sqrt(2m+3) t Pbar_m^m and Pbar_n^m =
+    a (t Pbar_{n-1}^m - b Pbar_{n-2}^m), elementwise in t, so any `first` and `width` give the
+    same bits.  Rows live in two rolling (width, K) buffers: a yielded row is valid until the
+    generator advances twice.
     """
-    if m < 0:
-        raise ValueError(f"order must be >= 0, got {m}")
-    if n_max < m:
-        raise ValueError(f"n_max={n_max} below order m={m}")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_domain(t)
+    K = t.size
+    s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+    n_ = np.arange(N + 1)[:, None]
+    buf, scratch = np.empty((2, width, K)), np.empty((width, K))
+    tt = np.broadcast_to(t, (width, K)).copy()  # same-shape operands: one inner loop
+    diag = np.full(K, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(1, first):  # Pbar_m^m for the orders below the first block
+        np.multiply(diag, -math.sqrt((2 * m + 1) / (2.0 * m)) * s, diag)
+    for m0 in range(first, N + 1, width):
+        w = min(width, N + 1 - m0)
+        kk = np.arange(m0, m0 + w) ** 2  # the block's orders only: (N+1, w) coefficients
+        with np.errstate(divide="ignore", invalid="ignore"):  # entries m >= n - 1 are unread
+            a = np.sqrt((4.0 * n_ * n_ - 1.0) / (n_ * n_ - kk))[:, :, None]  # [n, m - m0, 1]
+            b = np.sqrt(((n_ - 1.0) ** 2 - kk) / (4.0 * (n_ - 1.0) ** 2 - 1.0))[:, :, None]
+        rows = buf[:, :w]
+        rows.fill(0.0)
+        prev, new, tw, sw = rows[m0 % 2], rows[(m0 + 1) % 2], tt[:w], scratch[:w]  # swapped below
+        for n in range(m0, N + 1):
+            prev, new = new, prev  # new still holds row n - 2
+            k = n - 1 - m0  # the orders m <= n - 2: all w of them once k >= w, in whole rows
+            if k > 0:  # a * (t * P[n-1] - b * P[n-2]) over row n - 2; a positional out is cheaper
+                x, y, p, q, an, bn = ((tw, sw, prev, new, a[n], b[n]) if k >= w else
+                                      (tw[:k], sw[:k], prev[:k], new[:k], a[n, :k], b[n, :k]))
+                np.multiply(x, p, y)
+                np.multiply(bn, q, q)
+                np.subtract(y, q, q)
+                np.multiply(an, q, q)
+            if m0 < n <= m0 + w:  # order n - 1
+                np.multiply(np.sqrt(2 * n + 1.0) * t, prev[n - 1 - m0], out=new[n - 1 - m0])
+            if n < m0 + w:  # order n
+                if n:
+                    np.multiply(diag, -math.sqrt((2 * n + 1) / (2.0 * n)) * s, diag)
+                new[n - m0] = diag
+            yield m0, n, new
+
+
+# perfbench/tracer.py wraps this name; ROADMAP item 25 stage B makes it private after item 1c.
+def legendre_column(m: int, n_max: int, t: np.ndarray) -> np.ndarray:
+    """Pbar_n^m(t) for the one order m and n = 0..n_max, shape (n_max+1, K), +0.0 for n < m:
+    the first block of _order_block_rows, one order wide, started at m."""
     out = np.zeros((n_max + 1, t.size))
-
-    # seed Pbar_m^m built multiplicatively to avoid overflow at large m
-    seed = np.full(t.size, 1.0 / math.sqrt(4.0 * math.pi))
-    if m > 0:
-        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
-        for k in range(1, m + 1):
-            seed = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * seed
-    out[m] = seed
-    if n_max == m:
-        return out
-
-    out[m + 1] = math.sqrt(2 * m + 3.0) * t * seed
-    for n in range(m + 2, n_max + 1):
-        a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-        b = math.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-        out[n] = a * (t * out[n - 1] - b * out[n - 2])
+    for _, n, row in islice(_order_block_rows(t, n_max, 1, m), n_max + 1 - m):
+        out[n] = row[0]
     return out
 
 

@@ -1,8 +1,10 @@
 """Reference implementations that tests check the package against; no subcommand runs them.
 
-Each is a plain closed form or a direct definition: exact eigenspace dimensions, pointwise
-Legendre, Gegenbauer and zonal values, the zonal reproducing kernel, a degree projection, the
-(1+n)^s weight, one time node's samples of a space-time field, and the Triebel-Lizorkin norm.
+Each is a plain closed form or a direct definition: exact eigenspace dimensions, the scalar
+one-order Legendre recurrence (the bit-exact reference of the package's block recurrence),
+pointwise Legendre, Gegenbauer and zonal values, the zonal reproducing kernel, a degree
+projection, the (1+n)^s weight, a sphere grid's longitudes, one time node's samples of a
+space-time field, and the Triebel-Lizorkin norm.
 Tests import them from here (pytest puts this directory on sys.path).
 """
 
@@ -14,8 +16,8 @@ import numpy as np
 
 from sphere_strichartz.grids import CoefficientTable, _check_fit, _per_point, _synthesize
 from sphere_strichartz.harmonics import (
+    _check_domain,
     gegenbauer_column,
-    legendre_column,
     surface_area,
     zonal_basis_column,
 )
@@ -37,6 +39,41 @@ def eigenspace_dim(n: int, d: int) -> int:
     if n == 1:
         return d + 1
     return math.comb(n + d, d) - math.comb(n + d - 2, d)
+
+
+def legendre_column(m: int, n_max: int, t) -> np.ndarray:
+    """Orthonormalized associated Legendre values for one order m.
+
+    Returns an array of shape (n_max+1, len(t)); row n holds
+    Pbar_n^m(t), zero for n < m.  Pbar is normalized so that
+    Y_{n,m}(theta, phi) = Pbar_n^m(cos theta) * exp(i m phi) has unit
+    L^2 norm on S^2, i.e. 2*pi * integral of Pbar_n^m(t)^2 dt = 1.
+    Includes the Condon-Shortley sign.
+    """
+    if m < 0:
+        raise ValueError(f"order must be >= 0, got {m}")
+    if n_max < m:
+        raise ValueError(f"n_max={n_max} below order m={m}")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    _check_domain(t)
+    out = np.zeros((n_max + 1, t.size))
+
+    # seed Pbar_m^m built multiplicatively to avoid overflow at large m
+    seed = np.full(t.size, 1.0 / math.sqrt(4.0 * math.pi))
+    if m > 0:
+        s = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        for k in range(1, m + 1):
+            seed = -math.sqrt((2 * k + 1) / (2.0 * k)) * s * seed
+    out[m] = seed
+    if n_max == m:
+        return out
+
+    out[m + 1] = math.sqrt(2 * m + 3.0) * t * seed
+    for n in range(m + 2, n_max + 1):
+        a = math.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+        b = math.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+        out[n] = a * (t * out[n - 1] - b * out[n - 2])
+    return out
 
 
 def _eval_shaped(column_fn, n: int, t):
@@ -104,6 +141,11 @@ def fractional_weight(f: CoefficientTable, s: float) -> CoefficientTable:
     """Smoothing/roughening multiplier (1+n)^s on degree-n coefficients."""
     w = (1.0 + np.arange(f.N + 1)) ** float(s)
     return CoefficientTable(f.N, f.d, f.a * (w if f.zonal else w[:, None]))
+
+
+def longitudes(grid) -> np.ndarray:
+    """The longitudes 2 pi j / L of a sphere grid's L columns."""
+    return 2.0 * np.pi * np.arange(grid.lon_count) / grid.lon_count
 
 
 def samples_at(u, j: int) -> np.ndarray:

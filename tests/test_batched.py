@@ -24,7 +24,6 @@ from sphere_strichartz.grids import (
     _degree_synthesis,
     _legendre_slabs,
     _legendre_tables,
-    _order_block_rows,
     _synthesize,
     build_sphere_grid,
     build_zonal_grid,
@@ -33,7 +32,7 @@ from sphere_strichartz.grids import (
     integrate,
     inverse_sht,
 )
-from sphere_strichartz.harmonics import eigenvalues_upto, legendre_column
+from sphere_strichartz.harmonics import _order_block_rows, eigenvalues_upto
 from sphere_strichartz.norms import _time_power_sums, _time_sums, lp_norm
 from sphere_strichartz.potential import (
     PotentialSpec,
@@ -55,7 +54,7 @@ from sphere_strichartz.spectral import (
     synthesize_history,
 )
 
-from oracles import project, triebel_lizorkin_norm
+from oracles import legendre_column, project, triebel_lizorkin_norm
 
 BATCH_SHAPES = [(), (1,), (7,), (3, 5)]
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)

@@ -28,11 +28,10 @@ from sphere_strichartz.grids import (
     inverse_sht,
     pole_values,
 )
-from sphere_strichartz.harmonics import legendre_column
 from sphere_strichartz.norms import lp_norm
 from sphere_strichartz.spectral import random_field
 
-from oracles import project
+from oracles import legendre_column, project
 
 INF = math.inf
 
@@ -278,6 +277,27 @@ def test_field_lp_norm_full_synthesis_path_equals_reference(p, N):
     if p == INF:
         want = max(want, float(np.max(np.abs(pole_values(f)))))
     assert field_lp_norm(f, p) == want
+
+
+def test_field_lp_norm_inf_reads_the_poles_only_for_an_m0_part(monkeypatch):
+    # highest-weight witnesses and a random one-order table with m != 0 vanish at the poles, so
+    # the norm is the L^inf part alone; the max with max |pole_values| gives the same float
+    rng = np.random.default_rng(48)
+    tab = CoefficientTable.zeros(20, 2)
+    tab.a[7:, 20 - 7] = rng.standard_normal(14) + 1j * rng.standard_normal(14)
+    tables = [make_family("highest-weight", n, 2) for n in (1, 16, 64)] + [tab]
+    sup = {}
+    for f in tables:
+        band = grid_for(f.N, 2, 2.0).band
+        sup[f.N] = lp_norm(*experiments._colatitude_profile(f, band), INF)
+        assert field_lp_norm(f, INF) == max(sup[f.N], float(np.max(np.abs(pole_values(f)))))
+
+    def refuse(f):
+        raise AssertionError("pole_values called")
+
+    monkeypatch.setattr(experiments, "pole_values", refuse)
+    for f in tables:
+        assert field_lp_norm(f, INF) == sup[f.N]
 
 
 def test_sweep_p2_is_flat():

@@ -16,7 +16,6 @@ from sphere_strichartz.grids import (
     _legendre_row,
     _legendre_slabs,
     _legendre_tables,
-    _order_block_rows,
     build_sphere_grid,
     build_zonal_grid,
     forward_sht,
@@ -26,7 +25,7 @@ from sphere_strichartz.grids import (
     max_band_limit,
     pole_values,
 )
-from sphere_strichartz.harmonics import gegenbauer_column, legendre_column, surface_area
+from sphere_strichartz.harmonics import _order_block_rows, gegenbauer_column, surface_area
 from sphere_strichartz.cli import run
 from sphere_strichartz.experiments import kappa_pq
 from sphere_strichartz.norms import l2t_profile_exact, mixed_norm
@@ -38,7 +37,7 @@ from sphere_strichartz.spectral import (
     synthesize_history,
 )
 
-from oracles import associated_legendre, project, zonal_kernel
+from oracles import associated_legendre, legendre_column, longitudes, project, zonal_kernel
 
 
 def test_trivial_grid():
@@ -118,7 +117,7 @@ def test_inverse_of_delta_matches_direct_evaluation():
     N = 6
     g = build_sphere_grid(N)
     vals = inverse_sht(CoefficientTable.unit_mode(N, 3, 2), g)
-    direct = associated_legendre(3, 2, g.t)[:, None] * np.exp(2j * g.phi)[None, :]
+    direct = associated_legendre(3, 2, g.t)[:, None] * np.exp(2j * longitudes(g))[None, :]
     np.testing.assert_allclose(vals, direct, atol=1e-13)
 
 
@@ -457,10 +456,10 @@ def test_reproducing_kernel_recovers_harmonic():
     g = build_sphere_grid(N)
     y53 = inverse_sht(CoefficientTable.unit_mode(5, 5, 3), g)
     w = g.weights()
-    tt, pp = np.meshgrid(g.t, g.phi, indexing="ij")
+    tt, pp = np.meshgrid(g.t, longitudes(g), indexing="ij")
     sin_t = np.sqrt(1 - tt**2)
     for kx, jx in [(3, 5), (7, 0), (5, 9)]:
-        tx, px = g.t[kx], g.phi[jx]
+        tx, px = g.t[kx], longitudes(g)[jx]
         cosang = tx * tt + math.sqrt(1 - tx**2) * sin_t * np.cos(px - pp)
         got = np.sum(w * zonal_kernel(5, 2, np.clip(cosang, -1, 1)) * y53)
         assert got == pytest.approx(y53[kx, jx], abs=1e-11)
@@ -470,15 +469,15 @@ def test_zonal_kernel_orthogonality_under_quadrature():
     # integral of Z_n(x.y) Z_m(x'.y) dsigma(y) = delta_{nm} Z_n(x.x')
     N = 12
     g = build_sphere_grid(N)
-    tt, pp = np.meshgrid(g.t, g.phi, indexing="ij")
+    tt, pp = np.meshgrid(g.t, longitudes(g), indexing="ij")
     sin_t = np.sqrt(1 - tt**2)
 
     def cos_angle(tx, px):
         return np.clip(tx * tt + math.sqrt(1 - tx**2) * sin_t * np.cos(px - pp), -1, 1)
 
     w = g.weights()
-    x = (g.t[4], g.phi[3])
-    x2 = (g.t[9], g.phi[11])
+    x = (g.t[4], longitudes(g)[3])
+    x2 = (g.t[9], longitudes(g)[11])
     zn_x = zonal_kernel(4, 2, cos_angle(*x))
     zm_x2 = zonal_kernel(6, 2, cos_angle(*x2))
     zn_x2 = zonal_kernel(4, 2, cos_angle(*x2))

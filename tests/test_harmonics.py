@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from sphere_strichartz.harmonics import eigenvalues_upto, legendre_column, surface_area
+from sphere_strichartz.grids import build_zonal_grid
+from sphere_strichartz.harmonics import _order_block_rows, eigenvalues_upto, surface_area
+from sphere_strichartz.harmonics import legendre_column as one_order_rows
 
 from oracles import (
     associated_legendre,
     eigenspace_dim,
     gegenbauer,
     gegenbauer_at_one,
+    legendre_column,
     zonal_basis,
     zonal_kernel,
 )
@@ -127,6 +130,40 @@ def test_associated_legendre_stable_to_degree_512(m):
     for n in (max(m, 256), 512):
         got = 2 * math.pi * np.sum(w * P[n] * P[n])
         assert got == pytest.approx(1.0, abs=5e-11)
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 9, 64, 256])
+def test_one_order_rows_equal_scalar_recurrence(N):
+    # the package's one-order rows (the block recurrence, one order wide) on the colatitude
+    # rule _colatitude_profile reads at p = inf, band 2N (K up to 513), bit for bit the oracle's
+    t = build_zonal_grid(2 * N, 2).t
+    for m in range(N + 1):
+        assert one_order_rows(m, N, t).tobytes() == legendre_column(m, N, t).tobytes(), m
+
+
+def test_one_order_rows_at_the_poles_equal_scalar_recurrence():
+    # what pole_values reads: the order m = 0 at t = +1, -1, every band to 300
+    t = np.array([1.0, -1.0])
+    for N in range(301):
+        assert one_order_rows(0, N, t).tobytes() == legendre_column(0, N, t).tobytes(), N
+
+
+def _block_table(t, N, width, first):
+    """{(m, n): Pbar_n^m(t) bytes} for the orders m >= first from a run of _order_block_rows."""
+    out = {}
+    for m0, n, row in _order_block_rows(t, N, width, first):
+        for m in range(m0, min(m0 + len(row), n + 1)):
+            out[m, n] = row[m - m0].tobytes()
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 8])
+def test_block_rows_started_above_order_0_equal_a_run_from_0(width):
+    N, t = 40, build_zonal_grid(33, 2).t
+    whole = _block_table(t, N, width, 0)
+    for first in (1, 2, 5, 8, 17, N):
+        part = _block_table(t, N, width, first)
+        assert part == {key: v for key, v in whole.items() if key[0] >= first}, first
 
 
 def test_associated_legendre_domain_and_order_errors():

@@ -6,7 +6,7 @@ the module skips).  Each test prints the error it measures.
 
   * nodes: leggauss nodes refined by two Newton steps on P_K, in long double;
   * weights: the Christoffel numbers 1 / sum_{n<K} (n + 1/2) P_n(t_k)^2 at the refined nodes;
-  * Legendre rows: the recurrence of grids._order_block_rows in long double.
+  * Legendre rows: the recurrence of harmonics._order_block_rows in long double.
 
 numpy's `leggauss` weights are far less accurate than its nodes, up to 1e-8 relative at the
 end nodes at K = 1025; the strict xfails record that defect.
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from sphere_strichartz.grids import _order_block_rows, build_sphere_grid
+from sphere_strichartz.grids import build_sphere_grid
+from sphere_strichartz.harmonics import _order_block_rows
 
 pytestmark = pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
                                 reason="np.longdouble is no wider than float64 here")

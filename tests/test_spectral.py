@@ -29,7 +29,7 @@ from sphere_strichartz.spectral import (
     synthesize_history,
 )
 
-from oracles import associated_legendre, fractional_weight, project, samples_at
+from oracles import associated_legendre, fractional_weight, longitudes, project, samples_at
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,7 +212,7 @@ def test_history_matches_direct_summation():
         j = int(rng.integers(0, tg.M))
         k = int(rng.integers(0, g.shape[0]))
         l = int(rng.integers(0, g.shape[1]))
-        t, tk, ph = tg.times[j], g.t[k], g.phi[l]
+        t, tk, ph = tg.times[j], g.t[k], longitudes(g)[l]
         direct = (
             f.a[2, 1 + f.N] * np.exp(1j * eigenvalues_upto(2, 2)[2] * t)
             * associated_legendre(2, 1, tk) * np.exp(1j * ph)

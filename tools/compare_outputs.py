@@ -16,7 +16,8 @@ The exit status is 1 when anything differs and no golden digest is re-recorded, 
 golden command differs whose digest is not (see `rerecorded`); else 0.
 
 The command list is tests/test_golden.py's COMMANDS, imported from this tree, plus EXTRA's
-Picard solves, free-path ratios at q = 4 and 6 and identity checks at more values of p.
+Picard solves, free-path ratios at q = 4 and 6, identity checks at more values of p, one-order
+p = inf sweeps to n = 256 and random-field ratios at eight (d, N, p, q).
 Needs the standard library, numpy and pytest.
 """
 
@@ -51,6 +52,16 @@ EXTRA = {
     "identity-check-p-list": ["identity-check", "--N", "16", "--p-list", "1,2,3,4,6,inf"],
     "identity-check-d3-p-list": ["identity-check", "--d", "3", "--N", "10", "--trials", "2",
                                  "--p-list", "2,4,8,inf"],
+    # one-order tables (the one-order Legendre rows and the pole check) at the benchmark's
+    # degrees; the golden sharpness stops at n = 96
+    **{f"sweep-d2-{fam}-inf": ["sweep", "--d", "2", "--p", "inf", "--family", fam, "--n",
+                               "16:256"] for fam in ("hw", "zonal")},
+    # random fields on the free path at the (N, p, q) of ROADMAP item 2's list
+    **{f"strichartz-random-d{d}-n{N}-p{p}q{q}": ["strichartz", "--d", str(d), "--N", str(N),
+                                                 "--p", p, "--q", q, "--family", "random"]
+       for d, N, p, q in [(2, 12, "4", "4"), (2, 20, "6", "2"), (2, 16, "inf", "2"),
+                          (2, 40, "4", "4"), (2, 24, "3", "3"), (2, 30, "8", "6"),
+                          (3, 30, "4", "4"), (4, 20, "6", "2")]},
 }
 COMMANDS = {**test_golden.COMMANDS, **EXTRA}
 ACCEPTANCE = "[acceptance]"  # the acceptance lines' prefix, and the name of their entry
