@@ -392,7 +392,7 @@ def run(argv=None) -> int:
     except pot.DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
-    except (norms.TimeResolutionError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

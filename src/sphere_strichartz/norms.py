@@ -10,7 +10,8 @@ free field's one period, counted M/P times); its agreement with
 `l2t_profile_exact` at q=2 is a verification target, not a shortcut.  Its
 inner time sums come from one of three kernels (samples, per-ring Gram
 matrices, resonant degree pairs), and `_time_sums` alone picks which: its
-docstring is the route table.
+docstring is the route table.  Its resolution check (the norm recomputed on a doubled time
+grid), which no subcommand runs, is the test oracle tests/oracles.py::mixed_norm_checked.
 """
 
 from __future__ import annotations
@@ -22,19 +23,14 @@ import numpy as np
 from .grids import (CoefficientTable, _as_samples, _check_fit, _legendre_stage, _per_point,
                     _work_buffer)
 from .harmonics import eigenvalues_upto
-from .spectral import _SERIES_CHUNK_BYTES, _TIME_BLOCK, _TWO_PI, SpaceTimeField, TimeGrid
+from .spectral import _SERIES_CHUNK_BYTES, _TIME_BLOCK, _TWO_PI, SpaceTimeField
 
 __all__ = [
-    "TimeResolutionError",
     "lp_norm",
     "sobolev_norm",
     "l2t_profile_exact",
     "mixed_norm",
 ]
-
-
-class TimeResolutionError(RuntimeError):
-    """Doubling the time grid moved a mixed norm beyond the requested tolerance."""
 
 
 def _finite_or_fail(norms, x: np.ndarray, what: str):
@@ -228,26 +224,13 @@ def _gram_power_sums(u: SpaceTimeField, blocks, work: dict) -> np.ndarray:
     return np.maximum(S, 0.0, out=S).reshape(u.grid.shape)
 
 
-def mixed_norm(u: SpaceTimeField, p: float, q: float, *,
-               check_resolution: bool = False, rtol: float = 1e-8) -> float:
+def mixed_norm(u: SpaceTimeField, p: float, q: float) -> float:
     """Mixed norm || z -> ||u(., z)||_{L^q_t} ||_{L^p_z}, inner time norm first.
 
     The inner integral is the rectangle rule on u's time grid (exact for trigonometric
-    polynomials resolved by M), summed by the kernel that _time_sums' route table picks.  With
-    check_resolution=True (free-evolution fields only, refused before any work) the result is
-    recomputed from samples on a doubled time grid: TimeResolutionError if it moves beyond rtol.
+    polynomials resolved by M), summed by the kernel that _time_sums' route table picks.
     """
     if not q >= 1 or q == math.inf:
         raise ValueError(f"inner exponent must satisfy 1 <= q < inf, got {q}")
     _check_p(p)
-    if check_resolution and not u.free:
-        raise ValueError("resolution check requires a free-evolution field")
-    result = _norm_of_sums(_time_sums(u, q), u, p, q)
-    if check_resolution:
-        finer = SpaceTimeField(TimeGrid(2 * u.tg.M), u.grid, u.base)
-        refined = _norm_of_sums(_time_power_sums(finer, q), finer, p, q)
-        if abs(refined - result) > rtol * max(abs(result), 1e-300):
-            raise TimeResolutionError(
-                f"mixed norm moved from {result!r} to {refined!r} under time-grid doubling"
-            )
-    return result
+    return _norm_of_sums(_time_sums(u, q), u, p, q)

@@ -4,7 +4,8 @@ Each is a plain closed form or a direct definition: exact eigenspace dimensions,
 one-order Legendre recurrence (the bit-exact reference of the package's block recurrence),
 pointwise Legendre, Gegenbauer and zonal values, the zonal reproducing kernel, a degree
 projection, the (1+n)^s weight, a sphere grid's longitudes, one time node's samples of a
-space-time field, and the Triebel-Lizorkin norm.
+space-time field, the Triebel-Lizorkin norm, and the mixed norm's resolution check (the norm
+recomputed on a doubled time grid, with its TimeResolutionError).
 Tests import them from here (pytest puts this directory on sys.path).
 """
 
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from sphere_strichartz import norms
 from sphere_strichartz.grids import CoefficientTable, _check_fit, _per_point, _synthesize
 from sphere_strichartz.harmonics import (
     _check_domain,
@@ -22,6 +24,7 @@ from sphere_strichartz.harmonics import (
     zonal_basis_column,
 )
 from sphere_strichartz.norms import lp_norm
+from sphere_strichartz.spectral import SpaceTimeField, TimeGrid
 
 
 def eigenspace_dim(n: int, d: int) -> int:
@@ -173,3 +176,22 @@ def triebel_lizorkin_norm(f: CoefficientTable, grid, p: float, q: float,
         out[...] = np.max(x, axis=0) if q == math.inf else np.sum(x, axis=0) ** (1.0 / q)
 
     return lp_norm(_per_point(f.a, grid, inner), grid, p)
+
+
+class TimeResolutionError(RuntimeError):
+    """Doubling the time grid moved a mixed norm beyond the requested tolerance."""
+
+
+def mixed_norm_checked(u, p: float, q: float, rtol: float = 1e-8) -> float:
+    """norms.mixed_norm(u, p, q), recomputed from samples on a doubled time grid (free-evolution
+    fields only, refused before any work): TimeResolutionError if it moves beyond rtol."""
+    if not u.free:
+        raise ValueError("resolution check requires a free-evolution field")
+    result = norms.mixed_norm(u, p, q)
+    finer = SpaceTimeField(TimeGrid(2 * u.tg.M), u.grid, u.base)
+    refined = norms._norm_of_sums(norms._time_power_sums(finer, q), finer, p, q)
+    if abs(refined - result) > rtol * max(abs(result), 1e-300):
+        raise TimeResolutionError(
+            f"mixed norm moved from {result!r} to {refined!r} under time-grid doubling"
+        )
+    return result

@@ -1,8 +1,9 @@
-"""tools/compare_outputs.py's parsers, moves, re-recorded digests and verdict, on synthetic
-inputs: no child process runs here."""
+"""tools/compare_outputs.py's parsers, moves, re-recorded digests, verdict and potential files,
+on synthetic inputs: no child process runs here."""
 
 import importlib.util
 import json
+import string
 import subprocess
 from pathlib import Path
 
@@ -127,3 +128,31 @@ def test_verdict():
     # but not another golden command whose digest is not re-recorded
     assert tool.verdict(_report(*golden), [golden[0]]) == 1
     assert tool.verdict(_report(*golden), golden) == 0
+
+
+def _gaunt_taps(spec: dict) -> int:
+    """(order, n' - n) pairs that Gaunt's rule leaves nonzero, summed over the terms: a degree-l
+    mode of order mu couples n to n' = n + delta for |delta| <= l of l's parity."""
+    return sum(len({(c["m"], delta) for c in term["spatial_coeffs"]
+                    for delta in range(-c["n"], c["n"] + 1, 2)})
+               for term in spec["terms"])
+
+
+def test_potential_files_are_readme_and_band2(tmp_path):
+    files = tool.potential_files(tmp_path)
+    readme = json.loads(files["potential"].read_text(encoding="utf-8"))
+    band2 = json.loads(files["band2"].read_text(encoding="utf-8"))
+    assert readme == tool.test_golden.POTENTIAL and band2 == tool.BAND2_POTENTIAL
+    assert _gaunt_taps(readme) == 2
+    # three terms, spatial bands 1-2 in 6 modes, time frequencies 0, +-1 and +-2: 15 taps
+    assert len(band2["terms"]) == 3 and _gaunt_taps(band2) == 15
+    modes = [(c["n"], c["m"]) for term in band2["terms"] for c in term["spatial_coeffs"]]
+    assert len(set(modes)) == 6 and {n for n, _ in modes} == {1, 2}
+    assert sorted(c["freq"] for term in band2["terms"] for c in term["time_coeffs"]) == \
+        [-2, -1, 0, 1, 2]
+    # every file field a command names is written; band2 is solved at N = 12 and 20
+    fields = {name for argv in tool.COMMANDS.values() for arg in argv
+              for _, name, _, _ in string.Formatter().parse(arg) if name}
+    assert fields == set(files)
+    assert sorted(name for name, argv in tool.COMMANDS.items() if "{band2}" in argv) == \
+        ["picard-band2-n12", "picard-band2-n20"]

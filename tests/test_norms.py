@@ -15,7 +15,6 @@ from sphere_strichartz.grids import (
     inverse_sht,
 )
 from sphere_strichartz.norms import (
-    TimeResolutionError,
     _resonant_l4_sums,
     _sobolev_norms,
     _time_power_sums,
@@ -33,7 +32,12 @@ from sphere_strichartz.spectral import (
     synthesize_history,
 )
 
-from oracles import samples_at, triebel_lizorkin_norm
+from oracles import (
+    TimeResolutionError,
+    mixed_norm_checked,
+    samples_at,
+    triebel_lizorkin_norm,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,7 +264,7 @@ def test_mixed_norm_stable_under_time_doubling():
     g = grid_for(6, 2, 2.0)
     u = synthesize_history(f, nyquist_time_grid(6, 2), g)
     for q in (2.0, 4.0):
-        a = mixed_norm(u, 4.0, q, check_resolution=True, rtol=1e-10)
+        a = mixed_norm_checked(u, 4.0, q, rtol=1e-10)
         assert a > 0
 
 
@@ -273,7 +277,7 @@ def test_mixed_norm_resolution_error_fires_when_underresolved():
     g = grid_for(4, 2, 2.0)
     u = synthesize_history(f, TimeGrid(40), g)
     with pytest.raises(TimeResolutionError):
-        mixed_norm(u, 2.0, 3.0, check_resolution=True, rtol=1e-6)
+        mixed_norm_checked(u, 2.0, 3.0, rtol=1e-6)
 
 
 def test_mixed_norm_rejects_bad_q():
@@ -366,7 +370,7 @@ def test_resolution_check_refines_by_doubling():
     base = mixed_norm(u, 4.0, 6.0)
     tripled = mixed_norm(SpaceTimeField(TimeGrid(75), g, f), 4.0, 6.0)
     assert abs(tripled - base) > 1e-4 * base
-    assert mixed_norm(u, 4.0, 6.0, check_resolution=True, rtol=1e-12) == base
+    assert mixed_norm_checked(u, 4.0, 6.0, rtol=1e-12) == base
 
 
 def test_resolution_check_accepts_an_unmoved_norm_at_rtol_0():
@@ -374,7 +378,7 @@ def test_resolution_check_accepts_an_unmoved_norm_at_rtol_0():
     f = CoefficientTable.unit_mode(0, 0, 0) * 0.7
     u = synthesize_history(f, TimeGrid(8), grid_for(0, 2, 2.0))
     for q in (1.0, 2.0, 3.0, 6.0):
-        assert mixed_norm(u, 4.0, q, check_resolution=True, rtol=0.0) > 0
+        assert mixed_norm_checked(u, 4.0, q, rtol=0.0) > 0
 
 
 def test_resolution_check_tolerance_is_relative():
@@ -387,9 +391,9 @@ def test_resolution_check_tolerance_is_relative():
     base = mixed_norm(u, 4.0, 6.0)
     move = abs(mixed_norm(SpaceTimeField(TimeGrid(48), g, f), 4.0, 6.0) - base) / base
     assert 1e-3 < move < 1e-2 and base > 100.0
-    assert mixed_norm(u, 4.0, 6.0, check_resolution=True, rtol=2 * move) == base
+    assert mixed_norm_checked(u, 4.0, 6.0, rtol=2 * move) == base
     with pytest.raises(TimeResolutionError):
-        mixed_norm(u, 4.0, 6.0, check_resolution=True, rtol=move / 2)
+        mixed_norm_checked(u, 4.0, 6.0, rtol=move / 2)
 
 
 def test_resolution_check_default_rtol_is_1e_8():
@@ -407,9 +411,9 @@ def test_resolution_check_default_rtol_is_1e_8():
         assert lo < move < hi
         if raises:
             with pytest.raises(TimeResolutionError):
-                mixed_norm(u, 4.0, 6.0, check_resolution=True)
+                mixed_norm_checked(u, 4.0, 6.0)
         else:
-            assert mixed_norm(u, 4.0, 6.0, check_resolution=True) == base
+            assert mixed_norm_checked(u, 4.0, 6.0) == base
 
 
 def test_resolution_check_floors_the_norm_at_1e_300():
@@ -422,9 +426,9 @@ def test_resolution_check_floors_the_norm_at_1e_300():
     base = mixed_norm(u, math.inf, 1.0)
     move = abs(mixed_norm(SpaceTimeField(TimeGrid(48), g, f), math.inf, 1.0) - base)
     assert base < 1e-301 and move > 1e-3 * base
-    assert mixed_norm(u, math.inf, 1.0, check_resolution=True, rtol=2 * move / 1e-300) == base
+    assert mixed_norm_checked(u, math.inf, 1.0, rtol=2 * move / 1e-300) == base
     with pytest.raises(TimeResolutionError):
-        mixed_norm(u, math.inf, 1.0, check_resolution=True, rtol=move / 2e-300)
+        mixed_norm_checked(u, math.inf, 1.0, rtol=move / 2e-300)
 
 
 def test_resolution_check_requires_a_free_field(monkeypatch):
@@ -435,7 +439,7 @@ def test_resolution_check_requires_a_free_field(monkeypatch):
         monkeypatch.setattr(norms, kernel, _refuse)
     for q in (2.0, 3.0, 4.0):
         with pytest.raises(ValueError, match="resolution check requires a free-evolution field"):
-            mixed_norm(u, 4.0, q, check_resolution=True)
+            mixed_norm_checked(u, 4.0, q)
 
 
 @pytest.mark.parametrize("explicit", [False, True])
@@ -563,11 +567,11 @@ def test_resolution_check_at_q4_compares_resonant_sums_with_doubled_samples(monk
     # the resonant value does not depend on M, so the check must sample the doubled grid: it
     # passes the right sums at rtol 1e-13 and catches sums without the cross term (a 1.7e-4 move)
     u = _q4_field(2, 6, nyquist_time_grid(6, 2).M)
-    base = mixed_norm(u, 4.0, 4.0, check_resolution=True, rtol=1e-13)
+    base = mixed_norm_checked(u, 4.0, 4.0, rtol=1e-13)
     monkeypatch.setattr(norms, "_resonant_l4_sums", _without_cross_term)
     assert abs(mixed_norm(u, 4.0, 4.0) - base) > 1e-4 * base
     with pytest.raises(TimeResolutionError):
-        mixed_norm(u, 4.0, 4.0, check_resolution=True)
+        mixed_norm_checked(u, 4.0, 4.0)
 
 
 @pytest.mark.parametrize("scale", [1e80, 1e-90])

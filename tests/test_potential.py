@@ -538,14 +538,21 @@ def _two_term_zonal_potential(d):
     ])
 
 
-@pytest.mark.parametrize("d, N", [(2, 12), (3, 6)])
-def test_picard_increments_equal_explicit_differences(d, N):
+def _at_p4_and_inf(cases):
+    """pytest params: each case at p = 4 under its own id, then at p = inf (the gate's q = 1 and
+    the X-norm's L^inf_x part) with "-inf" added to it."""
+    return [pytest.param(*case, p, id="-".join(map(str, case)) + ("-inf" if p == math.inf else ""))
+            for p in (4.0, math.inf) for case in cases]
+
+
+@pytest.mark.parametrize("d, N, p", _at_p4_and_inf([(2, 12), (3, 6)]))
+def test_picard_increments_equal_explicit_differences(d, N, p):
     # picard_solve writes each increment over the iterate it replaces; the same iteration with
     # the explicit difference `-` gives the same floats.  At d = 2, N = 12 (M = 1256) a history
     # is 6.5 MB, larger than one chunk of the sup part that x_norm once cut.
     f = random_field(N, d, np.random.default_rng(40 + d))
     V = cos_t_potential(0.03) if d == 2 else _two_term_zonal_potential(d)
-    p, s = 4.0, kappa_pq(4.0, 2.0, d)
+    s = kappa_pq(p, 2.0, d)
     u, rep = picard_solve(f, V, p, s)
     w = synthesize_history(f, u.tg, u.grid).materialize()
     increments = []
@@ -629,8 +636,8 @@ def _one_term_potential(d):
 
 @pytest.mark.parametrize("terms", [1, 2])
 @pytest.mark.parametrize("M", [64, 65, 129, 344, None])
-@pytest.mark.parametrize("d", [2, 3])
-def test_streamed_picard_solve_equals_two_history_loop(d, M, terms):
+@pytest.mark.parametrize("d, p", _at_p4_and_inf([(2,), (3,)]))
+def test_streamed_picard_solve_equals_two_history_loop(d, p, M, terms):
     # Each iterate is one pass over u's time blocks that writes Phi(u) over u and sums the
     # increment's X-norm, in coefficient space; the two-history loop by transforms and samples
     # takes as many iterates to the same iterate, up to rounding.  Increments near tol are
@@ -638,7 +645,7 @@ def test_streamed_picard_solve_equals_two_history_loop(d, M, terms):
     # None is picard_solve's default grid (168 nodes at d = 2, 232 at 3).
     f = random_field(4, d, np.random.default_rng([d, terms]))
     V = _one_term_potential(d) if terms == 1 else _two_term_zonal_potential(d)
-    p, s = 4.0, kappa_pq(4.0, 2.0, d)
+    s = kappa_pq(p, 2.0, d)
     tg = None if M is None else TimeGrid(M)
     u, rep = picard_solve(f, V, p, s, tg=tg)
     want_u, increments, _, residual, _ = two_history_picard_solve(f, V, p, s, tg=tg)

@@ -16,8 +16,10 @@ The exit status is 1 when anything differs and no golden digest is re-recorded, 
 golden command differs whose digest is not (see `rerecorded`); else 0.
 
 The command list is tests/test_golden.py's COMMANDS, imported from this tree, plus EXTRA's
-Picard solves, free-path ratios at q = 4 and 6, identity checks at more values of p, one-order
-p = inf sweeps to n = 256 and random-field ratios at eight (d, N, p, q).
+Picard solves (README's potential, at p = 4 and once at p = inf, and BAND2_POTENTIAL's three
+terms), free-path ratios at q = 4 and 6, identity checks at more values of p, one-order p = inf
+sweeps to n = 256 and random-field ratios at eight (d, N, p, q).  The potential files are
+written by `potential_files`.
 Needs the standard library, numpy and pytest.
 """
 
@@ -37,9 +39,28 @@ sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
 
 import test_golden  # noqa: E402  (the golden command list and README's potential)
 
+# ROADMAP item 23's three-term band-2 potential, real-valued: spatial bands 1-2 (6 modes), time
+# frequencies 0, +-1 and +-2, so 15 Gaunt taps (order, n' - n) where README's potential has 2
+BAND2_POTENTIAL = {"terms": [
+    {"time_coeffs": [{"freq": 0, "re": 0.01, "im": 0.0}],
+     "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0, "im": 0.0},
+                        {"n": 2, "m": 0, "re": 0.5, "im": 0.0}]},
+    {"time_coeffs": [{"freq": 1, "re": 0.01, "im": 0.0}, {"freq": -1, "re": 0.01, "im": 0.0}],
+     "spatial_coeffs": [{"n": 1, "m": 1, "re": 0.5, "im": 0.5},
+                        {"n": 1, "m": -1, "re": -0.5, "im": 0.5}]},
+    {"time_coeffs": [{"freq": 2, "re": 0.0, "im": 0.005}, {"freq": -2, "re": 0.0, "im": -0.005}],
+     "spatial_coeffs": [{"n": 2, "m": 1, "re": 0.5, "im": -0.5},
+                        {"n": 2, "m": -1, "re": -0.5, "im": -0.5}]},
+]}
+
 _SOLVE = ["solve-potential", "--potential", "{potential}", "--format", "json"]
 EXTRA = {
     **{f"picard-n{N}": _SOLVE + ["--N", str(N)] for N in (6, 8, 12, 20)},
+    # the gate's q = 1 (holder_conjugate(inf)) and the X-norm's L^inf_x part
+    "picard-pinf-n8": _SOLVE + ["--p", "inf", "--N", "8"],
+    # more than README's two taps; item 2 asks for N = 48, which takes minutes per tree
+    **{f"picard-band2-n{N}": ["solve-potential", "--potential", "{band2}", "--format", "json",
+                              "--N", str(N)] for N in (12, 20)},
     **{f"picard-m{M}": _SOLVE + ["--N", "6", "--M", str(M)] for M in (65, 69, 129)},
     **{f"picard-d3-n{N}": _SOLVE + ["--d", "3", "--N", str(N)] for N in (0, 4, 8)},
     # q = 4 on the free path beyond the golden N = 24: the resonant-pair sums
@@ -79,13 +100,20 @@ def _child(tree: Path, argv: list, cwd: Path, threads: str):
     return subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True, text=True)
 
 
+def potential_files(tmp: Path) -> dict:
+    """README's potential and BAND2_POTENTIAL as JSON files in tmp, by the format field that
+    COMMANDS' arguments name them with."""
+    files = {"potential": tmp / "potential.json", "band2": tmp / "potential-band2.json"}
+    for key, spec in [("potential", test_golden.POTENTIAL), ("band2", BAND2_POTENTIAL)]:
+        files[key].write_text(json.dumps(spec), encoding="utf-8")
+    return files
+
+
 def run(tree: Path, name: str, tmp: Path, threads: str) -> dict:
     """COMMANDS[name] on `tree`: its exit code, stdout, stderr and output bytes."""
-    potential = tmp / "potential.json"
-    potential.write_text(json.dumps(test_golden.POTENTIAL), encoding="utf-8")
     output = tmp / f"{name}.out"
     output.unlink(missing_ok=True)
-    argv = [arg.format(potential=potential) for arg in COMMANDS[name]]
+    argv = [arg.format(**potential_files(tmp)) for arg in COMMANDS[name]]
     proc = _child(tree, ["-m", "sphere_strichartz.cli", *argv, "--seed", "5", "--output",
                          str(output)], tmp, threads)
     data = output.read_text(encoding="utf-8") if output.exists() else None
