@@ -4,10 +4,13 @@ Subcommands: kappa, identity-check, sweep, strichartz, sharpness,
 solve-potential, selftest.  Results go to stdout plus an optional --output
 file as CSV (default) or JSON (--format json).  A --config JSON file (with a
 top-level "version" field) holds flag values, parsed as the same flags;
-explicit command-line flags override it.  Runs are deterministic: --seed keys the
-counter-based Philox stream of the fields drawn here (_rng) and numpy's PCG64
-default_rng(seed) of sweep's random witnesses and solve-potential's gate constant;
-floats have 17 significant digits, so identical configurations give byte-identical files.
+explicit command-line flags override it.  Each input has one spelling: --n is 'a:b' (12
+log-spaced degrees), 'a:b:k' or a list; --family is zonal, hw or random (one eigenspace draw on
+sweep, a band-N field on strichartz); Python's float reads exponents, so 'inf' is p = inf.
+Runs are deterministic: --seed keys the counter-based Philox stream of the fields drawn here
+(_rng) and numpy's PCG64 default_rng(seed) of sweep's random witnesses and solve-potential's
+gate constant; floats have 17 significant digits, so identical configurations give
+byte-identical files.
 
 Exit codes: 0 success, 1 validation/configuration error (including
 non-finite numeric flags) or an exceeded resource limit (band cap, out of
@@ -48,25 +51,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_p(text: str) -> float:
-    if text.lower() in ("inf", "infinity", "oo"):
-        return math.inf
-    return float(text)
-
-
 def _finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"--{name} must be finite, got {value}")
     return value
 
 
-def _parse_degrees(spec: str, count: int) -> tuple:
-    """Degree list: 'a:b' (log-spaced), 'a:b:k' (k points), or 'n1,n2,...'."""
+def _parse_degrees(spec: str) -> tuple:
+    """Degree list: 'a:b' (12 log-spaced degrees), 'a:b:k' (k of them), or 'n1,n2,...'."""
     if ":" in spec:
         lo, hi, *k = spec.split(":")
         if len(k) > 1:
             raise ValueError(f"degree spec {spec!r} has more than three ':' fields")
-        return xp.geometric_degrees(int(lo), int(hi), int(k[0]) if k else count)
+        return xp.geometric_degrees(int(lo), int(hi), *map(int, k))
     return tuple(sorted({int(tok) for tok in spec.split(",") if tok}))
 
 
@@ -102,7 +99,7 @@ def _require(args, name: str):
 
 
 def _cmd_kappa(args) -> int:
-    p = _parse_p(_require(args, "p"))
+    p = float(_require(args, "p"))
     pc = xp.p_critical(args.d)
     branch = "subcritical" if p <= pc else "supercritical"
     kp = xp.kappa_p(p, args.d)
@@ -125,7 +122,7 @@ def _cmd_identity_check(args) -> int:
     rng = _rng(args.seed)
     grid = grid_for(args.N, args.d, 2.0)
     tg = nyquist_time_grid(args.N, args.d)
-    ps = [norms._check_p(_parse_p(tok)) for tok in args.p_list.split(",")]
+    ps = [norms._check_p(float(tok)) for tok in args.p_list.split(",")]
     rows = []
     worst = 0.0
     for trial in range(args.trials):
@@ -149,19 +146,12 @@ def _cmd_identity_check(args) -> int:
     return 0
 
 
-_FAMILY_ALIASES = {
-    "zonal": "zonal-kernel",
-    "zonal-kernel": "zonal-kernel",
-    "highest-weight": "highest-weight",
-    "hw": "highest-weight",
-    "random": "random-eigenspace",
-    "random-eigenspace": "random-eigenspace",
-}
+_FAMILY_ALIASES = {"zonal": "zonal-kernel", "hw": "highest-weight", "random": "random-eigenspace"}
 
 
 def _cmd_sweep(args) -> int:
-    degrees = _parse_degrees(args.n, args.count)
-    p = _parse_p(_require(args, "p"))
+    degrees = _parse_degrees(args.n)
+    p = float(_require(args, "p"))
     family = _FAMILY_ALIASES[args.family]
     rows, fit = xp.projection_ratio_sweep(args.d, p, family, degrees, args.oversample, args.seed)
     out = [[n, r, args.p, 2.0, 0.0, args.d, family] for n, r in rows]
@@ -173,7 +163,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_strichartz(args) -> int:
-    p = _parse_p(_require(args, "p"))
+    p = float(_require(args, "p"))
     _finite("q", args.q)
     s = xp.kappa_pq(p, args.q, args.d) if args.s == "auto" else _finite("s", float(args.s))
     rng = _rng(args.seed)
@@ -190,8 +180,8 @@ def _cmd_strichartz(args) -> int:
 
 
 def _cmd_sharpness(args) -> int:
-    degrees = _parse_degrees(args.n, args.count)
-    p = _parse_p(_require(args, "p"))
+    degrees = _parse_degrees(args.n)
+    p = float(_require(args, "p"))
     s = xp.kappa_pq(p, 2.0, args.d) if args.s == "auto" else _finite("s", float(args.s))
     xp._check_points(len(degrees))  # the fit's count, before any witness
     per_family = xp.sharpness_rows(p, s, args.d, degrees)
@@ -207,7 +197,7 @@ def _cmd_sharpness(args) -> int:
 
 
 def _cmd_solve_potential(args) -> int:
-    p = _parse_p(args.p)
+    p = float(args.p)
     s = xp.kappa_pq(p, 2.0, args.d) if args.s == "auto" else _finite("s", float(args.s))
     _finite("tol", args.tol)
     with open(_require(args, "potential"), "r", encoding="utf-8") as fh:
@@ -308,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default=None)
     sp.add_argument("--family", default="zonal", choices=sorted(_FAMILY_ALIASES))
     sp.add_argument("--n", default="16:256", help="degrees: 'a:b', 'a:b:k', or list")
-    sp.add_argument("--count", type=int, default=12)
     sp.add_argument("--oversample", type=float, default=2.0)
     _add_common(sp)
     sp.set_defaults(func=_cmd_sweep)
@@ -328,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", default=None)
     sp.add_argument("--s", default="auto")
     sp.add_argument("--n", default="16:256")
-    sp.add_argument("--count", type=int, default=12)
     _add_common(sp)
     sp.set_defaults(func=_cmd_sharpness)
 

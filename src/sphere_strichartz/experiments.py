@@ -57,8 +57,8 @@ class ExponentFit:
     count: int
 
 
-def geometric_degrees(lo: int, hi: int, count: int = 11) -> tuple:
-    """Roughly log-spaced integer degrees in [lo, hi], deduplicated."""
+def geometric_degrees(lo: int, hi: int, count: int = 12) -> tuple:
+    """Up to `count` (12: the CLI's 'a:b') log-spaced integer degrees in [lo, hi], deduplicated."""
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got {lo}, {hi}")
     # sorted(set(...)), not np.unique, which imports numpy.ma (DEFAULT_DEGREES runs at import)
@@ -66,7 +66,7 @@ def geometric_degrees(lo: int, hi: int, count: int = 11) -> tuple:
 
 
 # default fit window: small degrees pollute the asymptotics
-DEFAULT_DEGREES = geometric_degrees(16, 256, 12)
+DEFAULT_DEGREES = geometric_degrees(16, 256)
 
 
 def p_critical(d: int) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -48,6 +49,17 @@ def test_validation_errors_exit_1(capsys):
     assert run(["no-such-command"]) == 1
     assert run(["kappa", "--p", "4", "--bogus-flag", "1"]) == 1
     capsys.readouterr()
+    # a:b:k is the one way to give a degree count
+    for command in ("sweep", "sharpness"):
+        assert run([command, "--p", "4", "--n", "16:64", "--count", "5"]) == 1
+        assert "error: unrecognized arguments: --count 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["inf", "INF", "Infinity"])
+def test_kappa_reads_p_with_float(p, capsys):
+    # Python's float reads every exponent: inf in any case, or infinity, is p = inf
+    assert run(["kappa", "--d", "2", "--p", p]) == 0
+    assert capsys.readouterr().out == "kappa_p = 0.5  (supercritical branch, p_c = 6)\n"
 
 
 def test_missing_required_flag_exit_1():
@@ -55,11 +67,21 @@ def test_missing_required_flag_exit_1():
     assert (code, out) == (1, "") and err == "error: --p is required\n", err
 
 
+_INVALID_FAMILY = "error: argument --family: invalid choice"
+
+
 @pytest.mark.parametrize("argv, first", [
     (["kappa", "--d", "nan", "--p", "4"], "error: argument --d: invalid int value: 'nan'\n"),
     (["strichartz", "--N", "6", "--p", "4", "--format", "xml"],
      "error: argument --format: invalid choice"),
-], ids=["kappa-d-nan", "strichartz-format-xml"])
+    # one name per family: zonal, hw and random
+    (["sweep", "--p", "4", "--family", "highest-weight"], _INVALID_FAMILY),
+    (["sweep", "--p", "4", "--family", "zonal-kernel"], _INVALID_FAMILY),
+    (["strichartz", "--N", "6", "--p", "4", "--family", "random-eigenspace"], _INVALID_FAMILY),
+    # exponents are read by float, which knows inf and infinity but not oo
+    (["kappa", "--p", "oo"], "error: could not convert string to float: 'oo'\n"),
+], ids=["kappa-d-nan", "strichartz-format-xml", "sweep-family-highest-weight",
+        "sweep-family-zonal-kernel", "strichartz-family-random-eigenspace", "kappa-p-oo"])
 def test_unparsable_flag_value_exit_1_with_error_first(argv, first):
     # a subcommand's parser raises, not exits: `error: argument ...` first, no usage: line
     code, out, err = _run_captured(argv)
@@ -118,7 +140,7 @@ def test_sweep_csv_schema_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     argv = ["sweep", "--d", "2", "--p", "inf", "--family", "zonal",
-            "--n", "16:64", "--count", "5", "--seed", "3"]
+            "--n", "16:64:5", "--seed", "3"]
     assert run(argv + ["--output", str(out1)]) == 0
     assert run(argv + ["--output", str(out2)]) == 0
     capsys.readouterr()
@@ -127,6 +149,15 @@ def test_sweep_csv_schema_and_determinism(tmp_path, capsys):
     lines = b1.decode().strip().split("\n")
     assert lines[0] == "n,ratio,p,q,s,d,family"
     assert len(lines) == 6
+
+
+def test_sweep_a_b_runs_default_degrees(tmp_path, capsys):
+    # 'a:b' is 12 log-spaced degrees, so the default window 16:256 is DEFAULT_DEGREES
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--p", "inf", "--n", "16:256", "--output", str(out)]) == 0
+    capsys.readouterr()
+    rows = out.read_text().strip().split("\n")[1:]
+    assert tuple(int(row.split(",")[0]) for row in rows) == experiments.DEFAULT_DEGREES
 
 
 def test_sweep_rows_rederivable(tmp_path, capsys):
@@ -451,7 +482,7 @@ def test_strichartz_command(capsys):
 def test_sharpness_command(tmp_path, capsys):
     out = tmp_path / "sharp.csv"
     assert run(["sharpness", "--d", "2", "--p", "inf", "--s", "0.5",
-                "--n", "16:64", "--count", "5", "--output", str(out)]) == 0
+                "--n", "16:64:5", "--output", str(out)]) == 0
     text = capsys.readouterr().out
     assert "growth slope" in text
     lines = out.read_text().strip().split("\n")
@@ -796,11 +827,10 @@ _CONTRACT_FLAGS = {
     "kappa": {"--d": "2", "--p": "4", "--q": "2"},
     "identity-check": {"--d": "3", "--N": "6", "--trials": "1", "--p-list": "2,inf",
                        "--tol": "1e-10"},
-    "sweep": {"--d": "2", "--p": "4", "--family": "random", "--n": "2:16:3", "--count": "3",
-              "--oversample": "2"},
+    "sweep": {"--d": "2", "--p": "4", "--family": "random", "--n": "2:16:3", "--oversample": "2"},
     "strichartz": {"--d": "2", "--N": "8", "--p": "6", "--q": "4", "--s": "auto",
-                   "--family": "highest-weight"},
-    "sharpness": {"--d": "3", "--p": "inf", "--s": "0.4", "--n": "2:16:3", "--count": "3"},
+                   "--family": "hw"},
+    "sharpness": {"--d": "3", "--p": "inf", "--s": "0.4", "--n": "2:16:3"},
     "solve-potential": {"--d": "2", "--N": "3", "--p": "4", "--s": "auto", "--tol": "1e-8",
                         "--max-iter": "4", "--M": "64"},
     "selftest": {"--N": "8"},
@@ -808,7 +838,7 @@ _CONTRACT_FLAGS = {
 _README_POTENTIAL = {"terms": [{  # 0.03 cos(t) Y_{1,0}
     "time_coeffs": [{"freq": 1, "re": 0.015, "im": 0.0}, {"freq": -1, "re": 0.015, "im": 0.0}],
     "spatial_coeffs": [{"n": 1, "m": 0, "re": 1.0, "im": 0.0}]}]}
-_CHOICES = {"--family": ("random", "zonal", "highest-weight")}  # no edge values: argparse choices
+_CHOICES = {"--family": ("random", "zonal", "hw")}  # no edge values: argparse choices
 # result columns that must be nonzero on exit 0; `p` and `q` echo flags, where inf is valid
 _NONZERO = {"ratio", "sampled", "spectral"}
 _ECHOED = {"p", "q"}
@@ -846,6 +876,15 @@ def _edge_argv(draw):
 @example(argv=["strichartz", "--N", "40", "--p", "4", "--s", "300"], fmt="csv")
 @example(argv=["identity-check", "--N", "4", "--p-list", "1e308"], fmt="csv")
 @example(argv=["strichartz", "--N", "-1", "--p", "4"], fmt="csv")
+# a:b:k's k at its edge values: no points, a negative count, and two k that int() refuses
+@example(argv=["sweep", "--p", "4", "--family", "random", "--n", "2:16:0"], fmt="csv")
+@example(argv=["sweep", "--p", "4", "--family", "random", "--n", "2:16:-1"], fmt="csv")
+@example(argv=["sweep", "--p", "4", "--family", "random", "--n", "2:16:nan"], fmt="csv")
+@example(argv=["sweep", "--p", "4", "--family", "random", "--n", "2:16:1e308"], fmt="csv")
+@example(argv=["sharpness", "--p", "inf", "--s", "0.4", "--n", "2:16:0"], fmt="csv")
+@example(argv=["sharpness", "--p", "inf", "--s", "0.4", "--n", "2:16:-1"], fmt="csv")
+@example(argv=["sharpness", "--p", "inf", "--s", "0.4", "--n", "2:16:nan"], fmt="csv")
+@example(argv=["sharpness", "--p", "inf", "--s", "0.4", "--n", "2:16:1e308"], fmt="csv")
 def test_every_exit_keeps_the_contract(argv, fmt):
     # exit 0, 1 or 2 and no exception out of run; exit 1 with a first stderr line `error:`,
     # also for a flag value argparse cannot parse; exit 2 with `numerical error:`,
@@ -873,3 +912,69 @@ def test_every_exit_keeps_the_contract(argv, fmt):
             assert code == 2, (argv, code, err)
             assert first.startswith(("numerical error: ", "divergence: ")) or "FAIL" in first, \
                 (argv, err)
+
+
+# -- every flag of every subcommand acts ------------------------------------------------------
+
+# a base argv per subcommand at small sizes, and one other value for each of its flags.  sweep's
+# base draws --family random: the zonal and highest-weight witnesses draw nothing, so --seed acts
+# on that family only (and its --d 3 exits 1, as random draws need d = 2).  --output is where the
+# bytes are read, and --config only supplies these flags.
+_FLAG_CASES = {
+    "kappa": (["--d", "2", "--p", "4"], {"--d": "3", "--p": "6", "--q": "4"}),
+    "identity-check": (["--d", "2", "--N", "6", "--trials", "1", "--p-list", "2,inf"],
+                       {"--d": "3", "--N": "8", "--trials": "2", "--p-list": "2,4",
+                        "--tol": "1e-20"}),
+    "sweep": (["--d", "2", "--p", "4", "--family", "random", "--n", "8:16:3"],
+              {"--d": "3", "--p": "6", "--family": "hw", "--n": "8:16:4", "--oversample": "3"}),
+    "strichartz": (["--d", "2", "--N", "6", "--p", "4"],
+                   {"--d": "3", "--N": "8", "--p": "6", "--q": "4", "--s": "0.3",
+                    "--family": "hw"}),
+    "sharpness": (["--d", "2", "--p", "inf", "--s", "0.4", "--n", "8:16:3"],
+                  {"--d": "3", "--p": "6", "--s": "0.3", "--n": "8:16:4"}),
+    "solve-potential": (["--potential", "{potential}", "--N", "3"],
+                        {"--potential": "{band2}", "--d": "3", "--N": "4", "--p": "inf",
+                         "--s": "0.3", "--tol": "1e-12", "--max-iter": "1", "--M": "128"}),
+    "selftest": (["--N", "8"], {"--N": "16"}),
+}
+_COMMON_CASES = {"--format": "json", "--seed": "1"}
+# flags that change nothing on their subcommand: kappa draws no field, and sharpness' witnesses
+# are the zonal and highest-weight ones (perfbench's cli_cold_start passes --seed to it)
+_INERT = {("kappa", "--seed"), ("sharpness", "--seed")}
+
+
+def _subcommand_flags() -> dict:
+    """Each subcommand's long flags, as its parser declares them."""
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: {opt for action in parser._actions for opt in action.option_strings
+                   if opt.startswith("--")} for name, parser in sub.choices.items()}
+
+
+def test_every_flag_acts(tmp_path):
+    # changing any one flag to another value changes the exit code, stdout or --output bytes
+    files = compare_outputs.potential_files(tmp_path)
+    output = tmp_path / "out"
+
+    def outcome(command, argv):
+        output.unlink(missing_ok=True)
+        code, stdout, _ = _run_captured([command, *(arg.format(**files) for arg in argv),
+                                         "--output", str(output)])
+        return code, stdout, output.read_bytes() if output.exists() else None
+
+    inert = set()
+    for command, flags in _subcommand_flags().items():
+        base, changes = _FLAG_CASES[command]
+        changes = {**changes, **_COMMON_CASES}
+        assert set(changes) == flags - {"--help", "--config", "--output"}, command
+        want = outcome(command, base)
+        assert want[0] == 0, (command, want)
+        for flag, value in changes.items():
+            argv = list(base)
+            if flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value]
+            if outcome(command, argv) == want:
+                inert.add((command, flag))
+    assert inert == _INERT

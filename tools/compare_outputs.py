@@ -18,7 +18,8 @@ golden command differs whose digest is not (see `rerecorded`); else 0.
 The command list is tests/test_golden.py's COMMANDS, imported from this tree, plus EXTRA's
 Picard solves (README's potential, at p = 4 and once at p = inf, and BAND2_POTENTIAL's three
 terms), free-path ratios at q = 4 and 6, identity checks at more values of p, one-order p = inf
-sweeps to n = 256 and random-field ratios at eight (d, N, p, q).  The potential files are
+sweeps to n = 256, a sweep over an explicit degree list, single-degree witness ratios and
+random-field ratios at eight (d, N, p, q).  The potential files are
 written by `potential_files`.
 Needs the standard library, numpy and pytest.
 """
@@ -77,6 +78,14 @@ EXTRA = {
     # degrees; the golden sharpness stops at n = 96
     **{f"sweep-d2-{fam}-inf": ["sweep", "--d", "2", "--p", "inf", "--family", fam, "--n",
                                "16:256"] for fam in ("hw", "zonal")},
+    # an explicit degree list, where every other sweep reads an a:b or a:b:k spec
+    "sweep-d2-hw-list": ["sweep", "--d", "2", "--p", "4", "--family", "hw", "--n", "8,16,32"],
+    # one witness degree (make_family and the exact single-degree reduction), which strichartz's
+    # default --family random never reaches
+    "strichartz-hw-n64-p6": ["strichartz", "--family", "hw", "--N", "64", "--p", "6"],
+    "strichartz-zonal-n64-pinf": ["strichartz", "--family", "zonal", "--N", "64", "--p", "inf"],
+    "strichartz-d3-zonal-n32-p4q4": ["strichartz", "--d", "3", "--family", "zonal", "--N", "32",
+                                     "--p", "4", "--q", "4"],
     # random fields on the free path at the (N, p, q) of ROADMAP item 2's list
     **{f"strichartz-random-d{d}-n{N}-p{p}q{q}": ["strichartz", "--d", str(d), "--N", str(N),
                                                  "--p", p, "--q", q, "--family", "random"]
